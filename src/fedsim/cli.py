@@ -23,7 +23,7 @@ from pathlib import Path
 
 import yaml
 
-from . import __version__, metrics, probes, topology
+from . import __version__, faults, metrics, probes, topology
 from .engine import EngineError
 
 EXIT_OK = 0
@@ -32,28 +32,39 @@ EXIT_IO = 2
 EXIT_ENGINE = 3
 
 
-def _read_scenario(path: str) -> str | None:
+def _load_file(path: str, seed: int | None = None):
+    """Read a scenario file, then ``_load`` it; EXIT_IO if it cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return None
-
-
-def _load(path: str, seed: int | None = None):
-    """Returns (spec, topology) or an exit code on failure."""
-    text = _read_scenario(path)
-    if text is None:
         return EXIT_IO
+    return _load(text, seed)
+
+
+def _load(text: str, seed: int | None = None):
+    """Parse and validate scenario text, with ``seed`` overriding the
+    scenario's. Returns (spec, topology), or EXIT_INVALID after printing every
+    error. Warnings go to stderr and do not change the outcome."""
     try:
         spec = topology.parse_scenario(text)
         if seed is not None:
             spec = replace(spec, seed=seed)
-        return spec, topology.validate(spec)
+        topo = topology.validate(spec)
     except (topology.ScenarioError, topology.ValidationError) as exc:
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)
         return EXIT_INVALID
+    losses = [(f"loss[{i}][{j}]", loss) for i, row in enumerate(spec.links.loss) for j, loss in enumerate(row)]
+    losses += [
+        (f"timeline[{k}].loss", event.loss)
+        for k, event in enumerate(spec.timeline)
+        if isinstance(event, faults.SetLinkEvent)
+    ]
+    for path, loss in losses:
+        if loss.correlation > 0:
+            print(f"warning: {path}: loss correlation > 0 thins the marginal loss rate far below p", file=sys.stderr)
+    return spec, topo
 
 
 def _dump_event_tail(engine, out_dir: Path, exc: EngineError) -> None:
@@ -102,22 +113,12 @@ def _summarize(result, spec, out_dir: Path, elapsed_s: float, until: float) -> N
     (out_dir / "summary.yaml").write_text(yaml.safe_dump(summary, sort_keys=False), encoding="utf-8")
 
 
-def _run_to_dir(scenario_text: str, out_dir: str, seed: int | None, until: float | None, debug_events: bool) -> int:
-    """Parse, validate, run, export. Shared by run and the sweep workers."""
-    try:
-        spec = topology.parse_scenario(scenario_text)
-        if seed is not None:
-            spec = replace(spec, seed=seed)
-        topo = topology.validate(spec)
-    except (topology.ScenarioError, topology.ValidationError) as exc:
-        for message in exc.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_INVALID
-
+def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool) -> int:
+    """Run a loaded scenario and export. Shared by run and the sweep workers."""
     engine = topology.build_runtime(topo)
     if debug_events:
         engine.debug_log = []
-    bound = topo.duration_s if until is None else until
+    bound = spec.duration_s if until is None else until
     out = Path(out_dir)
     started = wall_time.perf_counter()
     try:
@@ -144,7 +145,7 @@ def _run_to_dir(scenario_text: str, out_dir: str, seed: int | None, until: float
 
 
 def cmd_validate(args) -> int:
-    loaded = _load(args.scenario)
+    loaded = _load_file(args.scenario)
     if isinstance(loaded, int):
         return loaded
     print("ok")
@@ -152,19 +153,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    text = _read_scenario(args.scenario)
-    if text is None:
-        return EXIT_IO
-    return _run_to_dir(text, args.out_dir, args.seed, args.until, args.debug_events)
+    loaded = _load_file(args.scenario, args.seed)
+    if isinstance(loaded, int):
+        return loaded
+    return _run_to_dir(*loaded, args.out_dir, args.until, args.debug_events)
 
 
 def cmd_ping(args) -> int:
-    loaded = _load(args.scenario, seed=args.seed)
+    loaded = _load_file(args.scenario, args.seed)
     if isinstance(loaded, int):
         return loaded
     spec, topo = loaded
     engine = topology.build_runtime(topo)
-    duration = args.duration if args.duration is not None else topo.duration_s
+    duration = args.duration if args.duration is not None else spec.duration_s
     out = Path(args.out_dir)
     try:
         samples = probes.run_ping(engine, interval_s=args.interval, duration_s=duration)
@@ -172,7 +173,7 @@ def cmd_ping(args) -> int:
         _dump_event_tail(engine, out, exc)
         return EXIT_ENGINE
 
-    names = [cluster.name for cluster in topo.clusters]
+    names = [cluster.name for cluster in spec.clusters]
     stats = probes.rtt_stats(samples, len(names))
     out.mkdir(parents=True, exist_ok=True)
     metrics.export_csv(engine.result(), out)
@@ -219,23 +220,17 @@ def _resolve_path(doc, path: str):
 
 
 def _sweep_worker(task: tuple) -> tuple[str, int]:
-    scenario_text, out_dir, seed, until = task
-    return out_dir, _run_to_dir(scenario_text, out_dir, seed, until, False)
+    spec, topo, out_dir, until = task
+    return out_dir, _run_to_dir(spec, topo, out_dir, until, False)
 
 
 def cmd_sweep(args) -> int:
-    text = _read_scenario(args.scenario)
-    if text is None:
-        return EXIT_IO
-    try:
-        spec = topology.parse_scenario(text)
-        topology.validate(spec)
-    except (topology.ScenarioError, topology.ValidationError) as exc:
-        for message in exc.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_INVALID
+    loaded = _load_file(args.scenario)
+    if isinstance(loaded, int):
+        return loaded
 
     # operate on the canonical document so defaulted fields are sweepable
+    spec, _ = loaded
     canonical = topology.render_scenario(spec)
     doc = yaml.safe_load(canonical)
     try:
@@ -254,16 +249,12 @@ def cmd_sweep(args) -> int:
         variant = yaml.safe_load(canonical)
         parent, key = _resolve_path(variant, args.param)
         parent[key] = value
-        variant_text = yaml.safe_dump(variant, sort_keys=False)
-        try:
-            topology.validate(topology.parse_scenario(variant_text))
-        except (topology.ScenarioError, topology.ValidationError) as exc:
-            print(f"error: {args.param}={value} produces an invalid scenario:", file=sys.stderr)
-            for message in exc.errors:
-                print(f"  {message}", file=sys.stderr)
-            return EXIT_INVALID
+        variant_loaded = _load(yaml.safe_dump(variant, sort_keys=False), args.seed)
+        if isinstance(variant_loaded, int):
+            print(f"error: {args.param}={value} produces an invalid scenario", file=sys.stderr)
+            return variant_loaded
         subdir = str(Path(args.out_dir) / f"{args.param}={value}".replace("/", "_"))
-        tasks.append((variant_text, subdir, args.seed, args.until))
+        tasks.append((*variant_loaded, subdir, args.until))
 
     workers = args.jobs if args.jobs else min(len(tasks), 4)
     if workers <= 1 or len(tasks) == 1:

@@ -160,32 +160,43 @@ class EngineState:
 
     def __init__(self, topology):
         self.topology = topology
+        self.spec = spec = topology.spec
         self.clock = 0.0
         self.event_count = 0
         self._seq = 0
         self._heap: list = []
         self._primed = False
 
-        n = len(topology.clusters)
-        self.base_delay_s = topology.links.base_delay_ms * 1e-3
-        self.intra_delay_s = topology.links.intra_base_delay_ms * 1e-3
-        self.table = netem.table_from_links(topology.links)
+        # scenario values read per event, looked up once here
+        self.cluster_names = tuple(cluster.name for cluster in spec.clusters)
+        self.links = spec.links
+        self.workload = spec.workload
+        self.frontend = topology.frontend
+        self.backend = topology.backend
+        self.timeout_s = spec.timeout_s
+        self.scrape_interval_s = spec.scrape_interval_s
+        self.duration_s = spec.duration_s
+
+        n = len(self.cluster_names)
+        self.base_delay_s = spec.links.base_delay_ms * 1e-3
+        self.intra_delay_s = spec.links.intra_base_delay_ms * 1e-3
+        self.table = netem.table_from_links(spec.links)
         self.blackout_saved: dict = {}
 
         # one gateway-mediated path per ordered cluster pair
         self.paths = {(i, j): ("gateway",) for i in range(n) for j in range(n) if i != j}
 
-        self.delay_streams = {key: stream(topology.seed, "delay", *key) for key in self.paths}
-        self.loss_channels = {key: netem.LossChannel(stream(topology.seed, "loss", *key)) for key in self.paths}
-        self.arrival_rng = stream(topology.seed, "arrival")
-        self.payload_sampler = workload.PayloadSampler(topology.workload.payload, stream(topology.seed, "payload"))
+        self.delay_streams = {key: stream(spec.seed, "delay", *key) for key in self.paths}
+        self.loss_channels = {key: netem.LossChannel(stream(spec.seed, "loss", *key)) for key in self.paths}
+        self.arrival_rng = stream(spec.seed, "arrival")
+        self.payload_sampler = workload.PayloadSampler(spec.workload.payload, stream(spec.seed, "payload"))
 
         self.registry = mesh.ServiceRegistry()
         self.replicas: dict[mesh.Endpoint, ReplicaState] = {}
         self._place_replicas()
 
-        self.frontend_endpoints = self.registry.list(topology.frontend.name) if topology.frontend else []
-        self.backend_endpoints = self.registry.list(topology.backend.name) if topology.backend else []
+        self.frontend_endpoints = self.registry.list(self.frontend.name) if self.frontend else []
+        self.backend_endpoints = self.registry.list(self.backend.name) if self.backend else []
         self.ingress_state = mesh.BalancerState(policy=mesh.ROUND_ROBIN)
         self.fe_states = {
             endpoint: mesh.BalancerState(policy=topology.backend_policy) for endpoint in self.frontend_endpoints
@@ -207,13 +218,13 @@ class EngineState:
     def _place_replicas(self) -> None:
         # round-robin replicas over each cluster's nodes, services in order,
         # then size concurrency by how many replicas share each node
-        topo = self.topology
+        clusters = self.spec.clusters
         placed: list[tuple[mesh.Endpoint, int, int]] = []
-        node_cursor = {k: 0 for k in range(len(topo.clusters))}
+        node_cursor = {k: 0 for k in range(len(clusters))}
         per_node_count: dict[tuple[int, int], int] = {}
-        for service in topo.services:
+        for service in self.topology.services:
             for cluster_index, count in service.placements:
-                nodes = topo.clusters[cluster_index].nodes
+                nodes = clusters[cluster_index].nodes
                 for replica_index in range(count):
                     node = node_cursor[cluster_index] % nodes
                     node_cursor[cluster_index] += 1
@@ -221,7 +232,7 @@ class EngineState:
                     placed.append((endpoint, cluster_index, node))
                     per_node_count[(cluster_index, node)] = per_node_count.get((cluster_index, node), 0) + 1
         for endpoint, cluster_index, node in placed:
-            vcpus = topo.clusters[cluster_index].vcpus_per_node
+            vcpus = clusters[cluster_index].vcpus_per_node
             limit = max(1, vcpus // per_node_count[(cluster_index, node)])
             self.registry.add(endpoint)
             self.replicas[endpoint] = ReplicaState(endpoint, node, limit)
@@ -237,10 +248,10 @@ class EngineState:
         self._seq += 1
 
     def _prime(self) -> None:
-        for time, action in faults.compile_timeline(self.topology.timeline, self.topology.index_of):
+        for time, action in faults.compile_timeline(self.spec.timeline, self.topology.index_of):
             self.schedule(time, TIMELINE_APPLY, action)
         self.schedule(0.0, SCRAPE)
-        first = workload.next_arrival(self.topology.workload, None, self.arrival_rng)
+        first = workload.next_arrival(self.workload, None, self.arrival_rng)
         if first is not None and self.frontend_endpoints:
             self.schedule(first, ARRIVAL)
 
@@ -274,9 +285,9 @@ class EngineState:
             completed=self.completed,
             lost=self.lost,
             timed_out=self.timed_out,
-            cluster_names=tuple(cluster.name for cluster in self.topology.clusters),
-            rate_window_s=self.topology.rate_window_s,
-            scrape_interval_s=self.topology.scrape_interval_s,
+            cluster_names=self.cluster_names,
+            rate_window_s=self.spec.rate_window_s,
+            scrape_interval_s=self.scrape_interval_s,
         )
 
     # -- request lifecycle --------------------------------------------------
@@ -294,7 +305,7 @@ class EngineState:
 
     def _on_arrival(self, t: float, _payload) -> None:
         payload_bytes = self.payload_sampler.sample()
-        reduction = self.topology.frontend.profile.reduction_factor
+        reduction = self.frontend.profile.reduction_factor
         request = Request(self._next_request_id, payload_bytes, payload_bytes * reduction)
         self._next_request_id += 1
         self.arrivals += 1
@@ -307,19 +318,19 @@ class EngineState:
         else:
             request.frontend = frontend
             self.schedule(t + self.base_delay_s, LINK_DELIVER, (request, frontend, HOP_REQUEST_FE))
-        nxt = workload.next_arrival(self.topology.workload, t, self.arrival_rng)
+        nxt = workload.next_arrival(self.workload, t, self.arrival_rng)
         if nxt is not None:
             self.schedule(nxt, ARRIVAL)
 
     def _on_link_deliver(self, t: float, payload) -> None:
         request, target, hop = payload
         if hop == HOP_REQUEST_FE:
-            demand = workload.service_demand(self.topology.frontend.profile, request.payload_bytes)
+            demand = workload.service_demand(self.frontend.profile, request.payload_bytes)
             self._admit(self.replicas[target], request, demand, t)
         elif hop == HOP_REQUEST_BE:
             if request.outcome is not None:
                 return  # timed out before the message arrived
-            demand = workload.service_demand(self.topology.backend.profile, request.reduced_bytes)
+            demand = workload.service_demand(self.backend.profile, request.reduced_bytes)
             self._admit(self.replicas[target], request, demand, t)
         elif hop == HOP_RESPONSE_FE:
             if request.outcome is not None or request.responded:
@@ -356,7 +367,7 @@ class EngineState:
             # abandoned while queued; hand the slot on
             self._pass_slot(replica, t)
             return
-        if replica.endpoint.service == self.topology.frontend.name:
+        if replica.endpoint.service == self.frontend.name:
             request.fe_start = t
         else:
             request.be_start = t
@@ -368,7 +379,7 @@ class EngineState:
         replica.in_service.discard(request.id)
         replica.busy_vcpu_seconds += demand
         self._pass_slot(replica, t)
-        if replica.endpoint.service == self.topology.frontend.name:
+        if replica.endpoint.service == self.frontend.name:
             request.fe_end = t
             self._dispatch_backend(request, t)
         else:
@@ -386,7 +397,7 @@ class EngineState:
         request.be_dispatch = t
         mesh.lc_update(state, backend, +1)
         request.lc_open = True
-        self.schedule(t + self.topology.timeout_s, TIMEOUT, request)
+        self.schedule(t + self.timeout_s, TIMEOUT, request)
         self._send(request, request.frontend.cluster, backend.cluster, backend, HOP_REQUEST_BE, t)
 
     def _dispatch_response(self, request: Request, t: float) -> None:
@@ -423,8 +434,8 @@ class EngineState:
 
     def _on_scrape(self, t: float, _payload) -> None:
         metrics.scrape(self, t)
-        nxt = t + self.topology.scrape_interval_s
-        if nxt < self.topology.duration_s:
+        nxt = t + self.scrape_interval_s
+        if nxt < self.duration_s:
             self.schedule(nxt, SCRAPE)
 
     def _on_probe_send(self, t: float, payload) -> None:

@@ -14,8 +14,9 @@ resurrect rules from the wrong epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from . import fields
 from .netem import DATA, ImpairmentRule, JitterSpec, LossSpec
 
 ACTION_SET_LINK = "set_link"
@@ -24,32 +25,39 @@ ACTION_SET_HEALTH = "set_health"
 
 
 @dataclass(frozen=True)
-class SetLinkEvent:
+class _Timed:
+    """The field every timeline event carries."""
+
+    at_s: float = field(metadata={"bounds": ">= 0"})
+
+
+@fields.declare
+@dataclass(frozen=True)
+class SetLinkEvent(_Timed):
     """Replace the data-class rule on one directed link at ``at_s``."""
 
-    at_s: float
     src: str
     dst: str
-    delay_ms: float = 0.0
+    delay_ms: float = field(default=0.0, metadata={"bounds": ">= 0"})
     jitter: JitterSpec = JitterSpec()
     loss: LossSpec = LossSpec()
 
 
+@fields.declare
 @dataclass(frozen=True)
-class BlackoutEvent:
+class BlackoutEvent(_Timed):
     """Total connectivity loss for one cluster over [at_s, end_s)."""
 
-    at_s: float
     cluster: str
     end_s: float
 
 
+@fields.declare
 @dataclass(frozen=True)
-class SetHealthEvent:
+class SetHealthEvent(_Timed):
     """Flip health of one replica, or of every replica of the service in the
     cluster when ``replica`` is None."""
 
-    at_s: float
     service: str
     cluster: str
     healthy: bool
@@ -93,24 +101,14 @@ def check_timeline(events, index_of: dict[str, int], services: dict[str, dict[in
     blackout_spans: dict[str, list[tuple[float, float, int]]] = {}
     for k, event in enumerate(events):
         path = f"timeline[{k}]"
-        if event.at_s < 0:
-            errors.append(f"{path}.at_s < 0")
+        if isinstance(event, _Timed):
+            fields.check(event, path, errors)
         if isinstance(event, SetLinkEvent):
             for field_name, name in (("src", event.src), ("dst", event.dst)):
                 if name not in index_of:
                     errors.append(f"{path}.{field_name}: unknown cluster '{name}'")
             if event.src == event.dst and event.src in index_of:
                 errors.append(f"{path}: src and dst must differ")
-            if event.delay_ms < 0:
-                errors.append(f"{path}.delay_ms < 0")
-            if event.jitter.dist not in ("none", "uniform", "normal"):
-                errors.append(f"{path}.jitter.dist: unknown dist '{event.jitter.dist}'")
-            if event.jitter.scale_ms < 0:
-                errors.append(f"{path}.jitter.scale_ms < 0")
-            if not 0.0 <= event.loss.p <= 1.0:
-                errors.append(f"{path}.loss.p out of [0, 1]")
-            if not 0.0 <= event.loss.correlation <= 1.0:
-                errors.append(f"{path}.loss.correlation out of [0, 1]")
         elif isinstance(event, BlackoutEvent):
             if event.cluster not in index_of:
                 errors.append(f"{path}.cluster: unknown cluster '{event.cluster}'")
@@ -188,7 +186,7 @@ def apply(engine, action) -> None:
 
 
 def _blackout_start(engine, cluster: int) -> None:
-    n = len(engine.topology.clusters)
+    n = len(engine.cluster_names)
     saved: dict[tuple[int, int, str], ImpairmentRule | None] = {}
     table = engine.table
     for other in range(n):

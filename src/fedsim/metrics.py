@@ -64,7 +64,7 @@ class MetricsStore:
 
 def scrape(engine, t: float) -> None:
     """Record one sample of every per-replica series at time t."""
-    cluster_names = [cluster.name for cluster in engine.topology.clusters]
+    cluster_names = engine.cluster_names
     for endpoint, replica in engine.replicas.items():
         labels = {
             "cluster": cluster_names[endpoint.cluster],

@@ -15,7 +15,9 @@ With ``c = 0`` this degenerates to independent Bernoulli loss.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from . import fields
 
 DATA = "data"
 CONTROL = "control"
@@ -27,20 +29,22 @@ JITTER_NORMAL = "normal"
 JITTER_DISTS = (JITTER_NONE, JITTER_UNIFORM, JITTER_NORMAL)
 
 
+@fields.declare
 @dataclass(frozen=True)
 class JitterSpec:
     """Symmetric delay variation around the base one-way delay."""
 
-    dist: str = JITTER_NONE
-    scale_ms: float = 0.0
+    dist: str = field(default=JITTER_NONE, metadata={"one_of": ("dist", JITTER_DISTS)})
+    scale_ms: float = field(default=0.0, metadata={"bounds": ">= 0"})
 
 
+@fields.declare
 @dataclass(frozen=True)
 class LossSpec:
     """Loss probability with optional correlation between consecutive draws."""
 
-    p: float = 0.0
-    correlation: float = 0.0
+    p: float = field(default=0.0, metadata={"bounds": "[0, 1]"})
+    correlation: float = field(default=0.0, metadata={"bounds": "[0, 1]"})
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,9 @@ def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | No
     """
     from .engine import PROBE_SEND
 
-    topo = engine.topology
-    n = len(topo.clusters)
+    n = len(engine.cluster_names)
     if duration_s is None:
-        duration_s = topo.duration_s
+        duration_s = engine.duration_s
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     plan = ProbePlan(tuple(pairs), interval_s, probe_count(duration_s, interval_s))
@@ -78,7 +77,7 @@ def handle_probe_send(engine, t: float, payload) -> None:
     if k + 1 < plan.count:
         engine.schedule((k + 1) * plan.interval_s, PROBE_SEND, (plan_index, pair_index, k + 1))
 
-    links = engine.topology.links
+    links = engine.links
     if src == dst:
         rtt_ms = 2.0 * links.intra_base_delay_ms
         engine.schedule(t + rtt_ms * 1e-3, PROBE_RECV, ProbeSample(src, dst, t, rtt_ms))

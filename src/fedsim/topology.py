@@ -6,8 +6,9 @@ pipeline, the open-loop workload, and a fault timeline. This module owns the
 full document lifecycle:
 
   * ``parse_scenario`` / ``load_scenario``: strict YAML -> ``FederationSpec``
-    (unknown fields, missing required fields, and shape mismatches are
-    rejected with field paths; syntax errors carry the document position).
+    (unknown fields, missing required fields, non-finite numbers and shape
+    mismatches are rejected with field paths; syntax errors carry the
+    document position).
   * ``render_scenario``: ``FederationSpec`` -> canonical YAML. Rendering a
     parsed document and parsing it again yields an equal spec.
   * ``validate``: semantic checks over the spec, collecting every violation
@@ -17,6 +18,12 @@ full document lifecycle:
     topology. The returned engine has an empty event queue; priming happens
     on the first ``run``.
 
+Each field is declared once, on its dataclass (see ``fields``); that table
+drives parsing, rendering and the per-field checks. The code here handles
+only what the table cannot express: the dense delay matrix, the sparse
+``src``/``dst`` jitter and loss entries, replica maps, stage-dependent demand
+defaults, the ``action``-tagged timeline, and the cross-field checks.
+
 Scenario-level units are operator-friendly (milliseconds, ms per kB with
 1 kB = 1000 bytes); conversion to engine units (seconds, bytes) happens once
 during validation.
@@ -24,55 +31,27 @@ during validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import yaml
 
-from . import faults
+from . import faults, fields
+from .fields import ScenarioError, as_list, as_map, as_str, each, fail, require
 from .mesh import POLICIES, ROUND_ROBIN
-from .netem import JITTER_DISTS, JITTER_NONE, JitterSpec, LossSpec
-from .workload import (
-    ARRIVAL_CONSTANT,
-    ARRIVAL_KINDS,
-    EMPIRICAL_MODES,
-    EMPIRICAL_UNIFORM,
-    PAYLOAD_CONSTANT,
-    PAYLOAD_DISTS,
-    PAYLOAD_EMPIRICAL,
-    PAYLOAD_LOGNORMAL,
-    STAGE_BACKEND,
-    STAGE_FRONTEND,
-    STAGES,
-    PayloadSpec,
-    Phase,
-    StageProfile,
-    WorkloadSpec,
-)
+from .netem import JITTER_NONE, JitterSpec, LossSpec
+from .workload import PAYLOAD_EMPIRICAL, STAGE_BACKEND, STAGE_FRONTEND, STAGES, StageProfile, WorkloadSpec
 
 ROLE_EDGE = "edge"
 ROLE_DATACENTER = "datacenter"
 ROLES = (ROLE_EDGE, ROLE_DATACENTER)
 
-DEFAULT_SCRAPE_INTERVAL_S = 5.0
-DEFAULT_TIMEOUT_S = 5.0
-DEFAULT_RATE_WINDOW_S = 60.0
-DEFAULT_PAYLOAD_BYTES = 250_000
-
-# Default stage demand: frontend detect-and-crop, backend recognition.
-DEFAULT_FRONTEND_BASE_MS = 20.0
-DEFAULT_FRONTEND_PER_KB_MS = 0.01
-DEFAULT_REDUCTION = 1.0 / 3.0
-DEFAULT_BACKEND_BASE_MS = 80.0
-DEFAULT_BACKEND_PER_KB_MS = 0.02
-
-
-class ScenarioError(Exception):
-    """Raised on malformed scenario documents (syntax or structure)."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+# Stage demand defaults: frontend detect-and-crop, backend recognition.
+STAGE_DEMAND = {
+    STAGE_FRONTEND: {"base_ms": 20.0, "per_kb_ms": 0.01, "reduction": 1.0 / 3.0},
+    STAGE_BACKEND: {"base_ms": 80.0, "per_kb_ms": 0.02},
+}
 
 
 class ValidationError(Exception):
@@ -83,6 +62,7 @@ class ValidationError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+@fields.declare
 @dataclass(frozen=True)
 class ClusterSpec:
     """One member cluster.
@@ -96,13 +76,14 @@ class ClusterSpec:
     """
 
     name: str
-    nodes: int = 1
-    vcpus_per_node: int = 1
-    memory_gb: float = 8.0
-    role: str = ROLE_EDGE
+    nodes: int = field(default=1, metadata={"bounds": ">= 1"})
+    vcpus_per_node: int = field(default=1, metadata={"bounds": ">= 1"})
+    memory_gb: float = field(default=8.0, metadata={"bounds": "> 0"})
+    role: str = field(default=ROLE_EDGE, metadata={"one_of": ("role", ROLES)})
 
 
-@dataclass(frozen=True)
+@fields.declare
+@dataclass(frozen=True, kw_only=True)
 class LinksSpec:
     """Inter-cluster link matrices, indexed by cluster declaration order.
 
@@ -113,47 +94,50 @@ class LinksSpec:
     in-cluster hop cost.
     """
 
+    base_delay_ms: float = field(default=0.0, metadata={"bounds": ">= 0"})
+    intra_base_delay_ms: float = field(default=0.0, metadata={"bounds": ">= 0"})
     one_way_delay_ms: tuple[tuple[float, ...], ...]
     jitter: tuple[tuple[JitterSpec, ...], ...]
     loss: tuple[tuple[LossSpec, ...], ...]
-    base_delay_ms: float = 0.0
-    intra_base_delay_ms: float = 0.0
 
 
+@fields.declare
 @dataclass(frozen=True)
 class DemandSpec:
     """Stage demand in scenario units: ms base plus ms per kB of stage input."""
 
-    base_ms: float
-    per_kb_ms: float
-    reduction: float = 1.0
+    base_ms: float = field(metadata={"bounds": ">= 0"})
+    per_kb_ms: float = field(metadata={"bounds": ">= 0"})
+    reduction: float = field(default=1.0, metadata={"bounds": "(0, 1]"})
 
 
+@fields.declare
 @dataclass(frozen=True)
 class ServiceSpec:
     """One pipeline stage service and its replica placement."""
 
     name: str
-    stage: str
+    stage: str = field(metadata={"one_of": ("stage", STAGES)})
     replicas_per_cluster: dict[str, int]
     demand: DemandSpec
-    backend_policy: str | None = None
+    backend_policy: str | None = field(default=None, metadata={"one_of": ("policy", POLICIES)})
 
 
-@dataclass(frozen=True)
+@fields.declare
+@dataclass(frozen=True, kw_only=True)
 class FederationSpec:
     """Parsed scenario document, prior to semantic validation."""
 
     clusters: tuple[ClusterSpec, ...]
     links: LinksSpec
-    services: tuple[ServiceSpec, ...]
-    workload: WorkloadSpec
-    timeline: tuple[faults.TimelineEvent, ...]
-    seed: int = 0
-    duration_s: float = 0.0
-    scrape_interval_s: float = DEFAULT_SCRAPE_INTERVAL_S
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    rate_window_s: float = DEFAULT_RATE_WINDOW_S
+    services: tuple[ServiceSpec, ...] = ()
+    workload: WorkloadSpec = WorkloadSpec()
+    timeline: tuple[faults.TimelineEvent, ...] = ()
+    seed: int = field(default=0, metadata={"bounds": "[0, 2^64)"})
+    duration_s: float = field(metadata={"bounds": "> 0"})
+    scrape_interval_s: float = field(default=5.0, metadata={"bounds": "> 0"})
+    timeout_s: float = field(default=5.0, metadata={"bounds": "> 0"})
+    rate_window_s: float = field(default=60.0, metadata={"bounds": "> 0"})
 
 
 @dataclass(frozen=True)
@@ -169,95 +153,30 @@ class ResolvedService:
 
 @dataclass(frozen=True)
 class ValidatedTopology:
-    """Semantically valid federation, ready for ``build_runtime``."""
+    """Semantically valid federation, ready for ``build_runtime``. Everything
+    the document states stays on ``spec``; this adds what validation
+    resolved."""
 
     spec: FederationSpec
-    clusters: tuple[ClusterSpec, ...]
     index_of: dict[str, int]
-    links: LinksSpec
     services: tuple[ResolvedService, ...]
     frontend: ResolvedService | None
     backend: ResolvedService | None
     backend_policy: str
-    workload: WorkloadSpec
-    timeline: tuple[faults.TimelineEvent, ...]
-    seed: int
-    duration_s: float
-    scrape_interval_s: float
-    timeout_s: float
-    rate_window_s: float
 
 
-_TOP_KEYS = {
-    "clusters",
-    "links",
-    "services",
-    "workload",
-    "timeline",
-    "seed",
-    "duration_s",
-    "scrape_interval_s",
-    "timeout_s",
-    "rate_window_s",
+_TIMELINE_ACTIONS = {
+    faults.ACTION_SET_LINK: faults.SetLinkEvent,
+    faults.ACTION_BLACKOUT: faults.BlackoutEvent,
+    faults.ACTION_SET_HEALTH: faults.SetHealthEvent,
 }
-
-
-def _fail(message: str):
-    raise ScenarioError([message])
-
-
-def _as_map(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        _fail(f"{path}: expected a mapping")
-    return value
-
-
-def _as_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        _fail(f"{path}: expected a list")
-    return value
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(f"{path}: expected a string")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(f"{path}: expected a boolean")
-    return value
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{path}: expected an integer")
-    return value
-
-
-def _as_num(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}: expected a number")
-    return float(value)
-
-
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = [key for key in mapping if key not in allowed]
-    if unknown:
-        listed = ", ".join(f"'{key}'" for key in sorted(map(str, unknown)))
-        _fail(f"{path}: unknown field {listed}")
-
-
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        _fail(f"{path}: missing required field '{key}'")
-    return mapping[key]
+_ACTION_OF = {cls: action for action, cls in _TIMELINE_ACTIONS.items()}
 
 
 def parse_scenario(text: str) -> FederationSpec:
     """Parse a scenario document. Raises ScenarioError on syntax errors,
-    unknown fields, missing required fields, or shape mismatches."""
+    unknown fields, missing required fields, non-finite numbers, or shape
+    mismatches."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -265,261 +184,102 @@ def parse_scenario(text: str) -> FederationSpec:
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc)
         raise ScenarioError([f"syntax error{where}: {problem}"]) from exc
-    if doc is None:
-        doc = {}
-    doc = _as_map(doc, "document")
-    _check_keys(doc, _TOP_KEYS, "document")
+    doc = as_map({} if doc is None else doc, "document")
 
-    clusters = _parse_clusters(_require(doc, "clusters", "document"))
+    clusters = each(require(doc, "clusters", "document"), "clusters", partial(fields.build, ClusterSpec))
+    if not clusters:
+        fail("clusters: at least one cluster required")
     names = [cluster.name for cluster in clusters]
-    links = _parse_links(doc.get("links", {}), names)
-    services = _parse_services(doc.get("services", []), names)
-    workload_spec = _parse_workload(doc.get("workload", {}))
-    timeline = _parse_timeline(doc.get("timeline", []))
-    duration_s = _as_num(_require(doc, "duration_s", "document"), "duration_s")
-
-    return FederationSpec(
+    return fields.build(
+        FederationSpec,
+        doc,
+        "",
         clusters=clusters,
-        links=links,
-        services=services,
-        workload=workload_spec,
-        timeline=timeline,
-        seed=_as_int(doc.get("seed", 0), "seed"),
-        duration_s=duration_s,
-        scrape_interval_s=_as_num(doc.get("scrape_interval_s", DEFAULT_SCRAPE_INTERVAL_S), "scrape_interval_s"),
-        timeout_s=_as_num(doc.get("timeout_s", DEFAULT_TIMEOUT_S), "timeout_s"),
-        rate_window_s=_as_num(doc.get("rate_window_s", DEFAULT_RATE_WINDOW_S), "rate_window_s"),
+        links=_parse_links(doc.get("links", {}), names),
+        services=each(doc.get("services", []), "services", _parse_service),
+        timeline=each(doc.get("timeline", []), "timeline", _parse_event),
     )
 
 
-def _parse_clusters(value) -> tuple[ClusterSpec, ...]:
-    items = _as_list(value, "clusters")
-    if not items:
-        _fail("clusters: at least one cluster required")
-    clusters = []
-    for k, item in enumerate(items):
-        path = f"clusters[{k}]"
-        entry = _as_map(item, path)
-        _check_keys(entry, {"name", "nodes", "vcpus_per_node", "memory_gb", "role"}, path)
-        clusters.append(
-            ClusterSpec(
-                name=_as_str(_require(entry, "name", path), f"{path}.name"),
-                nodes=_as_int(entry.get("nodes", 1), f"{path}.nodes"),
-                vcpus_per_node=_as_int(entry.get("vcpus_per_node", 1), f"{path}.vcpus_per_node"),
-                memory_gb=_as_num(entry.get("memory_gb", 8.0), f"{path}.memory_gb"),
-                role=_as_str(entry.get("role", ROLE_EDGE), f"{path}.role"),
-            )
-        )
-    return tuple(clusters)
-
-
 def _parse_matrix(value, n: int, path: str) -> tuple[tuple[float, ...], ...]:
-    rows = _as_list(value, path)
+    rows = as_list(value, path)
     if len(rows) != n:
-        _fail(f"{path}: expected {n} rows, got {len(rows)}")
+        fail(f"{path}: expected {n} rows, got {len(rows)}")
     matrix = []
     for i, row in enumerate(rows):
-        row = _as_list(row, f"{path}[{i}]")
+        row = as_list(row, f"{path}[{i}]")
         if len(row) != n:
-            _fail(f"{path}[{i}]: expected {n} entries, got {len(row)}")
-        matrix.append(tuple(_as_num(cell, f"{path}[{i}][{j}]") for j, cell in enumerate(row)))
+            fail(f"{path}[{i}]: expected {n} entries, got {len(row)}")
+        matrix.append(each(row, f"{path}[{i}]", fields.as_number))
     return tuple(matrix)
 
 
-def _pair_index(entry: dict, names: list[str], path: str) -> tuple[int, int]:
-    src = _as_str(_require(entry, "src", path), f"{path}.src")
-    dst = _as_str(_require(entry, "dst", path), f"{path}.dst")
-    for field_name, name in (("src", src), ("dst", dst)):
-        if name not in names:
-            _fail(f"{path}.{field_name}: unknown cluster '{name}'")
-    return names.index(src), names.index(dst)
+def _parse_sparse(value, names: list[str], path: str, cls, required: str):
+    """``src``/``dst`` entries over a matrix of ``cls()`` defaults."""
+    n = len(names)
+    rows = [[cls() for _ in range(n)] for _ in range(n)]
+    for k, item in enumerate(as_list(value, path)):
+        entry_path = f"{path}[{k}]"
+        entry = as_map(item, entry_path)
+        fields.check_keys(entry, cls, entry_path, extra=("src", "dst"))
+        i, j = (_cluster_index(entry, key, names, entry_path) for key in ("src", "dst"))
+        require(entry, required, entry_path)
+        rows[i][j] = fields.build(cls, entry, entry_path, extra=("src", "dst"))
+    return tuple(tuple(row) for row in rows)
+
+
+def _cluster_index(entry: dict, key: str, names: list[str], path: str) -> int:
+    name = as_str(require(entry, key, path), f"{path}.{key}")
+    if name not in names:
+        fail(f"{path}.{key}: unknown cluster '{name}'")
+    return names.index(name)
 
 
 def _parse_links(value, names: list[str]) -> LinksSpec:
     n = len(names)
-    entry = _as_map(value, "links")
-    _check_keys(
-        entry,
-        {"one_way_delay_ms", "jitter", "loss", "base_delay_ms", "intra_base_delay_ms"},
-        "links",
-    )
+    entry = as_map(value, "links")
+    fields.check_keys(entry, LinksSpec, "links")
     if "one_way_delay_ms" in entry:
         delay = _parse_matrix(entry["one_way_delay_ms"], n, "links.one_way_delay_ms")
     else:
         delay = tuple(tuple(0.0 for _ in range(n)) for _ in range(n))
-
-    jitter_rows = [[JitterSpec() for _ in range(n)] for _ in range(n)]
-    for k, item in enumerate(_as_list(entry.get("jitter", []), "links.jitter")):
-        path = f"links.jitter[{k}]"
-        cell = _as_map(item, path)
-        _check_keys(cell, {"src", "dst", "dist", "scale_ms"}, path)
-        i, j = _pair_index(cell, names, path)
-        jitter_rows[i][j] = JitterSpec(
-            dist=_as_str(_require(cell, "dist", path), f"{path}.dist"),
-            scale_ms=_as_num(cell.get("scale_ms", 0.0), f"{path}.scale_ms"),
-        )
-
-    loss_rows = [[LossSpec() for _ in range(n)] for _ in range(n)]
-    for k, item in enumerate(_as_list(entry.get("loss", []), "links.loss")):
-        path = f"links.loss[{k}]"
-        cell = _as_map(item, path)
-        _check_keys(cell, {"src", "dst", "p", "correlation"}, path)
-        i, j = _pair_index(cell, names, path)
-        loss_rows[i][j] = LossSpec(
-            p=_as_num(_require(cell, "p", path), f"{path}.p"),
-            correlation=_as_num(cell.get("correlation", 0.0), f"{path}.correlation"),
-        )
-
-    return LinksSpec(
+    return fields.build(
+        LinksSpec,
+        entry,
+        "links",
         one_way_delay_ms=delay,
-        jitter=tuple(tuple(row) for row in jitter_rows),
-        loss=tuple(tuple(row) for row in loss_rows),
-        base_delay_ms=_as_num(entry.get("base_delay_ms", 0.0), "links.base_delay_ms"),
-        intra_base_delay_ms=_as_num(entry.get("intra_base_delay_ms", 0.0), "links.intra_base_delay_ms"),
+        jitter=_parse_sparse(entry.get("jitter", []), names, "links.jitter", JitterSpec, "dist"),
+        loss=_parse_sparse(entry.get("loss", []), names, "links.loss", LossSpec, "p"),
     )
 
 
-def _default_demand(stage: str) -> DemandSpec:
-    if stage == STAGE_BACKEND:
-        return DemandSpec(DEFAULT_BACKEND_BASE_MS, DEFAULT_BACKEND_PER_KB_MS, 1.0)
-    return DemandSpec(DEFAULT_FRONTEND_BASE_MS, DEFAULT_FRONTEND_PER_KB_MS, DEFAULT_REDUCTION)
-
-
-def _parse_services(value, names: list[str]) -> tuple[ServiceSpec, ...]:
-    services = []
-    for k, item in enumerate(_as_list(value, "services")):
-        path = f"services[{k}]"
-        entry = _as_map(item, path)
-        _check_keys(entry, {"name", "stage", "replicas_per_cluster", "demand", "backend_policy"}, path)
-        stage = _as_str(_require(entry, "stage", path), f"{path}.stage")
-        defaults = _default_demand(stage)
-
-        demand_doc = _as_map(entry.get("demand", {}), f"{path}.demand")
-        _check_keys(demand_doc, {"base_ms", "per_kb_ms", "reduction"}, f"{path}.demand")
-        demand = DemandSpec(
-            base_ms=_as_num(demand_doc.get("base_ms", defaults.base_ms), f"{path}.demand.base_ms"),
-            per_kb_ms=_as_num(demand_doc.get("per_kb_ms", defaults.per_kb_ms), f"{path}.demand.per_kb_ms"),
-            reduction=_as_num(demand_doc.get("reduction", defaults.reduction), f"{path}.demand.reduction"),
-        )
-
-        placement_doc = _as_map(_require(entry, "replicas_per_cluster", path), f"{path}.replicas_per_cluster")
-        placements = {}
-        for cluster_name, count in placement_doc.items():
-            cluster_name = _as_str(cluster_name, f"{path}.replicas_per_cluster key")
-            placements[cluster_name] = _as_int(count, f"{path}.replicas_per_cluster['{cluster_name}']")
-
-        policy = entry.get("backend_policy")
-        services.append(
-            ServiceSpec(
-                name=_as_str(_require(entry, "name", path), f"{path}.name"),
-                stage=stage,
-                replicas_per_cluster=placements,
-                demand=demand,
-                backend_policy=None if policy is None else _as_str(policy, f"{path}.backend_policy"),
-            )
-        )
-    return tuple(services)
-
-
-def _parse_workload(value) -> WorkloadSpec:
-    entry = _as_map(value, "workload")
-    _check_keys(entry, {"arrival", "payload", "phases"}, "workload")
-
-    payload_doc = _as_map(entry.get("payload", {}), "workload.payload")
-    _check_keys(payload_doc, {"dist", "bytes", "mu", "sigma", "values", "mode"}, "workload.payload")
-    dist = _as_str(payload_doc.get("dist", PAYLOAD_CONSTANT), "workload.payload.dist")
-    payload = PayloadSpec(
-        dist=dist,
-        bytes=_as_int(payload_doc.get("bytes", DEFAULT_PAYLOAD_BYTES), "workload.payload.bytes"),
-        mu=_as_num(payload_doc.get("mu", 0.0), "workload.payload.mu"),
-        sigma=_as_num(payload_doc.get("sigma", 0.0), "workload.payload.sigma"),
-        values=tuple(
-            _as_int(v, f"workload.payload.values[{i}]")
-            for i, v in enumerate(_as_list(payload_doc.get("values", []), "workload.payload.values"))
-        ),
-        mode=_as_str(payload_doc.get("mode", EMPIRICAL_UNIFORM), "workload.payload.mode"),
-    )
-
-    phases = []
-    for k, item in enumerate(_as_list(entry.get("phases", []), "workload.phases")):
-        path = f"workload.phases[{k}]"
-        phase = _as_map(item, path)
-        _check_keys(phase, {"rate", "duration_s"}, path)
-        phases.append(
-            Phase(
-                rate=_as_num(_require(phase, "rate", path), f"{path}.rate"),
-                duration_s=_as_num(_require(phase, "duration_s", path), f"{path}.duration_s"),
-            )
-        )
-
-    return WorkloadSpec(
-        phases=tuple(phases),
-        arrival=_as_str(entry.get("arrival", ARRIVAL_CONSTANT), "workload.arrival"),
-        payload=payload,
+def _parse_service(value, path: str) -> ServiceSpec:
+    entry = as_map(value, path)
+    fields.check_keys(entry, ServiceSpec, path)
+    stage = as_str(require(entry, "stage", path), f"{path}.stage")
+    defaults = STAGE_DEMAND.get(stage, STAGE_DEMAND[STAGE_FRONTEND])
+    demand = {**defaults, **as_map(entry.get("demand", {}), f"{path}.demand")}
+    placement_doc = as_map(require(entry, "replicas_per_cluster", path), f"{path}.replicas_per_cluster")
+    placements = {}
+    for cluster_name, count in placement_doc.items():
+        cluster_name = as_str(cluster_name, f"{path}.replicas_per_cluster key")
+        placements[cluster_name] = fields.as_int(count, f"{path}.replicas_per_cluster['{cluster_name}']")
+    return fields.build(
+        ServiceSpec,
+        entry,
+        path,
+        stage=stage,
+        replicas_per_cluster=placements,
+        demand=fields.build(DemandSpec, demand, f"{path}.demand"),
     )
 
 
-def _parse_jitter_block(value, path: str) -> JitterSpec:
-    entry = _as_map(value, path)
-    _check_keys(entry, {"dist", "scale_ms"}, path)
-    return JitterSpec(
-        dist=_as_str(entry.get("dist", JITTER_NONE), f"{path}.dist"),
-        scale_ms=_as_num(entry.get("scale_ms", 0.0), f"{path}.scale_ms"),
-    )
-
-
-def _parse_loss_block(value, path: str) -> LossSpec:
-    entry = _as_map(value, path)
-    _check_keys(entry, {"p", "correlation"}, path)
-    return LossSpec(
-        p=_as_num(entry.get("p", 0.0), f"{path}.p"),
-        correlation=_as_num(entry.get("correlation", 0.0), f"{path}.correlation"),
-    )
-
-
-def _parse_timeline(value) -> tuple[faults.TimelineEvent, ...]:
-    events = []
-    for k, item in enumerate(_as_list(value, "timeline")):
-        path = f"timeline[{k}]"
-        entry = _as_map(item, path)
-        action = _as_str(_require(entry, "action", path), f"{path}.action")
-        at_s = _as_num(_require(entry, "at_s", path), f"{path}.at_s")
-        if action == faults.ACTION_SET_LINK:
-            _check_keys(entry, {"action", "at_s", "src", "dst", "delay_ms", "jitter", "loss"}, path)
-            events.append(
-                faults.SetLinkEvent(
-                    at_s=at_s,
-                    src=_as_str(_require(entry, "src", path), f"{path}.src"),
-                    dst=_as_str(_require(entry, "dst", path), f"{path}.dst"),
-                    delay_ms=_as_num(entry.get("delay_ms", 0.0), f"{path}.delay_ms"),
-                    jitter=_parse_jitter_block(entry.get("jitter", {}), f"{path}.jitter"),
-                    loss=_parse_loss_block(entry.get("loss", {}), f"{path}.loss"),
-                )
-            )
-        elif action == faults.ACTION_BLACKOUT:
-            _check_keys(entry, {"action", "at_s", "cluster", "end_s"}, path)
-            events.append(
-                faults.BlackoutEvent(
-                    at_s=at_s,
-                    cluster=_as_str(_require(entry, "cluster", path), f"{path}.cluster"),
-                    end_s=_as_num(_require(entry, "end_s", path), f"{path}.end_s"),
-                )
-            )
-        elif action == faults.ACTION_SET_HEALTH:
-            _check_keys(entry, {"action", "at_s", "service", "cluster", "replica", "healthy"}, path)
-            replica = entry.get("replica")
-            events.append(
-                faults.SetHealthEvent(
-                    at_s=at_s,
-                    service=_as_str(_require(entry, "service", path), f"{path}.service"),
-                    cluster=_as_str(_require(entry, "cluster", path), f"{path}.cluster"),
-                    healthy=_as_bool(_require(entry, "healthy", path), f"{path}.healthy"),
-                    replica=None if replica is None else _as_int(replica, f"{path}.replica"),
-                )
-            )
-        else:
-            _fail(f"{path}.action: unknown action '{action}'")
-    return tuple(events)
+def _parse_event(value, path: str) -> faults.TimelineEvent:
+    entry = as_map(value, path)
+    action = as_str(require(entry, "action", path), f"{path}.action")
+    if action not in _TIMELINE_ACTIONS:
+        fail(f"{path}.action: unknown action '{action}'")
+    return fields.build(_TIMELINE_ACTIONS[action], entry, path, extra=("action",))
 
 
 def load_scenario(path: str | Path) -> FederationSpec:
@@ -533,117 +293,28 @@ def render_scenario(spec: FederationSpec) -> str:
     names = [cluster.name for cluster in spec.clusters]
     order = {name: k for k, name in enumerate(names)}
 
-    doc: dict = {
-        "clusters": [
-            {
-                "name": c.name,
-                "nodes": c.nodes,
-                "vcpus_per_node": c.vcpus_per_node,
-                "memory_gb": c.memory_gb,
-                "role": c.role,
-            }
-            for c in spec.clusters
+    def sparse(matrix, default):
+        entries = [
+            {"src": names[i], "dst": names[j], **fields.render(cell)}
+            for i, row in enumerate(matrix)
+            for j, cell in enumerate(row)
+            if cell != default
         ]
-    }
+        return entries or None
 
-    links: dict = {
-        "base_delay_ms": spec.links.base_delay_ms,
-        "intra_base_delay_ms": spec.links.intra_base_delay_ms,
-        "one_way_delay_ms": [list(row) for row in spec.links.one_way_delay_ms],
-    }
-    jitter_entries = [
-        {"src": names[i], "dst": names[j], "dist": cell.dist, "scale_ms": cell.scale_ms}
-        for i, row in enumerate(spec.links.jitter)
-        for j, cell in enumerate(row)
-        if cell != JitterSpec()
-    ]
-    if jitter_entries:
-        links["jitter"] = jitter_entries
-    loss_entries = [
-        {"src": names[i], "dst": names[j], "p": cell.p, "correlation": cell.correlation}
-        for i, row in enumerate(spec.links.loss)
-        for j, cell in enumerate(row)
-        if cell != LossSpec()
-    ]
-    if loss_entries:
-        links["loss"] = loss_entries
-    doc["links"] = links
+    def service(svc: ServiceSpec) -> dict:
+        placement_order = sorted(svc.replicas_per_cluster, key=lambda n: (order.get(n, len(order)), n))
+        replicas = {name: svc.replicas_per_cluster[name] for name in placement_order}
+        return fields.render(svc, replicas_per_cluster=replicas)
 
-    doc["services"] = []
-    for service in spec.services:
-        placement_order = sorted(service.replicas_per_cluster, key=lambda n: (order.get(n, len(order)), n))
-        entry = {
-            "name": service.name,
-            "stage": service.stage,
-            "replicas_per_cluster": {name: service.replicas_per_cluster[name] for name in placement_order},
-            "demand": {
-                "base_ms": service.demand.base_ms,
-                "per_kb_ms": service.demand.per_kb_ms,
-                "reduction": service.demand.reduction,
-            },
-        }
-        if service.backend_policy is not None:
-            entry["backend_policy"] = service.backend_policy
-        doc["services"].append(entry)
-
-    payload = spec.workload.payload
-    payload_doc: dict = {"dist": payload.dist}
-    if payload.dist == PAYLOAD_CONSTANT:
-        payload_doc["bytes"] = payload.bytes
-    elif payload.dist == PAYLOAD_LOGNORMAL:
-        payload_doc["mu"] = payload.mu
-        payload_doc["sigma"] = payload.sigma
-    elif payload.dist == PAYLOAD_EMPIRICAL:
-        payload_doc["values"] = list(payload.values)
-        payload_doc["mode"] = payload.mode
-    doc["workload"] = {
-        "arrival": spec.workload.arrival,
-        "payload": payload_doc,
-        "phases": [{"rate": phase.rate, "duration_s": phase.duration_s} for phase in spec.workload.phases],
-    }
-
-    timeline_doc = []
-    for event in spec.timeline:
-        if isinstance(event, faults.SetLinkEvent):
-            timeline_doc.append(
-                {
-                    "action": faults.ACTION_SET_LINK,
-                    "at_s": event.at_s,
-                    "src": event.src,
-                    "dst": event.dst,
-                    "delay_ms": event.delay_ms,
-                    "jitter": {"dist": event.jitter.dist, "scale_ms": event.jitter.scale_ms},
-                    "loss": {"p": event.loss.p, "correlation": event.loss.correlation},
-                }
-            )
-        elif isinstance(event, faults.BlackoutEvent):
-            timeline_doc.append(
-                {
-                    "action": faults.ACTION_BLACKOUT,
-                    "at_s": event.at_s,
-                    "cluster": event.cluster,
-                    "end_s": event.end_s,
-                }
-            )
-        else:
-            entry = {
-                "action": faults.ACTION_SET_HEALTH,
-                "at_s": event.at_s,
-                "service": event.service,
-                "cluster": event.cluster,
-                "healthy": event.healthy,
-            }
-            if event.replica is not None:
-                entry["replica"] = event.replica
-            timeline_doc.append(entry)
-    if timeline_doc:
-        doc["timeline"] = timeline_doc
-
-    doc["seed"] = spec.seed
-    doc["duration_s"] = spec.duration_s
-    doc["scrape_interval_s"] = spec.scrape_interval_s
-    doc["timeout_s"] = spec.timeout_s
-    doc["rate_window_s"] = spec.rate_window_s
+    doc = fields.render(
+        spec,
+        links=fields.render(
+            spec.links, jitter=sparse(spec.links.jitter, JitterSpec()), loss=sparse(spec.links.loss, LossSpec())
+        ),
+        services=[service(svc) for svc in spec.services],
+        timeline=[{"action": _ACTION_OF[type(event)], **fields.render(event)} for event in spec.timeline] or None,
+    )
     return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -651,44 +322,22 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
     """Semantic validation. Collects every violation; raises ValidationError
     listing all of them, otherwise returns the resolved topology."""
     errors: list[str] = []
-    n = len(spec.clusters)
-
-    seen_names: set[str] = set()
-    for k, cluster in enumerate(spec.clusters):
-        path = f"clusters[{k}]"
-        if not cluster.name:
-            errors.append(f"{path}.name: empty")
-        elif cluster.name in seen_names:
-            errors.append(f"{path}.name: duplicate '{cluster.name}'")
-        seen_names.add(cluster.name)
-        if cluster.nodes < 1:
-            errors.append(f"{path}.nodes < 1")
-        if cluster.vcpus_per_node < 1:
-            errors.append(f"{path}.vcpus_per_node < 1")
-        if cluster.memory_gb <= 0:
-            errors.append(f"{path}.memory_gb <= 0")
-        if cluster.role not in ROLES:
-            errors.append(f"{path}.role: unknown role '{cluster.role}'")
+    fields.check(spec, "", errors)
+    _check_names(spec.clusters, "clusters", errors)
     index_of = {cluster.name: k for k, cluster in enumerate(spec.clusters)}
 
-    _validate_links(spec.links, n, errors)
-    frontend_spec, backend_spec, backend_policy = _validate_services(spec, index_of, errors)
-    _validate_workload(spec.workload, errors)
+    _validate_links(spec.links, len(spec.clusters), errors)
+    frontend_spec, backend_spec, backend_policy = _validate_services(spec.services, index_of, errors)
 
+    payload = spec.workload.payload
+    if payload.dist == PAYLOAD_EMPIRICAL:
+        if not payload.values:
+            errors.append("workload.payload.values: empty")
+        elif any(v < 1 for v in payload.values):
+            errors.append("workload.payload.values: sizes must be >= 1")
     generates_traffic = any(phase.rate > 0 for phase in spec.workload.phases)
     if generates_traffic and (frontend_spec is None or backend_spec is None):
         errors.append("workload requires one frontend and one backend service")
-
-    if spec.duration_s <= 0:
-        errors.append("duration_s <= 0")
-    if not 0 <= spec.seed < 2**64:
-        errors.append("seed out of [0, 2^64)")
-    if spec.scrape_interval_s <= 0:
-        errors.append("scrape_interval_s <= 0")
-    if spec.timeout_s <= 0:
-        errors.append("timeout_s <= 0")
-    if spec.rate_window_s <= 0:
-        errors.append("rate_window_s <= 0")
 
     placement_map = {
         service.name: {
@@ -726,21 +375,22 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
 
     return ValidatedTopology(
         spec=spec,
-        clusters=spec.clusters,
         index_of=index_of,
-        links=spec.links,
         services=tuple(services),
         frontend=frontend,
         backend=backend,
         backend_policy=backend_policy,
-        workload=spec.workload,
-        timeline=spec.timeline,
-        seed=spec.seed,
-        duration_s=spec.duration_s,
-        scrape_interval_s=spec.scrape_interval_s,
-        timeout_s=spec.timeout_s,
-        rate_window_s=spec.rate_window_s,
     )
+
+
+def _check_names(items, section: str, errors: list[str]) -> None:
+    seen: set[str] = set()
+    for k, item in enumerate(items):
+        if not item.name:
+            errors.append(f"{section}[{k}].name: empty")
+        elif item.name in seen:
+            errors.append(f"{section}[{k}].name: duplicate '{item.name}'")
+        seen.add(item.name)
 
 
 def _validate_links(links: LinksSpec, n: int, errors: list[str]) -> None:
@@ -767,38 +417,21 @@ def _validate_links(links: LinksSpec, n: int, errors: list[str]) -> None:
                 continue
             if delay < 0:
                 errors.append(f"one_way_delay[{i}][{j}] < 0")
-            if jit.dist not in JITTER_DISTS:
-                errors.append(f"jitter[{i}][{j}].dist: unknown dist '{jit.dist}'")
-            if jit.scale_ms < 0:
-                errors.append(f"jitter[{i}][{j}].scale_ms < 0")
-            if not 0.0 <= loss.p <= 1.0:
-                errors.append(f"loss[{i}][{j}].p out of [0, 1]")
-            if not 0.0 <= loss.correlation <= 1.0:
-                errors.append(f"loss[{i}][{j}].correlation out of [0, 1]")
-    if links.base_delay_ms < 0:
-        errors.append("links.base_delay_ms < 0")
-    if links.intra_base_delay_ms < 0:
-        errors.append("links.intra_base_delay_ms < 0")
+            fields.check(jit, f"jitter[{i}][{j}]", errors)
+            fields.check(loss, f"loss[{i}][{j}]", errors)
 
 
-def _validate_services(spec: FederationSpec, index_of: dict[str, int], errors: list[str]):
-    seen: set[str] = set()
+def _validate_services(services: tuple[ServiceSpec, ...], index_of: dict[str, int], errors: list[str]):
+    _check_names(services, "services", errors)
     frontend = backend = None
     policies_seen: set[str] = set()
-    for k, service in enumerate(spec.services):
+    for k, service in enumerate(services):
         path = f"services[{k}]"
-        if not service.name:
-            errors.append(f"{path}.name: empty")
-        elif service.name in seen:
-            errors.append(f"{path}.name: duplicate '{service.name}'")
-        seen.add(service.name)
-        if service.stage not in STAGES:
-            errors.append(f"{path}.stage: unknown stage '{service.stage}'")
-        elif service.stage == STAGE_FRONTEND:
+        if service.stage == STAGE_FRONTEND:
             if frontend is not None:
                 errors.append("services: more than one frontend service")
             frontend = service
-        else:
+        elif service.stage == STAGE_BACKEND:
             if backend is not None:
                 errors.append("services: more than one backend service")
             backend = service
@@ -813,48 +446,12 @@ def _validate_services(spec: FederationSpec, index_of: dict[str, int], errors: l
                 total += count
         if total < 1:
             errors.append(f"{path}: at least one replica required")
-
-        if service.demand.base_ms < 0:
-            errors.append(f"{path}.demand.base_ms < 0")
-        if service.demand.per_kb_ms < 0:
-            errors.append(f"{path}.demand.per_kb_ms < 0")
-        if not 0.0 < service.demand.reduction <= 1.0:
-            errors.append(f"{path}.demand.reduction out of (0, 1]")
-        if service.backend_policy is not None:
-            if service.backend_policy not in POLICIES:
-                errors.append(f"{path}.backend_policy: unknown policy '{service.backend_policy}'")
-            else:
-                policies_seen.add(service.backend_policy)
+        if service.backend_policy in POLICIES:
+            policies_seen.add(service.backend_policy)
     if len(policies_seen) > 1:
         errors.append("services: conflicting backend_policy values")
     policy = next(iter(policies_seen)) if policies_seen else ROUND_ROBIN
     return frontend, backend, policy
-
-
-def _validate_workload(workload_spec: WorkloadSpec, errors: list[str]) -> None:
-    if workload_spec.arrival not in ARRIVAL_KINDS:
-        errors.append(f"workload.arrival: unknown kind '{workload_spec.arrival}'")
-    for k, phase in enumerate(workload_spec.phases):
-        if phase.rate < 0:
-            errors.append(f"workload.phases[{k}].rate < 0")
-        if phase.duration_s <= 0:
-            errors.append(f"workload.phases[{k}].duration_s <= 0")
-    payload = workload_spec.payload
-    if payload.dist not in PAYLOAD_DISTS:
-        errors.append(f"workload.payload.dist: unknown dist '{payload.dist}'")
-    elif payload.dist == PAYLOAD_CONSTANT:
-        if payload.bytes < 1:
-            errors.append("workload.payload.bytes < 1")
-    elif payload.dist == PAYLOAD_LOGNORMAL:
-        if payload.sigma < 0:
-            errors.append("workload.payload.sigma < 0")
-    elif payload.dist == PAYLOAD_EMPIRICAL:
-        if not payload.values:
-            errors.append("workload.payload.values: empty")
-        elif any(v < 1 for v in payload.values):
-            errors.append("workload.payload.values: sizes must be >= 1")
-        if payload.mode not in EMPIRICAL_MODES:
-            errors.append(f"workload.payload.mode: unknown mode '{payload.mode}'")
 
 
 def build_runtime(topology: ValidatedTopology):

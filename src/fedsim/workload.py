@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from . import fields
 
 ARRIVAL_CONSTANT = "constant"
 ARRIVAL_POISSON = "poisson"
@@ -38,31 +40,36 @@ STAGE_BACKEND = "backend"
 STAGES = (STAGE_FRONTEND, STAGE_BACKEND)
 
 
+@fields.declare
 @dataclass(frozen=True)
 class Phase:
-    rate: float
-    duration_s: float
+    rate: float = field(metadata={"bounds": ">= 0"})
+    duration_s: float = field(metadata={"bounds": "> 0"})
 
 
+@fields.declare
 @dataclass(frozen=True)
 class PayloadSpec:
     """Payload size distribution. Field usage depends on ``dist``:
     constant -> ``bytes``; lognormal -> ``mu``/``sigma`` (of ln size);
     empirical -> ``values`` plus ``mode`` (uniform draw or cycle)."""
 
-    dist: str = PAYLOAD_CONSTANT
-    bytes: int = 250_000
-    mu: float = 0.0
-    sigma: float = 0.0
-    values: tuple[int, ...] = ()
-    mode: str = EMPIRICAL_UNIFORM
+    dist: str = field(default=PAYLOAD_CONSTANT, metadata={"one_of": ("dist", PAYLOAD_DISTS)})
+    bytes: int = field(default=250_000, metadata={"bounds": ">= 1", "when": PAYLOAD_CONSTANT})
+    mu: float = field(default=0.0, metadata={"when": PAYLOAD_LOGNORMAL})
+    sigma: float = field(default=0.0, metadata={"bounds": ">= 0", "when": PAYLOAD_LOGNORMAL})
+    values: tuple[int, ...] = field(default=(), metadata={"when": PAYLOAD_EMPIRICAL})
+    mode: str = field(
+        default=EMPIRICAL_UNIFORM, metadata={"one_of": ("mode", EMPIRICAL_MODES), "when": PAYLOAD_EMPIRICAL}
+    )
 
 
+@fields.declare
 @dataclass(frozen=True)
 class WorkloadSpec:
-    phases: tuple[Phase, ...] = ()
-    arrival: str = ARRIVAL_CONSTANT
+    arrival: str = field(default=ARRIVAL_CONSTANT, metadata={"one_of": ("kind", ARRIVAL_KINDS)})
     payload: PayloadSpec = PayloadSpec()
+    phases: tuple[Phase, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ def make_topology(text: str):
 def run_scenario_text(text: str, until: float | None = None):
     topo = make_topology(text)
     engine = topology.build_runtime(topo)
-    return engine.run(until=topo.duration_s if until is None else until), engine
+    return engine.run(until=topo.spec.duration_s if until is None else until), engine
 
 
 @pytest.fixture(scope="session")

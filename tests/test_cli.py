@@ -54,6 +54,91 @@ class TestValidate:
             assert cli.main(["validate", str(fedsim.bundled_scenario(name))]) == 0
 
 
+NON_FINITE = {
+    "constant_rate": (
+        MINI_DOC.replace("rate: 2.0", "rate: .inf"),
+        "workload.phases[0].rate",
+    ),
+    "poisson_rate": (
+        MINI_DOC.replace("rate: 2.0", "rate: .inf").replace("arrival: constant", "arrival: poisson"),
+        "workload.phases[0].rate",
+    ),
+    "timeout": (MINI_DOC + "timeout_s: .nan\n", "timeout_s"),
+    "delay_cell": (
+        two_cluster_doc(links="  one_way_delay_ms: [[0, .nan], [1, 0]]"),
+        "links.one_way_delay_ms[0][1]",
+    ),
+    "duration": (MINI_DOC.replace("duration_s: 120", "duration_s: .inf"), "duration_s"),
+    "timeline_at": (
+        MINI_DOC + "timeline:\n  - {action: set_health, at_s: -.inf, service: be, cluster: solo, healthy: false}\n",
+        "timeline[0].at_s",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_numbers_rejected(case, command, tmp_path, capsys):
+    doc, field_path = NON_FINITE[case]
+    path = tmp_path / "bad.scenario"
+    path.write_text(doc)
+    argv = [command, str(path)] + (["--out-dir", str(tmp_path / "out")] if command == "run" else [])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {field_path}: expected a finite number"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_loss_correlation_warns(tmp_path, capsys):
+    path = tmp_path / "corr.scenario"
+    path.write_text(
+        two_cluster_doc(
+            links="  loss: [{src: east, dst: west, p: 0.01, correlation: 0.25}, {src: west, dst: east, p: 0.01}]",
+            extra="timeline:\n  - {action: set_link, at_s: 1, src: west, dst: east, loss: {p: 0.1, correlation: 0.5}}",
+        )
+    )
+    assert cli.main(["validate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "ok"
+    assert captured.err.splitlines() == [
+        "warning: loss[1][0]: loss correlation > 0 thins the marginal loss rate far below p",
+        "warning: timeline[0].loss: loss correlation > 0 thins the marginal loss rate far below p",
+    ]
+
+
+def _subcommand_argv(command: str, scenario: str, tmp_path) -> list[str]:
+    argv = [command, scenario]
+    if command == "sweep":
+        argv += ["--param", "duration_s", "--values", "1"]
+    if command != "validate":
+        argv += ["--out-dir", str(tmp_path / command)]
+    return argv
+
+
+class TestSingleLoader:
+    COMMANDS = ("validate", "run", "ping", "sweep")
+
+    def test_invalid_scenario_same_errors_everywhere(self, tmp_path, capsys):
+        path = tmp_path / "bad.scenario"
+        path.write_text("clusters: [{name: a, nodes: 0}, {name: a}]\nduration_s: 0\n")
+        reports = {}
+        for command in self.COMMANDS:
+            assert cli.main(_subcommand_argv(command, str(path), tmp_path)) == 1, command
+            reports[command] = capsys.readouterr().err.splitlines()
+        assert reports["validate"] == [
+            "error: clusters[0].nodes < 1",
+            "error: duration_s <= 0",
+            "error: clusters[1].name: duplicate 'a'",
+        ]
+        for command in self.COMMANDS:
+            assert reports[command] == reports["validate"], command
+
+    def test_missing_file_is_io_error_everywhere(self, tmp_path, capsys):
+        for command in self.COMMANDS:
+            assert cli.main(_subcommand_argv(command, str(tmp_path / "absent.scenario"), tmp_path)) == 2, command
+            assert "cannot read scenario" in capsys.readouterr().err
+
+
 class TestRun:
     def test_run_exports_artifacts(self, mini_scenario, tmp_path, capsys):
         out = tmp_path / "out"
