@@ -5,6 +5,14 @@ ping RTT matrix and ``summary.yaml:results`` are pinned by SHA-256. A change
 that alters any of them on purpose updates the digests here and says so.
 ``poc_lc`` is cut at ``--until 120`` (a fifth of its 610 s) to keep the test
 short; the others run to their scenario duration.
+
+``OVERLOAD`` is an inline scenario built so that events tie: zero link and
+gateway delays, and demands and arrival gaps that are exact binary fractions
+of a second. Its two single-slot backends are overloaded against a 0.5 s
+timeout; dc1 drops 10% of its replies and dc2 goes dark for 10 s without a
+health flip. Its traces therefore hold completed, lost and timed-out
+requests, about half of the timed-out ones abandoned in a backend queue. It
+is pinned run to the end and cut mid-burst with ``--until``.
 """
 
 import hashlib
@@ -29,6 +37,51 @@ RUNS = {
     "poc_lc": ["run", "--until", "120"],
     "blackout": ["run"],
     "ping": ["ping"],
+}
+
+OVERLOAD = """
+clusters:
+  - {name: edge, nodes: 1, vcpus_per_node: 4, memory_gb: 8, role: edge}
+  - {name: dc1, nodes: 1, vcpus_per_node: 1, memory_gb: 8, role: datacenter}
+  - {name: dc2, nodes: 1, vcpus_per_node: 1, memory_gb: 8, role: datacenter}
+links:
+  base_delay_ms: 0.0
+  intra_base_delay_ms: 0.0
+  one_way_delay_ms:
+    - [0, 0, 0]
+    - [0, 0, 0]
+    - [0, 0, 0]
+  loss:
+    - {src: dc1, dst: edge, p: 0.1}
+services:
+  - name: fe
+    stage: frontend
+    replicas_per_cluster: {edge: 1}
+    demand: {base_ms: 62.5, per_kb_ms: 0.0}
+  - name: be
+    stage: backend
+    replicas_per_cluster: {dc1: 1, dc2: 1}
+    demand: {base_ms: 125.0, per_kb_ms: 0.0}
+    backend_policy: least_connection
+workload:
+  arrival: constant
+  payload: {dist: constant, bytes: 1000}
+  phases:
+    - {rate: 16, duration_s: 20}
+    - {rate: 32, duration_s: 10}
+    - {rate: 8, duration_s: 20}
+timeline:
+  - {action: blackout, at_s: 10, cluster: dc2, end_s: 20}
+seed: 11
+duration_s: 55
+timeout_s: 0.5
+scrape_interval_s: 0.5
+rate_window_s: 2.0
+"""
+
+OVERLOAD_RUNS = {
+    "full": [],
+    "cut": ["--until", "25"],
 }
 
 GOLDEN = {
@@ -66,6 +119,25 @@ GOLDEN = {
     },
 }
 
+OVERLOAD_GOLDEN = {
+    "full": {
+        "cpu_rate.csv": "929d5118c5dba182df57326428cbbb7b463d29b1ca486234cb05cbac0a685248",
+        "probe_rtt.csv": "11784ddbd7d4c85a2e5c733fe36d873023b4b2cac9e6727b10ee50d53ce13798",
+        "replica_busy_vcpu_seconds_total.csv": "69475c0a375eb870037ca9c91db373cb2e9e41e4368e4f8140ff4f1502e68af0",
+        "replica_outstanding_requests.csv": "3a725965a2435fe329b7c0f8492a8392b5305f6c3d1d8ad8b8b9ed16bc034669",
+        "traces.csv": "2c9c9a45ced1690f7286f130e7c7f08bcc78eff37c21d52d6ecf5ea719beb510",
+        "summary.yaml:results": "f7409c2fce698782799dafa0a9b5e99755b2a410aa537265e981b7d2f8d67a6d",
+    },
+    "cut": {
+        "cpu_rate.csv": "dacac51d50dfdaafeaa8668913f6df7b2cee7f8e34e980424e1f42e653c28781",
+        "probe_rtt.csv": "11784ddbd7d4c85a2e5c733fe36d873023b4b2cac9e6727b10ee50d53ce13798",
+        "replica_busy_vcpu_seconds_total.csv": "0dce67c6fa803941783b735b644737f948134e7d848a46170570094cfbe8035e",
+        "replica_outstanding_requests.csv": "3ed70d2b7e6ed9f95b05a1647f50b6da5becedef39c1927f5d1924f7d4793517",
+        "traces.csv": "e83a4d5e1120a0359475ea202af691edb38b5e54f671909b2cdb68f5edc156d6",
+        "summary.yaml:results": "8d2a06aff8f51f6f48fd010cba14cf295c98060cdbe0401889c66dcabfbb4831",
+    },
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -89,3 +161,13 @@ def test_bundled_exports_match_golden_digests(name, tmp_path, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert _digests(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(OVERLOAD_RUNS))
+def test_overload_exports_match_golden_digests(name, tmp_path, capsys):
+    scenario = tmp_path / "overload.yaml"
+    scenario.write_text(OVERLOAD)
+    out = tmp_path / name
+    assert cli.main(["run", str(scenario), "--out-dir", str(out), *OVERLOAD_RUNS[name]]) == 0
+    capsys.readouterr()
+    assert _digests(out) == OVERLOAD_GOLDEN[name]
