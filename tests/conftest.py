@@ -76,3 +76,50 @@ duration_s: {duration_s}
 def two_cluster_doc(links: str = "  base_delay_ms: 0.0", phase_s: float = 20,
                     duration_s: float = 40, extra: str = "") -> str:
     return TWO_CLUSTER_DOC.format(links=links, phase_s=phase_s, duration_s=duration_s, extra=extra)
+
+
+# built so that events tie: zero link and gateway delays, and demands and
+# arrival gaps that are exact binary fractions of a second. Its two
+# single-slot backends are overloaded against a 0.5 s timeout; dc1 drops 10%
+# of its replies and dc2 goes dark for 10 s without a health flip. Its traces
+# therefore hold completed, lost and timed-out requests, about half of the
+# timed-out ones abandoned in a backend queue.
+OVERLOAD = """
+clusters:
+  - {name: edge, nodes: 1, vcpus_per_node: 4, memory_gb: 8, role: edge}
+  - {name: dc1, nodes: 1, vcpus_per_node: 1, memory_gb: 8, role: datacenter}
+  - {name: dc2, nodes: 1, vcpus_per_node: 1, memory_gb: 8, role: datacenter}
+links:
+  base_delay_ms: 0.0
+  intra_base_delay_ms: 0.0
+  one_way_delay_ms:
+    - [0, 0, 0]
+    - [0, 0, 0]
+    - [0, 0, 0]
+  loss:
+    - {src: dc1, dst: edge, p: 0.1}
+services:
+  - name: fe
+    stage: frontend
+    replicas_per_cluster: {edge: 1}
+    demand: {base_ms: 62.5, per_kb_ms: 0.0}
+  - name: be
+    stage: backend
+    replicas_per_cluster: {dc1: 1, dc2: 1}
+    demand: {base_ms: 125.0, per_kb_ms: 0.0}
+    backend_policy: least_connection
+workload:
+  arrival: constant
+  payload: {dist: constant, bytes: 1000}
+  phases:
+    - {rate: 16, duration_s: 20}
+    - {rate: 32, duration_s: 10}
+    - {rate: 8, duration_s: 20}
+timeline:
+  - {action: blackout, at_s: 10, cluster: dc2, end_s: 20}
+seed: 11
+duration_s: 55
+timeout_s: 0.5
+scrape_interval_s: 0.5
+rate_window_s: 2.0
+"""

@@ -6,13 +6,9 @@ that alters any of them on purpose updates the digests here and says so.
 ``poc_lc`` is cut at ``--until 120`` (a fifth of its 610 s) to keep the test
 short; the others run to their scenario duration.
 
-``OVERLOAD`` is an inline scenario built so that events tie: zero link and
-gateway delays, and demands and arrival gaps that are exact binary fractions
-of a second. Its two single-slot backends are overloaded against a 0.5 s
-timeout; dc1 drops 10% of its replies and dc2 goes dark for 10 s without a
-health flip. Its traces therefore hold completed, lost and timed-out
-requests, about half of the timed-out ones abandoned in a backend queue. It
-is pinned run to the end and cut mid-burst with ``--until``.
+``OVERLOAD`` (in ``conftest``), whose events tie, is pinned run to the end,
+cut mid-burst with ``--until``, and with scrapes every 62.5 ms, the frontend
+demand, so that scrapes tie with service starts and completions.
 """
 
 import hashlib
@@ -23,6 +19,7 @@ import yaml
 
 import fedsim
 from fedsim import cli
+from tests.conftest import OVERLOAD
 
 CSVS = (
     "cpu_rate.csv",
@@ -39,49 +36,10 @@ RUNS = {
     "ping": ["ping"],
 }
 
-OVERLOAD = """
-clusters:
-  - {name: edge, nodes: 1, vcpus_per_node: 4, memory_gb: 8, role: edge}
-  - {name: dc1, nodes: 1, vcpus_per_node: 1, memory_gb: 8, role: datacenter}
-  - {name: dc2, nodes: 1, vcpus_per_node: 1, memory_gb: 8, role: datacenter}
-links:
-  base_delay_ms: 0.0
-  intra_base_delay_ms: 0.0
-  one_way_delay_ms:
-    - [0, 0, 0]
-    - [0, 0, 0]
-    - [0, 0, 0]
-  loss:
-    - {src: dc1, dst: edge, p: 0.1}
-services:
-  - name: fe
-    stage: frontend
-    replicas_per_cluster: {edge: 1}
-    demand: {base_ms: 62.5, per_kb_ms: 0.0}
-  - name: be
-    stage: backend
-    replicas_per_cluster: {dc1: 1, dc2: 1}
-    demand: {base_ms: 125.0, per_kb_ms: 0.0}
-    backend_policy: least_connection
-workload:
-  arrival: constant
-  payload: {dist: constant, bytes: 1000}
-  phases:
-    - {rate: 16, duration_s: 20}
-    - {rate: 32, duration_s: 10}
-    - {rate: 8, duration_s: 20}
-timeline:
-  - {action: blackout, at_s: 10, cluster: dc2, end_s: 20}
-seed: 11
-duration_s: 55
-timeout_s: 0.5
-scrape_interval_s: 0.5
-rate_window_s: 2.0
-"""
-
 OVERLOAD_RUNS = {
-    "full": [],
-    "cut": ["--until", "25"],
+    "full": (OVERLOAD, []),
+    "cut": (OVERLOAD, ["--until", "25"]),
+    "fine_scrape": (OVERLOAD.replace("scrape_interval_s: 0.5", "scrape_interval_s: 0.0625"), []),
 }
 
 GOLDEN = {
@@ -136,6 +94,14 @@ OVERLOAD_GOLDEN = {
         "traces.csv": "e83a4d5e1120a0359475ea202af691edb38b5e54f671909b2cdb68f5edc156d6",
         "summary.yaml:results": "8d2a06aff8f51f6f48fd010cba14cf295c98060cdbe0401889c66dcabfbb4831",
     },
+    "fine_scrape": {
+        "cpu_rate.csv": "d45dfb9a3bdb2782eecea567cdb04efee318f74d2cea59d0f809f0a29f2e745b",
+        "probe_rtt.csv": "11784ddbd7d4c85a2e5c733fe36d873023b4b2cac9e6727b10ee50d53ce13798",
+        "replica_busy_vcpu_seconds_total.csv": "27d157402665d4c2f29d87ca1194e487d453c685b43f38ccfa3f2ee714887bb9",
+        "replica_outstanding_requests.csv": "71fbc5b972ee8f8f14a5f80dda441d69ce9f491ef9f87121a94142dc45047571",
+        "traces.csv": "2c9c9a45ced1690f7286f130e7c7f08bcc78eff37c21d52d6ecf5ea719beb510",
+        "summary.yaml:results": "dbccf3fa5d2b51a23d51c7bd3da35b65615d531fd6fa839993fc8c94ce92dad3",
+    },
 }
 
 
@@ -165,9 +131,10 @@ def test_bundled_exports_match_golden_digests(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(OVERLOAD_RUNS))
 def test_overload_exports_match_golden_digests(name, tmp_path, capsys):
+    text, options = OVERLOAD_RUNS[name]
     scenario = tmp_path / "overload.yaml"
-    scenario.write_text(OVERLOAD)
+    scenario.write_text(text)
     out = tmp_path / name
-    assert cli.main(["run", str(scenario), "--out-dir", str(out), *OVERLOAD_RUNS[name]]) == 0
+    assert cli.main(["run", str(scenario), "--out-dir", str(out), *options]) == 0
     capsys.readouterr()
     assert _digests(out) == OVERLOAD_GOLDEN[name]
