@@ -6,14 +6,16 @@ Subcommands:
   ping      run the RTT probe experiment and print the matrix
   sweep     run one scenario across a list of values for one parameter path
 
-Exit codes: 0 success, 1 validation/usage errors, 2 I/O errors, 3 engine
-errors (with an event-log tail dumped for diagnosis).
+Exit codes: 0 success, 1 invalid scenario or sweep values, 2 bad usage or
+unreadable input, 3 engine errors (with an event-log tail dumped for
+diagnosis).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import re
 import sys
 import time as wall_time
@@ -73,7 +75,7 @@ def _dump_event_tail(engine, out_dir: Path, exc: EngineError) -> None:
     with dump.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time_s", "seq", "kind"])
-        for time, seq, kind in engine.event_tail:
+        for time, seq, kind, *_payload in engine.event_tail:
             writer.writerow([repr(time), seq, kind])
     print(f"engine error: {exc}", file=sys.stderr)
     print(f"event log tail written to {dump}", file=sys.stderr)
@@ -265,6 +267,25 @@ def cmd_sweep(args) -> int:
     return max(codes) if codes else EXIT_OK
 
 
+def _seconds(text: str, allow_zero: bool) -> float:
+    """A finite number of seconds above 0 (or at least 0), for argparse."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 <= value if allow_zero else 0.0 < value) or value == math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number {'>=' if allow_zero else '>'} 0, got {text!r}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    return _seconds(text, allow_zero=False)
+
+
+def _until_seconds(text: str) -> float:
+    return _seconds(text, allow_zero=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -278,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument("--out-dir", default="fedsim-out/run")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--until", type=float, default=None, help="stop at this virtual time")
+    p_run.add_argument("--until", type=_until_seconds, default=None, help="stop at this virtual time")
     p_run.add_argument("--debug-events", action="store_true", help="also export the full event log")
     p_run.set_defaults(func=cmd_run)
 
@@ -286,8 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ping.add_argument("scenario")
     p_ping.add_argument("--out-dir", default="fedsim-out/ping")
     p_ping.add_argument("--seed", type=int, default=None)
-    p_ping.add_argument("--interval", type=float, default=0.2, help="probe interval in seconds")
-    p_ping.add_argument("--duration", type=float, default=None, help="probe for this long (default: scenario duration)")
+    p_ping.add_argument("--interval", type=_positive_seconds, default=0.2, help="probe interval in seconds")
+    p_ping.add_argument(
+        "--duration", type=_positive_seconds, default=None, help="probe for this long (default: scenario duration)"
+    )
     p_ping.set_defaults(func=cmd_ping)
 
     p_sweep = subparsers.add_parser("sweep", help="run one scenario across parameter values")
@@ -296,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated YAML scalars")
     p_sweep.add_argument("--out-dir", default="fedsim-out/sweep")
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--until", type=float, default=None)
+    p_sweep.add_argument("--until", type=_until_seconds, default=None)
     p_sweep.add_argument("--jobs", type=int, default=None, help="parallel workers (default: min(runs, 4))")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

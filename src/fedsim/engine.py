@@ -1,8 +1,12 @@
 """Discrete-event engine: virtual clock, event queue, request lifecycle.
 
-Events are (time, seq, kind, payload) tuples on a heap; seq is the insertion
-counter, so equal-time events run in scheduling order and replay is exact.
-All randomness comes from per-source streams derived from the scenario seed,
+Events are (time, seq, kind, payload) tuples; seq is the insertion counter,
+so equal-time events run in scheduling order and replay is exact. Timeouts
+wait in a FIFO lane beside the heap: every one is armed ``timeout_s`` after a
+dispatch and the clock never goes back, so they arrive already in order. The
+loop takes whichever of the lane head and the heap head is first by
+(time, seq). Event times must be finite and not before the clock. All
+randomness comes from per-source streams derived from the scenario seed,
 which makes a run a pure function of (scenario, seed).
 
 Request path: client -> gateway -> frontend replica -> gateway -> backend
@@ -13,12 +17,20 @@ cost the intra-cluster base delay and never drop.
 
 Replicas are FIFO queues with a concurrency limit of
 ``max(1, node_vcpus // replicas_on_node)``; each in-service request holds one
-vCPU for its full demand.
+vCPU for its full demand. A request admitted to a free slot starts service at
+once, and a freed slot goes at once to the head of the queue, skipping
+requests that timed out while queued (a request whose timeout falls due at
+that very instant counts as timed out). A start at the instant a scrape is
+due waits until that scrape has run, so a scrape sees every replica as it was
+before the starts of its instant. Starts and skips are not queued as events,
+but each counts as one ``service_start`` in ``event_count``, the event tail
+and the debug log.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -27,6 +39,7 @@ from .rng import stream
 
 ARRIVAL = "arrival"
 LINK_DELIVER = "link_deliver"
+# names the starts and skips in event_count and the logs; never queued
 SERVICE_START = "service_start"
 SERVICE_COMPLETE = "service_complete"
 TIMEOUT = "timeout"
@@ -34,20 +47,6 @@ TIMELINE_APPLY = "timeline_apply"
 SCRAPE = "scrape"
 PROBE_SEND = "probe_send"
 PROBE_RECV = "probe_recv"
-
-EVENT_KINDS = frozenset(
-    {
-        ARRIVAL,
-        LINK_DELIVER,
-        SERVICE_START,
-        SERVICE_COMPLETE,
-        TIMEOUT,
-        TIMELINE_APPLY,
-        SCRAPE,
-        PROBE_SEND,
-        PROBE_RECV,
-    }
-)
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_LOST = "lost"
@@ -119,12 +118,15 @@ class Request:
 class ReplicaState:
     """Runtime state of one service replica pinned to one node."""
 
-    __slots__ = ("endpoint", "node", "concurrency_limit", "free_slots", "in_service", "fifo", "busy_vcpu_seconds")
+    __slots__ = (
+        "endpoint", "node", "concurrency_limit", "frontend", "free_slots", "in_service", "fifo", "busy_vcpu_seconds"
+    )
 
-    def __init__(self, endpoint: mesh.Endpoint, node: int, concurrency_limit: int):
+    def __init__(self, endpoint: mesh.Endpoint, node: int, concurrency_limit: int, frontend: bool):
         self.endpoint = endpoint
         self.node = node
         self.concurrency_limit = concurrency_limit
+        self.frontend = frontend
         self.free_slots = concurrency_limit
         self.in_service: set[int] = set()
         self.fifo: deque = deque()
@@ -132,6 +134,10 @@ class ReplicaState:
 
     def outstanding(self) -> int:
         return len(self.in_service) + len(self.fifo)
+
+    def __repr__(self) -> str:
+        endpoint = self.endpoint
+        return f"ReplicaState({endpoint.service}@c{endpoint.cluster}#{endpoint.replica})"
 
 
 @dataclass
@@ -165,12 +171,16 @@ class EngineState:
         self.event_count = 0
         self._seq = 0
         self._heap: list = []
+        self._timeouts: deque = deque()
         self._primed = False
+        self._scrape_at: float | None = None
+        self._deferred_starts: list = []
 
         # scenario values read per event, looked up once here
         self.cluster_names = tuple(cluster.name for cluster in spec.clusters)
         self.links = spec.links
         self.workload = spec.workload
+        self.phase_windows = workload.phase_windows(spec.workload)
         self.frontend = topology.frontend
         self.backend = topology.backend
         self.timeout_s = spec.timeout_s
@@ -215,6 +225,23 @@ class EngineState:
         self.event_tail: deque = deque(maxlen=1000)
         self.debug_log: list | None = None
 
+        self._handlers = {
+            ARRIVAL: self._on_arrival,
+            LINK_DELIVER: self._on_link_deliver,
+            SERVICE_COMPLETE: self._on_service_complete,
+            TIMEOUT: self._on_timeout,
+            TIMELINE_APPLY: self._on_timeline_apply,
+            SCRAPE: self._on_scrape,
+            PROBE_SEND: self._on_probe_send,
+            PROBE_RECV: self._on_probe_recv,
+        }
+        self._hops = {
+            HOP_REQUEST_FE: self._deliver_request_fe,
+            HOP_REQUEST_BE: self._deliver_request_be,
+            HOP_RESPONSE_FE: self._deliver_response_fe,
+            HOP_RESPONSE_CLIENT: self._deliver_response_client,
+        }
+
     def _place_replicas(self) -> None:
         # round-robin replicas over each cluster's nodes, services in order,
         # then size concurrency by how many replicas share each node
@@ -235,23 +262,32 @@ class EngineState:
             vcpus = clusters[cluster_index].vcpus_per_node
             limit = max(1, vcpus // per_node_count[(cluster_index, node)])
             self.registry.add(endpoint)
-            self.replicas[endpoint] = ReplicaState(endpoint, node, limit)
+            frontend = self.frontend is not None and endpoint.service == self.frontend.name
+            self.replicas[endpoint] = ReplicaState(endpoint, node, limit, frontend)
 
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: str, payload=None) -> None:
-        if time < self.clock:
-            raise EngineError(f"event scheduled in the past: {kind} at {time!r}, clock {self.clock!r}")
-        if kind not in EVENT_KINDS:
+        if not self.clock <= time < math.inf:
+            raise EngineError(f"event time before the clock or not finite: {kind} at {time!r}, clock {self.clock!r}")
+        if kind not in self._handlers:
             raise EngineError(f"unknown event kind {kind!r}")
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        entry = (time, self._seq, kind, payload)
         self._seq += 1
+        lane = self._timeouts
+        # a timeout earlier than the lane's tail (scheduled from outside the
+        # run) keeps the lane sorted by going to the heap
+        if kind == TIMEOUT and (not lane or time >= lane[-1][0]):
+            lane.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)
 
     def _prime(self) -> None:
         for time, action in faults.compile_timeline(self.spec.timeline, self.topology.index_of):
             self.schedule(time, TIMELINE_APPLY, action)
+        self._scrape_at = 0.0
         self.schedule(0.0, SCRAPE)
-        first = workload.next_arrival(self.workload, None, self.arrival_rng)
+        first = workload.next_arrival(self.workload, None, self.arrival_rng, self.phase_windows)
         if first is not None and self.frontend_endpoints:
             self.schedule(first, ARRIVAL)
 
@@ -262,15 +298,29 @@ class EngineState:
             self._primed = True
             self._prime()
         heap = self._heap
-        handlers = self._HANDLERS
-        while heap and heap[0][0] < until:
-            time, seq, kind, payload = heapq.heappop(heap)
+        lane = self._timeouts
+        pop = heapq.heappop
+        popleft = lane.popleft
+        handlers = self._handlers
+        tail = self.event_tail.append
+        debug_log = self.debug_log
+        while True:
+            if lane and (not heap or lane[0] < heap[0]):
+                entry = lane[0]
+                if entry[0] >= until:
+                    break
+                popleft()
+            elif heap and heap[0][0] < until:
+                entry = pop(heap)
+            else:
+                break
+            time, seq, kind, payload = entry
             self.clock = time
             self.event_count += 1
-            self.event_tail.append((time, seq, kind))
-            if self.debug_log is not None:
-                self.debug_log.append((time, seq, kind, _describe(payload)))
-            handlers[kind](self, time, payload)
+            tail(entry)
+            if debug_log is not None:
+                debug_log.append((time, seq, kind, _describe(payload)))
+            handlers[kind](time, payload)
         if until > self.clock:
             self.clock = until
         return self.result()
@@ -318,68 +368,87 @@ class EngineState:
         else:
             request.frontend = frontend
             self.schedule(t + self.base_delay_s, LINK_DELIVER, (request, frontend, HOP_REQUEST_FE))
-        nxt = workload.next_arrival(self.workload, t, self.arrival_rng)
+        nxt = workload.next_arrival(self.workload, t, self.arrival_rng, self.phase_windows)
         if nxt is not None:
             self.schedule(nxt, ARRIVAL)
 
     def _on_link_deliver(self, t: float, payload) -> None:
         request, target, hop = payload
-        if hop == HOP_REQUEST_FE:
-            demand = workload.service_demand(self.frontend.profile, request.payload_bytes)
-            self._admit(self.replicas[target], request, demand, t)
-        elif hop == HOP_REQUEST_BE:
-            if request.outcome is not None:
-                return  # timed out before the message arrived
-            demand = workload.service_demand(self.backend.profile, request.reduced_bytes)
-            self._admit(self.replicas[target], request, demand, t)
-        elif hop == HOP_RESPONSE_FE:
-            if request.outcome is not None or request.responded:
-                return
-            request.responded = True
-            self._release_lc(request)
-            # zero-demand merge at the frontend, reply leaves via the gateway
-            self.schedule(t + self.base_delay_s, LINK_DELIVER, (request, None, HOP_RESPONSE_CLIENT))
-        elif hop == HOP_RESPONSE_CLIENT:
-            if request.outcome is not None:
-                return
-            request.response_out = t
-            self._finalize(request, OUTCOME_COMPLETED)
-        else:
-            raise EngineError(f"unknown hop {hop!r}")
+        self._hops[hop](request, target, t)
+
+    def _deliver_request_fe(self, request: Request, target, t: float) -> None:
+        demand = workload.service_demand(self.frontend.profile, request.payload_bytes)
+        self._admit(self.replicas[target], request, demand, t)
+
+    def _deliver_request_be(self, request: Request, target, t: float) -> None:
+        if request.outcome is not None:
+            return  # timed out before the message arrived
+        demand = workload.service_demand(self.backend.profile, request.reduced_bytes)
+        self._admit(self.replicas[target], request, demand, t)
+
+    def _deliver_response_fe(self, request: Request, _target, t: float) -> None:
+        if request.outcome is not None or request.responded:
+            return
+        request.responded = True
+        self._release_lc(request)
+        # zero-demand merge at the frontend, reply leaves via the gateway
+        self.schedule(t + self.base_delay_s, LINK_DELIVER, (request, None, HOP_RESPONSE_CLIENT))
+
+    def _deliver_response_client(self, request: Request, _target, t: float) -> None:
+        if request.outcome is not None:
+            return
+        request.response_out = t
+        self._finalize(request, OUTCOME_COMPLETED)
 
     def _admit(self, replica: ReplicaState, request: Request, demand: float, t: float) -> None:
         if replica.free_slots > 0:
             replica.free_slots -= 1
-            self.schedule(t, SERVICE_START, (replica, request, demand))
+            self._start(replica, request, demand, t)
         else:
             replica.fifo.append((request, demand))
 
     def _pass_slot(self, replica: ReplicaState, t: float) -> None:
         if replica.fifo:
-            next_request, next_demand = replica.fifo.popleft()
-            self.schedule(t, SERVICE_START, (replica, next_request, next_demand))
+            request, demand = replica.fifo.popleft()
+            self._start(replica, request, demand, t)
         else:
             replica.free_slots += 1
 
-    def _on_service_start(self, t: float, payload) -> None:
-        replica, request, demand = payload
-        if request.outcome is not None:
-            # abandoned while queued; hand the slot on
-            self._pass_slot(replica, t)
+    def _start(self, replica: ReplicaState, request: Request, demand: float, t: float) -> None:
+        """Start ``request`` on the slot it holds, or hand the slot on down
+        the queue if the request was abandoned while queued."""
+        if t == self._scrape_at:
+            # a scrape due at this instant sees the replica before any start
+            # at this instant, so starts wait until it has run
+            self._deferred_starts.append((replica, request, demand))
             return
-        if replica.endpoint.service == self.frontend.name:
+        fifo = replica.fifo
+        while True:
+            payload = (replica, request, demand)
+            self.event_count += 1
+            self.event_tail.append((t, None, SERVICE_START, payload))
+            if self.debug_log is not None:
+                self.debug_log.append((t, None, SERVICE_START, _describe(payload)))
+            # a timeout due at this instant fires before the start
+            if request.outcome is None and (replica.frontend or t < request.be_dispatch + self.timeout_s):
+                break
+            if not fifo:
+                replica.free_slots += 1
+                return
+            request, demand = fifo.popleft()
+        if replica.frontend:
             request.fe_start = t
         else:
             request.be_start = t
         replica.in_service.add(request.id)
-        self.schedule(t + demand, SERVICE_COMPLETE, (replica, request, demand))
+        self.schedule(t + demand, SERVICE_COMPLETE, payload)
 
     def _on_service_complete(self, t: float, payload) -> None:
         replica, request, demand = payload
         replica.in_service.discard(request.id)
         replica.busy_vcpu_seconds += demand
         self._pass_slot(replica, t)
-        if replica.endpoint.service == self.frontend.name:
+        if replica.frontend:
             request.fe_end = t
             self._dispatch_backend(request, t)
         else:
@@ -435,8 +504,12 @@ class EngineState:
     def _on_scrape(self, t: float, _payload) -> None:
         metrics.scrape(self, t)
         nxt = t + self.scrape_interval_s
-        if nxt < self.duration_s:
+        self._scrape_at = nxt if nxt < self.duration_s else None
+        if self._scrape_at is not None:
             self.schedule(nxt, SCRAPE)
+        deferred, self._deferred_starts = self._deferred_starts, []
+        for replica, request, demand in deferred:
+            self._start(replica, request, demand, t)
 
     def _on_probe_send(self, t: float, payload) -> None:
         from . import probes as probes_mod
@@ -445,18 +518,6 @@ class EngineState:
 
     def _on_probe_recv(self, t: float, sample) -> None:
         self.probes.append(sample)
-
-    _HANDLERS = {
-        ARRIVAL: _on_arrival,
-        LINK_DELIVER: _on_link_deliver,
-        SERVICE_START: _on_service_start,
-        SERVICE_COMPLETE: _on_service_complete,
-        TIMEOUT: _on_timeout,
-        TIMELINE_APPLY: _on_timeline_apply,
-        SCRAPE: _on_scrape,
-        PROBE_SEND: _on_probe_send,
-        PROBE_RECV: _on_probe_recv,
-    }
 
 
 def _describe(payload) -> str:

@@ -173,12 +173,17 @@ _TIMELINE_ACTIONS = {
 _ACTION_OF = {cls: action for action, cls in _TIMELINE_ACTIONS.items()}
 
 
+# libyaml's safe loader when PyYAML was built with it: the same constructors
+# at about a seventh of the time, though it words syntax errors differently
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_scenario(text: str) -> FederationSpec:
     """Parse a scenario document. Raises ScenarioError on syntax errors,
     unknown fields, missing required fields, non-finite numbers, or shape
     mismatches."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -93,13 +93,16 @@ def phase_windows(spec: WorkloadSpec) -> list[tuple[float, float, float]]:
     return windows
 
 
-def next_arrival(spec: WorkloadSpec, now: float | None, rng: random.Random) -> float | None:
+def next_arrival(spec: WorkloadSpec, now: float | None, rng: random.Random, windows=None) -> float | None:
     """Time of the arrival after ``now``, or None when the plan is exhausted.
 
     ``now`` is the previous arrival time; ``None`` primes the process at the
     start of the plan. Arrivals land strictly inside their phase window.
+    ``windows`` is ``phase_windows(spec)``, which a caller drawing many
+    arrivals computes once; it is computed here when omitted.
     """
-    windows = phase_windows(spec)
+    if windows is None:
+        windows = phase_windows(spec)
     if spec.arrival == ARRIVAL_CONSTANT:
         return _next_constant(windows, now)
     if spec.arrival == ARRIVAL_POISSON:

@@ -6,7 +6,7 @@ import pytest
 import fedsim
 from fedsim import cli
 from fedsim.engine import EngineError, EngineState
-from tests.conftest import MINI_DOC, two_cluster_doc
+from tests.conftest import MINI_DOC, OVERLOAD, two_cluster_doc
 
 
 @pytest.fixture()
@@ -204,6 +204,22 @@ class TestRun:
         assert any(",arrival," in line for line in lines[1:])
         assert any(",scrape," in line for line in lines[1:])
 
+    def test_debug_events_identical_across_runs_and_one_row_per_event(self, tmp_path):
+        # service starts carry the replica in their detail column; the
+        # overload scenario also skips requests abandoned in a queue
+        scenario = tmp_path / "overload.scenario"
+        scenario.write_text(OVERLOAD)
+        logs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert cli.main(["run", str(scenario), "--out-dir", str(out), "--debug-events", "--until", "25"]) == 0
+            logs.append((out / "events.csv").read_bytes())
+            events = yaml.safe_load((out / "summary.yaml").read_text())["results"]["events"]
+        assert logs[0] == logs[1]
+        rows = logs[0].decode().splitlines()[1:]
+        assert len(rows) == events
+        assert any(row.startswith("1.0625,,service_start,\"ReplicaState(be@c1#0),") for row in rows)
+
     def test_engine_error_dumps_event_tail(self, mini_scenario, tmp_path, monkeypatch, capsys):
         def boom(self, until):
             self.event_tail.append((1.0, 0, "arrival"))
@@ -363,6 +379,34 @@ class TestParser:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert fedsim.__version__ in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--until", "nan"],
+            ["run", "--until", "-5"],
+            ["run", "--until", "inf"],
+            ["sweep", "--param", "seed", "--values", "1", "--until", "nan"],
+            ["ping", "--interval", "0"],
+            ["ping", "--interval", "-0.2"],
+            ["ping", "--duration", "inf"],
+            ["ping", "--duration", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_time_flags_need_finite_positive_numbers(self, argv, mini_scenario, tmp_path, capsys):
+        command, *options = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, mini_scenario, "--out-dir", str(tmp_path / "out"), *options])
+        assert exc.value.code == 2
+        assert f"argument {options[-2]}: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_until_zero_runs_nothing(self, mini_scenario, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", mini_scenario, "--out-dir", str(out), "--until", "0"]) == 0
+        results = yaml.safe_load((out / "summary.yaml").read_text())["results"]
+        assert (results["until_s"], results["events"]) == (0.0, 0)
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,9 +4,9 @@ import pytest
 
 import fedsim
 from fedsim import topology
-from fedsim.engine import ARRIVAL, EngineError
+from fedsim.engine import ARRIVAL, TIMEOUT, EngineError, Request
 from fedsim.netem import DATA
-from tests.conftest import MINI_DOC, make_topology, run_scenario_text, two_cluster_doc
+from tests.conftest import MINI_DOC, OVERLOAD, make_topology, run_scenario_text, two_cluster_doc
 
 MINIMAL = """
 clusters:
@@ -27,6 +27,33 @@ class TestScheduling:
         _, engine = run_scenario_text(MINI_DOC, until=10)
         with pytest.raises(EngineError):
             engine.schedule(5.0, ARRIVAL)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_raises(self, time):
+        engine = topology.build_runtime(make_topology(MINI_DOC))
+        with pytest.raises(EngineError):
+            engine.schedule(time, ARRIVAL)
+
+    def test_timeout_scheduled_out_of_order_fires_at_its_time(self):
+        # the run arms timeouts 5 s after each dispatch; one scheduled later
+        # than all of them and one scheduled earlier than the last of them
+        # must both fire at their own times
+        engine = topology.build_runtime(make_topology(MINI_DOC))
+        engine.debug_log = []
+        engine.run(until=10.0)
+        late, early = Request(-1, 1000, 1000.0), Request(-2, 1000, 1000.0)
+        engine.schedule(30.0, TIMEOUT, late)
+        engine.schedule(12.0, TIMEOUT, early)
+        engine.run(until=12.0)
+        assert early.outcome is None
+        engine.run(until=20.0)
+        assert (early.outcome, late.outcome) == ("timed_out", None)
+        engine.run(until=40.0)
+        assert late.outcome == "timed_out"
+        fired = [(time, detail) for time, _seq, kind, detail in engine.debug_log if "#-" in detail]
+        assert fired == [(12.0, "Request(#-2, in_flight)"), (30.0, "Request(#-1, in_flight)")]
+        times = [entry[0] for entry in engine.debug_log]
+        assert times == sorted(times)
 
     def test_unknown_event_kind_raises(self):
         engine = topology.build_runtime(make_topology(MINI_DOC))
@@ -150,6 +177,33 @@ class TestRequestPath:
         be_busy = sum(engine.replicas[e].busy_vcpu_seconds for e in engine.registry.list("be"))
         assert be_busy == 0.0
 
+    def test_request_abandoned_in_queue_never_starts(self):
+        # one single-slot backend busy for 1 s per request, a 0.5 s timeout and
+        # no delays: request 2 falls due at 1.0625 s, the very instant request
+        # 0 hands the slot on, and times out without starting
+        doc = """
+clusters:
+  - {name: edge, nodes: 1, vcpus_per_node: 4}
+  - {name: dc, nodes: 1, vcpus_per_node: 1}
+links: {base_delay_ms: 0.0, intra_base_delay_ms: 0.0}
+services:
+  - {name: fe, stage: frontend, replicas_per_cluster: {edge: 1}, demand: {base_ms: 62.5, per_kb_ms: 0.0}}
+  - {name: be, stage: backend, replicas_per_cluster: {dc: 1}, demand: {base_ms: 1000.0, per_kb_ms: 0.0}}
+workload:
+  payload: {dist: constant, bytes: 1000}
+  phases: [{rate: 4, duration_s: 1}]
+duration_s: 5
+timeout_s: 0.5
+"""
+        result, _ = run_scenario_text(doc)
+        stamps = [(t.be_dispatch, t.be_start, t.be_end, t.outcome) for t in result.traces]
+        assert stamps == [
+            (0.0625, 0.0625, 1.0625, "timed_out"),
+            (0.3125, None, None, "timed_out"),
+            (0.5625, None, None, "timed_out"),
+            (0.8125, 1.0625, 2.0625, "timed_out"),
+        ]
+
     def test_unhealthy_frontends_lose_arrivals_at_ingress(self):
         extra = (
             "timeline:\n"
@@ -201,6 +255,20 @@ class TestDeterminism:
         assert single.metrics.series("replica_busy_vcpu_seconds_total") == stepped.metrics.series(
             "replica_busy_vcpu_seconds_total"
         )
+
+    def test_split_runs_match_single_run_under_ties(self):
+        # cut at scrape instants and mid-burst, where starts, timeouts and
+        # scrapes share a time
+        single, single_engine = run_scenario_text(OVERLOAD)
+        engine = topology.build_runtime(make_topology(OVERLOAD))
+        for until in (0.5, 10.0, 17.03125, 25.0, 30.0):
+            engine.run(until=until)
+        stepped = engine.run(until=55.0)
+        assert self.stamps(single) == self.stamps(stepped)
+        assert single.timed_out > 0 and single.lost > 0
+        assert single.event_count == stepped.event_count
+        for name in ("replica_busy_vcpu_seconds_total", "replica_outstanding_requests"):
+            assert single.metrics.series(name) == stepped.metrics.series(name)
 
     def test_intra_cluster_traffic_draws_no_link_randomness(self):
         doc = """

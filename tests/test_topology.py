@@ -1,6 +1,7 @@
 """Scenario parsing, canonical rendering, validation, and placement."""
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +68,20 @@ duration_s: 5
         message = exc.value.errors[0]
         assert message.startswith("syntax error at line ")
         assert "column" in message
+
+    def test_libyaml_and_python_loaders_agree(self, monkeypatch):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        assert topology._LOADER is yaml.CSafeLoader
+        texts = [fedsim.bundled_scenario(name).read_text() for name in ("poc", "poc_lc", "blackout", "ping")]
+        specs = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(topology, "_LOADER", loader)
+            specs.append([parse_scenario(text) for text in texts])
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario("clusters: [{name: a}\n")
+            assert exc.value.errors[0].startswith("syntax error at line ")
+        assert specs[0] == specs[1]
 
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioError) as exc:
