@@ -171,8 +171,9 @@ class EngineState:
         self.event_count = 0
         self._seq = 0
         self._heap: list = []
-        self._timeouts: deque = deque()
+        self._timeouts: deque = deque()  # the timeout lane, in (time, seq) order
         self._primed = False
+        # time of the scrape not yet run; starts at that instant wait for it
         self._scrape_at: float | None = None
         self._deferred_starts: list = []
 
