@@ -119,14 +119,14 @@ class ReplicaState:
     """Runtime state of one service replica pinned to one node."""
 
     __slots__ = (
-        "endpoint", "node", "concurrency_limit", "frontend", "free_slots", "in_service", "fifo", "busy_vcpu_seconds"
+        "endpoint", "node", "concurrency_limit", "is_frontend", "free_slots", "in_service", "fifo", "busy_vcpu_seconds"
     )
 
-    def __init__(self, endpoint: mesh.Endpoint, node: int, concurrency_limit: int, frontend: bool):
+    def __init__(self, endpoint: mesh.Endpoint, node: int, concurrency_limit: int, is_frontend: bool):
         self.endpoint = endpoint
         self.node = node
         self.concurrency_limit = concurrency_limit
-        self.frontend = frontend
+        self.is_frontend = is_frontend
         self.free_slots = concurrency_limit
         self.in_service: set[int] = set()
         self.fifo: deque = deque()
@@ -263,8 +263,8 @@ class EngineState:
             vcpus = clusters[cluster_index].vcpus_per_node
             limit = max(1, vcpus // per_node_count[(cluster_index, node)])
             self.registry.add(endpoint)
-            frontend = self.frontend is not None and endpoint.service == self.frontend.name
-            self.replicas[endpoint] = ReplicaState(endpoint, node, limit, frontend)
+            is_frontend = self.frontend is not None and endpoint.service == self.frontend.name
+            self.replicas[endpoint] = ReplicaState(endpoint, node, limit, is_frontend)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -431,13 +431,13 @@ class EngineState:
             if self.debug_log is not None:
                 self.debug_log.append((t, None, SERVICE_START, _describe(payload)))
             # a timeout due at this instant fires before the start
-            if request.outcome is None and (replica.frontend or t < request.be_dispatch + self.timeout_s):
+            if request.outcome is None and (replica.is_frontend or t < request.be_dispatch + self.timeout_s):
                 break
             if not fifo:
                 replica.free_slots += 1
                 return
             request, demand = fifo.popleft()
-        if replica.frontend:
+        if replica.is_frontend:
             request.fe_start = t
         else:
             request.be_start = t
@@ -449,7 +449,7 @@ class EngineState:
         replica.in_service.discard(request.id)
         replica.busy_vcpu_seconds += demand
         self._pass_slot(replica, t)
-        if replica.frontend:
+        if replica.is_frontend:
             request.fe_end = t
             self._dispatch_backend(request, t)
         else:
