@@ -1,6 +1,8 @@
 """Timeline validation, compilation, and live application."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import faults, topology
 from fedsim.faults import (
@@ -192,3 +194,131 @@ class TestEndToEnd:
         after = [t for t in result.traces if t.ingress_in >= 15.0]
         assert in_window and all(t.outcome == "lost" for t in in_window)
         assert after and all(t.outcome == "completed" for t in after)
+
+
+# -- link state under overlapping blackouts and set_link ------------------------
+
+THREE_CLUSTERS = """
+clusters:
+  - {{name: A, nodes: 1, vcpus_per_node: 1}}
+  - {{name: B, nodes: 1, vcpus_per_node: 1}}
+  - {{name: C, nodes: 1, vcpus_per_node: 1}}
+links:
+  one_way_delay_ms:
+{matrix}
+duration_s: 60
+timeline:
+{timeline}
+"""
+TEN_MS = ((0.0, 10.0, 10.0), (10.0, 0.0, 10.0), (10.0, 10.0, 0.0))
+DARK_LOSS = LossSpec(p=1.0, correlation=0.0)
+
+
+def three_cluster_engine(timeline, matrix=TEN_MS):
+    rows = "\n".join(f"    - [{', '.join(str(cell) for cell in row)}]" for row in matrix)
+    doc = THREE_CLUSTERS.format(matrix=rows, timeline="\n".join(f"  - {event}" for event in timeline) or "  []")
+    return topology.build_runtime(make_topology(doc))
+
+
+def observed(engine, src, dst):
+    """What a message from ``src`` to ``dst`` meets: (delay_ms, jitter, loss)."""
+    rule = engine.table.classify(src, dst)
+    return rule.delay_ms, rule.jitter, rule.loss
+
+
+def expected(dark, delay_ms, jitter=JitterSpec(), loss=LossSpec()):
+    """A dark link keeps its delay and loses every message."""
+    return delay_ms, jitter, DARK_LOSS if dark else loss
+
+
+class TestLinkState:
+    def test_overlapping_blackouts_on_different_clusters(self):
+        # A is out over [10, 30) and B over [20, 40): A<->B is dark over
+        # [10, 40), A<->C over [10, 30), B<->C over [20, 40)
+        engine = three_cluster_engine(
+            ["{action: blackout, at_s: 10, cluster: A, end_s: 30}", "{action: blackout, at_s: 20, cluster: B, end_s: 40}"]
+        )
+        for t, dark_pairs in (
+            (5, set()),
+            (15, {(0, 1), (0, 2)}),
+            (25, {(0, 1), (0, 2), (1, 2)}),
+            (35, {(0, 1), (1, 2)}),
+            (50, set()),
+        ):
+            engine.run(until=t)
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                for src, dst in ((a, b), (b, a)):
+                    assert observed(engine, src, dst) == expected((a, b) in dark_pairs, 10.0), (t, src, dst)
+
+    def test_set_link_inside_a_blackout_takes_effect_when_it_ends(self):
+        engine = three_cluster_engine(
+            [
+                "{action: blackout, at_s: 10, cluster: A, end_s: 30}",
+                "{action: set_link, at_s: 20, src: A, dst: B, delay_ms: 99, loss: {p: 0.5}}",
+            ]
+        )
+        new = (99.0, JitterSpec(), LossSpec(p=0.5))
+        for t, forward, reverse in (
+            (15, expected(True, 10.0), expected(True, 10.0)),
+            (25, expected(True, 99.0), expected(True, 10.0)),
+            (35, new, expected(False, 10.0)),
+            (50, new, expected(False, 10.0)),
+        ):
+            engine.run(until=t)
+            assert observed(engine, 0, 1) == forward, t
+            assert observed(engine, 1, 0) == reverse, t
+
+
+CLUSTERS = ("A", "B", "C")
+MATRIX = ((0.0, 11.0, 12.0), (21.0, 0.0, 23.0), (31.0, 32.0, 0.0))
+HORIZON = 40
+
+
+@st.composite
+def link_timelines(draw):
+    """Blackouts (never overlapping on one cluster, often across clusters)
+    and set_links at whole seconds in [0, HORIZON]."""
+    blackouts = []
+    for cluster in CLUSTERS:
+        bounds = sorted(draw(st.sets(st.integers(0, HORIZON), max_size=4)))
+        if len(bounds) % 2:
+            bounds.pop()
+        blackouts += [(cluster, start, end) for start, end in zip(bounds[::2], bounds[1::2])]
+    set_links = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, HORIZON),
+                st.sampled_from([(a, b) for a in range(3) for b in range(3) if a != b]),
+                st.sampled_from([0.0, 5.0, 99.0]),
+                st.sampled_from([0.0, 0.25, 1.0]),
+            ),
+            max_size=5,
+        )
+    )
+    return blackouts, set_links
+
+
+@settings(max_examples=60, deadline=None)
+@given(timeline=link_timelines())
+def test_link_state_matches_the_timeline(timeline):
+    blackouts, set_links = timeline
+    events = [f"{{action: blackout, at_s: {start}, cluster: {cluster}, end_s: {end}}}" for cluster, start, end in blackouts]
+    events += [
+        f"{{action: set_link, at_s: {at}, src: {CLUSTERS[src]}, dst: {CLUSTERS[dst]}, delay_ms: {delay}, loss: {{p: {p}}}}}"
+        for at, (src, dst), delay, p in set_links
+    ]
+    engine = three_cluster_engine(events, MATRIX)
+    for t in (k + 0.5 for k in range(HORIZON + 1)):
+        engine.run(until=t)
+        out = {CLUSTERS.index(cluster) for cluster, start, end in blackouts if start < t < end}
+        for src in range(3):
+            for dst in range(3):
+                if src == dst:
+                    continue
+                # the last set_link at or before t wins; ties go to the later declaration
+                delay, loss = MATRIX[src][dst], LossSpec()
+                for at, pair, new_delay, p in sorted(set_links, key=lambda event: event[0]):
+                    if pair == (src, dst) and at < t:
+                        delay, loss = new_delay, LossSpec(p=p)
+                want = expected(bool(out & {src, dst}), delay, loss=loss)
+                assert observed(engine, src, dst) == want, (t, src, dst)
