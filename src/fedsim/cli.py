@@ -166,8 +166,11 @@ def cmd_ping(args) -> int:
     if isinstance(loaded, int):
         return loaded
     spec, topo = loaded
-    engine = topology.build_runtime(topo)
     duration = args.duration if args.duration is not None else spec.duration_s
+    if not math.isfinite(duration / args.interval):
+        print(f"error: duration / interval is not finite: {duration!r} / {args.interval!r}", file=sys.stderr)
+        return EXIT_IO
+    engine = topology.build_runtime(topo)
     out = Path(args.out_dir)
     try:
         samples = probes.run_ping(engine, interval_s=args.interval, duration_s=duration)

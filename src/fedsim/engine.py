@@ -11,9 +11,9 @@ which makes a run a pure function of (scenario, seed).
 
 Request path: client -> gateway -> frontend replica -> gateway -> backend
 replica -> gateway -> frontend -> gateway -> client. Every gateway traversal
-costs the configured base delay; the cross-cluster legs additionally classify
-the directed link and sample impairment delay and loss. Intra-cluster legs
-cost the intra-cluster base delay and never drop.
+costs the configured base delay; the cross-cluster legs additionally cross
+the directed link, which samples impairment delay or drops the message.
+Intra-cluster legs cost the intra-cluster base delay and never drop.
 
 Replicas are FIFO queues with a concurrency limit of
 ``max(1, node_vcpus // replicas_on_node)``; each in-service request holds one
@@ -34,7 +34,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from . import faults, mesh, metrics, netem, workload
+from . import faults, mesh, metrics, netem, probes, workload
+from .probes import PROBE_RECV, PROBE_SEND
 from .rng import stream
 
 ARRIVAL = "arrival"
@@ -45,8 +46,6 @@ SERVICE_COMPLETE = "service_complete"
 TIMEOUT = "timeout"
 TIMELINE_APPLY = "timeline_apply"
 SCRAPE = "scrape"
-PROBE_SEND = "probe_send"
-PROBE_RECV = "probe_recv"
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_LOST = "lost"
@@ -128,12 +127,12 @@ class ReplicaState:
         self.concurrency_limit = concurrency_limit
         self.is_frontend = is_frontend
         self.free_slots = concurrency_limit
-        self.in_service: set[int] = set()
+        self.in_service = 0
         self.fifo: deque = deque()
         self.busy_vcpu_seconds = 0.0
 
     def outstanding(self) -> int:
-        return len(self.in_service) + len(self.fifo)
+        return self.in_service + len(self.fifo)
 
     def __repr__(self) -> str:
         endpoint = self.endpoint
@@ -188,17 +187,9 @@ class EngineState:
         self.scrape_interval_s = spec.scrape_interval_s
         self.duration_s = spec.duration_s
 
-        n = len(self.cluster_names)
         self.base_delay_s = spec.links.base_delay_ms * 1e-3
         self.intra_delay_s = spec.links.intra_base_delay_ms * 1e-3
-        self.table = netem.table_from_links(spec.links)
-        self.blackout_saved: dict = {}
-
-        # one gateway-mediated path per ordered cluster pair
-        self.paths = {(i, j): ("gateway",) for i in range(n) for j in range(n) if i != j}
-
-        self.delay_streams = {key: stream(spec.seed, "delay", *key) for key in self.paths}
-        self.loss_channels = {key: netem.LossChannel(stream(spec.seed, "loss", *key)) for key in self.paths}
+        self.table = netem.ClassifierTable(spec.links, spec.seed)
         self.arrival_rng = stream(spec.seed, "arrival")
         self.payload_sampler = workload.PayloadSampler(spec.workload.payload, stream(spec.seed, "payload"))
 
@@ -441,12 +432,12 @@ class EngineState:
             request.fe_start = t
         else:
             request.be_start = t
-        replica.in_service.add(request.id)
+        replica.in_service += 1
         self.schedule(t + demand, SERVICE_COMPLETE, payload)
 
     def _on_service_complete(self, t: float, payload) -> None:
         replica, request, demand = payload
-        replica.in_service.discard(request.id)
+        replica.in_service -= 1
         replica.busy_vcpu_seconds += demand
         self._pass_slot(replica, t)
         if replica.is_frontend:
@@ -477,12 +468,12 @@ class EngineState:
         if src == dst:
             self.schedule(t + self.intra_delay_s, LINK_DELIVER, (request, target, hop))
             return
-        rule = self.table.classify(src, dst, netem.DATA)
-        if netem.sample_loss(rule, self.loss_channels[(src, dst)]):
+        delay_ms = self.table.classify(src, dst).transit_ms()
+        if delay_ms is None:
             # the pending timeout releases the balancer count
             self._finalize(request, OUTCOME_LOST)
             return
-        delay_s = netem.sample_delay(rule, self.delay_streams[(src, dst)]) * 1e-3 + self.base_delay_s
+        delay_s = delay_ms * 1e-3 + self.base_delay_s
         self.schedule(t + delay_s, LINK_DELIVER, (request, target, hop))
 
     def _release_lc(self, request: Request) -> None:
@@ -513,9 +504,7 @@ class EngineState:
             self._start(replica, request, demand, t)
 
     def _on_probe_send(self, t: float, payload) -> None:
-        from . import probes as probes_mod
-
-        probes_mod.handle_probe_send(self, t, payload)
+        probes.handle_probe_send(self, t, payload)
 
     def _on_probe_recv(self, t: float, sample) -> None:
         self.probes.append(sample)

@@ -2,14 +2,16 @@
 
 A timeline is a list of events pinned to virtual times. Compilation turns it
 into an ordered list of primitive actions the engine replays as
-``timeline_apply`` events: a ``set_link`` becomes one rule update, a blackout
-becomes a start action at ``at_s`` (install 100% data loss on every directed
-link touching the cluster, remembering what was there) and an end action at
-``end_s`` (restore what was remembered). Control-class traffic is never
-touched by a blackout.
+``timeline_apply`` events: a ``set_link`` becomes one rule update, and a
+blackout becomes a start action at ``at_s`` and an end action at ``end_s``.
 
-Blackouts on the same cluster must not overlap; the restore would otherwise
-resurrect rules from the wrong epoch.
+Each link counts how many of its two clusters are blacked out, and is dark
+(drops every message) while that count is above 0. A blackout's start adds 1
+to the count of every directed link touching the cluster and its end
+subtracts 1, so blackouts of different clusters may overlap freely. A
+``set_link`` replaces the link's rule and never touches the count: inside a
+blackout it takes effect when the last blackout on the link ends. Blackouts
+on the same cluster must not overlap.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import fields
-from .netem import DATA, ImpairmentRule, JitterSpec, LossSpec
+from .netem import ImpairmentRule, JitterSpec, LossSpec
 
 ACTION_SET_LINK = "set_link"
 ACTION_BLACKOUT = "blackout"
@@ -34,7 +36,7 @@ class _Timed:
 @fields.declare
 @dataclass(frozen=True)
 class SetLinkEvent(_Timed):
-    """Replace the data-class rule on one directed link at ``at_s``."""
+    """Replace the rule on one directed link at ``at_s``."""
 
     src: str
     dst: str
@@ -71,6 +73,8 @@ TimelineEvent = SetLinkEvent | BlackoutEvent | SetHealthEvent
 
 @dataclass(frozen=True)
 class ApplyRule:
+    src: int
+    dst: int
     rule: ImpairmentRule
 
 
@@ -145,15 +149,8 @@ def compile_timeline(events, index_of: dict[str, int]) -> list[tuple[float, obje
     entries: list[tuple[float, int, object]] = []
     for k, event in enumerate(events):
         if isinstance(event, SetLinkEvent):
-            rule = ImpairmentRule(
-                src=index_of[event.src],
-                dst=index_of[event.dst],
-                delay_ms=event.delay_ms,
-                jitter=event.jitter,
-                loss=event.loss,
-                traffic_class=DATA,
-            )
-            entries.append((event.at_s, k, ApplyRule(rule)))
+            rule = ImpairmentRule(event.delay_ms, event.jitter, event.loss)
+            entries.append((event.at_s, k, ApplyRule(index_of[event.src], index_of[event.dst], rule)))
         elif isinstance(event, BlackoutEvent):
             cluster = index_of[event.cluster]
             entries.append((event.at_s, k, BlackoutStart(cluster)))
@@ -174,45 +171,16 @@ def apply(engine, action) -> None:
     """Apply one compiled action to a running engine. Applying the same
     ``ApplyRule`` or ``ApplyHealth`` twice is a no-op the second time."""
     if isinstance(action, ApplyRule):
-        engine.table = engine.table.with_rule(action.rule)
-    elif isinstance(action, BlackoutStart):
-        _blackout_start(engine, action.cluster)
-    elif isinstance(action, BlackoutEnd):
-        _blackout_end(engine, action.cluster)
+        engine.table.links[action.src][action.dst].rule = action.rule
+    elif isinstance(action, (BlackoutStart, BlackoutEnd)):
+        step = 1 if isinstance(action, BlackoutStart) else -1
+        links = engine.table.links
+        cluster = action.cluster
+        for other in range(len(links)):
+            if other != cluster:
+                links[cluster][other].blackouts += step
+                links[other][cluster].blackouts += step
     elif isinstance(action, ApplyHealth):
         engine.registry.set_health(action.service, action.cluster, action.replica, action.healthy)
     else:
         raise TypeError(f"unknown timeline action {type(action).__name__}")
-
-
-def _blackout_start(engine, cluster: int) -> None:
-    n = len(engine.cluster_names)
-    saved: dict[tuple[int, int, str], ImpairmentRule | None] = {}
-    table = engine.table
-    for other in range(n):
-        if other == cluster:
-            continue
-        for src, dst in ((cluster, other), (other, cluster)):
-            key = (src, dst, DATA)
-            saved[key] = table.rules.get(key)
-            current = table.classify(src, dst, DATA)
-            table = table.with_rule(
-                ImpairmentRule(
-                    src=src,
-                    dst=dst,
-                    delay_ms=current.delay_ms,
-                    jitter=current.jitter,
-                    loss=LossSpec(p=1.0, correlation=0.0),
-                    traffic_class=DATA,
-                )
-            )
-    engine.blackout_saved[cluster] = saved
-    engine.table = table
-
-
-def _blackout_end(engine, cluster: int) -> None:
-    saved = engine.blackout_saved.pop(cluster, {})
-    table = engine.table
-    for key, rule in saved.items():
-        table = table.with_rule(rule) if rule is not None else table.without(key)
-    engine.table = table

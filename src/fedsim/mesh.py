@@ -78,9 +78,6 @@ class ServiceRegistry:
     def list(self, service: str) -> list[Endpoint]:
         return self._by_service.get(service, [])
 
-    def services(self) -> list[str]:
-        return list(self._by_service)
-
     def set_health(self, service: str, cluster: int, replica: int | None, healthy: bool) -> None:
         """Mark one replica, or with ``replica=None`` every replica of the
         service in the cluster, healthy or unhealthy."""

@@ -1,11 +1,17 @@
 """Per-link network impairment model.
 
-The gateway applies impairment rules to traffic between clusters the same way
-a kernel packet scheduler would: each directed cluster pair carries a rule
-``{delay_ms, jitter, loss}`` and a classifier picks the rule by
-``(src, dst, traffic_class)``. Control-plane traffic (health checks, scrapes)
-is classified separately and stays unimpaired unless a rule explicitly targets
-it.
+The gateway impairs traffic between clusters the way a kernel packet
+scheduler (netem) would. Each directed cluster pair is one ``Link``, held in
+a dense n x n table:
+
+- its configured rule ``{delay_ms, jitter, loss}``;
+- how many of its two clusters are blacked out;
+- its own delay stream and loss channel.
+
+A link is dark while that count is above 0. A dark link keeps its rule, and
+each message on it draws its loss stream as a ``p = 1, c = 0`` rule would, so
+every message is dropped. Replacing the rule never touches the count, so a
+rule set during a blackout takes effect when the last blackout ends.
 
 Loss uses the correlated two-state scheme: each draw forms a composite uniform
 ``u = c * u_prev + (1 - c) * u_new`` and the message is lost iff ``u < p``.
@@ -18,10 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import fields
-
-DATA = "data"
-CONTROL = "control"
-TRAFFIC_CLASSES = (DATA, CONTROL)
+from .rng import stream
 
 JITTER_NONE = "none"
 JITTER_UNIFORM = "uniform"
@@ -49,81 +52,61 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class ImpairmentRule:
-    """Impairment applied to one directed link for one traffic class.
+    """Impairment applied to one directed link."""
 
-    ``src``/``dst`` are cluster indices; -1 means "any" and is only used by
-    the shared default rule returned for unmatched lookups.
-    """
-
-    src: int
-    dst: int
     delay_ms: float = 0.0
     jitter: JitterSpec = JitterSpec()
     loss: LossSpec = LossSpec()
-    traffic_class: str = DATA
-
-    @property
-    def key(self) -> tuple[int, int, str]:
-        return (self.src, self.dst, self.traffic_class)
 
 
-DEFAULT_RULE = ImpairmentRule(src=-1, dst=-1)
+# the rule a dark link draws its loss stream with
+DARK = ImpairmentRule(loss=LossSpec(p=1.0, correlation=0.0))
+
+
+class Link:
+    """One directed link between two clusters."""
+
+    __slots__ = ("rule", "blackouts", "delay_rng", "loss_channel")
+
+    def __init__(self, rule: ImpairmentRule, delay_rng: random.Random, loss_channel: LossChannel):
+        self.rule = rule
+        self.blackouts = 0  # how many of its two clusters are blacked out; dark while > 0
+        self.delay_rng = delay_rng
+        self.loss_channel = loss_channel
+
+    def transit_ms(self) -> float | None:
+        """One message's impairment delay in ms, or None if the link drops it."""
+        if sample_loss(DARK if self.blackouts else self.rule, self.loss_channel):
+            return None
+        return sample_delay(self.rule, self.delay_rng)
 
 
 class ClassifierTable:
-    """Total lookup from (src, dst, traffic_class) to an impairment rule.
+    """The links of a federation, ``links[src][dst]``, built from validated
+    link matrices. The diagonal is None: intra-cluster traffic crosses no
+    link."""
 
-    The table is copy-on-write: ``with_rule`` and ``without`` return a new
-    table sharing every untouched rule object, so rule identity is stable
-    across unrelated updates.
-    """
+    __slots__ = ("links",)
 
-    __slots__ = ("rules",)
+    def __init__(self, links, seed: int):
+        n = len(links.one_way_delay_ms)
+        self.links = [
+            [
+                None
+                if i == j
+                else Link(
+                    ImpairmentRule(links.one_way_delay_ms[i][j], links.jitter[i][j], links.loss[i][j]),
+                    stream(seed, "delay", i, j),
+                    LossChannel(stream(seed, "loss", i, j)),
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
 
-    def __init__(self, rules: dict[tuple[int, int, str], ImpairmentRule] | None = None):
-        self.rules = dict(rules) if rules else {}
-
-    def classify(self, src: int, dst: int, traffic_class: str = DATA) -> ImpairmentRule:
-        rule = self.rules.get((src, dst, traffic_class))
-        return rule if rule is not None else DEFAULT_RULE
-
-    def with_rule(self, rule: ImpairmentRule) -> "ClassifierTable":
-        updated = dict(self.rules)
-        updated[rule.key] = rule
-        return ClassifierTable(updated)
-
-    def without(self, key: tuple[int, int, str]) -> "ClassifierTable":
-        updated = dict(self.rules)
-        updated.pop(key, None)
-        return ClassifierTable(updated)
-
-
-def classify(table: ClassifierTable, src: int, dst: int, traffic_class: str = DATA) -> ImpairmentRule:
-    return table.classify(src, dst, traffic_class)
-
-
-def update_rule(table: ClassifierTable, rule: ImpairmentRule) -> ClassifierTable:
-    return table.with_rule(rule)
-
-
-def table_from_links(links) -> ClassifierTable:
-    """Compile a classifier table from validated link matrices.
-
-    Only pairs with an actual impairment get an explicit data-class rule;
-    everything else falls through to the no-impairment default.
-    """
-    n = len(links.one_way_delay_ms)
-    rules = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            delay = links.one_way_delay_ms[i][j]
-            jit = links.jitter[i][j]
-            loss = links.loss[i][j]
-            if delay or jit.dist != JITTER_NONE or loss.p:
-                rules[(i, j, DATA)] = ImpairmentRule(i, j, delay, jit, loss, DATA)
-    return ClassifierTable(rules)
+    def classify(self, src: int, dst: int) -> Link:
+        """The link a message from ``src`` to ``dst`` crosses."""
+        return self.links[src][dst]
 
 
 def sample_delay(rule: ImpairmentRule, rng: random.Random) -> float:

@@ -1,8 +1,8 @@
 """Active RTT probing between clusters.
 
-A probe is a tiny data-class message: forward and return legs each classify
-the directed link, draw their own delay sample, and may be dropped by the
-loss model. The measured RTT is therefore
+A probe is a tiny message: forward and return legs each cross their directed
+link, which samples its delay or drops it (a dark link drops every probe).
+The measured RTT is therefore
 ``fwd_sample + ret_sample + 2 * base_delay``; a probe whose either leg drops
 is recorded as lost. Probes on a cluster's own diagonal traverse only the
 intra-cluster path.
@@ -17,7 +17,8 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-from . import netem
+PROBE_SEND = "probe_send"
+PROBE_RECV = "probe_recv"
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,6 @@ def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | No
     Defaults to every ordered cluster pair including diagonals. Returns the
     collected samples; the engine also keeps them in ``engine.probes``.
     """
-    from .engine import PROBE_SEND
-
     n = len(engine.cluster_names)
     if duration_s is None:
         duration_s = engine.duration_s
@@ -69,8 +68,6 @@ def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | No
 
 
 def handle_probe_send(engine, t: float, payload) -> None:
-    from .engine import PROBE_RECV, PROBE_SEND
-
     plan_index, pair_index, k = payload
     plan = engine.probe_plans[plan_index]
     src, dst = plan.pairs[pair_index]
@@ -83,19 +80,13 @@ def handle_probe_send(engine, t: float, payload) -> None:
         engine.schedule(t + rtt_ms * 1e-3, PROBE_RECV, ProbeSample(src, dst, t, rtt_ms))
         return
 
-    forward_rule = engine.table.classify(src, dst, netem.DATA)
-    if netem.sample_loss(forward_rule, engine.loss_channels[(src, dst)]):
+    # the return leg is sent only if the forward leg arrives
+    forward_ms = engine.table.classify(src, dst).transit_ms()
+    return_ms = None if forward_ms is None else engine.table.classify(dst, src).transit_ms()
+    if return_ms is None:
         engine.schedule(t, PROBE_RECV, ProbeSample(src, dst, t, None))
         return
-    forward_ms = netem.sample_delay(forward_rule, engine.delay_streams[(src, dst)]) + links.base_delay_ms
-
-    return_rule = engine.table.classify(dst, src, netem.DATA)
-    if netem.sample_loss(return_rule, engine.loss_channels[(dst, src)]):
-        engine.schedule(t, PROBE_RECV, ProbeSample(src, dst, t, None))
-        return
-    return_ms = netem.sample_delay(return_rule, engine.delay_streams[(dst, src)]) + links.base_delay_ms
-
-    rtt_ms = forward_ms + return_ms
+    rtt_ms = (forward_ms + links.base_delay_ms) + (return_ms + links.base_delay_ms)
     engine.schedule(t + rtt_ms * 1e-3, PROBE_RECV, ProbeSample(src, dst, t, rtt_ms))
 
 

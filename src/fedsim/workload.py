@@ -173,12 +173,6 @@ class PayloadSampler:
         raise ValueError(f"unknown payload dist {spec.dist!r}")
 
 
-def sample_payload(spec: PayloadSpec, rng: random.Random) -> int:
-    """One-shot draw. For a stream (required for cycle mode) hold a
-    PayloadSampler instead."""
-    return PayloadSampler(spec, rng).sample()
-
-
 def service_demand(profile: StageProfile, input_bytes: float) -> float:
     """Seconds of vCPU time one request consumes at this stage."""
     return profile.base_demand_s + profile.per_byte_demand_s * input_bytes

@@ -240,21 +240,21 @@ def test_criterion_8_windowed_rates_track_offered_load(poc_result, poc_rates):
 def test_criterion_9_impairment_sampler_statistics():
     n = 100_000
     # uniform jitter: mean equals the configured delay, variance scale^2/3
-    rule = ImpairmentRule(src=0, dst=1, delay_ms=20.0, jitter=JitterSpec(dist="uniform", scale_ms=6.0))
+    rule = ImpairmentRule(delay_ms=20.0, jitter=JitterSpec(dist="uniform", scale_ms=6.0))
     rng = stream(11, "delay", 0, 1)
     draws = [netem.sample_delay(rule, rng) for _ in range(n)]
     assert fmean(draws) == pytest.approx(20.0, rel=0.01)
     assert pvariance(draws) == pytest.approx(36.0 / 3, rel=0.03)
 
     # normal jitter: variance scale^2
-    rule = ImpairmentRule(src=0, dst=1, delay_ms=20.0, jitter=JitterSpec(dist="normal", scale_ms=2.0))
+    rule = ImpairmentRule(delay_ms=20.0, jitter=JitterSpec(dist="normal", scale_ms=2.0))
     rng = stream(11, "delay", 1, 0)
     draws = [netem.sample_delay(rule, rng) for _ in range(n)]
     assert fmean(draws) == pytest.approx(20.0, rel=0.01)
     assert pvariance(draws) == pytest.approx(4.0, rel=0.05)
 
     # independent loss: binomial count within 4 sigma of n * p
-    rule = ImpairmentRule(src=0, dst=1, loss=LossSpec(p=0.2))
+    rule = ImpairmentRule(loss=LossSpec(p=0.2))
     channel = netem.LossChannel(stream(11, "loss", 0, 1))
     losses = sum(netem.sample_loss(rule, channel) for _ in range(n))
     sigma = math.sqrt(n * 0.2 * 0.8)
@@ -262,7 +262,7 @@ def test_criterion_9_impairment_sampler_statistics():
 
     # correlated loss: the legacy composite-uniform scheme thins the
     # marginal below p and clusters consecutive losses
-    rule = ImpairmentRule(src=0, dst=1, loss=LossSpec(p=0.2, correlation=0.25))
+    rule = ImpairmentRule(loss=LossSpec(p=0.2, correlation=0.25))
     channel = netem.LossChannel(stream(11, "loss", 1, 0))
     flags = [netem.sample_loss(rule, channel) for _ in range(n)]
     marginal = sum(flags) / n

@@ -279,6 +279,16 @@ class TestPing:
         rows = (out / "probe_rtt.csv").read_text().splitlines()
         assert len(rows) == 1 + 16 * 10
 
+    @pytest.mark.parametrize("options", [["--interval", "5e-324"], ["--duration", "1e300", "--interval", "1e-10"]])
+    def test_probe_count_that_overflows_is_bad_usage(self, options, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["ping", str(fedsim.bundled_scenario("ping")), "--out-dir", str(out), *options])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: duration / interval is not finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_sweep_runs_each_value(self, two_cluster_scenario, tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 import fedsim
 from fedsim import topology
 from fedsim.engine import ARRIVAL, TIMEOUT, EngineError, Request
-from fedsim.netem import DATA
 from tests.conftest import MINI_DOC, OVERLOAD, make_topology, run_scenario_text, two_cluster_doc
 
 MINIMAL = """
@@ -69,7 +68,7 @@ class TestScheduling:
             "  - {action: set_link, at_s: 5.0, src: west, dst: east, delay_ms: 40.0}\n"
         )
         _, engine = run_scenario_text(two_cluster_doc(extra=extra))
-        assert engine.table.classify(0, 1, DATA).delay_ms == 40.0
+        assert engine.table.classify(0, 1).rule.delay_ms == 40.0
 
     def test_empty_scenario_runs_scrapes_only(self):
         result, engine = run_scenario_text(MINIMAL)
@@ -284,16 +283,16 @@ workload:
 duration_s: 20
 """
         engine = topology.build_runtime(make_topology(doc))
-        before = {key: rng.getstate() for key, rng in engine.delay_streams.items()}
+        links = [link for row in engine.table.links for link in row if link is not None]
+        before = [(link.delay_rng.getstate(), link.loss_channel.rng.getstate()) for link in links]
         result = engine.run(until=20.0)
         assert result.completed == 50
-        after = {key: rng.getstate() for key, rng in engine.delay_streams.items()}
-        assert before == after
+        after = [(link.delay_rng.getstate(), link.loss_channel.rng.getstate()) for link in links]
+        assert len(links) == 2 and before == after
 
     def test_single_cluster_has_no_link_state(self):
         engine = topology.build_runtime(make_topology(MINI_DOC))
-        assert engine.paths == {}
-        assert engine.delay_streams == {}
+        assert engine.table.links == [[None]]
 
 
 class TestBalancingInEngine:

@@ -16,7 +16,7 @@ from fedsim.faults import (
     check_timeline,
     compile_timeline,
 )
-from fedsim.netem import DATA, ImpairmentRule, JitterSpec, LossSpec
+from fedsim.netem import ImpairmentRule, JitterSpec, LossSpec
 from tests.conftest import make_topology, run_scenario_text, two_cluster_doc
 
 INDEX = {"west": 0, "east": 1}
@@ -103,8 +103,7 @@ class TestCompile:
         actions = [a for _, a in compiled]
         assert times == [100.0, 300.0, 300.0, 600.0]
         assert isinstance(actions[0], ApplyRule)
-        assert actions[0].rule.delay_ms == 9.0
-        assert actions[0].rule.traffic_class == DATA
+        assert actions[0] == ApplyRule(0, 1, ImpairmentRule(delay_ms=9.0))
         # same-time tie: the health flip was declared first, so it runs first
         assert actions[1] == ApplyHealth("be", 1, None, False)
         assert actions[2] == BlackoutStart(1)
@@ -121,39 +120,33 @@ class TestApply:
 
     def test_apply_rule_replaces_link(self):
         engine = self.fresh_engine()
-        rule = ImpairmentRule(src=0, dst=1, delay_ms=70.0, traffic_class=DATA)
-        faults.apply(engine, ApplyRule(rule))
-        assert engine.table.classify(0, 1, DATA).delay_ms == 70.0
+        faults.apply(engine, ApplyRule(0, 1, ImpairmentRule(delay_ms=70.0)))
+        assert engine.table.classify(0, 1).rule.delay_ms == 70.0
         # the reverse direction is untouched
-        assert engine.table.classify(1, 0, DATA).delay_ms == 25.0
+        assert engine.table.classify(1, 0).rule.delay_ms == 25.0
 
     def test_blackout_preserves_delay_and_restores_exact_rules(self):
         engine = self.fresh_engine()
-        before = engine.table.classify(0, 1, DATA)
+        before = engine.table.classify(0, 1).rule
         faults.apply(engine, BlackoutStart(1))
-        during = engine.table.classify(0, 1, DATA)
-        assert during.loss.p == 1.0
-        assert during.delay_ms == 25.0  # delay survives, only loss is forced
-        assert engine.table.classify(1, 0, DATA).loss.p == 1.0
+        assert engine.table.classify(0, 1).blackouts == engine.table.classify(1, 0).blackouts == 1
+        assert engine.table.classify(0, 1).transit_ms() is None
+        # the rule, delay included, survives; only the link goes dark
+        assert engine.table.classify(0, 1).rule is before
         faults.apply(engine, BlackoutEnd(1))
-        # restore brings back the identical rule object, not a reconstruction
-        assert engine.table.classify(0, 1, DATA) is before
-        assert engine.table.classify(0, 1, DATA).loss.p == 0.0
+        # the identical rule object, not a reconstruction
+        assert engine.table.classify(0, 1).rule is before
+        assert engine.table.classify(0, 1).blackouts == 0
+        assert engine.table.classify(0, 1).transit_ms() == 25.0
 
     def test_blackout_restores_absent_rules_to_default(self):
+        # an unimpaired link goes back to no impairment at all
         engine = topology.build_runtime(make_topology(two_cluster_doc()))
-        key = (0, 1, DATA)
-        assert key not in engine.table.rules
         faults.apply(engine, BlackoutStart(1))
-        assert key in engine.table.rules
+        assert engine.table.classify(0, 1).transit_ms() is None
         faults.apply(engine, BlackoutEnd(1))
-        assert key not in engine.table.rules
-
-    def test_blackout_end_without_start_is_noop(self):
-        engine = self.fresh_engine()
-        rules_before = dict(engine.table.rules)
-        faults.apply(engine, BlackoutEnd(1))
-        assert dict(engine.table.rules) == rules_before
+        assert engine.table.classify(0, 1).rule == ImpairmentRule()
+        assert engine.table.classify(0, 1).transit_ms() == 0.0
 
     def test_apply_health_whole_cluster(self):
         engine = self.fresh_engine()
@@ -211,7 +204,6 @@ timeline:
 {timeline}
 """
 TEN_MS = ((0.0, 10.0, 10.0), (10.0, 0.0, 10.0), (10.0, 10.0, 0.0))
-DARK_LOSS = LossSpec(p=1.0, correlation=0.0)
 
 
 def three_cluster_engine(timeline, matrix=TEN_MS):
@@ -221,14 +213,13 @@ def three_cluster_engine(timeline, matrix=TEN_MS):
 
 
 def observed(engine, src, dst):
-    """What a message from ``src`` to ``dst`` meets: (delay_ms, jitter, loss)."""
-    rule = engine.table.classify(src, dst)
-    return rule.delay_ms, rule.jitter, rule.loss
+    """Whether the link from ``src`` to ``dst`` is dark, and its rule."""
+    link = engine.table.classify(src, dst)
+    return link.blackouts > 0, link.rule
 
 
-def expected(dark, delay_ms, jitter=JitterSpec(), loss=LossSpec()):
-    """A dark link keeps its delay and loses every message."""
-    return delay_ms, jitter, DARK_LOSS if dark else loss
+def expected(dark, delay_ms, loss=LossSpec()):
+    return dark, ImpairmentRule(delay_ms, JitterSpec(), loss)
 
 
 class TestLinkState:
@@ -236,7 +227,10 @@ class TestLinkState:
         # A is out over [10, 30) and B over [20, 40): A<->B is dark over
         # [10, 40), A<->C over [10, 30), B<->C over [20, 40)
         engine = three_cluster_engine(
-            ["{action: blackout, at_s: 10, cluster: A, end_s: 30}", "{action: blackout, at_s: 20, cluster: B, end_s: 40}"]
+            [
+                "{action: blackout, at_s: 10, cluster: A, end_s: 30}",
+                "{action: blackout, at_s: 20, cluster: B, end_s: 40}",
+            ]
         )
         for t, dark_pairs in (
             (5, set()),
@@ -257,12 +251,11 @@ class TestLinkState:
                 "{action: set_link, at_s: 20, src: A, dst: B, delay_ms: 99, loss: {p: 0.5}}",
             ]
         )
-        new = (99.0, JitterSpec(), LossSpec(p=0.5))
         for t, forward, reverse in (
             (15, expected(True, 10.0), expected(True, 10.0)),
-            (25, expected(True, 99.0), expected(True, 10.0)),
-            (35, new, expected(False, 10.0)),
-            (50, new, expected(False, 10.0)),
+            (25, expected(True, 99.0, LossSpec(p=0.5)), expected(True, 10.0)),
+            (35, expected(False, 99.0, LossSpec(p=0.5)), expected(False, 10.0)),
+            (50, expected(False, 99.0, LossSpec(p=0.5)), expected(False, 10.0)),
         ):
             engine.run(until=t)
             assert observed(engine, 0, 1) == forward, t
@@ -298,13 +291,16 @@ def link_timelines(draw):
     return blackouts, set_links
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(timeline=link_timelines())
 def test_link_state_matches_the_timeline(timeline):
     blackouts, set_links = timeline
-    events = [f"{{action: blackout, at_s: {start}, cluster: {cluster}, end_s: {end}}}" for cluster, start, end in blackouts]
+    events = [
+        f"{{action: blackout, at_s: {start}, cluster: {cluster}, end_s: {end}}}" for cluster, start, end in blackouts
+    ]
     events += [
-        f"{{action: set_link, at_s: {at}, src: {CLUSTERS[src]}, dst: {CLUSTERS[dst]}, delay_ms: {delay}, loss: {{p: {p}}}}}"
+        f"{{action: set_link, at_s: {at}, src: {CLUSTERS[src]}, dst: {CLUSTERS[dst]}, "
+        f"delay_ms: {delay}, loss: {{p: {p}}}}}"
         for at, (src, dst), delay, p in set_links
     ]
     engine = three_cluster_engine(events, MATRIX)
@@ -320,5 +316,5 @@ def test_link_state_matches_the_timeline(timeline):
                 for at, pair, new_delay, p in sorted(set_links, key=lambda event: event[0]):
                     if pair == (src, dst) and at < t:
                         delay, loss = new_delay, LossSpec(p=p)
-                want = expected(bool(out & {src, dst}), delay, loss=loss)
+                want = expected(bool(out & {src, dst}), delay, loss)
                 assert observed(engine, src, dst) == want, (t, src, dst)

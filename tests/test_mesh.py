@@ -172,7 +172,6 @@ class TestServiceRegistry:
             ("backend", 1, 1),
         ]
         assert reg.list("missing") == []
-        assert reg.services() == ["backend"]
 
     def test_set_health_single_replica(self):
         reg = self.build()

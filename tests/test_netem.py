@@ -5,78 +5,77 @@ import pytest
 
 from fedsim import netem
 from fedsim.netem import (
-    CONTROL,
-    DATA,
-    DEFAULT_RULE,
     ClassifierTable,
     ImpairmentRule,
     JitterSpec,
     LossChannel,
     LossSpec,
-    classify,
     sample_delay,
     sample_loss,
-    update_rule,
 )
 from fedsim.rng import stream
 
 N_DRAWS = 100_000
 
 
-def rule(src=0, dst=1, delay=0.0, jitter=None, loss=None, klass=DATA):
-    return ImpairmentRule(src, dst, delay, jitter or JitterSpec(), loss or LossSpec(), klass)
+def rule(delay=0.0, jitter=None, loss=None):
+    return ImpairmentRule(delay, jitter or JitterSpec(), loss or LossSpec())
 
 
-# -- classifier ------------------------------------------------------------
+# -- link table ------------------------------------------------------------
 
 
-def test_classify_falls_back_to_default():
-    table = ClassifierTable()
-    picked = classify(table, 0, 3, DATA)
-    assert picked is DEFAULT_RULE
-    assert picked.delay_ms == 0.0
-    assert picked.loss.p == 0.0
+def test_classify_falls_back_to_default(poc_spec):
+    # a pair the link matrices leave unimpaired gets the no-impairment rule
+    table = ClassifierTable(poc_spec.links, poc_spec.seed)
+    assert table.classify(0, 3).rule == ImpairmentRule()
+    assert table.classify(0, 3).transit_ms() == 0.0
 
 
-def test_classify_explicit_rule_wins():
-    r = rule(0, 2, delay=25.0)
-    table = update_rule(ClassifierTable(), r)
-    assert classify(table, 0, 2, DATA) is r
+def test_classify_explicit_rule_wins(poc_spec):
+    table = ClassifierTable(poc_spec.links, poc_spec.seed)
+    r = rule(delay=70.0)
+    table.classify(0, 2).rule = r
+    assert table.classify(0, 2).rule is r
     # reverse direction untouched
-    assert classify(table, 2, 0, DATA) is DEFAULT_RULE
+    assert table.classify(2, 0).rule.delay_ms == 25.0
 
 
-def test_control_class_separate_from_data():
-    table = update_rule(ClassifierTable(), rule(0, 2, delay=25.0))
-    assert classify(table, 0, 2, CONTROL) is DEFAULT_RULE
-    ctl = rule(0, 2, delay=3.0, klass=CONTROL)
-    table = update_rule(table, ctl)
-    assert classify(table, 0, 2, CONTROL) is ctl
-    assert classify(table, 0, 2, DATA).delay_ms == 25.0
+def test_update_leaves_unrelated_rules_untouched(poc_spec):
+    table = ClassifierTable(poc_spec.links, poc_spec.seed)
+    first = table.classify(0, 1).rule
+    table.classify(1, 0).rule = rule(delay=20.0)
+    # identity, not just equality: the other direction keeps its rule object
+    assert table.classify(0, 1).rule is first
 
 
-def test_update_leaves_unrelated_rules_untouched():
-    first = rule(0, 1, delay=10.0)
-    table = update_rule(ClassifierTable(), first)
-    updated = update_rule(table, rule(1, 0, delay=20.0))
-    # identity, not just equality: unrelated rule objects are shared
-    assert updated.rules[(0, 1, DATA)] is first
-    assert table.classify(1, 0) is DEFAULT_RULE  # original table unchanged
+def test_table_is_dense_over_the_link_matrices(poc_spec):
+    links = poc_spec.links
+    table = ClassifierTable(links, poc_spec.seed)
+    for i in range(4):
+        assert table.links[i][i] is None
+        for j in set(range(4)) - {i}:
+            link = table.classify(i, j)
+            assert link.rule == ImpairmentRule(links.one_way_delay_ms[i][j], links.jitter[i][j], links.loss[i][j])
+            assert link.blackouts == 0
+    assert table.classify(0, 2).rule.delay_ms == 25.0
 
 
-def test_without_removes_rule():
-    table = update_rule(ClassifierTable(), rule(0, 1, delay=10.0))
-    cleared = table.without((0, 1, DATA))
-    assert cleared.classify(0, 1) is DEFAULT_RULE
-    assert table.classify(0, 1).delay_ms == 10.0
-
-
-def test_table_from_links_only_materializes_impaired_pairs(poc_spec):
-    table = netem.table_from_links(poc_spec.links)
-    keys = set(table.rules)
-    assert keys == {(0, 2, DATA), (1, 2, DATA), (2, 0, DATA), (2, 1, DATA)}
-    assert table.classify(0, 2).delay_ms == 25.0
-    assert table.classify(0, 3) is DEFAULT_RULE
+def test_dark_link_drops_every_message_and_draws_as_full_loss():
+    # a dark link keeps its rule and draws its loss stream as p = 1, c = 0
+    lossy = rule(delay=5.0, loss=LossSpec(p=0.3, correlation=0.5))
+    dark = netem.Link(lossy, stream(9, "delay"), LossChannel(stream(9, "loss")))
+    dark.blackouts = 1
+    full = LossChannel(stream(9, "loss"))
+    for _ in range(50):
+        assert dark.transit_ms() is None
+        assert sample_loss(rule(loss=LossSpec(1.0)), full)
+    assert dark.loss_channel.prev_u == full.prev_u
+    assert dark.rule is lossy
+    # once lit, the correlated draws go on from the blackout's last draw
+    dark.blackouts = 0
+    for _ in range(50):
+        assert dark.transit_ms() == (None if sample_loss(lossy, full) else 5.0)
 
 
 # -- delay sampling --------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import fedsim
 from fedsim import faults, topology
-from fedsim.netem import DATA, JitterSpec, LossSpec
+from fedsim.netem import JitterSpec, LossSpec
 from fedsim.topology import (
     ClusterSpec,
     DemandSpec,

@@ -18,7 +18,6 @@ from fedsim.workload import (
     WorkloadSpec,
     next_arrival,
     phase_windows,
-    sample_payload,
     service_demand,
 )
 from tests.conftest import make_topology, run_scenario_text, two_cluster_doc
@@ -147,13 +146,13 @@ class TestPoissonArrivals:
 class TestPayloads:
     def test_constant(self):
         spec = PayloadSpec(dist="constant", bytes=300_000)
-        assert sample_payload(spec, random.Random(0)) == 300_000
+        assert PayloadSampler(spec, random.Random(0)).sample() == 300_000
 
     def test_lognormal_moments(self):
         mu, sigma = math.log(250_000), 0.35
         spec = PayloadSpec(dist="lognormal", mu=mu, sigma=sigma)
-        rng = stream(0, "payload")
-        draws = [sample_payload(spec, rng) for _ in range(100_000)]
+        sampler = PayloadSampler(spec, stream(0, "payload"))
+        draws = [sampler.sample() for _ in range(100_000)]
         expected_mean = math.exp(mu + sigma**2 / 2)
         assert statistics.fmean(draws) == pytest.approx(expected_mean, rel=0.01)
         log_draws = [math.log(d) for d in draws]
@@ -163,14 +162,14 @@ class TestPayloads:
 
     def test_lognormal_floor_at_one_byte(self):
         spec = PayloadSpec(dist="lognormal", mu=-10.0, sigma=0.1)
-        rng = random.Random(0)
-        assert all(sample_payload(spec, rng) == 1 for _ in range(100))
+        sampler = PayloadSampler(spec, random.Random(0))
+        assert all(sampler.sample() == 1 for _ in range(100))
 
     def test_empirical_uniform_hits_all_values(self):
         values = (1000, 2000, 4000)
         spec = PayloadSpec(dist="empirical", values=values, mode="uniform")
-        rng = stream(0, "payload")
-        draws = [sample_payload(spec, rng) for _ in range(6_000)]
+        sampler = PayloadSampler(spec, stream(0, "payload"))
+        draws = [sampler.sample() for _ in range(6_000)]
         assert set(draws) == set(values)
         for v in values:
             assert draws.count(v) == pytest.approx(2_000, abs=200)
