@@ -7,8 +7,8 @@ Subcommands:
   sweep     run one scenario across a list of values for one parameter path
 
 Exit codes: 0 success, 1 invalid scenario or sweep values, 2 bad usage or
-unreadable input, 3 engine errors (with an event-log tail dumped for
-diagnosis).
+unreadable input, 3 any error raised inside a run (with an event-log tail
+dumped for diagnosis).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import re
 import sys
 import time as wall_time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -69,7 +70,7 @@ def _load(text: str, seed: int | None = None):
     return spec, topo
 
 
-def _dump_event_tail(engine, out_dir: Path, exc: EngineError) -> None:
+def _dump_event_tail(engine, out_dir: Path, exc: Exception) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     dump = out_dir / "event_log_tail.csv"
     with dump.open("w", newline="") as handle:
@@ -77,22 +78,21 @@ def _dump_event_tail(engine, out_dir: Path, exc: EngineError) -> None:
         writer.writerow(["time_s", "seq", "kind"])
         for time, seq, kind, *_payload in engine.event_tail:
             writer.writerow([repr(time), seq, kind])
-    print(f"engine error: {exc}", file=sys.stderr)
+    detail = str(exc)
+    if not isinstance(exc, EngineError):
+        frame = traceback.extract_tb(exc.__traceback__)[-1]  # where it was raised
+        detail = f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}: {exc}"
+    print(f"engine error: {detail}", file=sys.stderr)
     print(f"event log tail written to {dump}", file=sys.stderr)
 
 
 def _summarize(result, spec, out_dir: Path, elapsed_s: float, until: float) -> None:
     rate_means: dict[str, dict[str, float]] = {}
-    try:
-        rates = [
-            metrics.cpu_rate(series, result.rate_window_s)
-            for series in result.metrics.series(metrics.BUSY_COUNTER)
-        ]
-        for (cluster, service), series in sorted(metrics.aggregate_by_cluster(rates).items()):
-            values = [value for _, value in series.samples]
+    rates = metrics.cpu_rate(result.metrics, result.rate_window_s, result.scrape_interval_s)
+    for (cluster, service), series in metrics.cluster_rates(result.metrics, rates).items():
+        if series:  # empty when the run is shorter than the rate window
+            values = [value for _, value in series]
             rate_means.setdefault(cluster, {})[service] = sum(values) / len(values)
-    except metrics.MetricsError:
-        pass  # run shorter than the rate window
 
     summary = {
         "results": {
@@ -125,7 +125,7 @@ def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: boo
     started = wall_time.perf_counter()
     try:
         result = engine.run(until=bound)
-    except EngineError as exc:
+    except Exception as exc:  # any failure inside a run exits 3 with the tail
         _dump_event_tail(engine, out, exc)
         return EXIT_ENGINE
     elapsed = wall_time.perf_counter() - started
@@ -174,7 +174,7 @@ def cmd_ping(args) -> int:
     out = Path(args.out_dir)
     try:
         samples = probes.run_ping(engine, interval_s=args.interval, duration_s=duration)
-    except EngineError as exc:
+    except Exception as exc:
         _dump_event_tail(engine, out, exc)
         return EXIT_ENGINE
 

@@ -20,11 +20,12 @@ Replicas are FIFO queues with a concurrency limit of
 vCPU for its full demand. A request admitted to a free slot starts service at
 once, and a freed slot goes at once to the head of the queue, skipping
 requests that timed out while queued (a request whose timeout falls due at
-that very instant counts as timed out). A start at the instant a scrape is
-due waits until that scrape has run, so a scrape sees every replica as it was
-before the starts of its instant. Starts and skips are not queued as events,
-but each counts as one ``service_start`` in ``event_count``, the event tail
-and the debug log.
+that very instant counts as timed out). Scrape k runs at exactly
+``k * scrape_interval_s`` while that is below the duration. A start at the
+instant a scrape is due waits until that scrape has run, so a scrape sees
+every replica as it was before the starts of its instant. Starts and skips
+are not queued as events, but each counts as one ``service_start`` in
+``event_count``, the event tail and the debug log.
 """
 
 from __future__ import annotations
@@ -131,9 +132,6 @@ class ReplicaState:
         self.fifo: deque = deque()
         self.busy_vcpu_seconds = 0.0
 
-    def outstanding(self) -> int:
-        return self.in_service + len(self.fifo)
-
     def __repr__(self) -> str:
         endpoint = self.endpoint
         return f"ReplicaState({endpoint.service}@c{endpoint.cluster}#{endpoint.replica})"
@@ -143,7 +141,7 @@ class ReplicaState:
 class RunResult:
     """Snapshot of a run's outputs; returned by ``EngineState.run``."""
 
-    metrics: metrics.MetricsStore
+    metrics: metrics.Scrapes
     traces: list
     probes: list
     event_count: int
@@ -174,6 +172,7 @@ class EngineState:
         self._primed = False
         # time of the scrape not yet run; starts at that instant wait for it
         self._scrape_at: float | None = None
+        self._scrape_k = 0  # number of the next scrape
         self._deferred_starts: list = []
 
         # scenario values read per event, looked up once here
@@ -204,7 +203,7 @@ class EngineState:
             endpoint: mesh.BalancerState(policy=topology.backend_policy) for endpoint in self.frontend_endpoints
         }
 
-        self.metrics = metrics.MetricsStore()
+        self.metrics = metrics.Scrapes.of(self.replicas.values(), self.cluster_names)
         self.traces: list[Request] = []
         self.probes: list = []
         self.probe_plans: list = []
@@ -495,7 +494,8 @@ class EngineState:
 
     def _on_scrape(self, t: float, _payload) -> None:
         metrics.scrape(self, t)
-        nxt = t + self.scrape_interval_s
+        self._scrape_k += 1
+        nxt = self._scrape_k * self.scrape_interval_s
         self._scrape_at = nxt if nxt < self.duration_s else None
         if self._scrape_at is not None:
             self.schedule(nxt, SCRAPE)

@@ -1,22 +1,25 @@
 """Federation-wide metrics: periodic scrapes, rate derivation, CSV export.
 
-The scraper visits every replica on a fixed interval starting at t=0 and
-records two series per replica: the monotone counter
+Scrape k runs at ``k * scrape_interval_s`` while that is below the duration
+and records, per replica, the monotone counter
 ``replica_busy_vcpu_seconds_total`` (vCPU-seconds of completed service) and
-the gauge ``replica_outstanding_requests`` (in service + queued). CPU usage
-is derived the way a monitoring stack would: a windowed rate over the
-counter, ``(v(t) - v(t - window)) / window``, evaluated at each scrape that
-has a full window behind it.
+the gauge ``replica_outstanding_requests`` (in service + queued). ``Scrapes``
+holds them densely: one row per scrape, replicas in (cluster name, service,
+replica) order.
 
-Exports are deterministic: fixed column orders, rows sorted by
-(time, cluster, service, replica), floats written with ``repr`` so equal runs
-produce byte-identical files.
+CPU usage is a windowed rate over the counter, as a monitoring stack derives
+it. The rate at scrape k is anchored ``lag = ceil((window - eps) / interval)``
+scrapes back, on the last scrape at or before ``t_k - window + eps``; a lag
+below 1 gives no rates.
+
+Exports are deterministic: fixed column orders, rows in (time, cluster,
+service, replica) order, floats written with ``repr``.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,113 +30,70 @@ CPU_RATE = "cpu_rate"
 _EPS = 1e-9
 
 
-class MetricsError(Exception):
-    pass
-
-
 @dataclass
-class MetricSeries:
-    name: str
-    labels: dict[str, str]
-    samples: list[tuple[float, float]] = field(default_factory=list)
+class Scrapes:
+    """Every scrape of a run: ``times[k]``, and ``busy[k][r]`` and
+    ``outstanding[k][r]`` for the replica labelled ``labels[r]``."""
 
-    def label_key(self) -> tuple:
-        return tuple(sorted(self.labels.items()))
+    labels: list[tuple[str, str, str]]  # (cluster, service, replica)
+    replicas: list = field(compare=False, repr=False)
+    times: list[float] = field(default_factory=list)
+    busy: list[list[float]] = field(default_factory=list)
+    outstanding: list[list[float]] = field(default_factory=list)
 
+    @classmethod
+    def of(cls, replicas, cluster_names) -> Scrapes:
+        """An empty store over ``replicas``, sorted by (cluster name,
+        service, replica)."""
 
-class MetricsStore:
-    """Time series keyed by (metric name, label set)."""
+        def key(replica):
+            endpoint = replica.endpoint
+            return cluster_names[endpoint.cluster], endpoint.service, endpoint.replica
 
-    def __init__(self):
-        self._series: dict[tuple, MetricSeries] = {}
-
-    def add_sample(self, name: str, labels: dict[str, str], t: float, value: float) -> None:
-        key = (name, tuple(sorted(labels.items())))
-        series = self._series.get(key)
-        if series is None:
-            series = MetricSeries(name, dict(labels))
-            self._series[key] = series
-        series.samples.append((t, value))
-
-    def series(self, name: str) -> list[MetricSeries]:
-        return [s for (series_name, _), s in self._series.items() if series_name == name]
-
-    def get(self, name: str, **labels) -> MetricSeries | None:
-        return self._series.get((name, tuple(sorted((k, str(v)) for k, v in labels.items()))))
+        ordered = sorted(replicas, key=key)
+        return cls([(cluster, service, str(index)) for cluster, service, index in map(key, ordered)], ordered)
 
 
 def scrape(engine, t: float) -> None:
-    """Record one sample of every per-replica series at time t."""
-    cluster_names = engine.cluster_names
-    for endpoint, replica in engine.replicas.items():
-        labels = {
-            "cluster": cluster_names[endpoint.cluster],
-            "service": endpoint.service,
-            "replica": str(endpoint.replica),
-        }
-        engine.metrics.add_sample(BUSY_COUNTER, labels, t, replica.busy_vcpu_seconds)
-        engine.metrics.add_sample(OUTSTANDING_GAUGE, labels, t, float(replica.outstanding()))
+    """Record one row of every per-replica series at time t."""
+    store = engine.metrics
+    replicas = store.replicas
+    store.times.append(t)
+    store.busy.append([replica.busy_vcpu_seconds for replica in replicas])
+    store.outstanding.append([float(replica.in_service + len(replica.fifo)) for replica in replicas])
 
 
-def cpu_rate(series: MetricSeries, window_s: float) -> MetricSeries:
-    """Windowed rate of a counter series, defined at each sample with a full
-    window behind it. The window should span at least two scrape intervals."""
-    samples = series.samples
-    if len(samples) < 2:
-        raise MetricsError(f"insufficient samples for a rate over {window_s}s")
-    times = [t for t, _ in samples]
-    out = []
-    for i, (t_i, v_i) in enumerate(samples):
-        cutoff = t_i - window_s
-        if cutoff < times[0] - _EPS:
-            continue
-        j = bisect_right(times, cutoff + _EPS) - 1
-        if j < 0 or j >= i:
-            continue
-        out.append((t_i, (v_i - samples[j][1]) / (t_i - times[j])))
-    if not out:
-        raise MetricsError(f"insufficient samples for a rate over {window_s}s")
-    return MetricSeries(CPU_RATE, dict(series.labels), out)
+def cpu_rate(store: Scrapes, window_s: float, interval_s: float) -> list[tuple[float, list[float]]]:
+    """Windowed rate of every replica's busy counter on a ``k * interval_s``
+    grid: one (time, row) per scrape with a full window behind it."""
+    times, busy = store.times, store.busy
+    steps = (window_s - _EPS) / interval_s  # inf when the ratio overflows
+    if not 0 < steps < len(times):
+        return []
+    lag = math.ceil(steps)
+    rates = []
+    for k in range(lag, len(times)):
+        span = times[k] - times[k - lag]
+        rates.append((times[k], [(now - then) / span for now, then in zip(busy[k], busy[k - lag])]))
+    return rates
 
 
-def aggregate_by_cluster(rate_series) -> dict[tuple[str, str], MetricSeries]:
-    """Sum series pointwise per (cluster, service); grids must line up."""
-    groups: dict[tuple[str, str], list[MetricSeries]] = {}
-    for series in rate_series:
-        key = (series.labels["cluster"], series.labels["service"])
-        groups.setdefault(key, []).append(series)
-    aggregated = {}
-    for key, members in groups.items():
-        grid = [t for t, _ in members[0].samples]
-        for member in members[1:]:
-            if [t for t, _ in member.samples] != grid:
-                raise MetricsError(f"mismatched scrape grids for {key}")
-        summed = [
-            (t, sum(member.samples[k][1] for member in members)) for k, t in enumerate(grid)
-        ]
-        aggregated[key] = MetricSeries(members[0].name, {"cluster": key[0], "service": key[1]}, summed)
-    return aggregated
+def cluster_rates(store: Scrapes, rates) -> dict[tuple[str, str], list[tuple[float, float]]]:
+    """Sum ``cpu_rate`` rows per (cluster, service), adding the replicas in
+    store order; keys come out in (cluster name, service) order."""
+    groups: dict[tuple[str, str], list[int]] = {}
+    for index, (cluster, service, _replica) in enumerate(store.labels):
+        groups.setdefault((cluster, service), []).append(index)
+    return {key: [(t, sum(row[i] for i in members)) for t, row in rates] for key, members in groups.items()}
 
 
-def _replica_sort_key(labels: dict[str, str]) -> tuple:
-    replica = labels.get("replica", "0")
-    return (labels.get("cluster", ""), labels.get("service", ""), int(replica) if replica.isdigit() else replica)
-
-
-def _write_series_csv(path: Path, series_list) -> None:
-    rows = []
-    for series in series_list:
-        key = _replica_sort_key(series.labels)
-        for t, value in series.samples:
-            rows.append((t, key, series.labels, value))
-    rows.sort(key=lambda row: (row[0], row[1]))
+def _write_rows(path: Path, labels, rows) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time_s", "cluster", "service", "replica", "value"])
-        for t, _key, labels, value in rows:
-            writer.writerow(
-                [repr(t), labels.get("cluster", ""), labels.get("service", ""), labels.get("replica", ""), repr(value)]
-            )
+        for t, row in rows:
+            stamp = repr(t)
+            writer.writerows([stamp, *label, repr(value)] for label, value in zip(labels, row))
 
 
 def _format_stamp(value) -> str:
@@ -150,28 +110,19 @@ def export_csv(result, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    busy = result.metrics.series(BUSY_COUNTER)
-    paths[BUSY_COUNTER] = out / f"{BUSY_COUNTER}.csv"
-    _write_series_csv(paths[BUSY_COUNTER], busy)
-
-    outstanding = result.metrics.series(OUTSTANDING_GAUGE)
-    paths[OUTSTANDING_GAUGE] = out / f"{OUTSTANDING_GAUGE}.csv"
-    _write_series_csv(paths[OUTSTANDING_GAUGE], outstanding)
-
-    rates = []
-    for series in busy:
-        try:
-            rates.append(cpu_rate(series, result.rate_window_s))
-        except MetricsError:
-            continue  # run shorter than the window
-    paths[CPU_RATE] = out / f"{CPU_RATE}.csv"
-    _write_series_csv(paths[CPU_RATE], rates)
+    store, names = result.metrics, result.cluster_names
+    for name, rows in (
+        (BUSY_COUNTER, zip(store.times, store.busy)),
+        (OUTSTANDING_GAUGE, zip(store.times, store.outstanding)),
+        (CPU_RATE, cpu_rate(store, result.rate_window_s, result.scrape_interval_s)),
+    ):
+        paths[name] = out / f"{name}.csv"
+        _write_rows(paths[name], store.labels, rows)
 
     paths["probe_rtt"] = out / "probe_rtt.csv"
     with paths["probe_rtt"].open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["src", "dst", "sent_at_s", "rtt_ms", "lost"])
-        names = result.cluster_names
         for sample in result.probes:
             writer.writerow(
                 [
@@ -207,7 +158,6 @@ def export_csv(result, out_dir: str | Path) -> dict[str, Path]:
                 "response_out",
             ]
         )
-        names = result.cluster_names
         for trace in result.traces:
             frontend = trace.frontend
             backend = trace.backend

@@ -30,16 +30,13 @@ def run_bundled(name, until=None):
 
 
 def cluster_rates(result, window_s=60.0):
-    rates = [
-        metrics.cpu_rate(series, window_s)
-        for series in result.metrics.series(metrics.BUSY_COUNTER)
-    ]
-    return metrics.aggregate_by_cluster(rates)
+    rates = metrics.cpu_rate(result.metrics, window_s, result.scrape_interval_s)
+    return metrics.cluster_rates(result.metrics, rates)
 
 
 def window_mean(series, lo, hi):
-    values = [v for t, v in series.samples if lo <= t <= hi]
-    assert values, (series.labels, lo, hi)
+    values = [v for t, v in series if lo <= t <= hi]
+    assert values, (lo, hi)
     return fmean(values)
 
 
@@ -153,11 +150,12 @@ def test_criterion_6_blackout_shifts_and_recovers(blackout_result):
     rates = cluster_rates(blackout_result)
     c3, c4 = rates[("C3", "backend")], rates[("C4", "backend")]
     # every replica is scraped on the full 5 s grid
-    for series in blackout_result.metrics.series(metrics.BUSY_COUNTER):
-        assert len(series.samples) == 240
+    store = blackout_result.metrics
+    assert len(store.times) == 240
+    assert all(len(row) == len(store.labels) for row in store.busy)
     # C3 goes silent inside both outage windows
     for lo, hi in ((360.0, 595.0), (960.0, 1195.0)):
-        assert max(v for t, v in c3.samples if lo <= t <= hi) < 0.01, (lo, hi)
+        assert max(v for t, v in c3 if lo <= t <= hi) < 0.01, (lo, hi)
     # C4 absorbs the full load: x2 versus the pre-outage window, 10% rel
     pre = window_mean(c4, 120.0, 300.0)
     during1 = window_mean(c4, 360.0, 595.0)
@@ -209,13 +207,13 @@ def test_criterion_8_windowed_rates_track_offered_load(poc_result, poc_rates):
     be_tol = 0.082 / 60 + EPS
     fe_tol = 2 * 0.023 / 60 + EPS
     for dc in DCS:
-        for t, v in poc_rates[(dc, "backend")].samples:
+        for t, v in poc_rates[(dc, "backend")]:
             if 120.0 <= t <= 600.0:
                 assert abs(v - 0.41) <= be_tol, (dc, t, v)
             elif 720.0 <= t <= 1200.0:
                 assert abs(v - 0.82) <= be_tol, (dc, t, v)
     for edge in EDGES:
-        for t, v in poc_rates[(edge, "frontend")].samples:
+        for t, v in poc_rates[(edge, "frontend")]:
             if 120.0 <= t <= 600.0:
                 assert abs(v - 0.115) <= fe_tol, (edge, t, v)
             elif 720.0 <= t <= 1200.0:

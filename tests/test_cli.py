@@ -235,6 +235,21 @@ class TestRun:
         assert tail[1] == "1.0,0,arrival"
 
 
+@pytest.mark.parametrize("command", ["run", "ping"])
+def test_exception_inside_a_run_exits_3_with_the_event_tail(command, tmp_path, capsys):
+    # validates, but the first payload draw overflows math.exp
+    doc = MINI_DOC.replace("payload: {dist: constant, bytes: 1000}", "payload: {dist: lognormal, mu: 800, sigma: 1}")
+    scenario = tmp_path / "overflow.yaml"
+    scenario.write_text(doc)
+    assert cli.main(["validate", str(scenario)]) == 0
+    out = tmp_path / "out"
+    assert cli.main([command, str(scenario), "--out-dir", str(out)]) == 3
+    assert "engine error: OverflowError at workload.py:" in capsys.readouterr().err
+    tail = (out / "event_log_tail.csv").read_text().splitlines()
+    assert tail[0] == "time_s,seq,kind"
+    assert tail[-1].endswith(",arrival")
+
+
 class TestPing:
     def test_ping_prints_matrix_and_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -80,11 +80,10 @@ class TestScheduling:
     def test_run_beyond_duration_stops_scraping(self):
         result, engine = run_scenario_text(MINI_DOC, until=1000.0)
         assert engine.clock == 1000.0
-        series = result.metrics.series("replica_busy_vcpu_seconds_total")
-        assert series
-        for member in series:
-            times = [t for t, _ in member.samples]
-            assert times == [5.0 * k for k in range(24)], member.labels
+        store = result.metrics
+        assert store.labels
+        assert store.times == [5.0 * k for k in range(24)]
+        assert len(store.busy) == len(store.outstanding) == 24
 
 
 class TestConservation:
@@ -251,9 +250,7 @@ class TestDeterminism:
         stepped = engine.run(until=40.0)
         assert self.stamps(single) == self.stamps(stepped)
         assert single.event_count == stepped.event_count
-        assert single.metrics.series("replica_busy_vcpu_seconds_total") == stepped.metrics.series(
-            "replica_busy_vcpu_seconds_total"
-        )
+        assert single.metrics == stepped.metrics
 
     def test_split_runs_match_single_run_under_ties(self):
         # cut at scrape instants and mid-burst, where starts, timeouts and
@@ -266,8 +263,7 @@ class TestDeterminism:
         assert self.stamps(single) == self.stamps(stepped)
         assert single.timed_out > 0 and single.lost > 0
         assert single.event_count == stepped.event_count
-        for name in ("replica_busy_vcpu_seconds_total", "replica_outstanding_requests"):
-            assert single.metrics.series(name) == stepped.metrics.series(name)
+        assert single.metrics == stepped.metrics
 
     def test_intra_cluster_traffic_draws_no_link_randomness(self):
         doc = """

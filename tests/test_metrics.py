@@ -1,50 +1,43 @@
-"""Scrape series, windowed rates, aggregation, and CSV export."""
+"""Scrape store, windowed rates, aggregation, and CSV export."""
 
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsim import metrics
 from fedsim.metrics import (
+    _EPS,
     BUSY_COUNTER,
     CPU_RATE,
     OUTSTANDING_GAUGE,
-    MetricSeries,
-    MetricsError,
-    MetricsStore,
-    aggregate_by_cluster,
+    Scrapes,
+    cluster_rates,
     cpu_rate,
     export_csv,
 )
 from tests.conftest import MINI_DOC, run_scenario_text
 
 
-def series_of(samples, **labels):
-    return MetricSeries(BUSY_COUNTER, {k: str(v) for k, v in labels.items()}, samples)
+def store_of(times, *columns, labels=None):
+    """A store with one busy column per replica, all on ``times``."""
+    labels = labels or [("a", "s", str(r)) for r in range(len(columns))]
+    return Scrapes(labels, [], list(times), [list(row) for row in zip(*columns)])
 
 
-class TestStore:
-    def test_add_and_get_by_labels(self):
-        store = MetricsStore()
-        store.add_sample("m", {"cluster": "a", "service": "s", "replica": "0"}, 0.0, 1.0)
-        store.add_sample("m", {"cluster": "a", "service": "s", "replica": "0"}, 5.0, 2.0)
-        store.add_sample("m", {"cluster": "b", "service": "s", "replica": "0"}, 0.0, 9.0)
-        found = store.get("m", cluster="a", service="s", replica=0)
-        assert found.samples == [(0.0, 1.0), (5.0, 2.0)]
-        assert store.get("m", cluster="z", service="s", replica=0) is None
-        assert len(store.series("m")) == 2
-        assert store.series("other") == []
+def column(store, rows, label):
+    r = store.labels.index(label)
+    return [row[r] for row in rows]
 
 
 class TestScrapeGrid:
     def test_mini_run_grid_and_monotone_counter(self):
         result, _ = run_scenario_text(MINI_DOC)
-        grid = [5.0 * k for k in range(24)]
-        busy = result.metrics.series(BUSY_COUNTER)
-        assert len(busy) == 2  # one fe and one be replica
-        for member in busy:
-            assert [t for t, _ in member.samples] == grid
-            values = [v for _, v in member.samples]
+        store = result.metrics
+        assert store.labels == [("solo", "be", "0"), ("solo", "fe", "0")]  # one fe and one be replica
+        assert store.times == [5.0 * k for k in range(24)]
+        for label in store.labels:
+            values = column(store, store.busy, label)
             assert all(b >= a for a, b in zip(values, values[1:]))
             assert values[0] == 0.0
             assert values[-1] > 0.0
@@ -55,59 +48,104 @@ class TestScrapeGrid:
             "base_ms: 30.0", "base_ms: 50.0"
         )
         result, _ = run_scenario_text(doc, until=60.0)
-        gauge = result.metrics.get(OUTSTANDING_GAUGE, cluster="solo", service="be", replica=0)
-        assert max(v for _, v in gauge.samples) > 1.0
+        store = result.metrics
+        assert max(column(store, store.outstanding, ("solo", "be", "0"))) > 1.0
+
+    def test_scrapes_sit_on_exact_multiples_of_the_interval(self):
+        # summing 0.1 ten times gives 0.9999999999999999 < 1.0, an 11th scrape
+        doc = "clusters: [{name: only}]\nduration_s: 1.0\nscrape_interval_s: 0.1\n"
+        result, _ = run_scenario_text(doc)
+        assert result.metrics.times == [k * 0.1 for k in range(10)]
 
 
 class TestCpuRate:
     def test_handcrafted_rate(self):
-        series = series_of([(0.0, 0.0), (5.0, 1.0), (10.0, 3.0)], cluster="a", service="s", replica=0)
-        rate = cpu_rate(series, 5.0)
-        assert rate.name == CPU_RATE
-        assert rate.labels == series.labels
-        assert rate.samples == [(5.0, pytest.approx(0.2)), (10.0, pytest.approx(0.4))]
+        store = store_of([0.0, 5.0, 10.0], [0.0, 1.0, 3.0])
+        assert cpu_rate(store, 5.0, 5.0) == [(5.0, [pytest.approx(0.2)]), (10.0, [pytest.approx(0.4)])]
 
     def test_window_spanning_multiple_scrapes(self):
-        series = series_of([(0.0, 0.0), (5.0, 1.0), (10.0, 3.0)], cluster="a", service="s", replica=0)
-        rate = cpu_rate(series, 10.0)
-        assert rate.samples == [(10.0, pytest.approx(0.3))]
+        store = store_of([0.0, 5.0, 10.0], [0.0, 1.0, 3.0])
+        assert cpu_rate(store, 10.0, 5.0) == [(10.0, [pytest.approx(0.3)])]
 
     def test_window_boundary_inclusive_under_epsilon(self):
-        # t - window lands exactly on a sample; that sample anchors the rate
-        series = series_of([(0.0, 0.0), (60.0, 30.0), (120.0, 90.0)], cluster="a", service="s", replica=0)
-        rate = cpu_rate(series, 60.0)
-        assert rate.samples == [(60.0, pytest.approx(0.5)), (120.0, pytest.approx(1.0))]
+        # t - window lands exactly on a scrape; that scrape anchors the rate
+        store = store_of([0.0, 60.0, 120.0], [0.0, 30.0, 90.0])
+        assert cpu_rate(store, 60.0, 60.0) == [(60.0, [pytest.approx(0.5)]), (120.0, [pytest.approx(1.0)])]
 
-    def test_single_sample_raises(self):
-        series = series_of([(0.0, 0.0)], cluster="a", service="s", replica=0)
-        with pytest.raises(MetricsError):
-            cpu_rate(series, 60.0)
+    def test_single_sample_gives_no_rows(self):
+        assert cpu_rate(store_of([0.0], [0.0]), 60.0, 5.0) == []
 
-    def test_window_longer_than_series_raises(self):
-        series = series_of([(0.0, 0.0), (5.0, 1.0)], cluster="a", service="s", replica=0)
-        with pytest.raises(MetricsError):
-            cpu_rate(series, 60.0)
+    def test_window_longer_than_series_gives_no_rows(self):
+        assert cpu_rate(store_of([0.0, 5.0], [0.0, 1.0]), 60.0, 5.0) == []
+
+    def test_window_over_interval_that_overflows_gives_no_rows(self):
+        assert cpu_rate(store_of([0.0, 1e-10], [0.0, 1.0]), 1e308, 1e-10) == []
+
+    def test_window_below_epsilon_writes_header_only(self, tmp_path):
+        result, _ = run_scenario_text(MINI_DOC + "rate_window_s: 1.0e-10\n")
+        assert cpu_rate(result.metrics, 1e-10, 5.0) == []
+        with open(export_csv(result, tmp_path)[CPU_RATE], newline="") as handle:
+            assert list(csv.reader(handle)) == [["time_s", "cluster", "service", "replica", "value"]]
+
+
+def anchored_rates(times, busy, window_s):
+    """Brute-force rates: scrape k is anchored on the last scrape at or before
+    ``t_k - window + eps``, and has no rate without an earlier anchor."""
+    rows = []
+    for k, t in enumerate(times):
+        cutoff = t - window_s
+        if cutoff < times[0] - _EPS:
+            continue
+        anchors = [j for j, s in enumerate(times) if s <= cutoff + _EPS]
+        if not anchors or anchors[-1] >= k:
+            continue
+        j = anchors[-1]
+        rows.append((t, [(now - then) / (t - times[j]) for now, then in zip(busy[k], busy[j])]))
+    return rows
+
+
+@st.composite
+def grids_and_windows(draw):
+    interval = draw(
+        st.one_of(
+            st.sampled_from([0.0625, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0, 7.0]),
+            st.floats(1e-3, 100.0, allow_nan=False, allow_infinity=False),
+        )
+    )
+    lag = draw(st.integers(0, 25))
+    window = draw(
+        st.one_of(
+            st.just(lag * interval),  # an exact multiple of the interval
+            # beside m * interval + eps, where both rules are exact only to
+            # rounding: (0.0625, 1.000000001) has lag 16 and a rate at t = 1.0,
+            # but 1.0 - 1.000000001 + eps rounds below 0
+            st.sampled_from([-2, -0.5, 0.5, 2]).map(lambda d: max(1e-10, lag * interval + d * _EPS)),
+            st.floats(1e-10, 30 * interval, allow_nan=False, allow_infinity=False),
+            st.just(1e-10),
+        ).filter(lambda w: w > 0)
+    )
+    return interval, window, draw(st.integers(1, 60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=grids_and_windows())
+def test_lag_rule_picks_the_brute_force_anchor(case):
+    interval, window, count = case
+    times = [k * interval for k in range(count)]
+    busy = [[float(k * k), 0.5 * k] for k in range(count)]
+    store = Scrapes([("a", "s", "0"), ("a", "s", "1")], [], times, busy)
+    assert cpu_rate(store, window, interval) == anchored_rates(times, busy, window)
 
 
 class TestAggregate:
     def test_sums_replicas_within_cluster(self):
-        rates = [
-            MetricSeries(CPU_RATE, {"cluster": "a", "service": "s", "replica": "0"}, [(5.0, 0.1), (10.0, 0.2)]),
-            MetricSeries(CPU_RATE, {"cluster": "a", "service": "s", "replica": "1"}, [(5.0, 0.3), (10.0, 0.4)]),
-            MetricSeries(CPU_RATE, {"cluster": "b", "service": "s", "replica": "0"}, [(5.0, 1.0), (10.0, 1.0)]),
-        ]
-        agg = aggregate_by_cluster(rates)
-        assert set(agg) == {("a", "s"), ("b", "s")}
-        assert agg[("a", "s")].samples == [(5.0, pytest.approx(0.4)), (10.0, pytest.approx(0.6))]
-        assert agg[("b", "s")].samples == [(5.0, 1.0), (10.0, 1.0)]
-
-    def test_mismatched_grids_raise(self):
-        rates = [
-            MetricSeries(CPU_RATE, {"cluster": "a", "service": "s", "replica": "0"}, [(5.0, 0.1)]),
-            MetricSeries(CPU_RATE, {"cluster": "a", "service": "s", "replica": "1"}, [(10.0, 0.1)]),
-        ]
-        with pytest.raises(MetricsError):
-            aggregate_by_cluster(rates)
+        labels = [("a", "s", "0"), ("a", "s", "1"), ("b", "s", "0")]
+        store = store_of([0.0, 5.0, 10.0], [0.0] * 3, [0.0] * 3, [0.0] * 3, labels=labels)
+        rates = [(5.0, [0.1, 0.3, 1.0]), (10.0, [0.2, 0.4, 1.0])]
+        agg = cluster_rates(store, rates)
+        assert list(agg) == [("a", "s"), ("b", "s")]
+        assert agg[("a", "s")] == [(5.0, pytest.approx(0.4)), (10.0, pytest.approx(0.6))]
+        assert agg[("b", "s")] == [(5.0, 1.0), (10.0, 1.0)]
 
 
 class TestExport:
@@ -128,6 +166,35 @@ class TestExport:
         # floats round-trip through repr
         for row in body:
             assert float(row[4]) >= 0.0
+
+    def test_rows_sorted_by_cluster_name_not_declaration_order(self, tmp_path):
+        # c2 is declared before c10, services backend-first by name, and c10
+        # has replicas 0..10: rows go by (time, cluster, service, replica)
+        doc = """
+clusters:
+  - {name: c2, nodes: 1, vcpus_per_node: 4}
+  - {name: c10, nodes: 2, vcpus_per_node: 4}
+services:
+  - {name: web, stage: frontend, replicas_per_cluster: {c2: 2}, demand: {base_ms: 5.0, per_kb_ms: 0.0}}
+  - {name: api, stage: backend, replicas_per_cluster: {c2: 1, c10: 11}, demand: {base_ms: 20.0, per_kb_ms: 0.0}}
+workload:
+  arrival: constant
+  payload: {dist: constant, bytes: 1000}
+  phases:
+    - {rate: 5.0, duration_s: 20}
+duration_s: 20
+rate_window_s: 10.0
+"""
+        result, _ = run_scenario_text(doc)
+        labels = [["c10", "api", str(r)] for r in range(11)]
+        labels += [["c2", "api", "0"], ["c2", "web", "0"], ["c2", "web", "1"]]
+        grid = [0.0, 5.0, 10.0, 15.0]
+        paths = export_csv(result, tmp_path)
+        for name, times in ((BUSY_COUNTER, grid), (OUTSTANDING_GAUGE, grid), (CPU_RATE, grid[2:])):
+            body = self.read(paths[name])[1:]
+            assert [row[:4] for row in body] == [[repr(t), *label] for t in times for label in labels], name
+        rates = self.read(paths[CPU_RATE])[1:]
+        assert sum(float(row[4]) for row in rates if row[1] == "c10") > 0.0
 
     def test_rate_file_covers_full_windows_only(self, tmp_path):
         # 120 s run, 60 s window: rates defined at 60..115
