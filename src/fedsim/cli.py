@@ -86,10 +86,10 @@ def _dump_event_tail(engine, out_dir: Path, exc: Exception) -> None:
     print(f"event log tail written to {dump}", file=sys.stderr)
 
 
-def _summarize(result, spec, out_dir: Path, elapsed_s: float, until: float) -> None:
+def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> None:
     rate_means: dict[str, dict[str, float]] = {}
-    rates = metrics.cpu_rate(result.metrics, result.rate_window_s, result.scrape_interval_s)
-    for (cluster, service), series in metrics.cluster_rates(result.metrics, rates).items():
+    rates = metrics.cpu_rate(engine.metrics, spec.rate_window_s, engine.scrape_interval_s)
+    for (cluster, service), series in metrics.cluster_rates(engine.metrics, rates).items():
         if series:  # empty when the run is shorter than the rate window
             values = [value for _, value in series]
             rate_means.setdefault(cluster, {})[service] = sum(values) / len(values)
@@ -98,13 +98,13 @@ def _summarize(result, spec, out_dir: Path, elapsed_s: float, until: float) -> N
         "results": {
             "seed": spec.seed,
             "until_s": until,
-            "arrivals": result.arrivals,
-            "completed": result.completed,
-            "lost": result.lost,
-            "timed_out": result.timed_out,
-            "in_flight": result.in_flight,
-            "events": result.event_count,
-            "probes": len(result.probes),
+            "arrivals": engine.arrivals,
+            "completed": engine.completed,
+            "lost": engine.lost,
+            "timed_out": engine.timed_out,
+            "in_flight": engine.in_flight,
+            "events": engine.event_count,
+            "probes": len(engine.probes),
             "mean_cpu_rate_cores": rate_means,
         },
         "meta": {
@@ -124,24 +124,24 @@ def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: boo
     out = Path(out_dir)
     started = wall_time.perf_counter()
     try:
-        result = engine.run(until=bound)
+        engine.run(until=bound)
     except Exception as exc:  # any failure inside a run exits 3 with the tail
         _dump_event_tail(engine, out, exc)
         return EXIT_ENGINE
     elapsed = wall_time.perf_counter() - started
 
     out.mkdir(parents=True, exist_ok=True)
-    metrics.export_csv(result, out)
+    metrics.export_csv(engine, out)
     if debug_events:
         with (out / "events.csv").open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["time_s", "seq", "kind", "detail"])
             for time, seq, kind, detail in engine.debug_log:
                 writer.writerow([repr(time), seq, kind, detail])
-    _summarize(result, spec, out, elapsed, bound)
+    _summarize(engine, spec, out, elapsed, bound)
     print(
-        f"{out}: {result.arrivals} arrivals, {result.completed} completed, "
-        f"{result.lost} lost, {result.timed_out} timed out, {result.event_count} events"
+        f"{out}: {engine.arrivals} arrivals, {engine.completed} completed, "
+        f"{engine.lost} lost, {engine.timed_out} timed out, {engine.event_count} events"
     )
     return EXIT_OK
 
@@ -181,7 +181,7 @@ def cmd_ping(args) -> int:
     names = [cluster.name for cluster in spec.clusters]
     stats = probes.rtt_stats(samples, len(names))
     out.mkdir(parents=True, exist_ok=True)
-    metrics.export_csv(engine.result(), out)
+    metrics.export_csv(engine, out)
     matrix_doc = {
         "interval_s": args.interval,
         "duration_s": duration,

@@ -15,6 +15,12 @@ costs the configured base delay; the cross-cluster legs additionally cross
 the directed link, which samples impairment delay or drops the message.
 Intra-cluster legs cost the intra-cluster base delay and never drop.
 
+A replica is one ``Replica`` object: a ``mesh.Endpoint`` (identity and
+health, what the balancers pick) extended with its node, queue and busy
+counter; messages carry it as their target. ``engine.replicas`` lists them
+in placement order. ``run`` returns the engine itself, whose counters,
+``traces``, ``probes`` and ``metrics`` are the run's outputs so far.
+
 Replicas are FIFO queues with a concurrency limit of
 ``max(1, node_vcpus // replicas_on_node)``; each in-service request holds one
 vCPU for its full demand. A request admitted to a free slot starts service at
@@ -33,7 +39,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from . import faults, mesh, metrics, netem, probes, workload
 from .probes import PROBE_RECV, PROBE_SEND
@@ -57,16 +62,6 @@ HOP_REQUEST_FE = "request_fe"
 HOP_REQUEST_BE = "request_be"
 HOP_RESPONSE_FE = "response_fe"
 HOP_RESPONSE_CLIENT = "response_client"
-
-TRACE_FIELDS = (
-    "ingress_in",
-    "fe_start",
-    "fe_end",
-    "be_dispatch",
-    "be_start",
-    "be_end",
-    "response_out",
-)
 
 
 class EngineError(Exception):
@@ -115,15 +110,14 @@ class Request:
         return f"Request(#{self.id}, {self.outcome or 'in_flight'})"
 
 
-class ReplicaState:
-    """Runtime state of one service replica pinned to one node."""
+class Replica(mesh.Endpoint):
+    """One service replica pinned to one node: its mesh identity and health,
+    plus its queue and busy counter."""
 
-    __slots__ = (
-        "endpoint", "node", "concurrency_limit", "is_frontend", "free_slots", "in_service", "fifo", "busy_vcpu_seconds"
-    )
+    __slots__ = ("node", "concurrency_limit", "is_frontend", "free_slots", "in_service", "fifo", "busy_vcpu_seconds")
 
-    def __init__(self, endpoint: mesh.Endpoint, node: int, concurrency_limit: int, is_frontend: bool):
-        self.endpoint = endpoint
+    def __init__(self, service: str, cluster: int, replica: int, node: int, concurrency_limit: int, is_frontend: bool):
+        super().__init__(service, cluster, replica)
         self.node = node
         self.concurrency_limit = concurrency_limit
         self.is_frontend = is_frontend
@@ -131,31 +125,6 @@ class ReplicaState:
         self.in_service = 0
         self.fifo: deque = deque()
         self.busy_vcpu_seconds = 0.0
-
-    def __repr__(self) -> str:
-        endpoint = self.endpoint
-        return f"ReplicaState({endpoint.service}@c{endpoint.cluster}#{endpoint.replica})"
-
-
-@dataclass
-class RunResult:
-    """Snapshot of a run's outputs; returned by ``EngineState.run``."""
-
-    metrics: metrics.Scrapes
-    traces: list
-    probes: list
-    event_count: int
-    arrivals: int
-    completed: int
-    lost: int
-    timed_out: int
-    cluster_names: tuple[str, ...]
-    rate_window_s: float
-    scrape_interval_s: float
-
-    @property
-    def in_flight(self) -> int:
-        return self.arrivals - self.completed - self.lost - self.timed_out
 
 
 class EngineState:
@@ -192,18 +161,15 @@ class EngineState:
         self.arrival_rng = stream(spec.seed, "arrival")
         self.payload_sampler = workload.PayloadSampler(spec.workload.payload, stream(spec.seed, "payload"))
 
-        self.registry = mesh.ServiceRegistry()
-        self.replicas: dict[mesh.Endpoint, ReplicaState] = {}
-        self._place_replicas()
-
-        self.frontend_endpoints = self.registry.list(self.frontend.name) if self.frontend else []
-        self.backend_endpoints = self.registry.list(self.backend.name) if self.backend else []
+        self.replicas = self._place_replicas()
+        self.frontend_endpoints = [replica for replica in self.replicas if replica.is_frontend]
+        self.backend_endpoints = [replica for replica in self.replicas if not replica.is_frontend]
         self.ingress_state = mesh.BalancerState(policy=mesh.ROUND_ROBIN)
         self.fe_states = {
             endpoint: mesh.BalancerState(policy=topology.backend_policy) for endpoint in self.frontend_endpoints
         }
 
-        self.metrics = metrics.Scrapes.of(self.replicas.values(), self.cluster_names)
+        self.metrics = metrics.Scrapes.of(self.replicas, self.cluster_names)
         self.traces: list[Request] = []
         self.probes: list = []
         self.probe_plans: list = []
@@ -233,11 +199,11 @@ class EngineState:
             HOP_RESPONSE_CLIENT: self._deliver_response_client,
         }
 
-    def _place_replicas(self) -> None:
+    def _place_replicas(self) -> list[Replica]:
         # round-robin replicas over each cluster's nodes, services in order,
         # then size concurrency by how many replicas share each node
         clusters = self.spec.clusters
-        placed: list[tuple[mesh.Endpoint, int, int]] = []
+        placed: list[tuple[str, int, int, int]] = []
         node_cursor = {k: 0 for k in range(len(clusters))}
         per_node_count: dict[tuple[int, int], int] = {}
         for service in self.topology.services:
@@ -246,15 +212,15 @@ class EngineState:
                 for replica_index in range(count):
                     node = node_cursor[cluster_index] % nodes
                     node_cursor[cluster_index] += 1
-                    endpoint = mesh.Endpoint(service.name, cluster_index, replica_index)
-                    placed.append((endpoint, cluster_index, node))
+                    placed.append((service.name, cluster_index, replica_index, node))
                     per_node_count[(cluster_index, node)] = per_node_count.get((cluster_index, node), 0) + 1
-        for endpoint, cluster_index, node in placed:
+        replicas = []
+        for name, cluster_index, replica_index, node in placed:
             vcpus = clusters[cluster_index].vcpus_per_node
             limit = max(1, vcpus // per_node_count[(cluster_index, node)])
-            self.registry.add(endpoint)
-            is_frontend = self.frontend is not None and endpoint.service == self.frontend.name
-            self.replicas[endpoint] = ReplicaState(endpoint, node, limit, is_frontend)
+            is_frontend = self.frontend is not None and name == self.frontend.name
+            replicas.append(Replica(name, cluster_index, replica_index, node, limit, is_frontend))
+        return replicas
 
     # -- scheduling ---------------------------------------------------------
 
@@ -282,9 +248,11 @@ class EngineState:
         if first is not None and self.frontend_endpoints:
             self.schedule(first, ARRIVAL)
 
-    def run(self, until: float) -> RunResult:
+    def run(self, until: float) -> EngineState:
         """Execute all events with time strictly below ``until``; the clock
-        ends at ``until``. Can be called repeatedly with increasing bounds."""
+        ends at ``until``. Can be called repeatedly with increasing bounds.
+        Returns the engine itself: its counters, ``traces``, ``probes`` and
+        ``metrics`` are the run's outputs so far."""
         if not self._primed:
             self._primed = True
             self._prime()
@@ -314,22 +282,11 @@ class EngineState:
             handlers[kind](time, payload)
         if until > self.clock:
             self.clock = until
-        return self.result()
+        return self
 
-    def result(self) -> RunResult:
-        return RunResult(
-            metrics=self.metrics,
-            traces=list(self.traces),
-            probes=list(self.probes),
-            event_count=self.event_count,
-            arrivals=self.arrivals,
-            completed=self.completed,
-            lost=self.lost,
-            timed_out=self.timed_out,
-            cluster_names=self.cluster_names,
-            rate_window_s=self.spec.rate_window_s,
-            scrape_interval_s=self.scrape_interval_s,
-        )
+    @property
+    def in_flight(self) -> int:
+        return self.arrivals - self.completed - self.lost - self.timed_out
 
     # -- request lifecycle --------------------------------------------------
 
@@ -367,15 +324,15 @@ class EngineState:
         request, target, hop = payload
         self._hops[hop](request, target, t)
 
-    def _deliver_request_fe(self, request: Request, target, t: float) -> None:
+    def _deliver_request_fe(self, request: Request, target: Replica, t: float) -> None:
         demand = workload.service_demand(self.frontend.profile, request.payload_bytes)
-        self._admit(self.replicas[target], request, demand, t)
+        self._admit(target, request, demand, t)
 
-    def _deliver_request_be(self, request: Request, target, t: float) -> None:
+    def _deliver_request_be(self, request: Request, target: Replica, t: float) -> None:
         if request.outcome is not None:
             return  # timed out before the message arrived
         demand = workload.service_demand(self.backend.profile, request.reduced_bytes)
-        self._admit(self.replicas[target], request, demand, t)
+        self._admit(target, request, demand, t)
 
     def _deliver_response_fe(self, request: Request, _target, t: float) -> None:
         if request.outcome is not None or request.responded:
@@ -391,21 +348,21 @@ class EngineState:
         request.response_out = t
         self._finalize(request, OUTCOME_COMPLETED)
 
-    def _admit(self, replica: ReplicaState, request: Request, demand: float, t: float) -> None:
+    def _admit(self, replica: Replica, request: Request, demand: float, t: float) -> None:
         if replica.free_slots > 0:
             replica.free_slots -= 1
             self._start(replica, request, demand, t)
         else:
             replica.fifo.append((request, demand))
 
-    def _pass_slot(self, replica: ReplicaState, t: float) -> None:
+    def _pass_slot(self, replica: Replica, t: float) -> None:
         if replica.fifo:
             request, demand = replica.fifo.popleft()
             self._start(replica, request, demand, t)
         else:
             replica.free_slots += 1
 
-    def _start(self, replica: ReplicaState, request: Request, demand: float, t: float) -> None:
+    def _start(self, replica: Replica, request: Request, demand: float, t: float) -> None:
         """Start ``request`` on the slot it holds, or hand the slot on down
         the queue if the request was abandoned while queued."""
         if t == self._scrape_at:

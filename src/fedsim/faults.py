@@ -181,6 +181,9 @@ def apply(engine, action) -> None:
                 links[cluster][other].blackouts += step
                 links[other][cluster].blackouts += step
     elif isinstance(action, ApplyHealth):
-        engine.registry.set_health(action.service, action.cluster, action.replica, action.healthy)
+        for replica in engine.replicas:
+            if replica.service == action.service and replica.cluster == action.cluster:
+                if action.replica is None or replica.replica == action.replica:
+                    replica.healthy = action.healthy
     else:
         raise TypeError(f"unknown timeline action {type(action).__name__}")

@@ -1,5 +1,11 @@
 """Service endpoints and cross-cluster load balancing.
 
+An ``Endpoint`` is a replica's identity (service, cluster, replica index) and
+its health, as a proxy sidecar sees it; the engine's replicas extend it with
+their queues, so the balancers pick the replica objects themselves. Health
+flips come from the fault timeline, which ``faults.apply`` replays on the
+engine's replicas.
+
 Two balancing policies are modeled after the data-plane proxies they stand in
 for: round-robin (the ingress default) and least-connection (pick the endpoint
 with the fewest outstanding requests). Balancer state is per load-balancing
@@ -25,10 +31,6 @@ POLICIES = (ROUND_ROBIN, LEAST_CONNECTION)
 
 class NoHealthyEndpoint(Exception):
     """Raised by a pick when every candidate endpoint is unhealthy or absent."""
-
-
-class UnknownEndpoint(Exception):
-    """Raised when an endpoint reference does not resolve."""
 
 
 class Endpoint:
@@ -64,31 +66,6 @@ class BalancerState:
     policy: str = ROUND_ROBIN
     rr_cursor: int = 0
     outstanding: dict[Endpoint, int] = field(default_factory=dict)
-
-
-class ServiceRegistry:
-    """Endpoint directory, grouped by service, in registration order."""
-
-    def __init__(self):
-        self._by_service: dict[str, list[Endpoint]] = {}
-
-    def add(self, endpoint: Endpoint) -> None:
-        self._by_service.setdefault(endpoint.service, []).append(endpoint)
-
-    def list(self, service: str) -> list[Endpoint]:
-        return self._by_service.get(service, [])
-
-    def set_health(self, service: str, cluster: int, replica: int | None, healthy: bool) -> None:
-        """Mark one replica, or with ``replica=None`` every replica of the
-        service in the cluster, healthy or unhealthy."""
-        candidates = [e for e in self.list(service) if e.cluster == cluster]
-        if replica is not None:
-            candidates = [e for e in candidates if e.replica == replica]
-        if not candidates:
-            target = f"{service}@cluster {cluster}" + ("" if replica is None else f"#{replica}")
-            raise UnknownEndpoint(f"no such endpoint: {target}")
-        for endpoint in candidates:
-            endpoint.healthy = healthy
 
 
 def pick_rr(state: BalancerState, endpoints: list[Endpoint]) -> Endpoint:

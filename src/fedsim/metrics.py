@@ -47,8 +47,7 @@ class Scrapes:
         service, replica)."""
 
         def key(replica):
-            endpoint = replica.endpoint
-            return cluster_names[endpoint.cluster], endpoint.service, endpoint.replica
+            return cluster_names[replica.cluster], replica.service, replica.replica
 
         ordered = sorted(replicas, key=key)
         return cls([(cluster, service, str(index)) for cluster, service, index in map(key, ordered)], ordered)
@@ -100,8 +99,8 @@ def _format_stamp(value) -> str:
     return "" if value is None else repr(value)
 
 
-def export_csv(result, out_dir: str | Path) -> dict[str, Path]:
-    """Write the full artifact set for a run; returns {name: path}.
+def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
+    """Write the full artifact set of a run's engine; returns {name: path}.
 
     Files are always created, header-only when a run produced no data, so a
     consumer can rely on the manifest.
@@ -110,11 +109,11 @@ def export_csv(result, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    store, names = result.metrics, result.cluster_names
+    store, names = engine.metrics, engine.cluster_names
     for name, rows in (
         (BUSY_COUNTER, zip(store.times, store.busy)),
         (OUTSTANDING_GAUGE, zip(store.times, store.outstanding)),
-        (CPU_RATE, cpu_rate(store, result.rate_window_s, result.scrape_interval_s)),
+        (CPU_RATE, cpu_rate(store, engine.spec.rate_window_s, engine.scrape_interval_s)),
     ):
         paths[name] = out / f"{name}.csv"
         _write_rows(paths[name], store.labels, rows)
@@ -123,7 +122,7 @@ def export_csv(result, out_dir: str | Path) -> dict[str, Path]:
     with paths["probe_rtt"].open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["src", "dst", "sent_at_s", "rtt_ms", "lost"])
-        for sample in result.probes:
+        for sample in engine.probes:
             writer.writerow(
                 [
                     names[sample.src],
@@ -158,7 +157,7 @@ def export_csv(result, out_dir: str | Path) -> dict[str, Path]:
                 "response_out",
             ]
         )
-        for trace in result.traces:
+        for trace in engine.traces:
             frontend = trace.frontend
             backend = trace.backend
             writer.writerow(

@@ -49,8 +49,8 @@ def probe_count(duration_s: float, interval_s: float) -> int:
 def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | None = None):
     """Schedule a ping experiment on the engine and run it to ``duration_s``.
 
-    Defaults to every ordered cluster pair including diagonals. Returns the
-    collected samples; the engine also keeps them in ``engine.probes``.
+    Defaults to every ordered cluster pair including diagonals. Returns
+    ``engine.probes``, the engine's own list of collected samples.
     """
     n = len(engine.cluster_names)
     if duration_s is None:
@@ -63,8 +63,7 @@ def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | No
     if plan.count > 0:
         for pair_index in range(len(plan.pairs)):
             engine.schedule(0.0, PROBE_SEND, (plan_index, pair_index, 0))
-    engine.run(until=duration_s)
-    return list(engine.probes)
+    return engine.run(until=duration_s).probes
 
 
 def handle_probe_send(engine, t: float, payload) -> None:

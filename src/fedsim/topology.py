@@ -38,6 +38,7 @@ from pathlib import Path
 import yaml
 
 from . import faults, fields
+from .engine import EngineState
 from .fields import ScenarioError, as_list, as_map, as_str, each, fail, require
 from .mesh import POLICIES, ROUND_ROBIN
 from .netem import JITTER_NONE, JitterSpec, LossSpec
@@ -462,6 +463,4 @@ def _validate_services(services: tuple[ServiceSpec, ...], index_of: dict[str, in
 def build_runtime(topology: ValidatedTopology):
     """Construct the engine for a validated topology. The event queue starts
     empty; the first ``run`` primes timeline, scrape, and arrival events."""
-    from .engine import EngineState
-
     return EngineState(topology)

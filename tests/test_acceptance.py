@@ -195,7 +195,7 @@ def test_criterion_7_byte_identical_reruns(tmp_path):
         engine = topology.build_runtime(topology.validate(spec))
         probes.run_ping(engine, duration_s=30.0)
         out = tmp_path / f"ping-{tag}"
-        metrics.export_csv(engine.result(), out)
+        metrics.export_csv(engine, out)
         ping_dirs.append(out)
     assert (ping_dirs[0] / "probe_rtt.csv").read_bytes() == (ping_dirs[1] / "probe_rtt.csv").read_bytes()
     print("ACCEPTANCE 7 (byte-identical reruns): PASS")

@@ -218,7 +218,7 @@ class TestRun:
         assert logs[0] == logs[1]
         rows = logs[0].decode().splitlines()[1:]
         assert len(rows) == events
-        assert any(row.startswith("1.0625,,service_start,\"ReplicaState(be@c1#0),") for row in rows)
+        assert any(row.startswith("1.0625,,service_start,\"Endpoint(be@c1#0,up),") for row in rows)
 
     def test_engine_error_dumps_event_tail(self, mini_scenario, tmp_path, monkeypatch, capsys):
         def boom(self, until):

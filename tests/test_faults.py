@@ -151,10 +151,25 @@ class TestApply:
     def test_apply_health_whole_cluster(self):
         engine = self.fresh_engine()
         faults.apply(engine, ApplyHealth("be", 1, None, False))
-        assert all(not e.healthy for e in engine.registry.list("be"))
+        assert all(not e.healthy for e in engine.backend_endpoints)
         faults.apply(engine, ApplyHealth("be", 1, 0, True))
-        healthy = {e.replica for e in engine.registry.list("be") if e.healthy}
+        healthy = {e.replica for e in engine.backend_endpoints if e.healthy}
         assert healthy == {0}
+
+    def test_apply_health_single_replica(self):
+        # two backend replicas in each cluster: one flip touches only its
+        # own replica, not its sibling or the same index elsewhere
+        doc = two_cluster_doc().replace("{east: 2}", "{west: 2, east: 2}")
+        engine = topology.build_runtime(make_topology(doc))
+        faults.apply(engine, ApplyHealth("be", 1, 0, False))
+        states = {e.key: e.healthy for e in engine.replicas}
+        assert states == {
+            ("fe", 0, 0): True,
+            ("be", 0, 0): True,
+            ("be", 0, 1): True,
+            ("be", 1, 0): False,
+            ("be", 1, 1): True,
+        }
 
     def test_unknown_action_type_raises(self):
         engine = self.fresh_engine()

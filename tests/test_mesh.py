@@ -1,4 +1,4 @@
-"""Load balancer picks, cursors, and the endpoint registry."""
+"""Load balancer picks and cursors."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +9,6 @@ from fedsim.mesh import (
     BalancerState,
     Endpoint,
     NoHealthyEndpoint,
-    ServiceRegistry,
-    UnknownEndpoint,
     ingress_route,
     lc_update,
     pick,
@@ -153,47 +151,6 @@ class TestEndpointIdentity:
         assert a.key == b.key
         counts = {a: 1, b: 2}
         assert len(counts) == 2
-
-
-class TestServiceRegistry:
-    def build(self):
-        reg = ServiceRegistry()
-        for cluster in (0, 1):
-            for replica in range(2):
-                reg.add(Endpoint("backend", cluster, replica))
-        return reg
-
-    def test_lists_in_registration_order(self):
-        reg = self.build()
-        assert [e.key for e in reg.list("backend")] == [
-            ("backend", 0, 0),
-            ("backend", 0, 1),
-            ("backend", 1, 0),
-            ("backend", 1, 1),
-        ]
-        assert reg.list("missing") == []
-
-    def test_set_health_single_replica(self):
-        reg = self.build()
-        reg.set_health("backend", 1, 0, False)
-        states = {e.key: e.healthy for e in reg.list("backend")}
-        assert states[("backend", 1, 0)] is False
-        assert states[("backend", 1, 1)] is True
-
-    def test_set_health_whole_cluster(self):
-        reg = self.build()
-        reg.set_health("backend", 0, None, False)
-        down = [e.key for e in reg.list("backend") if not e.healthy]
-        assert down == [("backend", 0, 0), ("backend", 0, 1)]
-
-    def test_set_health_unknown_raises(self):
-        reg = self.build()
-        with pytest.raises(UnknownEndpoint):
-            reg.set_health("backend", 7, None, False)
-        with pytest.raises(UnknownEndpoint):
-            reg.set_health("backend", 0, 9, False)
-        with pytest.raises(UnknownEndpoint):
-            reg.set_health("nosuch", 0, None, False)
 
 
 @settings(max_examples=200, deadline=None)

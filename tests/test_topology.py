@@ -467,10 +467,15 @@ class TestPocTopology:
 class TestBuildRuntime:
     def test_poc_each_replica_gets_own_node(self, poc_spec):
         engine = topology.build_runtime(validate(poc_spec))
-        for endpoint in engine.registry.list("frontend") + engine.registry.list("backend"):
-            replica = engine.replicas[endpoint]
-            assert replica.concurrency_limit == 4, endpoint
-        fe_nodes = {(e.cluster, engine.replicas[e].node) for e in engine.registry.list("frontend")}
+        # placement order: services in declaration order, then clusters, then
+        # replica index
+        assert [r.key for r in engine.replicas] == [
+            *(("frontend", cluster, index) for cluster in (0, 1) for index in range(2)),
+            *(("backend", cluster, index) for cluster in (2, 3) for index in range(3)),
+        ]
+        for replica in engine.frontend_endpoints + engine.backend_endpoints:
+            assert replica.concurrency_limit == 4, replica
+        fe_nodes = {(r.cluster, r.node) for r in engine.frontend_endpoints}
         assert len(fe_nodes) == 4
 
     def test_crowded_node_splits_vcpus(self):
@@ -483,7 +488,7 @@ duration_s: 5
 """
         engine = topology.build_runtime(make_topology(doc))
         # one node hosts all 4 replicas: each gets 4 // 4 = 1 slot
-        for endpoint, replica in engine.replicas.items():
+        for replica in engine.replicas:
             assert replica.node == 0
             assert replica.concurrency_limit == 1
 
@@ -496,7 +501,7 @@ services:
 duration_s: 5
 """
         engine = topology.build_runtime(make_topology(doc))
-        for replica in engine.replicas.values():
+        for replica in engine.replicas:
             assert replica.concurrency_limit == 1
 
     def test_round_robin_node_assignment_spans_services(self):
@@ -508,19 +513,16 @@ services:
 duration_s: 5
 """
         engine = topology.build_runtime(make_topology(doc))
-        nodes = {e.key: r.node for e, r in engine.replicas.items()}
+        nodes = {r.key: r.node for r in engine.replicas}
         assert nodes == {("f", 0, 0): 0, ("g", 0, 0): 1, ("g", 0, 1): 0}
-        limits = {e.key: r.concurrency_limit for e, r in engine.replicas.items()}
+        limits = {r.key: r.concurrency_limit for r in engine.replicas}
         # node 0 hosts two replicas, node 1 hosts one
         assert limits == {("f", 0, 0): 2, ("g", 0, 0): 4, ("g", 0, 1): 2}
 
     def test_build_is_deterministic(self, poc_spec):
         def fingerprint():
             engine = topology.build_runtime(validate(poc_spec))
-            return [
-                (e.key, r.node, r.concurrency_limit)
-                for e, r in engine.replicas.items()
-            ]
+            return [(r.key, r.node, r.concurrency_limit) for r in engine.replicas]
 
         assert fingerprint() == fingerprint()
 
