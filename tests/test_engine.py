@@ -112,9 +112,8 @@ class TestConservation:
         # dispatch's balancer count is released by its reply or timeout
         result, engine = run_scenario_text(OVERLOAD)
         assert result.arrivals == 800 and result.in_flight == 0
-        assert [count for state in engine.fe_states.values() for count in state.outstanding.values()]
-        for state in engine.fe_states.values():
-            assert all(count == 0 for count in state.outstanding.values())
+        counts = [count for state in engine.fe_states.values() for count in state.outstanding.values()]
+        assert counts and all(count == 0 for count in counts)
         for replica in engine.replicas:
             if replica.is_frontend:
                 served = sum(1 for t in result.traces if t.frontend is replica and t.fe_end is not None)
