@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import mesh
+from fedsim import mesh, topology
 from fedsim.mesh import (
     BalancerState,
     Endpoint,
@@ -15,6 +15,7 @@ from fedsim.mesh import (
     pick_lc,
     pick_rr,
 )
+from tests.conftest import make_topology
 
 
 def make_endpoints(n, service="svc", cluster=0):
@@ -141,6 +142,29 @@ class TestIngress:
         state = BalancerState()
         order = [ingress_route(state, frontends) for _ in range(4)]
         assert [(e.cluster, e.replica) for e in order] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+class TestServiceRegistry:
+    # the engine's endpoint lists are the registry the balancers pick from
+    DOC = """
+clusters:
+  - {name: a, nodes: 2, vcpus_per_node: 4}
+  - {name: b, nodes: 2, vcpus_per_node: 4}
+services:
+  - {name: frontend, stage: frontend, replicas_per_cluster: {a: 1}}
+  - {name: backend, stage: backend, replicas_per_cluster: {a: 2, b: 2}}
+duration_s: 5
+"""
+
+    def test_lists_in_registration_order(self):
+        engine = topology.build_runtime(make_topology(self.DOC))
+        assert [e.key for e in engine.backend_endpoints] == [
+            ("backend", 0, 0),
+            ("backend", 0, 1),
+            ("backend", 1, 0),
+            ("backend", 1, 1),
+        ]
+        assert [e.key for e in engine.frontend_endpoints] == [("frontend", 0, 0)]
 
 
 class TestEndpointIdentity:
