@@ -472,6 +472,6 @@ def _describe(payload) -> str:
         return ""
     if isinstance(payload, Request):
         return repr(payload)
-    if isinstance(payload, tuple):
+    if type(payload) is tuple:  # not a ProbeSample, which is described whole
         return ",".join(_describe(part) for part in payload)
     return repr(payload)

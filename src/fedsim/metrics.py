@@ -13,12 +13,17 @@ scrapes back, on the last scrape at or before ``t_k - window + eps``; a lag
 below 1 gives no rates.
 
 Exports are deterministic: fixed column orders, rows in (time, cluster,
-service, replica) order, floats written with ``repr``.
+service, replica) order, floats written with ``repr``. ``traces.csv`` and
+``probe_rtt.csv`` hold a row per request and per probe, so they are written
+one formatted row at a time rather than through ``csv.writer``; the name
+cells of each replica and probe pair still pass through it once, so names
+keep its quoting, and rows end in its ``\r\n``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,8 +100,66 @@ def _write_rows(path: Path, labels, rows) -> None:
             writer.writerows([stamp, *label, repr(value)] for label, value in zip(labels, row))
 
 
-def _format_stamp(value) -> str:
+
+# Row formats end in the csv module's \r\n. ``!r`` is repr, as csv.writer
+# writes a float; a bare field is str, as it writes anything else. f-strings
+# build no argument tuple per row, so the rows add no work for the collector.
+_TRACE_HEADER = (
+    "id,outcome,payload_bytes,reduced_bytes,fe_service,fe_cluster,fe_replica,be_service,be_cluster,be_replica,"
+    "ingress_in,fe_start,fe_end,be_dispatch,be_start,be_end,response_out\r\n"
+)
+_PROBE_HEADER = "src,dst,sent_at_s,rtt_ms,lost\r\n"
+
+
+def _cells(*values) -> str:
+    """``values`` as csv.writer writes them in one row, quoted where a value
+    holds a comma, a quote or a line break, without the line end."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(values)
+    return buffer.getvalue()[:-2]
+
+
+def _stamp(value) -> str:
     return "" if value is None else repr(value)
+
+
+def _write_traces(path: Path, engine) -> None:
+    names = engine.cluster_names
+    cells = {replica: _cells(replica.service, names[replica.cluster], replica.replica) for replica in engine.replicas}
+    cells[None] = ",,"
+    with path.open("w", newline="") as handle:
+        write = handle.write
+        write(_TRACE_HEADER)
+        for t in engine.traces:
+            # only a completed request has response_out, and it has every other stamp
+            if t.response_out is not None:
+                write(
+                    f"{t.id},{t.outcome},{t.payload_bytes},{t.reduced_bytes!r},{cells[t.frontend]},{cells[t.backend]},"
+                    f"{t.ingress_in!r},{t.fe_start!r},{t.fe_end!r},{t.be_dispatch!r},{t.be_start!r},{t.be_end!r},"
+                    f"{t.response_out!r}\r\n"
+                )
+            else:
+                stamps = (t.ingress_in, t.fe_start, t.fe_end, t.be_dispatch, t.be_start, t.be_end)
+                write(
+                    f"{t.id},{t.outcome or 'in_flight'},{t.payload_bytes},{t.reduced_bytes!r},{cells[t.frontend]},"
+                    f"{cells[t.backend]},{','.join(map(_stamp, stamps))},\r\n"
+                )
+
+
+def _write_probes(path: Path, engine) -> None:
+    names = engine.cluster_names
+    pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]  # filled as pairs show up
+    with path.open("w", newline="") as handle:
+        write = handle.write
+        write(_PROBE_HEADER)
+        for src, dst, sent_at, rtt_ms in engine.probes:
+            cells = pair_cells[src][dst]
+            if cells is None:
+                cells = pair_cells[src][dst] = _cells(names[src], names[dst])
+            if rtt_ms is None:
+                write(f"{cells},{sent_at!r},,true\r\n")
+            else:
+                write(f"{cells},{sent_at!r},{rtt_ms!r},false\r\n")
 
 
 def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
@@ -109,7 +172,7 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    store, names = engine.metrics, engine.cluster_names
+    store = engine.metrics
     for name, rows in (
         (BUSY_COUNTER, zip(store.times, store.busy)),
         (OUTSTANDING_GAUGE, zip(store.times, store.outstanding)),
@@ -119,67 +182,7 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
         _write_rows(paths[name], store.labels, rows)
 
     paths["probe_rtt"] = out / "probe_rtt.csv"
-    with paths["probe_rtt"].open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["src", "dst", "sent_at_s", "rtt_ms", "lost"])
-        for sample in engine.probes:
-            writer.writerow(
-                [
-                    names[sample.src],
-                    names[sample.dst],
-                    repr(sample.sent_at),
-                    "" if sample.rtt_ms is None else repr(sample.rtt_ms),
-                    "true" if sample.lost else "false",
-                ]
-            )
-
+    _write_probes(paths["probe_rtt"], engine)
     paths["traces"] = out / "traces.csv"
-    with paths["traces"].open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "id",
-                "outcome",
-                "payload_bytes",
-                "reduced_bytes",
-                "fe_service",
-                "fe_cluster",
-                "fe_replica",
-                "be_service",
-                "be_cluster",
-                "be_replica",
-                "ingress_in",
-                "fe_start",
-                "fe_end",
-                "be_dispatch",
-                "be_start",
-                "be_end",
-                "response_out",
-            ]
-        )
-        for trace in engine.traces:
-            frontend = trace.frontend
-            backend = trace.backend
-            writer.writerow(
-                [
-                    trace.id,
-                    trace.outcome or "in_flight",
-                    trace.payload_bytes,
-                    repr(trace.reduced_bytes),
-                    "" if frontend is None else frontend.service,
-                    "" if frontend is None else names[frontend.cluster],
-                    "" if frontend is None else frontend.replica,
-                    "" if backend is None else backend.service,
-                    "" if backend is None else names[backend.cluster],
-                    "" if backend is None else backend.replica,
-                    _format_stamp(trace.ingress_in),
-                    _format_stamp(trace.fe_start),
-                    _format_stamp(trace.fe_end),
-                    _format_stamp(trace.be_dispatch),
-                    _format_stamp(trace.be_start),
-                    _format_stamp(trace.be_end),
-                    _format_stamp(trace.response_out),
-                ]
-            )
-
+    _write_traces(paths["traces"], engine)
     return paths

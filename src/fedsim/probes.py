@@ -14,16 +14,20 @@ multiple is not lost to float division).
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
+from typing import NamedTuple
 
 PROBE_SEND = "probe_send"
 PROBE_RECV = "probe_recv"
 
 
-@dataclass(frozen=True)
-class ProbeSample:
-    """One probe result; ``rtt_ms`` is None when the probe was lost."""
+class ProbeSample(NamedTuple):
+    """One probe result; ``rtt_ms`` is None when the probe was lost. A tuple,
+    so the statistics and the export unpack it without attribute lookups."""
 
     src: int
     dst: int
@@ -99,28 +103,52 @@ class RttStats:
     count: list[list[int]]
 
 
-def rtt_stats(samples, n_clusters: int) -> RttStats:
-    """Mean, population variance, and loss fraction per ordered pair."""
-    answered: dict[tuple[int, int], list[float]] = {}
-    totals: dict[tuple[int, int], int] = {}
-    for sample in samples:
-        key = (sample.src, sample.dst)
-        totals[key] = totals.get(key, 0) + 1
-        if not sample.lost:
-            answered.setdefault(key, []).append(sample.rtt_ms)
+def pvariance(values) -> float:
+    """``statistics.pvariance`` of floats, bit for bit, in integers.
 
+    A float whose ``frexp`` exponent is e is a whole multiple of 2**(e - 53),
+    so scaling every value by 2**shift, with shift = 53 minus the exponent
+    of the smallest nonzero magnitude, makes each an integer N exactly. The
+    variance is then the exact rational
+    ``(count * sum(N*N) - sum(N)**2) / (count**2 * 4**shift)``, which int
+    true division rounds correctly once, as ``pvariance`` rounds the same
+    rational held as a Fraction.
+    """
+    smallest = min(filter(None, map(abs, values)), default=0.0)
+    shift = max(0, 53 - math.frexp(smallest)[1])
+    try:
+        scaled = list(map(int, map(math.ldexp, values, repeat(shift))))
+    except (OverflowError, ValueError):  # an infinity, a NaN, or too wide a range
+        return statistics.pvariance(values)
+    total = sum(scaled)
+    count = len(scaled)
+    return (count * sum(map(mul, scaled, scaled)) - total * total) / (count * count << 2 * shift)
+
+
+def rtt_stats(samples, n_clusters: int) -> RttStats:
+    """Mean, population variance, and loss fraction per ordered pair, from
+    one pass that groups the RTTs of each pair (None for a lost probe)."""
     shape = range(n_clusters)
+    groups: list[list[list]] = [[[] for _ in shape] for _ in shape]
+    for src, dst, _sent_at, rtt_ms in samples:
+        groups[src][dst].append(rtt_ms)
+
     mean = [[None for _ in shape] for _ in shape]
     variance = [[None for _ in shape] for _ in shape]
     loss = [[None for _ in shape] for _ in shape]
     count = [[0 for _ in shape] for _ in shape]
-    for (i, j), total in totals.items():
-        count[i][j] = total
-        values = answered.get((i, j), [])
-        loss[i][j] = (total - len(values)) / total
-        if values:
-            mean[i][j] = statistics.fmean(values)
-            variance[i][j] = statistics.pvariance(values)
+    for i in shape:
+        for j in shape:
+            rtts = groups[i][j]
+            if not rtts:
+                continue
+            lost = rtts.count(None)
+            values = [rtt for rtt in rtts if rtt is not None] if lost else rtts
+            count[i][j] = len(rtts)
+            loss[i][j] = lost / len(rtts)
+            if values:
+                mean[i][j] = statistics.fmean(values)
+                variance[i][j] = pvariance(values)
     return RttStats(mean, variance, loss, count)
 
 

@@ -31,6 +31,8 @@ during validation.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -42,11 +44,26 @@ from .engine import EngineState
 from .fields import ScenarioError, as_list, as_map, as_str, each, fail, require
 from .mesh import POLICIES, ROUND_ROBIN
 from .netem import JITTER_NONE, JitterSpec, LossSpec
-from .workload import PAYLOAD_EMPIRICAL, STAGE_BACKEND, STAGE_FRONTEND, STAGES, StageProfile, WorkloadSpec
+from .workload import (
+    PAYLOAD_EMPIRICAL,
+    PAYLOAD_LOGNORMAL,
+    STAGE_BACKEND,
+    STAGE_FRONTEND,
+    STAGES,
+    StageProfile,
+    WorkloadSpec,
+)
 
 ROLE_EDGE = "edge"
 ROLE_DATACENTER = "datacenter"
 ROLES = (ROLE_EDGE, ROLE_DATACENTER)
+
+# A run scrapes every replica at each k * scrape_interval_s below duration_s
+# and keeps every scrape; a day at one scrape per second is 86,400.
+MAX_SCRAPES = 100_000
+# A lognormal payload draw is exp(normal(mu, sigma)); ten sigmas above mu
+# must stay below the largest float, or a draw can overflow.
+MAX_LOG_PAYLOAD = math.log(sys.float_info.max)
 
 # Stage demand defaults: frontend detect-and-crop, backend recognition.
 STAGE_DEMAND = {
@@ -341,6 +358,16 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
             errors.append("workload.payload.values: empty")
         elif any(v < 1 for v in payload.values):
             errors.append("workload.payload.values: sizes must be >= 1")
+    elif payload.dist == PAYLOAD_LOGNORMAL and payload.mu + 10 * payload.sigma > MAX_LOG_PAYLOAD:
+        errors.append(
+            f"workload.payload: mu + 10 * sigma = {payload.mu + 10 * payload.sigma!r} exceeds "
+            f"ln(max float) = {MAX_LOG_PAYLOAD!r}; lognormal draws would overflow"
+        )
+    if spec.scrape_interval_s > 0 and spec.duration_s / spec.scrape_interval_s > MAX_SCRAPES:
+        errors.append(
+            f"scrape_interval_s: {spec.scrape_interval_s!r} gives more than {MAX_SCRAPES} scrapes "
+            f"over duration_s {spec.duration_s!r}"
+        )
     generates_traffic = any(phase.rate > 0 for phase in spec.workload.phases)
     if generates_traffic and (frontend_spec is None or backend_spec is None):
         errors.append("workload requires one frontend and one backend service")

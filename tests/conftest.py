@@ -123,3 +123,47 @@ timeout_s: 0.5
 scrape_interval_s: 0.5
 rate_window_s: 2.0
 """
+
+# OVERLOAD with cluster and service names that csv quoting must handle: a
+# comma, double quotes and a leading space. Cut at 25 s (inside its busiest
+# phase), its traces hold every outcome, in flight included, and pings on it
+# lose probes to the lossy link and the blackout.
+QUOTED = """
+clusters:
+  - {name: 'edge, "west"', nodes: 1, vcpus_per_node: 4, memory_gb: 8, role: edge}
+  - {name: ' dc1', nodes: 1, vcpus_per_node: 1, memory_gb: 8, role: datacenter}
+  - {name: 'dc "2"', nodes: 1, vcpus_per_node: 1, memory_gb: 8, role: datacenter}
+links:
+  base_delay_ms: 0.0
+  intra_base_delay_ms: 0.0
+  one_way_delay_ms:
+    - [0, 0, 0]
+    - [0, 0, 0]
+    - [0, 0, 0]
+  loss:
+    - {src: ' dc1', dst: 'edge, "west"', p: 0.1}
+services:
+  - name: 'fe, "front"'
+    stage: frontend
+    replicas_per_cluster: {'edge, "west"': 1}
+    demand: {base_ms: 62.5, per_kb_ms: 0.0}
+  - name: ' be'
+    stage: backend
+    replicas_per_cluster: {' dc1': 1, 'dc "2"': 1}
+    demand: {base_ms: 125.0, per_kb_ms: 0.0}
+    backend_policy: least_connection
+workload:
+  arrival: constant
+  payload: {dist: constant, bytes: 1000}
+  phases:
+    - {rate: 16, duration_s: 20}
+    - {rate: 32, duration_s: 10}
+    - {rate: 8, duration_s: 20}
+timeline:
+  - {action: blackout, at_s: 10, cluster: 'dc "2"', end_s: 20}
+seed: 11
+duration_s: 55
+timeout_s: 0.5
+scrape_interval_s: 0.5
+rate_window_s: 2.0
+"""

@@ -6,7 +6,7 @@ import pytest
 import fedsim
 from fedsim import cli
 from fedsim.engine import EngineError, EngineState
-from tests.conftest import MINI_DOC, OVERLOAD, two_cluster_doc
+from tests.conftest import MINI_DOC, OVERLOAD, QUOTED, two_cluster_doc
 
 
 @pytest.fixture()
@@ -48,6 +48,18 @@ class TestValidate:
         assert "clusters[0].nodes < 1" in err
         assert "clusters[1].name: duplicate 'a'" in err
         assert "duration_s <= 0" in err
+
+    def test_scrape_grid_above_the_limit_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "dense.scenario"
+        path.write_text("clusters: [{name: only}]\nduration_s: 120\nscrape_interval_s: 1.0e-06\n")
+        assert cli.main(["validate", str(path)]) == 1
+        assert "error: scrape_interval_s: 1e-06 gives more than 100000 scrapes" in capsys.readouterr().err
+
+    def test_lognormal_payload_that_can_overflow_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "huge.scenario"
+        path.write_text(MINI_DOC.replace("{dist: constant, bytes: 1000}", "{dist: lognormal, mu: 800, sigma: 1}"))
+        assert cli.main(["validate", str(path)]) == 1
+        assert "error: workload.payload: mu + 10 * sigma = 810.0 exceeds" in capsys.readouterr().err
 
     def test_bundled_scenarios_validate(self, capsys):
         for name in ("poc", "poc_lc", "ping", "blackout"):
@@ -237,17 +249,30 @@ class TestRun:
 
 @pytest.mark.parametrize("command", ["run", "ping"])
 def test_exception_inside_a_run_exits_3_with_the_event_tail(command, tmp_path, capsys):
-    # validates, but the first payload draw overflows math.exp
-    doc = MINI_DOC.replace("payload: {dist: constant, bytes: 1000}", "payload: {dist: lognormal, mu: 800, sigma: 1}")
+    # validates, but the first arrival overflows turning the payload into a float
+    doc = MINI_DOC.replace("bytes: 1000", f"bytes: {10**400}")
     scenario = tmp_path / "overflow.yaml"
     scenario.write_text(doc)
     assert cli.main(["validate", str(scenario)]) == 0
     out = tmp_path / "out"
     assert cli.main([command, str(scenario), "--out-dir", str(out)]) == 3
-    assert "engine error: OverflowError at workload.py:" in capsys.readouterr().err
+    assert "engine error: OverflowError at engine.py:" in capsys.readouterr().err
     tail = (out / "event_log_tail.csv").read_text().splitlines()
     assert tail[0] == "time_s,seq,kind"
     assert tail[-1].endswith(",arrival")
+
+
+def test_yaml_artifacts_match_the_pure_python_dumper(tmp_path):
+    # comma, quotes and a leading space from QUOTED, plus non-ASCII and a 120-character name
+    long_name = "ñ-" + "x" * 118
+    scenario = tmp_path / "quoted.yaml"
+    scenario.write_text(QUOTED.replace("' dc1'", repr(long_name)), encoding="utf-8")
+    assert cli.main(["run", str(scenario), "--out-dir", str(tmp_path / "run"), "--until", "5"]) == 0
+    assert cli.main(["ping", str(scenario), "--out-dir", str(tmp_path / "ping"), "--duration", "5"]) == 0
+    for path in (tmp_path / "run" / "summary.yaml", tmp_path / "ping" / "rtt_matrix.yaml"):
+        text = path.read_text(encoding="utf-8")
+        assert long_name in str(yaml.safe_load(text)), path.name
+        assert yaml.dump(yaml.safe_load(text), Dumper=yaml.SafeDumper, sort_keys=False) == text, path.name
 
 
 class TestPing:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim import probes, topology
 from fedsim.metrics import (
     _EPS,
     BUSY_COUNTER,
@@ -16,7 +17,7 @@ from fedsim.metrics import (
     cpu_rate,
     export_csv,
 )
-from tests.conftest import MINI_DOC, run_scenario_text
+from tests.conftest import MINI_DOC, QUOTED, make_topology, run_scenario_text
 
 
 def store_of(times, *columns, labels=None):
@@ -248,3 +249,50 @@ rate_window_s: 10.0
         paths_b = export_csv(result_b, b_dir)
         for name in paths_a:
             assert paths_a[name].read_bytes() == paths_b[name].read_bytes(), name
+
+
+def reference_export(engine, out):
+    """traces.csv and probe_rtt.csv written cell by cell with a plain
+    csv.writer, floats with repr."""
+    out.mkdir()
+    names = engine.cluster_names
+
+    def endpoint(replica):
+        return ["", "", ""] if replica is None else [replica.service, names[replica.cluster], replica.replica]
+
+    def stamp(value):
+        return "" if value is None else repr(value)
+
+    with (out / "traces.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            "id outcome payload_bytes reduced_bytes fe_service fe_cluster fe_replica be_service be_cluster "
+            "be_replica ingress_in fe_start fe_end be_dispatch be_start be_end response_out".split()
+        )
+        for t in engine.traces:
+            stamps = (t.ingress_in, t.fe_start, t.fe_end, t.be_dispatch, t.be_start, t.be_end, t.response_out)
+            writer.writerow(
+                [t.id, t.outcome or "in_flight", t.payload_bytes, repr(t.reduced_bytes)]
+                + endpoint(t.frontend)
+                + endpoint(t.backend)
+                + [stamp(value) for value in stamps]
+            )
+    with (out / "probe_rtt.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["src", "dst", "sent_at_s", "rtt_ms", "lost"])
+        for s in engine.probes:
+            writer.writerow([names[s.src], names[s.dst], repr(s.sent_at), stamp(s.rtt_ms), str(s.lost).lower()])
+
+
+def test_quoted_names_and_every_outcome_match_a_plain_csv_writer(tmp_path):
+    engine = topology.build_runtime(make_topology(QUOTED))
+    probes.run_ping(engine, interval_s=0.5, duration_s=25.0)
+    assert {trace.outcome for trace in engine.traces} == {"completed", "lost", "timed_out", None}
+    assert {sample.lost for sample in engine.probes} == {True, False}
+
+    export_csv(engine, tmp_path / "export")
+    reference_export(engine, tmp_path / "reference")
+    for name in ("traces.csv", "probe_rtt.csv"):
+        exported = (tmp_path / "export" / name).read_bytes()
+        assert exported == (tmp_path / "reference" / name).read_bytes(), name
+        assert b'"edge, ""west""",' in exported and b", dc1," in exported and b'"dc ""2"""' in exported

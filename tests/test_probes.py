@@ -1,6 +1,11 @@
 """RTT probing: pacing, exact matrices, jitter spread, loss accounting."""
 
+import math
+import statistics
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import probes, topology
 from fedsim.probes import ProbeSample, format_rtt_table, probe_count, rtt_stats, run_ping
@@ -158,3 +163,29 @@ class TestFormatting:
         samples = [ProbeSample(0, 1, 0.0, 3.0), ProbeSample(1, 0, 0.0, 4.0)]
         text = format_rtt_table(rtt_stats(samples, 2), ("a", "b"))
         assert "loss fraction" not in text
+
+
+@st.composite
+def rtt_lists(draw):
+    """1-500 finite non-negative floats under 2**top, drawn from a small pool
+    so values repeat; a pool of one gives a single or all-equal list."""
+    top = draw(st.integers(-1074, 500))
+    values = st.floats(min_value=0.0, max_value=math.ldexp(1.0, top), allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=500))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rtt_lists())
+def test_pvariance_is_statistics_pvariance_bit_for_bit(values):
+    assert probes.pvariance(values).hex() == statistics.pvariance(values).hex()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0], [7.25] * 3, [0.0, 5e-324, 1e-310, 2.5e-300], [1.46, 51.46, 51.46000000000001], [2.0**60, 3.0, 0.1]],
+)
+def test_pvariance_stays_in_integers(values, monkeypatch):
+    expected = statistics.pvariance(values)
+    monkeypatch.setattr(probes.statistics, "pvariance", None)  # no fallback to the Fraction path
+    assert probes.pvariance(values).hex() == expected.hex()

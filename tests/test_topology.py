@@ -396,6 +396,36 @@ duration_s: 5
             validate(parse_scenario(doc))
         assert "workload requires one frontend and one backend service" in exc.value.errors
 
+    @pytest.mark.parametrize(
+        "duration_s, interval_s, accepted",
+        [(86_400, 1.0, True), (100_000, 1.0, True), (100_000.5, 1.0, False), (120, 1e-6, False), (1e300, 1e-300, False)],
+    )
+    def test_scrape_count_is_bounded(self, duration_s, interval_s, accepted):
+        # written as YAML floats: 1.0e-06, not 1e-06, which YAML reads as a string
+        spec = parse_scenario(
+            f"clusters: [{{name: only}}]\nduration_s: {duration_s:.6e}\nscrape_interval_s: {interval_s:.6e}\n"
+        )
+        if accepted:
+            validate(spec)
+            return
+        with pytest.raises(ValidationError) as exc:
+            validate(spec)
+        assert exc.value.errors == [
+            f"scrape_interval_s: {float(interval_s)!r} gives more than 100000 scrapes over duration_s {float(duration_s)!r}"
+        ]
+
+    @pytest.mark.parametrize("mu, sigma, accepted", [(700.0, 0.9, True), (709.0, 0.078, True), (800.0, 1.0, False), (0.0, 71.0, False)])
+    def test_lognormal_payload_must_not_overflow(self, mu, sigma, accepted):
+        doc = MINI_DOC.replace("{dist: constant, bytes: 1000}", f"{{dist: lognormal, mu: {mu}, sigma: {sigma}}}")
+        if accepted:
+            make_topology(doc)
+            return
+        with pytest.raises(ValidationError) as exc:
+            make_topology(doc)
+        assert [error.split(" exceeds ")[0] for error in exc.value.errors] == [
+            f"workload.payload: mu + 10 * sigma = {mu + 10 * sigma!r}"
+        ]
+
     def test_probe_only_scenario_needs_no_services(self, ping_spec):
         topo = validate(ping_spec)
         assert topo.frontend is None
