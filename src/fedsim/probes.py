@@ -10,6 +10,10 @@ intra-cluster path.
 Sends are paced on a fixed grid: pair p emits at k * interval for
 k in [0, n) with n = floor(duration / interval) (epsilon-guarded so an exact
 multiple is not lost to float division).
+
+``rtt_stats`` groups the samples by pair in one pass. The variance of each
+pair is computed exactly in integers and rounded once, so it equals
+``statistics.pvariance`` bit for bit without its per-value fractions.
 """
 
 from __future__ import annotations

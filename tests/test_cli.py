@@ -49,17 +49,25 @@ class TestValidate:
         assert "clusters[1].name: duplicate 'a'" in err
         assert "duration_s <= 0" in err
 
-    def test_scrape_grid_above_the_limit_is_invalid(self, tmp_path, capsys):
-        path = tmp_path / "dense.scenario"
-        path.write_text("clusters: [{name: only}]\nduration_s: 120\nscrape_interval_s: 1.0e-06\n")
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            (
+                "clusters: [{name: only}]\nduration_s: 120\nscrape_interval_s: 1.0e-06\n",
+                "error: scrape_interval_s: 1e-06 gives more than 100000 scrapes",
+            ),
+            (
+                MINI_DOC.replace("{dist: constant, bytes: 1000}", "{dist: lognormal, mu: 800, sigma: 1}"),
+                "error: workload.payload: mu + 10 * sigma = 810.0 exceeds",
+            ),
+        ],
+        ids=["scrape_grid", "lognormal_overflow"],
+    )
+    def test_scenario_past_a_run_limit_is_invalid(self, doc, error, tmp_path, capsys):
+        path = tmp_path / "limit.scenario"
+        path.write_text(doc)
         assert cli.main(["validate", str(path)]) == 1
-        assert "error: scrape_interval_s: 1e-06 gives more than 100000 scrapes" in capsys.readouterr().err
-
-    def test_lognormal_payload_that_can_overflow_is_invalid(self, tmp_path, capsys):
-        path = tmp_path / "huge.scenario"
-        path.write_text(MINI_DOC.replace("{dist: constant, bytes: 1000}", "{dist: lognormal, mu: 800, sigma: 1}"))
-        assert cli.main(["validate", str(path)]) == 1
-        assert "error: workload.payload: mu + 10 * sigma = 810.0 exceeds" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_bundled_scenarios_validate(self, capsys):
         for name in ("poc", "poc_lc", "ping", "blackout"):

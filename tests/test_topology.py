@@ -398,7 +398,13 @@ duration_s: 5
 
     @pytest.mark.parametrize(
         "duration_s, interval_s, accepted",
-        [(86_400, 1.0, True), (100_000, 1.0, True), (100_000.5, 1.0, False), (120, 1e-6, False), (1e300, 1e-300, False)],
+        [
+            (86_400.0, 1.0, True),
+            (100_000.0, 1.0, True),
+            (100_000.5, 1.0, False),
+            (120.0, 1e-6, False),
+            (1e300, 1e-300, False),
+        ],
     )
     def test_scrape_count_is_bounded(self, duration_s, interval_s, accepted):
         # written as YAML floats: 1.0e-06, not 1e-06, which YAML reads as a string
@@ -410,11 +416,12 @@ duration_s: 5
             return
         with pytest.raises(ValidationError) as exc:
             validate(spec)
-        assert exc.value.errors == [
-            f"scrape_interval_s: {float(interval_s)!r} gives more than 100000 scrapes over duration_s {float(duration_s)!r}"
-        ]
+        expected = f"scrape_interval_s: {interval_s!r} gives more than 100000 scrapes over duration_s {duration_s!r}"
+        assert exc.value.errors == [expected]
 
-    @pytest.mark.parametrize("mu, sigma, accepted", [(700.0, 0.9, True), (709.0, 0.078, True), (800.0, 1.0, False), (0.0, 71.0, False)])
+    @pytest.mark.parametrize(
+        "mu, sigma, accepted", [(700.0, 0.9, True), (709.0, 0.078, True), (800.0, 1.0, False), (0.0, 71.0, False)]
+    )
     def test_lognormal_payload_must_not_overflow(self, mu, sigma, accepted):
         doc = MINI_DOC.replace("{dist: constant, bytes: 1000}", f"{{dist: lognormal, mu: {mu}, sigma: {sigma}}}")
         if accepted:
