@@ -100,7 +100,7 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
     for (cluster, service), series in metrics.cluster_rates(engine.metrics, rates).items():
         if series:  # empty when the run is shorter than the rate window
             values = [value for _, value in series]
-            rate_means.setdefault(cluster, {})[service] = sum(values) / len(values)
+            rate_means.setdefault(cluster, {})[service] = metrics.left_sum(values) / len(values)
 
     summary = {
         "results": {
@@ -269,8 +269,9 @@ def cmd_sweep(args) -> int:
         subdir = str(Path(args.out_dir) / f"{args.param}={value}".replace("/", "_"))
         tasks.append((*variant_loaded, subdir, args.until))
 
-    workers = args.jobs if args.jobs else min(len(tasks), 4)
-    if workers <= 1 or len(tasks) == 1:
+    # the executor starts every worker up front, so never more than the runs
+    workers = min(args.jobs or 4, len(tasks))
+    if workers == 1:
         codes = [_sweep_worker(task)[1] for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -286,6 +287,16 @@ def _seconds(text: str, allow_zero: bool) -> float:
         value = math.nan
     if not (0.0 <= value if allow_zero else 0.0 < value) or value == math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite number {'>=' if allow_zero else '>'} 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
     return value
 
 
@@ -331,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out-dir", default="fedsim-out/sweep")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--until", type=_until_seconds, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=None, help="parallel workers (default: min(runs, 4))")
+    p_sweep.add_argument(
+        "--jobs", type=_positive_int, default=None, help="parallel workers, at most one per run (default: 4)"
+    )
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

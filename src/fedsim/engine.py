@@ -32,6 +32,10 @@ instant a scrape is due waits until that scrape has run, so a scrape sees
 every replica as it was before the starts of its instant. Starts and skips
 are not queued as events, but each counts as one ``service_start`` in
 ``event_count``, the event tail and the debug log.
+
+A ping queues one ``probe_send`` event per grid step, with payload
+``(plan_index, k)``, which probes every pair of the plan (see ``probes``),
+and one ``probe_recv`` per probe, which records its sample.
 """
 
 from __future__ import annotations

@@ -82,13 +82,26 @@ def cpu_rate(store: Scrapes, window_s: float, interval_s: float) -> list[tuple[f
     return rates
 
 
+def left_sum(values):
+    """``values`` added left to right onto int 0, one rounding per ``+=``.
+
+    This is what ``sum()`` does up to Python 3.11. From 3.12 ``sum()``
+    compensates the rounding of floats, so the same run would export other
+    last digits; every float sum that reaches an artifact goes through here.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def cluster_rates(store: Scrapes, rates) -> dict[tuple[str, str], list[tuple[float, float]]]:
     """Sum ``cpu_rate`` rows per (cluster, service), adding the replicas in
     store order; keys come out in (cluster name, service) order."""
     groups: dict[tuple[str, str], list[int]] = {}
     for index, (cluster, service, _replica) in enumerate(store.labels):
         groups.setdefault((cluster, service), []).append(index)
-    return {key: [(t, sum(row[i] for i in members)) for t, row in rates] for key, members in groups.items()}
+    return {key: [(t, left_sum(row[i] for i in members)) for t, row in rates] for key, members in groups.items()}
 
 
 def _write_rows(path: Path, labels, rows) -> None:
@@ -149,6 +162,10 @@ def _write_traces(path: Path, engine) -> None:
 def _write_probes(path: Path, engine) -> None:
     names = engine.cluster_names
     pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]  # filled as pairs show up
+    # the probes of one grid step share one send-time object and mostly come
+    # in a run, so the last one's repr is reused for the same object, never
+    # for an equal value (0.0 and -0.0, or 1 and 1.0, are equal)
+    last_sent = stamp = None
     with path.open("w", newline="") as handle:
         write = handle.write
         write(_PROBE_HEADER)
@@ -156,10 +173,12 @@ def _write_probes(path: Path, engine) -> None:
             cells = pair_cells[src][dst]
             if cells is None:
                 cells = pair_cells[src][dst] = _cells(names[src], names[dst])
+            if sent_at is not last_sent:
+                last_sent, stamp = sent_at, repr(sent_at)
             if rtt_ms is None:
-                write(f"{cells},{sent_at!r},,true\r\n")
+                write(f"{cells},{stamp},,true\r\n")
             else:
-                write(f"{cells},{sent_at!r},{rtt_ms!r},false\r\n")
+                write(f"{cells},{stamp},{rtt_ms!r},false\r\n")
 
 
 def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:

@@ -7,9 +7,13 @@ The measured RTT is therefore
 is recorded as lost. Probes on a cluster's own diagonal traverse only the
 intra-cluster path.
 
-Sends are paced on a fixed grid: pair p emits at k * interval for
+Sends are paced on a fixed grid: every pair emits at k * interval for
 k in [0, n) with n = floor(duration / interval) (epsilon-guarded so an exact
-multiple is not lost to float division).
+multiple is not lost to float division). Grid step k is one ``probe_send``
+event, which schedules step k + 1 and then sends every pair of the plan in
+order. A receipt draws no randomness and schedules nothing, so no other
+event can run between two sends of a step: the links' streams are drawn,
+and the receipts queued, in (step, pair) order.
 
 ``rtt_stats`` groups the samples by pair in one pass. The variance of each
 pair is computed exactly in integers and rounded once, so it equals
@@ -66,35 +70,35 @@ def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | No
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     plan = ProbePlan(tuple(pairs), interval_s, probe_count(duration_s, interval_s))
-    plan_index = len(engine.probe_plans)
     engine.probe_plans.append(plan)
-    if plan.count > 0:
-        for pair_index in range(len(plan.pairs)):
-            engine.schedule(0.0, PROBE_SEND, (plan_index, pair_index, 0))
+    if plan.pairs and plan.count > 0:
+        engine.schedule(0.0, PROBE_SEND, (len(engine.probe_plans) - 1, 0))
     return engine.run(until=duration_s).probes
 
 
 def handle_probe_send(engine, t: float, payload) -> None:
-    plan_index, pair_index, k = payload
+    """Grid step k of a plan: schedule step k + 1, then probe every pair."""
+    plan_index, k = payload
     plan = engine.probe_plans[plan_index]
-    src, dst = plan.pairs[pair_index]
     if k + 1 < plan.count:
-        engine.schedule((k + 1) * plan.interval_s, PROBE_SEND, (plan_index, pair_index, k + 1))
+        engine.schedule((k + 1) * plan.interval_s, PROBE_SEND, (plan_index, k + 1))
 
-    links = engine.links
-    if src == dst:
-        rtt_ms = 2.0 * links.intra_base_delay_ms
-        engine.schedule(t + rtt_ms * 1e-3, PROBE_RECV, ProbeSample(src, dst, t, rtt_ms))
-        return
-
-    # the return leg is sent only if the forward leg arrives
-    forward_ms = engine.table.classify(src, dst).transit_ms()
-    return_ms = None if forward_ms is None else engine.table.classify(dst, src).transit_ms()
-    if return_ms is None:
-        engine.schedule(t, PROBE_RECV, ProbeSample(src, dst, t, None))
-        return
-    rtt_ms = (forward_ms + links.base_delay_ms) + (return_ms + links.base_delay_ms)
-    engine.schedule(t + rtt_ms * 1e-3, PROBE_RECV, ProbeSample(src, dst, t, rtt_ms))
+    schedule = engine.schedule
+    classify = engine.table.classify
+    base_ms = engine.links.base_delay_ms
+    diagonal_ms = 2.0 * engine.links.intra_base_delay_ms
+    for src, dst in plan.pairs:
+        if src == dst:
+            schedule(t + diagonal_ms * 1e-3, PROBE_RECV, ProbeSample(src, dst, t, diagonal_ms))
+            continue
+        # the return leg is sent only if the forward leg arrives
+        forward_ms = classify(src, dst).transit_ms()
+        return_ms = None if forward_ms is None else classify(dst, src).transit_ms()
+        if return_ms is None:
+            schedule(t, PROBE_RECV, ProbeSample(src, dst, t, None))
+        else:
+            rtt_ms = (forward_ms + base_ms) + (return_ms + base_ms)
+            schedule(t + rtt_ms * 1e-3, PROBE_RECV, ProbeSample(src, dst, t, rtt_ms))
 
 
 @dataclass

@@ -45,6 +45,7 @@ from .fields import ScenarioError, as_list, as_map, as_str, each, fail, require
 from .mesh import POLICIES, ROUND_ROBIN
 from .netem import JITTER_NONE, JitterSpec, LossSpec
 from .workload import (
+    PAYLOAD_CONSTANT,
     PAYLOAD_EMPIRICAL,
     PAYLOAD_LOGNORMAL,
     STAGE_BACKEND,
@@ -64,6 +65,9 @@ MAX_SCRAPES = 100_000
 # A lognormal payload draw is exp(normal(mu, sigma)); ten sigmas above mu
 # must stay below the largest float, or a draw can overflow.
 MAX_LOG_PAYLOAD = math.log(sys.float_info.max)
+# A payload size is turned into a float (the backend's reduced bytes), which
+# fails for a whole number above the largest float.
+MAX_PAYLOAD_BYTES = sys.float_info.max
 
 # Stage demand defaults: frontend detect-and-crop, backend recognition.
 STAGE_DEMAND = {
@@ -358,6 +362,10 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
             errors.append("workload.payload.values: empty")
         elif any(v < 1 for v in payload.values):
             errors.append("workload.payload.values: sizes must be >= 1")
+        elif max(payload.values) > MAX_PAYLOAD_BYTES:
+            errors.append(f"workload.payload.values: must be at most the largest float, {MAX_PAYLOAD_BYTES!r}")
+    elif payload.dist == PAYLOAD_CONSTANT and payload.bytes > MAX_PAYLOAD_BYTES:
+        errors.append(f"workload.payload.bytes: must be at most the largest float, {MAX_PAYLOAD_BYTES!r}")
     elif payload.dist == PAYLOAD_LOGNORMAL and payload.mu + 10 * payload.sigma > MAX_LOG_PAYLOAD:
         errors.append(
             f"workload.payload: mu + 10 * sigma = {payload.mu + 10 * payload.sigma!r} exceeds "

@@ -4,7 +4,7 @@ import yaml
 import pytest
 
 import fedsim
-from fedsim import cli
+from fedsim import cli, workload
 from fedsim.engine import EngineError, EngineState
 from tests.conftest import MINI_DOC, OVERLOAD, QUOTED, two_cluster_doc
 
@@ -60,8 +60,12 @@ class TestValidate:
                 MINI_DOC.replace("{dist: constant, bytes: 1000}", "{dist: lognormal, mu: 800, sigma: 1}"),
                 "error: workload.payload: mu + 10 * sigma = 810.0 exceeds",
             ),
+            (
+                MINI_DOC.replace("bytes: 1000", f"bytes: {10**400}"),
+                "error: workload.payload.bytes: must be at most the largest float",
+            ),
         ],
-        ids=["scrape_grid", "lognormal_overflow"],
+        ids=["scrape_grid", "lognormal_overflow", "payload_overflow"],
     )
     def test_scenario_past_a_run_limit_is_invalid(self, doc, error, tmp_path, capsys):
         path = tmp_path / "limit.scenario"
@@ -257,17 +261,31 @@ class TestRun:
 
 @pytest.mark.parametrize("command", ["run", "ping"])
 def test_exception_inside_a_run_exits_3_with_the_event_tail(command, tmp_path, capsys):
-    # validates, but the first arrival overflows turning the payload into a float
-    doc = MINI_DOC.replace("bytes: 1000", f"bytes: {10**400}")
+    # validates, but 1e308 bytes at 1e7 ms per kB is a frontend demand that
+    # overflows to inf, so the first start schedules its completion at inf
+    doc = MINI_DOC.replace("bytes: 1000", f"bytes: {10**308}").replace(
+        "demand: {base_ms: 10.0, per_kb_ms: 0.0}", "demand: {base_ms: 10.0, per_kb_ms: 1.0e+7}"
+    )
     scenario = tmp_path / "overflow.yaml"
     scenario.write_text(doc)
     assert cli.main(["validate", str(scenario)]) == 0
     out = tmp_path / "out"
     assert cli.main([command, str(scenario), "--out-dir", str(out)]) == 3
-    assert "engine error: OverflowError at engine.py:" in capsys.readouterr().err
+    assert "engine error: event time before the clock or not finite: service_complete at inf" in capsys.readouterr().err
     tail = (out / "event_log_tail.csv").read_text().splitlines()
     assert tail[0] == "time_s,seq,kind"
-    assert tail[-1].endswith(",arrival")
+    assert tail[-1].endswith(",service_start")
+
+
+def test_exception_of_any_type_names_where_it_was_raised(mini_scenario, tmp_path, monkeypatch, capsys):
+    def broken(profile, input_bytes):
+        raise ZeroDivisionError("synthetic")
+
+    monkeypatch.setattr(workload, "service_demand", broken)
+    out = tmp_path / "out"
+    assert cli.main(["run", mini_scenario, "--out-dir", str(out)]) == 3
+    assert "engine error: ZeroDivisionError at test_cli.py:" in capsys.readouterr().err
+    assert (out / "event_log_tail.csv").read_text().splitlines()[-1].endswith(",link_deliver")
 
 
 def test_yaml_artifacts_match_the_pure_python_dumper(tmp_path):
@@ -430,6 +448,46 @@ class TestSweep:
         assert code == 1
         assert "no values given" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        ("jobs", "values", "workers"),
+        [
+            (["--jobs", "100000"], "1,2", 2),
+            ([], "1,2,3", 3),
+            ([], "1,2,3,4,5", 4),
+            (["--jobs", "2"], "1,2,3", 2),
+            (["--jobs", "1"], "1,2", None),  # None: run in this process, no pool
+            (["--jobs", "5"], "1", None),
+        ],
+    )
+    def test_workers_never_outnumber_the_runs(self, jobs, values, workers, two_cluster_scenario, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPool:  # records the pool size and runs the tasks here, starting no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        argv = ["sweep", two_cluster_scenario, "--param", "seed", "--values", values, "--until", "1"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "s"), *jobs]) == 0
+        assert started == ([] if workers is None else [workers])
+        assert len(list((tmp_path / "s").iterdir())) == len(values.split(","))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_bad_usage(self, jobs, two_cluster_scenario, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", two_cluster_scenario, "--param", "seed", "--values", "1", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs: expected a whole number >= 1" in capsys.readouterr().err
 
 class TestParser:
     def test_version_flag(self, capsys):

@@ -9,6 +9,11 @@ short; the others run to their scenario duration.
 ``OVERLOAD`` (in ``conftest``), whose events tie, is pinned run to the end,
 cut mid-burst with ``--until``, and with scrapes every 62.5 ms, the frontend
 demand, so that scrapes tie with service starts and completions.
+
+Two pings pin the order of probe sends against other events at the same
+instant: ``blackout`` probed every 100 ms for 310 s, through request traffic
+and into its first blackout, and ``TIE_PING``, whose answered probes land
+exactly on the next send instant and whose lost ones on their own.
 """
 
 import hashlib
@@ -18,8 +23,8 @@ import pytest
 import yaml
 
 import fedsim
-from fedsim import cli
-from tests.conftest import OVERLOAD
+from fedsim import cli, metrics, probes, topology
+from tests.conftest import OVERLOAD, make_topology
 
 CSVS = (
     "cpu_rate.csv",
@@ -40,6 +45,38 @@ OVERLOAD_RUNS = {
     "full": (OVERLOAD, []),
     "cut": (OVERLOAD, ["--until", "25"]),
     "fine_scrape": (OVERLOAD.replace("scrape_interval_s: 0.5", "scrape_interval_s: 0.0625"), []),
+}
+
+# Probe-only, pinged every 500 ms: a diagonal probe takes 2 x 250 ms and one
+# across a 250 ms link 2 x 250 ms, so its receipt lands on the next send
+# instant; across the undelayed links a receipt lands on its own send
+# instant, and so does a probe lost to the lossy links or to the blackout,
+# whose ends and the scrapes tie with sends too.
+TIE_PING = """
+clusters:
+  - {name: a, nodes: 1, vcpus_per_node: 1, memory_gb: 1, role: edge}
+  - {name: b, nodes: 1, vcpus_per_node: 1, memory_gb: 1, role: edge}
+  - {name: c, nodes: 1, vcpus_per_node: 1, memory_gb: 1, role: datacenter}
+links:
+  base_delay_ms: 0.0
+  intra_base_delay_ms: 250.0
+  one_way_delay_ms:
+    - [0, 250, 0]
+    - [250, 0, 125]
+    - [0, 125, 0]
+  loss:
+    - {src: a, dst: c, p: 0.3}
+    - {src: c, dst: b, p: 0.2}
+timeline:
+  - {action: blackout, at_s: 5, cluster: c, end_s: 7.5}
+seed: 5
+duration_s: 30
+scrape_interval_s: 1.0
+"""
+
+PING_RUNS = {
+    "blackout": (fedsim.bundled_scenario("blackout").read_text(), ["--interval", "0.1", "--duration", "310"]),
+    "tie": (TIE_PING, ["--interval", "0.5"]),
 }
 
 GOLDEN = {
@@ -105,6 +142,26 @@ OVERLOAD_GOLDEN = {
 }
 
 
+# computed before probe sends were batched into one event per grid step
+PING_GOLDEN = {
+    "blackout": {
+        "cpu_rate.csv": "dd3b3be27b314bd332107edbbe54d8b64c4c0552b5017bfa91aadc167e82e421",
+        "probe_rtt.csv": "a6b04a290f94b8e9ac20c0df99177a84103862bff43cac7ee78207fcf09241ea",
+        "replica_busy_vcpu_seconds_total.csv": "b476b85e08d4200f8e7d7f1655a9cf9271ae9916856971c885fb703d1f0e6a9d",
+        "replica_outstanding_requests.csv": "8f938f074816f5c01252416459c8c884db62acec06ad8076728798b9f692285c",
+        "traces.csv": "a18c7480a37db2ecefc40c580ebfee87a96911a34f12f1f5d6b681e38f5ffdae",
+        "rtt_matrix.yaml": "eba601ef707c01a017fe443d67c66bd7cd19077d060135e1014dcb6bc4b8818f",
+    },
+    "tie": {
+        "cpu_rate.csv": "950a5dfcb1f66fc34a9243cd4092f6430b31a8f092ca14df9d48fe6f0b8e938c",
+        "probe_rtt.csv": "9cdba63ff74ebfecd6434da2e65acd368cf6d3e03ad0f2bd24a2dd343aea5d09",
+        "replica_busy_vcpu_seconds_total.csv": "950a5dfcb1f66fc34a9243cd4092f6430b31a8f092ca14df9d48fe6f0b8e938c",
+        "replica_outstanding_requests.csv": "950a5dfcb1f66fc34a9243cd4092f6430b31a8f092ca14df9d48fe6f0b8e938c",
+        "traces.csv": "b41359c773cd8ddea9f830f0797aad303b108dc8442b6c89aabfeec56843405e",
+        "rtt_matrix.yaml": "523d147cb5ec61666ad6cf43995930de20012b096d41b48d0adc5858a650bffb",
+    },
+}
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -138,3 +195,36 @@ def test_overload_exports_match_golden_digests(name, tmp_path, capsys):
     assert cli.main(["run", str(scenario), "--out-dir", str(out), *options]) == 0
     capsys.readouterr()
     assert _digests(out) == OVERLOAD_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(PING_RUNS))
+def test_ping_exports_match_golden_digests(name, tmp_path, capsys):
+    text, options = PING_RUNS[name]
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text)
+    out = tmp_path / name
+    assert cli.main(["ping", str(scenario), "--out-dir", str(out), *options]) == 0
+    capsys.readouterr()
+    assert _digests(out) == PING_GOLDEN[name]
+
+
+def test_ping_stepped_in_pieces_matches_one_long_run(tmp_path):
+    def ping(cuts):
+        engine = topology.build_runtime(make_topology(TIE_PING))
+        run = engine.run
+
+        def stepped(until):
+            for cut in cuts:
+                run(cut)
+            return run(until)
+
+        engine.run = stepped
+        probes.run_ping(engine, interval_s=0.5)
+        return engine
+
+    # cuts on send instants, between them, and one that runs nothing
+    whole, pieces = ping([]), ping([0.5, 0.5, 3.25, 7.5, 7.75, 20.0])
+    assert pieces.probes == whole.probes
+    assert (pieces.event_count, pieces.clock) == (whole.event_count, whole.clock)
+    metrics.export_csv(pieces, tmp_path)
+    assert _sha256((tmp_path / "probe_rtt.csv").read_bytes()) == PING_GOLDEN["tie"]["probe_rtt.csv"]

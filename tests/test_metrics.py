@@ -16,6 +16,7 @@ from fedsim.metrics import (
     cluster_rates,
     cpu_rate,
     export_csv,
+    left_sum,
 )
 from tests.conftest import MINI_DOC, QUOTED, make_topology, run_scenario_text
 
@@ -296,3 +297,24 @@ def test_quoted_names_and_every_outcome_match_a_plain_csv_writer(tmp_path):
         exported = (tmp_path / "export" / name).read_bytes()
         assert exported == (tmp_path / "reference" / name).read_bytes(), name
         assert b'"edge, ""west""",' in exported and b", dc1," in exported and b'"dc ""2"""' in exported
+
+
+def test_equal_send_times_keep_their_own_repr(tmp_path):
+    # equal but differently written send times, alternating object by object
+    engine = topology.build_runtime(make_topology(QUOTED))
+    sent = [0.0, -0.0, -0.0, 0.0, 1, 1.0, 1.0, 1, 2.5, 2.5]
+    engine.probes = [probes.ProbeSample(k % 3, (k + 1) % 3, t, None if k % 4 else 1.5) for k, t in enumerate(sent)]
+    export_csv(engine, tmp_path / "export")
+    reference_export(engine, tmp_path / "reference")
+    exported = (tmp_path / "export" / "probe_rtt.csv").read_bytes()
+    assert exported == (tmp_path / "reference" / "probe_rtt.csv").read_bytes()
+    assert [row.split(b",")[-3] for row in exported.splitlines()[1:]] == [repr(t).encode() for t in sent]
+
+
+def test_left_sum_rounds_each_addition_on_every_python():
+    # sum() gives 0.0 here up to 3.11 and 2.0 from 3.12 (compensated floats)
+    assert left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert left_sum([]) == 0 and type(left_sum([])) is int
+    assert repr(left_sum([-0.0])) == "0.0"
+    store = store_of([0.0], *[[0.0]] * 4)  # four replicas of one (cluster, service)
+    assert cluster_rates(store, [(1.0, [1.0, 1e100, 1.0, -1e100])]) == {("a", "s"): [(1.0, 0.0)]}

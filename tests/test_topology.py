@@ -1,5 +1,7 @@
 """Scenario parsing, canonical rendering, validation, and placement."""
 
+import sys
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -432,6 +434,26 @@ duration_s: 5
         assert [error.split(" exceeds ")[0] for error in exc.value.errors] == [
             f"workload.payload: mu + 10 * sigma = {mu + 10 * sigma!r}"
         ]
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            (f"{{dist: constant, bytes: {int(sys.float_info.max)}}}", None),
+            (f"{{dist: constant, bytes: {int(sys.float_info.max) + 1}}}", "workload.payload.bytes"),
+            (f"{{dist: constant, bytes: {10**400}}}", "workload.payload.bytes"),
+            (f"{{dist: empirical, values: [1, {int(sys.float_info.max)}]}}", None),
+            (f"{{dist: empirical, values: [1, {10**400}, 2]}}", "workload.payload.values"),
+        ],
+        ids=["max_float", "above_max_float", "10**400", "values_max_float", "values_10**400"],
+    )
+    def test_payload_size_must_fit_a_float(self, payload, error):
+        doc = MINI_DOC.replace("{dist: constant, bytes: 1000}", payload)
+        if error is None:
+            make_topology(doc)
+            return
+        with pytest.raises(ValidationError) as exc:
+            make_topology(doc)
+        assert exc.value.errors == [f"{error}: must be at most the largest float, {sys.float_info.max!r}"]
 
     def test_probe_only_scenario_needs_no_services(self, ping_spec):
         topo = validate(ping_spec)
