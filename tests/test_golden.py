@@ -142,7 +142,6 @@ OVERLOAD_GOLDEN = {
 }
 
 
-# computed before probe sends were batched into one event per grid step
 PING_GOLDEN = {
     "blackout": {
         "cpu_rate.csv": "dd3b3be27b314bd332107edbbe54d8b64c4c0552b5017bfa91aadc167e82e421",
