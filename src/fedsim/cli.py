@@ -9,6 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 invalid scenario or sweep values, 2 bad usage or
 unreadable input, 3 any error raised inside a run (with an event-log tail
 dumped for diagnosis).
+
+``run`` and ``ping`` stream ``traces.csv`` and ``probe_rtt.csv`` while the
+run goes (``metrics.stream_csv``); a run that fails leaves only the tail.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
             "timed_out": engine.timed_out,
             "in_flight": engine.in_flight,
             "events": engine.event_count,
-            "probes": len(engine.probes),
+            "probes": engine.probes_received,
             "mean_cpu_rate_cores": rate_means,
         },
         "meta": {
@@ -123,6 +126,22 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
     _write_yaml(out_dir / "summary.yaml", summary)
 
 
+def _streamed(engine, out: Path, run) -> bool:
+    """Call ``run()`` with the engine's traces and probes streamed into
+    ``out``. On any exception (exit 3) the partial files are removed, the
+    event tail is dumped, and this returns False."""
+    metrics.stream_csv(engine, out)
+    try:
+        run()
+    except Exception as exc:
+        for writer in (engine.trace_writer, engine.probe_writer):
+            writer.close()
+            writer.path.unlink()
+        _dump_event_tail(engine, out, exc)
+        return False
+    return True
+
+
 def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool) -> int:
     """Run a loaded scenario and export. Shared by run and the sweep workers."""
     engine = topology.build_runtime(topo)
@@ -131,14 +150,10 @@ def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: boo
     bound = spec.duration_s if until is None else until
     out = Path(out_dir)
     started = wall_time.perf_counter()
-    try:
-        engine.run(until=bound)
-    except Exception as exc:  # any failure inside a run exits 3 with the tail
-        _dump_event_tail(engine, out, exc)
+    if not _streamed(engine, out, lambda: engine.run(until=bound)):
         return EXIT_ENGINE
     elapsed = wall_time.perf_counter() - started
 
-    out.mkdir(parents=True, exist_ok=True)
     metrics.export_csv(engine, out)
     if debug_events:
         with (out / "events.csv").open("w", newline="") as handle:
@@ -180,16 +195,12 @@ def cmd_ping(args) -> int:
         return EXIT_IO
     engine = topology.build_runtime(topo)
     out = Path(args.out_dir)
-    try:
-        samples = probes.run_ping(engine, interval_s=args.interval, duration_s=duration)
-    except Exception as exc:
-        _dump_event_tail(engine, out, exc)
+    if not _streamed(engine, out, lambda: probes.run_ping(engine, interval_s=args.interval, duration_s=duration)):
         return EXIT_ENGINE
 
     names = [cluster.name for cluster in spec.clusters]
-    stats = probes.rtt_stats(samples, len(names))
-    out.mkdir(parents=True, exist_ok=True)
     metrics.export_csv(engine, out)
+    stats = probes.rtt_stats(engine.rtt_groups)
     matrix_doc = {
         "interval_s": args.interval,
         "duration_s": duration,

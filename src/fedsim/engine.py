@@ -21,6 +21,19 @@ counter; messages carry it as their target. ``engine.replicas`` lists them
 in placement order. ``run`` returns the engine itself, whose counters,
 ``traces``, ``probes`` and ``metrics`` are the run's outputs so far.
 
+``traces`` holds requests in id order and ``probes`` samples in receipt
+order. Without writers they hold every one. With a ``trace_writer`` (see
+``metrics.stream_csv``), every ``FLUSH_BATCH`` arrivals the requests at the
+head of ``traces`` whose rows are final go to the writer and are dropped, up
+to the first that is not: a row is final once the request has an outcome and
+is not in backend service (a request that times out during backend service
+still gets ``be_end``). So ``traces`` holds the requests in flight and at
+most the rows that wait behind the oldest of them. With a ``probe_writer``,
+every ``FLUSH_BATCH`` samples go to it and their RTTs to ``rtt_groups``.
+``end_streams`` writes the rest. At the end of every ``run`` call the clock
+must be finite, ``in_flight`` must equal the held requests without an
+outcome, and no balancer count may be below 0; otherwise ``EngineError``.
+
 Replicas are FIFO queues with a concurrency limit of
 ``max(1, node_vcpus // replicas_on_node)``; each in-service request holds one
 vCPU for its full demand. A request admitted to a free slot starts service at
@@ -60,6 +73,9 @@ SCRAPE = "scrape"
 OUTCOME_COMPLETED = "completed"
 OUTCOME_LOST = "lost"
 OUTCOME_TIMED_OUT = "timed_out"
+
+# held requests or samples per hand-over to a writer
+FLUSH_BATCH = 1024
 
 # link_deliver hop tags, in path order
 HOP_REQUEST_FE = "request_fe"
@@ -174,8 +190,11 @@ class EngineState:
         }
 
         self.metrics = metrics.Scrapes.of(self.replicas, self.cluster_names)
-        self.traces: list[Request] = []
-        self.probes: list = []
+        self.traces: list[Request] = []  # not yet written
+        self.probes: list = []  # not yet written
+        self.trace_writer = None
+        self.probe_writer = None
+        self.rtt_groups = probes.group_rtts((), len(self.cluster_names))  # RTTs of the written probes
         self.probe_plans: list = []
         self.arrivals = 0
         self.completed = 0
@@ -256,7 +275,8 @@ class EngineState:
         """Execute all events with time strictly below ``until``; the clock
         ends at ``until``. Can be called repeatedly with increasing bounds.
         Returns the engine itself: its counters, ``traces``, ``probes`` and
-        ``metrics`` are the run's outputs so far."""
+        ``metrics`` are the run's outputs so far. Raises ``EngineError`` if
+        the end-of-run checks fail (see the module docstring)."""
         if not self._primed:
             self._primed = True
             self._prime()
@@ -286,11 +306,59 @@ class EngineState:
             handlers[kind](time, payload)
         if until > self.clock:
             self.clock = until
+        self._check_invariants()
         return self
+
+    def _check_invariants(self) -> None:
+        if not math.isfinite(self.clock):
+            raise EngineError(f"clock not finite: {self.clock!r}")
+        held_open = sum(1 for request in self.traces if request.outcome is None)
+        if held_open != self.in_flight:
+            raise EngineError(f"{self.in_flight} requests in flight but {held_open} held without an outcome")
+        for state in (self.ingress_state, *self.fe_states.values()):
+            for endpoint, count in state.outstanding.items():
+                if count < 0:
+                    raise EngineError(f"balancer count {count} below 0 for {endpoint!r}")
 
     @property
     def in_flight(self) -> int:
         return self.arrivals - self.completed - self.lost - self.timed_out
+
+    @property
+    def probes_received(self) -> int:
+        return len(self.probes) + sum(len(rtts) for row in self.rtt_groups for rtts in row)
+
+    # -- streaming ----------------------------------------------------------
+
+    def _flush_traces(self) -> None:
+        held = self.traces
+        final = 0
+        for request in held:
+            if request.outcome is None or (request.be_start is not None and request.be_end is None):
+                break
+            final += 1
+        if final:
+            self.trace_writer.write(held[:final])
+            del held[:final]
+
+    def _flush_probes(self) -> None:
+        held = self.probes
+        self.probe_writer.write(held)
+        probes.group_rtts(held, len(self.cluster_names), self.rtt_groups)
+        held.clear()
+
+    def end_streams(self) -> None:
+        """Hand every held row to the open writers, requests in flight with
+        blank stamps, and close them. The run is not continued after this."""
+        if self.trace_writer is not None:
+            self.trace_writer.write(self.traces)
+            self.traces.clear()
+            self.trace_writer.close()
+            self.trace_writer = None
+        if self.probe_writer is not None:
+            self._flush_probes()
+            self.probe_writer.close()
+            self.probe_writer = None
 
     # -- request lifecycle --------------------------------------------------
 
@@ -306,10 +374,13 @@ class EngineState:
             self.timed_out += 1
 
     def _on_arrival(self, t: float, _payload) -> None:
+        rid = self._next_request_id
+        if self.trace_writer is not None and not rid % FLUSH_BATCH:
+            self._flush_traces()
         payload_bytes = self.payload_sampler.sample()
         reduction = self.frontend.profile.reduction_factor
-        request = Request(self._next_request_id, payload_bytes, payload_bytes * reduction)
-        self._next_request_id += 1
+        request = Request(rid, payload_bytes, payload_bytes * reduction)
+        self._next_request_id = rid + 1
         self.arrivals += 1
         request.ingress_in = t
         self.traces.append(request)
@@ -468,7 +539,10 @@ class EngineState:
         probes.handle_probe_send(self, t, payload)
 
     def _on_probe_recv(self, t: float, sample) -> None:
-        self.probes.append(sample)
+        held = self.probes
+        held.append(sample)
+        if self.probe_writer is not None and len(held) >= FLUSH_BATCH:
+            self._flush_probes()
 
 
 def _describe(payload) -> str:

@@ -17,7 +17,10 @@ service, replica) order, floats written with ``repr``. ``traces.csv`` and
 ``probe_rtt.csv`` hold a row per request and per probe, so they are written
 one formatted row at a time rather than through ``csv.writer``; the name
 cells of each replica and probe pair still pass through it once, so names
-keep its quoting, and rows end in its ``\r\n``.
+keep its quoting, and rows end in its ``\r\n``. ``TraceWriter`` and
+``ProbeWriter`` are the only formatters of those rows: ``stream_csv`` hands
+them to the engine, which writes rows during the run (see ``engine``), and
+``export_csv`` writes whatever rows are still held through them.
 """
 
 from __future__ import annotations
@@ -136,14 +139,22 @@ def _stamp(value) -> str:
     return "" if value is None else repr(value)
 
 
-def _write_traces(path: Path, engine) -> None:
-    names = engine.cluster_names
-    cells = {replica: _cells(replica.service, names[replica.cluster], replica.replica) for replica in engine.replicas}
-    cells[None] = ",,"
-    with path.open("w", newline="") as handle:
-        write = handle.write
-        write(_TRACE_HEADER)
-        for t in engine.traces:
+class TraceWriter:
+    """``traces.csv`` at ``path``, one row per request handed to ``write``."""
+
+    def __init__(self, path: Path, engine):
+        names = engine.cluster_names
+        self.path = path
+        self._cells = {None: ",,"}
+        for replica in engine.replicas:
+            self._cells[replica] = _cells(replica.service, names[replica.cluster], replica.replica)
+        self._handle = path.open("w", newline="")
+        self._handle.write(_TRACE_HEADER)
+
+    def write(self, requests) -> None:
+        cells = self._cells
+        write = self._handle.write
+        for t in requests:
             # only a completed request has response_out, and it has every other stamp
             if t.response_out is not None:
                 write(
@@ -158,18 +169,30 @@ def _write_traces(path: Path, engine) -> None:
                     f"{cells[t.backend]},{','.join(map(_stamp, stamps))},\r\n"
                 )
 
+    def close(self) -> None:
+        self._handle.close()
 
-def _write_probes(path: Path, engine) -> None:
-    names = engine.cluster_names
-    pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]  # filled as pairs show up
-    # the probes of one grid step share one send-time object and mostly come
-    # in a run, so the last one's repr is reused for the same object, never
-    # for an equal value (0.0 and -0.0, or 1 and 1.0, are equal)
-    last_sent = stamp = None
-    with path.open("w", newline="") as handle:
-        write = handle.write
-        write(_PROBE_HEADER)
-        for src, dst, sent_at, rtt_ms in engine.probes:
+
+class ProbeWriter:
+    """``probe_rtt.csv`` at ``path``, one row per probe sample handed to
+    ``write``."""
+
+    def __init__(self, path: Path, engine):
+        self.path = path
+        self._names = names = engine.cluster_names
+        self._pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]  # filled as pairs show up
+        # the probes of one grid step share one send-time object and mostly come
+        # in a run, so the last one's repr is reused for the same object, never
+        # for an equal value (0.0 and -0.0, or 1 and 1.0, are equal)
+        self._last_sent = self._stamp = None
+        self._handle = path.open("w", newline="")
+        self._handle.write(_PROBE_HEADER)
+
+    def write(self, samples) -> None:
+        names, pair_cells = self._names, self._pair_cells
+        last_sent, stamp = self._last_sent, self._stamp
+        write = self._handle.write
+        for src, dst, sent_at, rtt_ms in samples:
             cells = pair_cells[src][dst]
             if cells is None:
                 cells = pair_cells[src][dst] = _cells(names[src], names[dst])
@@ -179,13 +202,31 @@ def _write_probes(path: Path, engine) -> None:
                 write(f"{cells},{stamp},,true\r\n")
             else:
                 write(f"{cells},{stamp},{rtt_ms!r},false\r\n")
+        self._last_sent, self._stamp = last_sent, stamp
+
+    def close(self) -> None:
+        self._handle.close()
+
+
+def stream_csv(engine, out_dir: str | Path) -> None:
+    """Open ``traces.csv`` and ``probe_rtt.csv`` in ``out_dir`` as the
+    engine's writers: from then on the engine writes each row once it is
+    final and keeps only the rows not yet written. ``export_csv`` writes the
+    rest and closes them."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    engine.trace_writer = TraceWriter(out / "traces.csv", engine)
+    engine.probe_writer = ProbeWriter(out / "probe_rtt.csv", engine)
 
 
 def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
     """Write the full artifact set of a run's engine; returns {name: path}.
 
     Files are always created, header-only when a run produced no data, so a
-    consumer can rely on the manifest.
+    consumer can rely on the manifest. Traces and probes held by the engine
+    go to its writers when ``stream_csv`` opened them, which this closes
+    (requests still in flight get blank stamps); otherwise every held row is
+    written here, and the engine is left as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,8 +241,14 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
         paths[name] = out / f"{name}.csv"
         _write_rows(paths[name], store.labels, rows)
 
-    paths["probe_rtt"] = out / "probe_rtt.csv"
-    _write_probes(paths["probe_rtt"], engine)
-    paths["traces"] = out / "traces.csv"
-    _write_traces(paths["traces"], engine)
+    for name, writer, held, writer_class in (
+        ("probe_rtt", engine.probe_writer, engine.probes, ProbeWriter),
+        ("traces", engine.trace_writer, engine.traces, TraceWriter),
+    ):
+        paths[name] = out / f"{name}.csv"
+        if writer is None:  # not streamed: every row is still held
+            writer = writer_class(paths[name], engine)
+            writer.write(held)
+            writer.close()
+    engine.end_streams()
     return paths

@@ -15,9 +15,12 @@ order. A receipt draws no randomness and schedules nothing, so no other
 event can run between two sends of a step: the links' streams are drawn,
 and the receipts queued, in (step, pair) order.
 
-``rtt_stats`` groups the samples by pair in one pass. The variance of each
-pair is computed exactly in integers and rounded once, so it equals
-``statistics.pvariance`` bit for bit without its per-value fractions.
+``group_rtts`` collects the RTTs of each pair, in sample order, and
+``rtt_stats`` computes the statistics of those groups; a streamed ping
+groups its samples batch by batch as they are written (see ``engine``), an
+API caller all at once. The variance of each pair is computed exactly in
+integers and rounded once, so it equals ``statistics.pvariance`` bit for bit
+without its per-value fractions.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | No
     """Schedule a ping experiment on the engine and run it to ``duration_s``.
 
     Defaults to every ordered cluster pair including diagonals. Returns
-    ``engine.probes``, the engine's own list of collected samples.
+    ``engine.probes``, the engine's own list of the samples not yet written
+    (every sample, unless the engine has a probe writer).
     """
     n = len(engine.cluster_names)
     if duration_s is None:
@@ -133,14 +137,20 @@ def pvariance(values) -> float:
     return (count * sum(map(mul, scaled, scaled)) - total * total) / (count * count << 2 * shift)
 
 
-def rtt_stats(samples, n_clusters: int) -> RttStats:
-    """Mean, population variance, and loss fraction per ordered pair, from
-    one pass that groups the RTTs of each pair (None for a lost probe)."""
-    shape = range(n_clusters)
-    groups: list[list[list]] = [[[] for _ in shape] for _ in shape]
+def group_rtts(samples, n_clusters: int, groups=None) -> list[list[list]]:
+    """``groups[src][dst]``: the RTT of every sample of the pair, in sample
+    order, None for a lost probe. Appends to ``groups`` when given one."""
+    if groups is None:
+        groups = [[[] for _ in range(n_clusters)] for _ in range(n_clusters)]
     for src, dst, _sent_at, rtt_ms in samples:
         groups[src][dst].append(rtt_ms)
+    return groups
 
+
+def rtt_stats(groups) -> RttStats:
+    """Mean, population variance, and loss fraction per ordered pair, from
+    the RTTs ``group_rtts`` collected for it."""
+    shape = range(len(groups))
     mean = [[None for _ in shape] for _ in shape]
     variance = [[None for _ in shape] for _ in shape]
     loss = [[None for _ in shape] for _ in shape]

@@ -357,6 +357,7 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
     frontend_spec, backend_spec, backend_policy = _validate_services(spec.services, index_of, errors)
 
     payload = spec.workload.payload
+    largest = None  # the largest payload a draw can give, once it is known to be a float
     if payload.dist == PAYLOAD_EMPIRICAL:
         if not payload.values:
             errors.append("workload.payload.values: empty")
@@ -364,13 +365,23 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
             errors.append("workload.payload.values: sizes must be >= 1")
         elif max(payload.values) > MAX_PAYLOAD_BYTES:
             errors.append(f"workload.payload.values: must be at most the largest float, {MAX_PAYLOAD_BYTES!r}")
-    elif payload.dist == PAYLOAD_CONSTANT and payload.bytes > MAX_PAYLOAD_BYTES:
-        errors.append(f"workload.payload.bytes: must be at most the largest float, {MAX_PAYLOAD_BYTES!r}")
-    elif payload.dist == PAYLOAD_LOGNORMAL and payload.mu + 10 * payload.sigma > MAX_LOG_PAYLOAD:
-        errors.append(
-            f"workload.payload: mu + 10 * sigma = {payload.mu + 10 * payload.sigma!r} exceeds "
-            f"ln(max float) = {MAX_LOG_PAYLOAD!r}; lognormal draws would overflow"
-        )
+        else:
+            largest = max(payload.values)
+    elif payload.dist == PAYLOAD_CONSTANT:
+        if payload.bytes > MAX_PAYLOAD_BYTES:
+            errors.append(f"workload.payload.bytes: must be at most the largest float, {MAX_PAYLOAD_BYTES!r}")
+        else:
+            largest = payload.bytes
+    elif payload.dist == PAYLOAD_LOGNORMAL:
+        if payload.mu + 10 * payload.sigma > MAX_LOG_PAYLOAD:
+            errors.append(
+                f"workload.payload: mu + 10 * sigma = {payload.mu + 10 * payload.sigma!r} exceeds "
+                f"ln(max float) = {MAX_LOG_PAYLOAD!r}; lognormal draws would overflow"
+            )
+        else:
+            largest = math.exp(payload.mu + 10 * payload.sigma)
+    if largest is not None:
+        _check_demands(spec.services, frontend_spec, largest, errors)
     if spec.scrape_interval_s > 0 and spec.duration_s / spec.scrape_interval_s > MAX_SCRAPES:
         errors.append(
             f"scrape_interval_s: {spec.scrape_interval_s!r} gives more than {MAX_SCRAPES} scrapes "
@@ -422,6 +433,22 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
         backend=backend,
         backend_policy=backend_policy,
     )
+
+
+def _check_demands(services, frontend: ServiceSpec | None, largest_bytes: float, errors: list[str]) -> None:
+    """Each stage's service demand for the largest payload, computed as the
+    engine computes it, must be finite; the backend serves the frontend's
+    reduced bytes."""
+    for k, service in enumerate(services):
+        demand = service.demand
+        input_bytes = largest_bytes
+        if service.stage == STAGE_BACKEND and frontend is not None:
+            input_bytes = largest_bytes * frontend.demand.reduction
+        if not math.isfinite(demand.base_ms * 1e-3 + demand.per_kb_ms * 1e-6 * input_bytes):
+            errors.append(
+                f"services[{k}].demand: base_ms + per_kb_ms * {input_bytes / 1000!r} kB, the largest payload, "
+                "overflows a float"
+            )
 
 
 def _check_names(items, section: str, errors: list[str]) -> None:

@@ -68,7 +68,7 @@ def ping_stats():
     spec = topology.load_scenario(fedsim.bundled_scenario("ping"))
     engine = topology.build_runtime(topology.validate(spec))
     samples = probes.run_ping(engine)
-    return probes.rtt_stats(samples, 4)
+    return probes.rtt_stats(probes.group_rtts(samples, 4))
 
 
 @pytest.fixture(scope="module")

@@ -64,8 +64,15 @@ class TestValidate:
                 MINI_DOC.replace("bytes: 1000", f"bytes: {10**400}"),
                 "error: workload.payload.bytes: must be at most the largest float",
             ),
+            (
+                # 1e308 bytes at 1e7 ms per kB: a frontend demand that overflows to inf
+                MINI_DOC.replace("bytes: 1000", f"bytes: {10**308}").replace(
+                    "demand: {base_ms: 10.0, per_kb_ms: 0.0}", "demand: {base_ms: 10.0, per_kb_ms: 1.0e+7}"
+                ),
+                "error: services[0].demand: base_ms + per_kb_ms * 1e+305 kB, the largest payload, overflows a float",
+            ),
         ],
-        ids=["scrape_grid", "lognormal_overflow", "payload_overflow"],
+        ids=["scrape_grid", "lognormal_overflow", "payload_overflow", "demand_overflow"],
     )
     def test_scenario_past_a_run_limit_is_invalid(self, doc, error, tmp_path, capsys):
         path = tmp_path / "limit.scenario"
@@ -260,21 +267,34 @@ class TestRun:
 
 
 @pytest.mark.parametrize("command", ["run", "ping"])
-def test_exception_inside_a_run_exits_3_with_the_event_tail(command, tmp_path, capsys):
-    # validates, but 1e308 bytes at 1e7 ms per kB is a frontend demand that
-    # overflows to inf, so the first start schedules its completion at inf
-    doc = MINI_DOC.replace("bytes: 1000", f"bytes: {10**308}").replace(
-        "demand: {base_ms: 10.0, per_kb_ms: 0.0}", "demand: {base_ms: 10.0, per_kb_ms: 1.0e+7}"
-    )
-    scenario = tmp_path / "overflow.yaml"
-    scenario.write_text(doc)
-    assert cli.main(["validate", str(scenario)]) == 0
+def test_exception_inside_a_run_exits_3_with_the_event_tail(command, mini_scenario, tmp_path, monkeypatch, capsys):
+    # a valid scenario whose demand comes out infinite, so the first start
+    # schedules its completion at inf
+    assert cli.main(["validate", mini_scenario]) == 0
+    monkeypatch.setattr(workload, "service_demand", lambda profile, input_bytes: float("inf"))
     out = tmp_path / "out"
-    assert cli.main([command, str(scenario), "--out-dir", str(out)]) == 3
+    assert cli.main([command, mini_scenario, "--out-dir", str(out)]) == 3
     assert "engine error: event time before the clock or not finite: service_complete at inf" in capsys.readouterr().err
     tail = (out / "event_log_tail.csv").read_text().splitlines()
     assert tail[0] == "time_s,seq,kind"
     assert tail[-1].endswith(",service_start")
+    # the streamed traces.csv and probe_rtt.csv were removed
+    assert [path.name for path in out.iterdir()] == ["event_log_tail.csv"]
+
+
+def test_broken_bookkeeping_exits_3(mini_scenario, tmp_path, monkeypatch, capsys):
+    finalize = EngineState._finalize
+
+    def counted_twice(self, request, outcome):
+        if request.outcome is None and outcome == "completed":
+            self.completed += 1
+        finalize(self, request, outcome)
+
+    monkeypatch.setattr(EngineState, "_finalize", counted_twice)
+    out = tmp_path / "out"
+    assert cli.main(["run", mini_scenario, "--out-dir", str(out)]) == 3
+    assert "requests in flight but" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["event_log_tail.csv"]
 
 
 def test_exception_of_any_type_names_where_it_was_raised(mini_scenario, tmp_path, monkeypatch, capsys):

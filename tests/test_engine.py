@@ -41,6 +41,9 @@ class TestScheduling:
         engine.debug_log = []
         engine.run(until=10.0)
         late, early = Request(-1, 1000, 1000.0), Request(-2, 1000, 1000.0)
+        # counted as arrivals, so the end-of-run bookkeeping check holds
+        engine.arrivals += 2
+        engine.traces += (late, early)
         engine.schedule(30.0, TIMEOUT, late)
         engine.schedule(12.0, TIMEOUT, early)
         engine.run(until=12.0)
@@ -122,6 +125,38 @@ class TestConservation:
                 served = sum(1 for t in result.traces if t.backend is replica and t.be_end is not None)
                 assert replica.busy_vcpu_seconds == 0.125 * served
             assert served > 0
+
+
+class TestEndOfRunChecks:
+    def _engine(self):
+        engine = topology.build_runtime(make_topology(OVERLOAD))
+        engine.run(until=12.0)
+        return engine
+
+    def test_a_counter_out_of_step_with_the_held_requests_raises(self):
+        engine = self._engine()
+        engine.completed += 1
+        with pytest.raises(EngineError, match="requests in flight but"):
+            engine.run(until=engine.clock)  # runs no event, only the checks
+
+    def test_a_request_gone_before_its_outcome_raises(self):
+        # what a request streamed while still in flight would look like
+        engine = self._engine()
+        engine.traces.remove(next(t for t in engine.traces if t.outcome is None))
+        with pytest.raises(EngineError, match="requests in flight but"):
+            engine.run(until=engine.clock)  # runs no event, only the checks
+
+    def test_a_balancer_count_below_zero_raises(self):
+        engine = self._engine()
+        state = next(iter(engine.fe_states.values()))
+        state.outstanding[engine.backend_endpoints[0]] = -1
+        with pytest.raises(EngineError, match="below 0"):
+            engine.run(until=engine.clock)  # runs no event, only the checks
+
+    def test_an_infinite_clock_raises(self):
+        engine = self._engine()
+        with pytest.raises(EngineError, match="clock not finite"):
+            engine.run(until=float("inf"))
 
 
 class TestRequestPath:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import probes, topology
-from fedsim.probes import ProbeSample, format_rtt_table, probe_count, rtt_stats, run_ping
+from fedsim.probes import ProbeSample, format_rtt_table, group_rtts, probe_count, rtt_stats, run_ping
 from tests.conftest import make_topology
 
 HOT = {(0, 2), (1, 2), (2, 0), (2, 1)}
@@ -49,7 +49,7 @@ class TestProbeCount:
 def stats(ping_spec):
     engine = topology.build_runtime(topology.validate(ping_spec))
     samples = run_ping(engine, duration_s=10.0)
-    return rtt_stats(samples, 4)
+    return rtt_stats(group_rtts(samples, 4))
 
 
 class TestPingMatrix:
@@ -87,7 +87,7 @@ class TestImpairedProbes:
         )
         engine = fresh_engine(probe_doc(links))
         samples = run_ping(engine, pairs=[(0, 1)], interval_s=0.02, duration_s=200.0)
-        stats = rtt_stats(samples, 2)
+        stats = rtt_stats(group_rtts(samples, 2))
         assert stats.count[0][1] == 10_000
         assert stats.mean_ms[0][1] == pytest.approx(22.0, rel=0.01)
         # each leg contributes scale^2 / 3 of variance
@@ -101,7 +101,7 @@ class TestImpairedProbes:
         )
         engine = fresh_engine(probe_doc(links))
         samples = run_ping(engine, pairs=[(0, 1)], interval_s=0.02, duration_s=200.0)
-        stats = rtt_stats(samples, 2)
+        stats = rtt_stats(group_rtts(samples, 2))
         # lost iff either leg drops: 1 - 0.7^2
         assert stats.loss_fraction[0][1] == pytest.approx(0.51, abs=0.02)
         assert stats.count[0][1] == 10_000
@@ -112,14 +112,14 @@ class TestImpairedProbes:
         samples = run_ping(engine, pairs=[(0, 1)], interval_s=2.0, duration_s=12.0)
         assert [s.sent_at for s in samples] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
         assert [s.sent_at for s in samples if s.lost] == [4.0, 6.0]
-        stats = rtt_stats(samples, 2)
+        stats = rtt_stats(group_rtts(samples, 2))
         assert stats.loss_fraction[0][1] == pytest.approx(2 / 6)
 
     def test_diagonal_uses_intra_cluster_base(self):
         links = "  base_delay_ms: 1.0\n  intra_base_delay_ms: 2.5"
         engine = fresh_engine(probe_doc(links))
         samples = run_ping(engine, pairs=[(0, 0), (0, 1)], interval_s=1.0, duration_s=5.0)
-        stats = rtt_stats(samples, 2)
+        stats = rtt_stats(group_rtts(samples, 2))
         assert stats.mean_ms[0][0] == 5.0
         assert stats.mean_ms[0][1] == 2.0
 
@@ -149,7 +149,7 @@ class TestFormatting:
             ProbeSample(0, 1, 1.0, None),
             ProbeSample(1, 0, 0.0, 5.0),
         ]
-        text = format_rtt_table(rtt_stats(samples, 2), ("alpha", "beta"))
+        text = format_rtt_table(rtt_stats(group_rtts(samples, 2)), ("alpha", "beta"))
         lines = text.splitlines()
         assert lines[0] == "mean RTT (ms)"
         assert "alpha" in lines[1] and "beta" in lines[1]
@@ -161,7 +161,7 @@ class TestFormatting:
 
     def test_loss_section_omitted_when_clean(self):
         samples = [ProbeSample(0, 1, 0.0, 3.0), ProbeSample(1, 0, 0.0, 4.0)]
-        text = format_rtt_table(rtt_stats(samples, 2), ("a", "b"))
+        text = format_rtt_table(rtt_stats(group_rtts(samples, 2)), ("a", "b"))
         assert "loss fraction" not in text
 
 

@@ -1,0 +1,111 @@
+"""Rows streamed during a run are the rows an in-memory export writes.
+
+``fedsim run`` and ``fedsim ping`` hand finished requests and received
+probes to their CSV writers while the run goes. Each test here compares
+that output, byte for byte, with ``metrics.export_csv`` of an engine that
+has no writers and so holds every row until the end. ``FLUSH_BATCH`` is
+patched to 1, so rows go out at every arrival and every receipt: the small
+scenarios never reach a real batch, and a row written one event too early
+would show.
+"""
+
+import pytest
+import yaml
+
+import fedsim
+from fedsim import cli, engine, metrics, probes, topology
+from tests.conftest import OVERLOAD, make_topology
+from tests.test_golden import CSVS, OVERLOAD_RUNS, TIE_PING
+
+BLACKOUT = fedsim.bundled_scenario("blackout").read_text()
+
+RUNS = {
+    "overload": (OVERLOAD, None),
+    "overload_cut": (OVERLOAD, 25.0),
+    "overload_fine_scrape": (OVERLOAD_RUNS["fine_scrape"][0], None),
+    "poc": (fedsim.bundled_scenario("poc").read_text(), None),
+    # the first blackout of C3 lasts from 300 to 600 s
+    "blackout_cut": (BLACKOUT, 320.0),
+}
+
+PINGS = {
+    "tie": (TIE_PING, 0.5, None),
+    "blackout": (BLACKOUT, 0.1, 310.0),
+}
+
+
+@pytest.fixture(autouse=True)
+def flush_every_row(monkeypatch):
+    monkeypatch.setattr(engine, "FLUSH_BATCH", 1)
+
+
+def _in_memory(text, out, run):
+    state = topology.build_runtime(make_topology(text))
+    run(state)
+    assert state.trace_writer is None
+    metrics.export_csv(state, out)
+    return state
+
+
+def _files(out) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in CSVS}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_streamed_run_matches_the_in_memory_export(name, tmp_path, capsys):
+    text, until = RUNS[name]
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text)
+    options = [] if until is None else ["--until", repr(until)]
+    assert cli.main(["run", str(scenario), "--out-dir", str(tmp_path / "cli"), *options]) == 0
+    capsys.readouterr()
+    whole = _in_memory(text, tmp_path / "api", lambda state: state.run(until or state.duration_s))
+    assert _files(tmp_path / "cli") == _files(tmp_path / "api")
+    results = yaml.safe_load((tmp_path / "cli" / "summary.yaml").read_text())["results"]
+    assert (results["arrivals"], results["in_flight"]) == (whole.arrivals, whole.in_flight)
+
+
+def test_overload_times_out_requests_during_backend_service():
+    # the case that keeps a row with an outcome held: these requests get
+    # their be_end after they time out, so their rows may not go out earlier
+    whole = topology.build_runtime(make_topology(OVERLOAD))
+    whole.run(whole.duration_s)
+    late = [t for t in whole.traces if t.outcome == "timed_out" and t.be_end is not None]
+    assert late and all(t.be_start < t.be_dispatch + whole.timeout_s <= t.be_end for t in late)
+
+
+@pytest.mark.parametrize("name", sorted(PINGS))
+def test_streamed_ping_matches_the_in_memory_export(name, tmp_path, capsys):
+    text, interval, duration = PINGS[name]
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text)
+    options = ["--interval", repr(interval)] + ([] if duration is None else ["--duration", repr(duration)])
+    assert cli.main(["ping", str(scenario), "--out-dir", str(tmp_path / "cli"), *options]) == 0
+    capsys.readouterr()
+
+    def ping(state):
+        probes.run_ping(state, interval_s=interval, duration_s=duration)
+
+    whole = _in_memory(text, tmp_path / "api", ping)
+    assert _files(tmp_path / "cli") == _files(tmp_path / "api")
+    names = whole.cluster_names
+    stats = probes.rtt_stats(probes.group_rtts(whole.probes, len(names)))
+    matrix = yaml.safe_load((tmp_path / "cli" / "rtt_matrix.yaml").read_text())
+    assert matrix["mean_rtt_ms"] == cli._matrix_doc(stats.mean_ms, names)
+    assert matrix["variance_rtt_ms2"] == cli._matrix_doc(stats.variance_ms2, names)
+    assert matrix["loss_fraction"] == cli._matrix_doc(stats.loss_fraction, names)
+
+
+def test_streamed_run_holds_a_batch_beyond_the_requests_in_flight(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "FLUSH_BATCH", 1024)
+    state = topology.build_runtime(make_topology(fedsim.bundled_scenario("poc_lc").read_text()))
+    metrics.stream_csv(state, tmp_path)
+    most = 0
+    for step in range(1, 13):
+        state.run(10.0 * step)
+        most = max(most, len(state.traces) - state.in_flight)
+        assert len(state.traces) <= engine.FLUSH_BATCH + state.in_flight, state.clock
+    assert most > 0  # rows are held between batches
+    metrics.export_csv(state, tmp_path)
+    rows = (tmp_path / "traces.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",", 1)[0]) for row in rows] == list(range(state.arrivals))

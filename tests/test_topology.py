@@ -455,6 +455,33 @@ duration_s: 5
             make_topology(doc)
         assert exc.value.errors == [f"{error}: must be at most the largest float, {sys.float_info.max!r}"]
 
+    @pytest.mark.parametrize(
+        "payload, frontend, backend, error",
+        [
+            (f"{{dist: constant, bytes: {10**308}}}", "per_kb_ms: 1.0e+7", "per_kb_ms: 0.0", "services[0]"),
+            (f"{{dist: empirical, values: [1, {10**308}]}}", "per_kb_ms: 1.0e+7", "per_kb_ms: 0.0", "services[0]"),
+            ("{dist: lognormal, mu: 700, sigma: 0.5}", "per_kb_ms: 1.0e+9", "per_kb_ms: 0.0", "services[0]"),
+            ("{dist: lognormal, mu: 700, sigma: 0.5}", "per_kb_ms: 1.0e+6", "per_kb_ms: 0.0", None),
+            # the backend serves the frontend's reduced bytes, a quarter here
+            (f"{{dist: constant, bytes: {10**308}}}", "per_kb_ms: 0.0, reduction: 0.25", "per_kb_ms: 4.0e+6", None),
+            (f"{{dist: constant, bytes: {10**308}}}", "per_kb_ms: 0.0, reduction: 0.25", "per_kb_ms: 1.0e+7", "services[1]"),
+        ],
+        ids=["constant", "empirical", "lognormal", "lognormal_fits", "reduced_fits", "reduced_overflows"],
+    )
+    def test_demand_of_the_largest_payload_must_be_finite(self, payload, frontend, backend, error):
+        doc = (
+            MINI_DOC.replace("{dist: constant, bytes: 1000}", payload)
+            .replace("{base_ms: 10.0, per_kb_ms: 0.0}", f"{{base_ms: 10.0, {frontend}}}")
+            .replace("{base_ms: 30.0, per_kb_ms: 0.0}", f"{{base_ms: 30.0, {backend}}}")
+        )
+        if error is None:
+            make_topology(doc)
+            return
+        with pytest.raises(ValidationError) as exc:
+            make_topology(doc)
+        [message] = exc.value.errors
+        assert message.startswith(f"{error}.demand: base_ms + per_kb_ms * ") and message.endswith("overflows a float")
+
     def test_probe_only_scenario_needs_no_services(self, ping_spec):
         topo = validate(ping_spec)
         assert topo.frontend is None
