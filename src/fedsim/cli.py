@@ -23,7 +23,6 @@ import re
 import sys
 import time as wall_time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -200,7 +199,7 @@ def cmd_ping(args) -> int:
 
     names = [cluster.name for cluster in spec.clusters]
     metrics.export_csv(engine, out)
-    stats = probes.rtt_stats(engine.rtt_groups)
+    stats = probes.rtt_stats(engine.rtt_sums)
     matrix_doc = {
         "interval_s": args.interval,
         "duration_s": duration,
@@ -285,6 +284,8 @@ def cmd_sweep(args) -> int:
     if workers == 1:
         codes = [_sweep_worker(task)[1] for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a sweep starts processes
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = [code for _, code in pool.map(_sweep_worker, tasks)]
     return max(codes) if codes else EXIT_OK

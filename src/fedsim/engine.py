@@ -29,10 +29,15 @@ to the first that is not: a row is final once the request has an outcome and
 is not in backend service (a request that times out during backend service
 still gets ``be_end``). So ``traces`` holds the requests in flight and at
 most the rows that wait behind the oldest of them. With a ``probe_writer``,
-every ``FLUSH_BATCH`` samples go to it and their RTTs to ``rtt_groups``.
+every ``FLUSH_BATCH`` samples go to it and are folded into ``rtt_sums``, so
+nothing per probe outlives its batch.
 ``end_streams`` writes the rest. At the end of every ``run`` call the clock
 must be finite, ``in_flight`` must equal the held requests without an
-outcome, and no balancer count may be below 0; otherwise ``EngineError``.
+outcome, no balancer count may be below 0, and each frontend's count for a
+backend must equal the pending timeouts of the requests it sent there whose
+count is still open; otherwise ``EngineError``. A count can stand while
+nothing is in flight: a request lost on a link has its outcome at once,
+but its count is released only when its timeout fires.
 
 Replicas are FIFO queues with a concurrency limit of
 ``max(1, node_vcpus // replicas_on_node)``; each in-service request holds one
@@ -56,6 +61,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from itertools import chain
 
 from . import faults, mesh, metrics, netem, probes, workload
 from .probes import PROBE_RECV, PROBE_SEND
@@ -194,7 +200,7 @@ class EngineState:
         self.probes: list = []  # not yet written
         self.trace_writer = None
         self.probe_writer = None
-        self.rtt_groups = probes.group_rtts((), len(self.cluster_names))  # RTTs of the written probes
+        self.rtt_sums = probes.group_rtts((), len(self.cluster_names))  # of the written probes
         self.probe_plans: list = []
         self.arrivals = 0
         self.completed = 0
@@ -319,6 +325,19 @@ class EngineState:
             for endpoint, count in state.outstanding.items():
                 if count < 0:
                     raise EngineError(f"balancer count {count} below 0 for {endpoint!r}")
+        # a count is released by the response or by the request's timeout,
+        # so it stands for exactly the pending timeouts of open requests
+        pending: dict = {frontend: {} for frontend in self.fe_states}
+        for _time, _seq, kind, request in chain(self._timeouts, self._heap):
+            if kind == TIMEOUT and request.lc_open:
+                held = pending[request.frontend]
+                held[request.backend] = held.get(request.backend, 0) + 1
+        for frontend, state in self.fe_states.items():
+            counts = {backend: count for backend, count in state.outstanding.items() if count}
+            if counts != pending[frontend]:
+                raise EngineError(
+                    f"balancer counts {counts} at {frontend!r}, but pending timeouts hold {pending[frontend]}"
+                )
 
     @property
     def in_flight(self) -> int:
@@ -326,7 +345,7 @@ class EngineState:
 
     @property
     def probes_received(self) -> int:
-        return len(self.probes) + sum(len(rtts) for row in self.rtt_groups for rtts in row)
+        return len(self.probes) + sum(sums.count for row in self.rtt_sums for sums in row)
 
     # -- streaming ----------------------------------------------------------
 
@@ -344,7 +363,7 @@ class EngineState:
     def _flush_probes(self) -> None:
         held = self.probes
         self.probe_writer.write(held)
-        probes.group_rtts(held, len(self.cluster_names), self.rtt_groups)
+        probes.group_rtts(held, len(self.cluster_names), self.rtt_sums)
         held.clear()
 
     def end_streams(self) -> None:

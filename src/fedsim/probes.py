@@ -15,21 +15,19 @@ order. A receipt draws no randomness and schedules nothing, so no other
 event can run between two sends of a step: the links' streams are drawn,
 and the receipts queued, in (step, pair) order.
 
-``group_rtts`` collects the RTTs of each pair, in sample order, and
-``rtt_stats`` computes the statistics of those groups; a streamed ping
-groups its samples batch by batch as they are written (see ``engine``), an
-API caller all at once. The variance of each pair is computed exactly in
-integers and rounded once, so it equals ``statistics.pvariance`` bit for bit
-without its per-value fractions.
+``group_rtts`` folds the samples of each pair into an ``RttSums``: a count,
+a lost count and exact integer sums of the RTTs and their squares, so a
+pair's memory does not grow with the number of probes. ``rtt_stats``
+computes the statistics from those sums; a streamed ping folds its samples
+batch by batch as they are written (see ``engine``), an API caller all at
+once. Mean and variance are rounded once from the exact sums, so they equal
+``statistics.fmean`` and ``statistics.pvariance`` bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-import statistics
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
+from math import frexp, isfinite, ldexp
 from typing import NamedTuple
 
 PROBE_SEND = "probe_send"
@@ -115,59 +113,108 @@ class RttStats:
     count: list[list[int]]
 
 
-def pvariance(values) -> float:
-    """``statistics.pvariance`` of floats, bit for bit, in integers.
+class RttSums:
+    """The running sums of one pair's RTTs, exact in integers.
 
     A float whose ``frexp`` exponent is e is a whole multiple of 2**(e - 53),
-    so scaling every value by 2**shift, with shift = 53 minus the exponent
-    of the smallest nonzero magnitude, makes each an integer N exactly. The
-    variance is then the exact rational
-    ``(count * sum(N*N) - sum(N)**2) / (count**2 * 4**shift)``, which int
-    true division rounds correctly once, as ``pvariance`` rounds the same
-    rational held as a Fraction.
+    so with ``shift`` at least 53 minus the exponent of the smallest nonzero
+    magnitude seen, every value scales to an exact integer N = v * 2**shift.
+    Only ``count``, ``lost``, ``shift``, ``s1`` = sum(N) and ``s2`` =
+    sum(N*N) are kept. A value that needs a larger shift first rescales the
+    sums, exactly: ``s1 <<= d``, ``s2 <<= 2 * d``.
+
+    ``mean`` is the exact sum rounded once and divided by the count, as
+    ``statistics.fmean`` computes it (``math.fsum`` and int true division
+    both round the exact sum correctly). ``variance`` is the exact rational
+    ``(k * s2 - s1**2) / (k**2 * 4**shift)`` rounded once, which is the
+    rational ``statistics.pvariance`` rounds. Both therefore equal the
+    ``statistics`` results bit for bit, however the values were split into
+    batches.
     """
-    smallest = min(filter(None, map(abs, values)), default=0.0)
-    shift = max(0, 53 - math.frexp(smallest)[1])
-    try:
-        scaled = list(map(int, map(math.ldexp, values, repeat(shift))))
-    except (OverflowError, ValueError):  # an infinity, a NaN, or too wide a range
-        return statistics.pvariance(values)
-    total = sum(scaled)
-    count = len(scaled)
-    return (count * sum(map(mul, scaled, scaled)) - total * total) / (count * count << 2 * shift)
+
+    __slots__ = ("count", "lost", "shift", "s1", "s2", "_exact_from")
+
+    def __init__(self):
+        self.count = 0
+        self.lost = 0
+        self.shift = 0
+        self.s1 = 0
+        self.s2 = 0
+        self._exact_from = 2.0**52  # values at least this scale exactly by ldexp
+
+    def add(self, rtt_ms: float | None) -> None:
+        """Fold one RTT, None for a lost probe. Raises ``ValueError`` on a
+        value that is not finite."""
+        self.count += 1
+        if rtt_ms is None:
+            self.lost += 1
+            return
+        if rtt_ms >= self._exact_from:
+            try:
+                scaled = int(ldexp(rtt_ms, self.shift))
+            except OverflowError:  # past the float range once scaled
+                scaled = self._scale(rtt_ms)
+        else:
+            scaled = self._scale(rtt_ms)
+        self.s1 += scaled
+        self.s2 += scaled * scaled
+
+    def _scale(self, value: float) -> int:
+        if not isfinite(value):
+            raise ValueError(f"RTT not finite: {value!r}")
+        mantissa, exponent = frexp(value)
+        if not mantissa:
+            return 0
+        need = 53 - exponent
+        shift = self.shift
+        if need > shift:
+            self.s1 <<= need - shift
+            self.s2 <<= 2 * (need - shift)
+            self.shift = shift = need
+            self._exact_from = ldexp(1.0, 52 - shift)
+        return int(ldexp(mantissa, 53)) << (shift - need)
+
+    @property
+    def mean(self) -> float | None:
+        """None when no probe was answered."""
+        k = self.count - self.lost
+        return self.s1 / (1 << self.shift) / k if k else None
+
+    @property
+    def variance(self) -> float | None:
+        """Population variance; None when no probe was answered."""
+        k = self.count - self.lost
+        return (k * self.s2 - self.s1 * self.s1) / (k * k << 2 * self.shift) if k else None
 
 
-def group_rtts(samples, n_clusters: int, groups=None) -> list[list[list]]:
-    """``groups[src][dst]``: the RTT of every sample of the pair, in sample
-    order, None for a lost probe. Appends to ``groups`` when given one."""
+def pvariance(values) -> float | None:
+    """``statistics.pvariance`` of finite floats, bit for bit: one
+    ``RttSums`` fold (None for no values)."""
+    sums = RttSums()
+    for value in values:
+        sums.add(value)
+    return sums.variance
+
+
+def group_rtts(samples, n_clusters: int, groups=None) -> list[list[RttSums]]:
+    """``groups[src][dst]``: the ``RttSums`` of the pair's samples. Folds
+    into ``groups`` when given them."""
     if groups is None:
-        groups = [[[] for _ in range(n_clusters)] for _ in range(n_clusters)]
+        groups = [[RttSums() for _ in range(n_clusters)] for _ in range(n_clusters)]
     for src, dst, _sent_at, rtt_ms in samples:
-        groups[src][dst].append(rtt_ms)
+        groups[src][dst].add(rtt_ms)
     return groups
 
 
 def rtt_stats(groups) -> RttStats:
     """Mean, population variance, and loss fraction per ordered pair, from
-    the RTTs ``group_rtts`` collected for it."""
-    shape = range(len(groups))
-    mean = [[None for _ in shape] for _ in shape]
-    variance = [[None for _ in shape] for _ in shape]
-    loss = [[None for _ in shape] for _ in shape]
-    count = [[0 for _ in shape] for _ in shape]
-    for i in shape:
-        for j in shape:
-            rtts = groups[i][j]
-            if not rtts:
-                continue
-            lost = rtts.count(None)
-            values = [rtt for rtt in rtts if rtt is not None] if lost else rtts
-            count[i][j] = len(rtts)
-            loss[i][j] = lost / len(rtts)
-            if values:
-                mean[i][j] = statistics.fmean(values)
-                variance[i][j] = pvariance(values)
-    return RttStats(mean, variance, loss, count)
+    the sums ``group_rtts`` folded for it."""
+    return RttStats(
+        [[sums.mean for sums in row] for row in groups],
+        [[sums.variance for sums in row] for row in groups],
+        [[sums.lost / sums.count if sums.count else None for sums in row] for row in groups],
+        [[sums.count for sums in row] for row in groups],
+    )
 
 
 def format_rtt_table(stats: RttStats, names) -> str:

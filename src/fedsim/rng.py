@@ -7,19 +7,30 @@ Streams are therefore independent of each other and of event interleaving:
 adding traffic on one link never shifts the draw sequence of another.
 
 Derivation goes through SHA-256 rather than ``hash()`` so it is stable across
-interpreter invocations and immune to hash randomization.
+interpreter invocations and immune to hash randomization. It is taken from
+CPython's builtin module (``_sha256`` up to 3.11, ``_sha2`` from 3.12), as
+``random`` takes its SHA-512, and from ``hashlib`` only where neither
+exists: loading ``hashlib`` loads OpenSSL, which costs a few MB of memory.
+The digest is the same from every source.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def derive_seed(root_seed: int, *label: object) -> int:
     """Derive a 64-bit stream seed from the root seed and a label tuple."""
     tag = "/".join(str(part) for part in label)
-    digest = hashlib.sha256(f"{root_seed}/{tag}".encode("utf-8")).digest()
+    digest = sha256(f"{root_seed}/{tag}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -1,5 +1,11 @@
 """CLI subcommands, exit codes, and exported artifacts."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import yaml
 import pytest
 
@@ -297,6 +303,14 @@ def test_broken_bookkeeping_exits_3(mini_scenario, tmp_path, monkeypatch, capsys
     assert [path.name for path in out.iterdir()] == ["event_log_tail.csv"]
 
 
+def test_a_balancer_count_never_released_exits_3(two_cluster_scenario, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(EngineState, "_release_lc", lambda self, request: None)
+    out = tmp_path / "out"
+    assert cli.main(["run", two_cluster_scenario, "--out-dir", str(out)]) == 3
+    assert "but pending timeouts hold" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["event_log_tail.csv"]
+
+
 def test_exception_of_any_type_names_where_it_was_raised(mini_scenario, tmp_path, monkeypatch, capsys):
     def broken(profile, input_bytes):
         raise ZeroDivisionError("synthetic")
@@ -496,7 +510,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         argv = ["sweep", two_cluster_scenario, "--param", "seed", "--values", values, "--until", "1"]
         assert cli.main([*argv, "--out-dir", str(tmp_path / "s"), *jobs]) == 0
         assert started == ([] if workers is None else [workers])
@@ -508,6 +522,19 @@ class TestSweep:
             cli.main(["sweep", two_cluster_scenario, "--param", "seed", "--values", "1", "--jobs", jobs])
         assert exc.value.code == 2
         assert "argument --jobs: expected a whole number >= 1" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_unused_module():
+    # OpenSSL (_hashlib) alone costs a few MB; statistics pulls in fractions
+    # and decimal; concurrent.futures is needed only by a sweep's pool
+    src = str(Path(fedsim.__file__).parents[1])
+    script = "import sys; bare = set(sys.modules); import fedsim.cli; print(*sorted(set(sys.modules) - bare))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    added = set(loaded.stdout.split())
+    assert "fedsim.cli" in added
+    assert not added & {"_hashlib", "statistics", "concurrent.futures"}
+
 
 class TestParser:
     def test_version_flag(self, capsys):

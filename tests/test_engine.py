@@ -153,6 +153,26 @@ class TestEndOfRunChecks:
         with pytest.raises(EngineError, match="below 0"):
             engine.run(until=engine.clock)  # runs no event, only the checks
 
+    def test_a_balancer_count_no_pending_timeout_holds_raises(self):
+        engine = self._engine()
+        state = next(iter(engine.fe_states.values()))
+        state.outstanding[engine.backend_endpoints[0]] += 1
+        with pytest.raises(EngineError, match="but pending timeouts hold"):
+            engine.run(until=engine.clock)  # runs no event, only the checks
+
+    def test_a_lossy_run_cut_every_10_ms_keeps_its_balancer_counts(self):
+        # a request lost on a link keeps its count until its timeout fires,
+        # so counts stay open at cuts where nothing is in flight
+        links = "  base_delay_ms: 1.0\n  loss:\n    - {src: west, dst: east, p: 0.3}\n    - {src: east, dst: west, p: 0.3}"
+        engine = topology.build_runtime(make_topology(two_cluster_doc(links=links, extra="timeout_s: 2.0")))
+        open_while_idle = 0
+        for k in range(1, 4001):
+            engine.run(until=k * 0.01)
+            counts = sum(count for state in engine.fe_states.values() for count in state.outstanding.values())
+            open_while_idle += engine.in_flight == 0 and counts > 0
+        assert engine.clock == engine.duration_s
+        assert open_while_idle > 0
+
     def test_an_infinite_clock_raises(self):
         engine = self._engine()
         with pytest.raises(EngineError, match="clock not finite"):

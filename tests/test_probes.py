@@ -183,9 +183,43 @@ def test_pvariance_is_statistics_pvariance_bit_for_bit(values):
 
 @pytest.mark.parametrize(
     "values",
-    [[0.0], [7.25] * 3, [0.0, 5e-324, 1e-310, 2.5e-300], [1.46, 51.46, 51.46000000000001], [2.0**60, 3.0, 0.1]],
+    [
+        [0.0],
+        [7.25] * 3,
+        [0.0, 5e-324, 1e-310, 2.5e-300],
+        [1.46, 51.46, 51.46000000000001],
+        [2.0**60, 3.0, 0.1],
+        [5e-324, 2.0**60],  # 2.0**60 scaled by ldexp overflows
+        [2.0**60, 5e-324],  # the sums are rescaled by 1126 bits
+    ],
 )
-def test_pvariance_stays_in_integers(values, monkeypatch):
-    expected = statistics.pvariance(values)
-    monkeypatch.setattr(probes.statistics, "pvariance", None)  # no fallback to the Fraction path
-    assert probes.pvariance(values).hex() == expected.hex()
+def test_pvariance_stays_in_integers(values):
+    assert not hasattr(probes, "statistics")  # no fallback to the Fraction path
+    assert probes.pvariance(values).hex() == statistics.pvariance(values).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rtt_lists(), st.data())
+def test_a_fold_in_any_batches_is_fmean_and_pvariance_bit_for_bit(values, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=6)))
+    groups = probes.group_rtts((), 1)
+    for start, end in zip([0, *cuts], [*cuts, len(values)]):
+        probes.group_rtts([ProbeSample(0, 0, 0.0, rtt) for rtt in values[start:end]], 1, groups)
+    stats = rtt_stats(groups)
+    assert stats.mean_ms[0][0].hex() == statistics.fmean(values).hex()
+    assert stats.variance_ms2[0][0].hex() == statistics.pvariance(values).hex()
+    assert stats.count[0][0] == len(values)
+
+
+def test_lost_probes_count_but_do_not_enter_the_sums():
+    stats = rtt_stats(group_rtts([ProbeSample(0, 0, 0.0, rtt) for rtt in (None, 2.0, None, 4.0)], 1))
+    assert (stats.count[0][0], stats.loss_fraction[0][0]) == (4, 0.5)
+    assert (stats.mean_ms[0][0], stats.variance_ms2[0][0]) == (3.0, 1.0)
+
+
+@pytest.mark.parametrize("rtt", [math.inf, -math.inf, math.nan])
+def test_a_value_that_is_not_finite_is_refused(rtt):
+    sums = probes.RttSums()
+    sums.add(1.0)
+    with pytest.raises(ValueError, match="RTT not finite"):
+        sums.add(rtt)

@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from fedsim.rng import derive_seed, stream
 
 
@@ -31,3 +35,10 @@ def test_streams_are_independent_of_draw_order():
     _ = [one.random() for _ in range(100)]
     fresh = stream(9, "loss", 0, 2)
     assert [fresh.random() for _ in range(5)] == interleaved
+
+
+@pytest.mark.parametrize("label", [(), ("arrival",), ("delay", 0, 2), ("loss", 15, 3), ("payload", "é/ü")])
+def test_the_builtin_sha256_gives_the_hashlib_seeds(label):
+    tag = "/".join(str(part) for part in label)
+    digest = hashlib.sha256(f"{2**70}/{tag}".encode("utf-8")).digest()
+    assert derive_seed(2**70, *label) == int.from_bytes(digest[:8], "big")

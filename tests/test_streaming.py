@@ -9,6 +9,9 @@ scenarios never reach a real batch, and a row written one event too early
 would show.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 import yaml
 
@@ -109,3 +112,26 @@ def test_streamed_run_holds_a_batch_beyond_the_requests_in_flight(tmp_path, monk
     metrics.export_csv(state, tmp_path)
     rows = (tmp_path / "traces.csv").read_text().splitlines()[1:]
     assert [int(row.split(",", 1)[0]) for row in rows] == list(range(state.arrivals))
+
+
+def test_a_streamed_ping_holds_flat_memory_however_long_it_probes(tmp_path, monkeypatch, capsys):
+    # each pair keeps running sums, not an RTT per probe, so 10 times the
+    # probes (32,000 against 3,200) leave the traced peak where it was; what
+    # still grows is the scrape grid, one time and two empty rows per 5 s
+    monkeypatch.setattr(engine, "FLUSH_BATCH", 1024)
+    scenario = str(fedsim.bundled_scenario("ping"))
+
+    def peak(duration: str, out: str) -> int:
+        gc.collect()  # so garbage of an earlier call does not move the peak
+        tracemalloc.start()
+        try:
+            argv = ["ping", scenario, "--interval", "0.2", "--duration", duration, "--out-dir", str(tmp_path / out)]
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak("40", "warm-up")  # fills the lazy caches of the first call
+    short, long = peak("40", "short"), peak("400", "long")
+    assert long <= short + 64 * 1024, (short, long)
