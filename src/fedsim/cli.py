@@ -7,22 +7,29 @@ Subcommands:
   sweep     run one scenario across a list of values for one parameter path
 
 Exit codes: 0 success, 1 invalid scenario or sweep values, 2 bad usage or
-unreadable input, 3 any error raised inside a run (with an event-log tail
-dumped for diagnosis).
+unreadable input, 3 any error raised inside a run or by its writers (with an
+event-log tail dumped for diagnosis).
 
 ``run`` and ``ping`` stream ``traces.csv`` and ``probe_rtt.csv`` while the
 run goes (``metrics.stream_csv``); a run that fails leaves only the tail.
+The run records no events itself: after a failure the command is replayed
+on a fresh engine that keeps its last 1000 events, and since a run is a
+pure function of (scenario, seed) the replay fails at the same event. A
+failure that does not recur there (a writer's) leaves a tail of the header
+only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import re
 import sys
 import time as wall_time
 import traceback
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,19 +83,45 @@ def _load(text: str, seed: int | None = None):
     return spec, topo
 
 
-def _dump_event_tail(engine, out_dir: Path, exc: Exception) -> None:
+class _DroppedRows:
+    """The replay's writer: it takes the rows the engine hands on, as the
+    run's writers did, so the replay holds no more than the run, and keeps
+    none of them."""
+
+    def write(self, rows) -> None:
+        pass
+
+
+def _replayed_tail(topo, run):
+    """The last 1000 events of ``run`` replayed on a fresh engine of ``topo``
+    that writes no files, or None if the replay does not fail. A run is a
+    pure function of (scenario, seed), so a failure inside it fails the
+    replay at the same event; one outside it, such as a writer's, does not."""
+    engine = topology.build_runtime(topo)
+    engine.debug_log = deque(maxlen=1000)
+    engine.trace_writer = engine.probe_writer = _DroppedRows()
+    try:
+        run(engine)
+    except Exception:
+        return engine.debug_log
+    return None
+
+
+def _dump_event_tail(tail, out_dir: Path, exc: Exception) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     dump = out_dir / "event_log_tail.csv"
     with dump.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time_s", "seq", "kind"])
-        for time, seq, kind, *_payload in engine.event_tail:
+        for time, seq, kind, _detail in tail or ():
             writer.writerow([repr(time), seq, kind])
     detail = str(exc)
     if not isinstance(exc, EngineError):
         frame = traceback.extract_tb(exc.__traceback__)[-1]  # where it was raised
         detail = f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}: {exc}"
     print(f"engine error: {detail}", file=sys.stderr)
+    if tail is None:
+        print("the failure did not recur when the run was replayed, so the tail holds no events", file=sys.stderr)
     print(f"event log tail written to {dump}", file=sys.stderr)
 
 
@@ -125,20 +158,27 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
     _write_yaml(out_dir / "summary.yaml", summary)
 
 
-def _streamed(engine, out: Path, run) -> bool:
-    """Call ``run()`` with the engine's traces and probes streamed into
-    ``out``. On any exception (exit 3) the partial files are removed, the
-    event tail is dumped, and this returns False."""
+def _streamed(engine, topo, out: Path, run) -> float | None:
+    """Call ``run(engine)`` with the engine's traces and probes streamed into
+    ``out``, then export every CSV. Returns the seconds from the start of the
+    streams to the end of the run. On any exception (exit 3) the streamed
+    files are removed, the event tail of a replay is dumped (see
+    ``_replayed_tail``), and this returns None."""
+    started = wall_time.perf_counter()
     metrics.stream_csv(engine, out)
+    writers = (engine.trace_writer, engine.probe_writer)
     try:
-        run()
+        run(engine)
+        elapsed = wall_time.perf_counter() - started
+        metrics.export_csv(engine, out)
     except Exception as exc:
-        for writer in (engine.trace_writer, engine.probe_writer):
-            writer.close()
+        for writer in writers:
+            with contextlib.suppress(Exception):  # a writer may be what failed
+                writer.close()
             writer.path.unlink()
-        _dump_event_tail(engine, out, exc)
-        return False
-    return True
+        _dump_event_tail(_replayed_tail(topo, run), out, exc)
+        return None
+    return elapsed
 
 
 def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool) -> int:
@@ -148,12 +188,10 @@ def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: boo
         engine.debug_log = []
     bound = spec.duration_s if until is None else until
     out = Path(out_dir)
-    started = wall_time.perf_counter()
-    if not _streamed(engine, out, lambda: engine.run(until=bound)):
+    elapsed = _streamed(engine, topo, out, lambda state: state.run(until=bound))
+    if elapsed is None:
         return EXIT_ENGINE
-    elapsed = wall_time.perf_counter() - started
 
-    metrics.export_csv(engine, out)
     if debug_events:
         with (out / "events.csv").open("w", newline="") as handle:
             writer = csv.writer(handle)
@@ -194,11 +232,14 @@ def cmd_ping(args) -> int:
         return EXIT_IO
     engine = topology.build_runtime(topo)
     out = Path(args.out_dir)
-    if not _streamed(engine, out, lambda: probes.run_ping(engine, interval_s=args.interval, duration_s=duration)):
+
+    def ping(state):
+        probes.run_ping(state, interval_s=args.interval, duration_s=duration)
+
+    if _streamed(engine, topo, out, ping) is None:
         return EXIT_ENGINE
 
     names = [cluster.name for cluster in spec.clusters]
-    metrics.export_csv(engine, out)
     stats = probes.rtt_stats(engine.rtt_sums)
     matrix_doc = {
         "interval_s": args.interval,

@@ -49,7 +49,13 @@ that very instant counts as timed out). Scrape k runs at exactly
 instant a scrape is due waits until that scrape has run, so a scrape sees
 every replica as it was before the starts of its instant. Starts and skips
 are not queued as events, but each counts as one ``service_start`` in
-``event_count``, the event tail and the debug log.
+``event_count`` and in the debug log.
+
+The loop records events only when asked: with ``debug_log`` set (a list, or
+a bounded deque), each event and start appends (time, seq, kind, detail) to
+it; otherwise the cost is one ``is not None`` test per event and per start.
+The dispatch tables hold plain functions called with the engine, so nothing
+the engine holds refers back to it, and it is freed with its last reference.
 
 A ping queues one ``probe_send`` event per grid step, with payload
 ``(plan_index, k)``, which probes every pair of the plan (see ``probes``),
@@ -208,25 +214,8 @@ class EngineState:
         self.timed_out = 0
         self._next_request_id = 0
 
-        self.event_tail: deque = deque(maxlen=1000)
-        self.debug_log: list | None = None
-
-        self._handlers = {
-            ARRIVAL: self._on_arrival,
-            LINK_DELIVER: self._on_link_deliver,
-            SERVICE_COMPLETE: self._on_service_complete,
-            TIMEOUT: self._on_timeout,
-            TIMELINE_APPLY: self._on_timeline_apply,
-            SCRAPE: self._on_scrape,
-            PROBE_SEND: self._on_probe_send,
-            PROBE_RECV: self._on_probe_recv,
-        }
-        self._hops = {
-            HOP_REQUEST_FE: self._deliver_request_fe,
-            HOP_REQUEST_BE: self._deliver_request_be,
-            HOP_RESPONSE_FE: self._deliver_response_fe,
-            HOP_RESPONSE_CLIENT: self._deliver_response_client,
-        }
+        # None, or a list or deque that records (time, seq, kind, detail) per event
+        self.debug_log = None
 
     def _place_replicas(self) -> list[Replica]:
         # round-robin replicas over each cluster's nodes, services in order,
@@ -291,7 +280,6 @@ class EngineState:
         pop = heapq.heappop
         popleft = lane.popleft
         handlers = self._handlers
-        tail = self.event_tail.append
         debug_log = self.debug_log
         while True:
             if lane and (not heap or lane[0] < heap[0]):
@@ -306,10 +294,9 @@ class EngineState:
             time, seq, kind, payload = entry
             self.clock = time
             self.event_count += 1
-            tail(entry)
             if debug_log is not None:
                 debug_log.append((time, seq, kind, _describe(payload)))
-            handlers[kind](time, payload)
+            handlers[kind](self, time, payload)
         if until > self.clock:
             self.clock = until
         self._check_invariants()
@@ -416,7 +403,7 @@ class EngineState:
 
     def _on_link_deliver(self, t: float, payload) -> None:
         request, target, hop = payload
-        self._hops[hop](request, target, t)
+        self._hops[hop](self, request, target, t)
 
     def _deliver_request_fe(self, request: Request, target: Replica, t: float) -> None:
         demand = workload.service_demand(self.frontend.profile, request.payload_bytes)
@@ -466,11 +453,9 @@ class EngineState:
             return
         fifo = replica.fifo
         while True:
-            payload = (replica, request, demand)
             self.event_count += 1
-            self.event_tail.append((t, None, SERVICE_START, payload))
             if self.debug_log is not None:
-                self.debug_log.append((t, None, SERVICE_START, _describe(payload)))
+                self.debug_log.append((t, None, SERVICE_START, _describe((replica, request, demand))))
             # a timeout due at this instant fires before the start
             if request.outcome is None and (replica.is_frontend or t < request.be_dispatch + self.timeout_s):
                 break
@@ -483,7 +468,7 @@ class EngineState:
         else:
             request.be_start = t
         replica.in_service += 1
-        self.schedule(t + demand, SERVICE_COMPLETE, payload)
+        self.schedule(t + demand, SERVICE_COMPLETE, (replica, request, demand))
 
     def _on_service_complete(self, t: float, payload) -> None:
         replica, request, demand = payload
@@ -562,6 +547,25 @@ class EngineState:
         held.append(sample)
         if self.probe_writer is not None and len(held) >= FLUSH_BATCH:
             self._flush_probes()
+
+    # kind -> handler and hop tag -> delivery, as plain functions called with
+    # the engine: bound methods held by the engine would keep it in a cycle
+    _handlers = {
+        ARRIVAL: _on_arrival,
+        LINK_DELIVER: _on_link_deliver,
+        SERVICE_COMPLETE: _on_service_complete,
+        TIMEOUT: _on_timeout,
+        TIMELINE_APPLY: _on_timeline_apply,
+        SCRAPE: _on_scrape,
+        PROBE_SEND: _on_probe_send,
+        PROBE_RECV: _on_probe_recv,
+    }
+    _hops = {
+        HOP_REQUEST_FE: _deliver_request_fe,
+        HOP_REQUEST_BE: _deliver_request_be,
+        HOP_RESPONSE_FE: _deliver_response_fe,
+        HOP_RESPONSE_CLIENT: _deliver_response_client,
+    }
 
 
 def _describe(payload) -> str:

@@ -21,13 +21,24 @@ keep its quoting, and rows end in its ``\r\n``. ``TraceWriter`` and
 ``ProbeWriter`` are the only formatters of those rows: ``stream_csv`` hands
 them to the engine, which writes rows during the run (see ``engine``), and
 ``export_csv`` writes whatever rows are still held through them.
+
+A writer packs each row into a tuple of plain values. Streamed by
+``stream_csv`` on a process that may use two CPUs and can fork, each file
+gets a writer process of its own, forked before the run: the run sends it
+length-prefixed ``marshal`` frames of ``FRAME_ROWS`` packed rows down a pipe,
+and the process formats them while the run goes on. ``close`` ends the pipe
+and waits for the process, and raises ``WriterError`` if it failed.
+Elsewhere the same formatter runs in-process; both write the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
+import marshal
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,6 +137,19 @@ _TRACE_HEADER = (
 )
 _PROBE_HEADER = "src,dst,sent_at_s,rtt_ms,lost\r\n"
 
+# packed rows per marshal frame sent to a writer process: a whole flush
+# batch in one frame would raise the run's peak memory
+FRAME_ROWS = 128
+# asked of a writer's pipe, so that the run seldom waits on a full one
+_PIPE_BYTES = 1 << 20
+# write ends of this process's open pipes to writer processes; a writer
+# process closes those of the others, or they would never see their end
+_WRITE_ENDS: set[int] = set()
+
+
+class WriterError(RuntimeError):
+    """A writer process ended with a non-zero status."""
+
 
 def _cells(*values) -> str:
     """``values`` as csv.writer writes them in one row, quoted where a value
@@ -139,60 +163,152 @@ def _stamp(value) -> str:
     return "" if value is None else repr(value)
 
 
-class TraceWriter:
+def _forks() -> bool:
+    """Whether a writer process can format rows beside the run, on a CPU of
+    its own."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return len(cpus) >= 2
+
+
+class _RowFile:
+    """One CSV file whose rows arrive packed as tuples of str, int, float
+    and None, and are turned into text by the subclass's ``_format(write,
+    rows)``. With ``fork`` a writer process does that: each ``_send`` passes
+    a length-prefixed ``marshal`` frame down a pipe, and the process writes
+    the rows while the run goes on. Otherwise ``_send`` formats them here."""
+
+    def __init__(self, path: Path, header: str, fork: bool):
+        self.path = path
+        self._handle = path.open("w", newline="")
+        self._handle.write(header)
+        self._pid = self._pipe = None
+        if fork:
+            self._fork()
+
+    def _fork(self) -> None:
+        self._handle.flush()  # or both processes would write the header
+        read_end, write_end = os.pipe()
+        try:
+            import fcntl
+
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (ImportError, AttributeError, OSError):
+            pass  # a smaller pipe only makes the run wait more often
+        pid = os.fork()
+        if pid == 0:
+            self._serve(read_end, (write_end, *_WRITE_ENDS))
+        os.close(read_end)
+        self._handle.close()
+        self._pid, self._pipe = pid, write_end
+        _WRITE_ENDS.add(write_end)
+
+    def _serve(self, read_end: int, write_ends) -> None:
+        """The writer process: format every frame until the pipe's end, then
+        exit, 0 if every row was written. Never returns."""
+        status = 1
+        try:
+            gc.disable()  # formatting makes no cycles, and a collection would touch every inherited object
+            for fd in write_ends:
+                os.close(fd)
+            with open(read_end, "rb", buffering=_PIPE_BYTES) as source, self._handle as handle:
+                write = handle.write
+                while head := source.read(4):
+                    self._format(write, marshal.loads(source.read(int.from_bytes(head, "little"))))
+            status = 0
+        except BaseException as exc:
+            os.write(2, f"writer of {self.path.name}: {type(exc).__name__}: {exc}\n".encode(errors="replace"))
+        finally:
+            os._exit(status)
+
+    def _send(self, rows: list) -> None:
+        if self._pipe is None:
+            self._format(self._handle.write, rows)
+            return
+        frame = marshal.dumps(rows)
+        view = memoryview(len(frame).to_bytes(4, "little") + frame)
+        try:
+            while view:  # a signal can cut a write short
+                view = view[os.write(self._pipe, view) :]
+        except BrokenPipeError:
+            self.close()  # raises WriterError with the status of the writer that quit
+            raise
+
+    def close(self) -> None:
+        """Finish the file: with a writer process, end its pipe and wait for
+        it, raising ``WriterError`` if it failed. Closing twice is harmless."""
+        self._handle.close()
+        if self._pipe is None:
+            return
+        _WRITE_ENDS.discard(self._pipe)
+        os.close(self._pipe)
+        self._pipe = None
+        status = os.waitpid(self._pid, 0)[1]
+        if status:
+            raise WriterError(f"writer of {self.path.name} exited with status {os.waitstatus_to_exitcode(status)}")
+
+
+class TraceWriter(_RowFile):
     """``traces.csv`` at ``path``, one row per request handed to ``write``."""
 
-    def __init__(self, path: Path, engine):
+    def __init__(self, path: Path, engine, fork: bool = False):
         names = engine.cluster_names
-        self.path = path
         self._cells = {None: ",,"}
         for replica in engine.replicas:
             self._cells[replica] = _cells(replica.service, names[replica.cluster], replica.replica)
-        self._handle = path.open("w", newline="")
-        self._handle.write(_TRACE_HEADER)
+        super().__init__(path, _TRACE_HEADER, fork)
 
     def write(self, requests) -> None:
         cells = self._cells
-        write = self._handle.write
-        for t in requests:
+        for start in range(0, len(requests), FRAME_ROWS):
+            self._send(
+                [
+                    (t.id, t.outcome, t.payload_bytes, t.reduced_bytes, cells[t.frontend], cells[t.backend],
+                     t.ingress_in, t.fe_start, t.fe_end, t.be_dispatch, t.be_start, t.be_end, t.response_out)
+                    for t in requests[start : start + FRAME_ROWS]
+                ]
+            )
+
+    @staticmethod
+    def _format(write, rows) -> None:
+        for rid, outcome, payload, reduced, fe, be, ingress, fe_start, fe_end, dispatch, be_start, be_end, out in rows:
             # only a completed request has response_out, and it has every other stamp
-            if t.response_out is not None:
+            if out is not None:
                 write(
-                    f"{t.id},{t.outcome},{t.payload_bytes},{t.reduced_bytes!r},{cells[t.frontend]},{cells[t.backend]},"
-                    f"{t.ingress_in!r},{t.fe_start!r},{t.fe_end!r},{t.be_dispatch!r},{t.be_start!r},{t.be_end!r},"
-                    f"{t.response_out!r}\r\n"
+                    f"{rid},{outcome},{payload},{reduced!r},{fe},{be},{ingress!r},{fe_start!r},{fe_end!r},"
+                    f"{dispatch!r},{be_start!r},{be_end!r},{out!r}\r\n"
                 )
             else:
-                stamps = (t.ingress_in, t.fe_start, t.fe_end, t.be_dispatch, t.be_start, t.be_end)
+                stamps = (ingress, fe_start, fe_end, dispatch, be_start, be_end)
                 write(
-                    f"{t.id},{t.outcome or 'in_flight'},{t.payload_bytes},{t.reduced_bytes!r},{cells[t.frontend]},"
-                    f"{cells[t.backend]},{','.join(map(_stamp, stamps))},\r\n"
+                    f"{rid},{outcome or 'in_flight'},{payload},{reduced!r},{fe},{be},"
+                    f"{','.join(map(_stamp, stamps))},\r\n"
                 )
 
-    def close(self) -> None:
-        self._handle.close()
 
-
-class ProbeWriter:
+class ProbeWriter(_RowFile):
     """``probe_rtt.csv`` at ``path``, one row per probe sample handed to
     ``write``."""
 
-    def __init__(self, path: Path, engine):
-        self.path = path
+    def __init__(self, path: Path, engine, fork: bool = False):
         self._names = names = engine.cluster_names
         self._pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]  # filled as pairs show up
         # the probes of one grid step share one send-time object and mostly come
         # in a run, so the last one's repr is reused for the same object, never
-        # for an equal value (0.0 and -0.0, or 1 and 1.0, are equal)
+        # for an equal value (0.0 and -0.0, or 1 and 1.0, are equal); marshal
+        # keeps that sharing within a frame
         self._last_sent = self._stamp = None
-        self._handle = path.open("w", newline="")
-        self._handle.write(_PROBE_HEADER)
+        super().__init__(path, _PROBE_HEADER, fork)
 
     def write(self, samples) -> None:
+        for start in range(0, len(samples), FRAME_ROWS):
+            self._send([tuple(sample) for sample in samples[start : start + FRAME_ROWS]])
+
+    def _format(self, write, rows) -> None:
         names, pair_cells = self._names, self._pair_cells
         last_sent, stamp = self._last_sent, self._stamp
-        write = self._handle.write
-        for src, dst, sent_at, rtt_ms in samples:
+        for src, dst, sent_at, rtt_ms in rows:
             cells = pair_cells[src][dst]
             if cells is None:
                 cells = pair_cells[src][dst] = _cells(names[src], names[dst])
@@ -204,9 +320,6 @@ class ProbeWriter:
                 write(f"{cells},{stamp},{rtt_ms!r},false\r\n")
         self._last_sent, self._stamp = last_sent, stamp
 
-    def close(self) -> None:
-        self._handle.close()
-
 
 def stream_csv(engine, out_dir: str | Path) -> None:
     """Open ``traces.csv`` and ``probe_rtt.csv`` in ``out_dir`` as the
@@ -215,8 +328,9 @@ def stream_csv(engine, out_dir: str | Path) -> None:
     rest and closes them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    engine.trace_writer = TraceWriter(out / "traces.csv", engine)
-    engine.probe_writer = ProbeWriter(out / "probe_rtt.csv", engine)
+    fork = _forks()
+    engine.trace_writer = TraceWriter(out / "traces.csv", engine, fork)
+    engine.probe_writer = ProbeWriter(out / "probe_rtt.csv", engine, fork)
 
 
 def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
@@ -232,15 +346,6 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    store = engine.metrics
-    for name, rows in (
-        (BUSY_COUNTER, zip(store.times, store.busy)),
-        (OUTSTANDING_GAUGE, zip(store.times, store.outstanding)),
-        (CPU_RATE, cpu_rate(store, engine.spec.rate_window_s, engine.scrape_interval_s)),
-    ):
-        paths[name] = out / f"{name}.csv"
-        _write_rows(paths[name], store.labels, rows)
-
     for name, writer, held, writer_class in (
         ("probe_rtt", engine.probe_writer, engine.probes, ProbeWriter),
         ("traces", engine.trace_writer, engine.traces, TraceWriter),
@@ -251,4 +356,13 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
             writer.write(held)
             writer.close()
     engine.end_streams()
+
+    store = engine.metrics
+    for name, rows in (
+        (BUSY_COUNTER, zip(store.times, store.busy)),
+        (OUTSTANDING_GAUGE, zip(store.times, store.outstanding)),
+        (CPU_RATE, cpu_rate(store, engine.spec.rate_window_s, engine.scrape_interval_s)),
+    ):
+        paths[name] = out / f"{name}.csv"
+        _write_rows(paths[name], store.labels, rows)
     return paths

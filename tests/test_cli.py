@@ -10,9 +10,9 @@ import yaml
 import pytest
 
 import fedsim
-from fedsim import cli, workload
+from fedsim import cli, metrics, topology, workload
 from fedsim.engine import EngineError, EngineState
-from tests.conftest import MINI_DOC, OVERLOAD, QUOTED, two_cluster_doc
+from tests.conftest import MINI_DOC, OVERLOAD, QUOTED, make_topology, two_cluster_doc
 
 
 @pytest.fixture()
@@ -259,7 +259,8 @@ class TestRun:
 
     def test_engine_error_dumps_event_tail(self, mini_scenario, tmp_path, monkeypatch, capsys):
         def boom(self, until):
-            self.event_tail.append((1.0, 0, "arrival"))
+            if self.debug_log is not None:  # the replay that dumps the tail records
+                self.debug_log.append((1.0, 0, "arrival", ""))
             raise EngineError("synthetic failure")
 
         monkeypatch.setattr(EngineState, "run", boom)
@@ -320,6 +321,75 @@ def test_exception_of_any_type_names_where_it_was_raised(mini_scenario, tmp_path
     assert cli.main(["run", mini_scenario, "--out-dir", str(out)]) == 3
     assert "engine error: ZeroDivisionError at test_cli.py:" in capsys.readouterr().err
     assert (out / "event_log_tail.csv").read_text().splitlines()[-1].endswith(",link_deliver")
+
+
+def test_the_dumped_tail_is_the_tail_of_the_failing_run(tmp_path, monkeypatch, capsys):
+    # a failure that follows from the scenario: the first scrape at 30 s or
+    # later raises, thousands of events in, in the run and in its replay alike
+    scrape = metrics.scrape
+
+    def failing_scrape(engine, t):
+        if t >= 30.0:
+            raise EngineError("synthetic failure at 30 s")
+        scrape(engine, t)
+
+    monkeypatch.setattr(metrics, "scrape", failing_scrape)
+    text = fedsim.bundled_scenario("poc").read_text()
+    scenario = tmp_path / "poc.yaml"
+    scenario.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out-dir", str(out)]) == 3
+    assert "engine error: synthetic failure at 30 s" in capsys.readouterr().err
+    recorded = topology.build_runtime(make_topology(text))
+    recorded.debug_log = []
+    with pytest.raises(EngineError):
+        recorded.run(until=recorded.duration_s)
+    assert len(recorded.debug_log) > 1000
+    expected = ["time_s,seq,kind"] + [
+        f"{time!r},{'' if seq is None else seq},{kind}" for time, seq, kind, _ in recorded.debug_log[-1000:]
+    ]
+    assert (out / "event_log_tail.csv").read_text().splitlines() == expected
+
+
+def test_the_replay_holds_only_what_the_run_held(tmp_path, monkeypatch, capsys):
+    # the replay writes no files, but still hands its rows on, so a late
+    # failure does not hold every request of the run until it recurs
+    held = []
+
+    def failing_scrape(engine, t):
+        if t >= 200.0:
+            held.append((len(engine.traces), engine.in_flight))
+            raise EngineError("synthetic failure at 200 s")
+        scrape(engine, t)
+
+    scrape = metrics.scrape
+    monkeypatch.setattr(metrics, "scrape", failing_scrape)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(fedsim.bundled_scenario("poc_lc")), "--out-dir", str(out)]) == 3
+    capsys.readouterr()
+    (run, in_flight), replay = held
+    assert replay == (run, in_flight) and run <= 1024 + in_flight
+
+
+@pytest.mark.parametrize("command", ["run", "ping"])
+def test_a_one_off_failure_dumps_a_tail_of_the_header_only(command, mini_scenario, tmp_path, monkeypatch, capsys):
+    run, calls = EngineState.run, []
+
+    def fails_once(self, until):
+        calls.append(until)
+        if len(calls) == 1:
+            raise EngineError("synthetic one-off failure")
+        return run(self, until)
+
+    monkeypatch.setattr(EngineState, "run", fails_once)
+    out = tmp_path / "out"
+    assert cli.main([command, mini_scenario, "--out-dir", str(out)]) == 3
+    assert len(calls) == 2  # the run and its replay
+    err = capsys.readouterr().err
+    assert "engine error: synthetic one-off failure" in err
+    assert "the failure did not recur when the run was replayed" in err
+    assert [path.name for path in out.iterdir()] == ["event_log_tail.csv"]
+    assert (out / "event_log_tail.csv").read_text().splitlines() == ["time_s,seq,kind"]
 
 
 def test_yaml_artifacts_match_the_pure_python_dumper(tmp_path):

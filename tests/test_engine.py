@@ -1,9 +1,13 @@
 """Event ordering, request lifecycle, and run-level invariants."""
 
+import gc
+import weakref
+from collections import deque
+
 import pytest
 
 import fedsim
-from fedsim import topology
+from fedsim import probes, topology
 from fedsim.engine import ARRIVAL, TIMEOUT, EngineError, Request
 from tests.conftest import MINI_DOC, OVERLOAD, make_topology, run_scenario_text, two_cluster_doc
 
@@ -382,12 +386,14 @@ class TestBalancingInEngine:
 
 
 class TestRunResult:
-    def test_event_tail_is_bounded(self, poc_spec):
-        engine = topology.build_runtime(topology.validate(poc_spec))
-        engine.run(until=60.0)
-        assert len(engine.event_tail) == 1000
-        times = [entry[0] for entry in engine.event_tail]
-        assert times == sorted(times)
+    def test_a_bounded_debug_log_keeps_the_last_events_of_a_full_one(self, poc_spec):
+        topo = topology.validate(poc_spec)
+        full, tail = topology.build_runtime(topo), topology.build_runtime(topo)
+        full.debug_log, tail.debug_log = [], deque(maxlen=1000)
+        full.run(until=60.0)
+        tail.run(until=60.0)
+        assert len(full.debug_log) == full.event_count > 1000
+        assert list(tail.debug_log) == full.debug_log[-1000:]
 
     def test_debug_log_records_ordered_events(self):
         engine = topology.build_runtime(make_topology(MINI_DOC))
@@ -398,3 +404,20 @@ class TestRunResult:
         assert times == sorted(times)
         kinds = {entry[2] for entry in engine.debug_log}
         assert "arrival" in kinds and "scrape" in kinds
+
+    @pytest.mark.parametrize("scenario", ["poc", "ping"])
+    def test_a_finished_engine_is_freed_when_its_last_reference_goes(self, scenario):
+        # with the cyclic collector off, only reference counts can free it:
+        # nothing the engine holds may refer back to it
+        engine = topology.build_runtime(make_topology(fedsim.bundled_scenario(scenario).read_text()))
+        gc.disable()
+        try:
+            if scenario == "ping":
+                probes.run_ping(engine, duration_s=1.0)
+            else:
+                engine.run(until=60.0)
+            alive = weakref.ref(engine)
+            del engine
+            assert alive() is None
+        finally:
+            gc.enable()
