@@ -12,11 +12,15 @@ event-log tail dumped for diagnosis).
 
 ``run`` and ``ping`` stream ``traces.csv`` and ``probe_rtt.csv`` while the
 run goes (``metrics.stream_csv``); a run that fails leaves only the tail.
-The run records no events itself: after a failure the command is replayed
-on a fresh engine that keeps its last 1000 events, and since a run is a
-pure function of (scenario, seed) the replay fails at the same event. A
-failure that does not recur there (a writer's) leaves a tail of the header
-only.
+Unless ``--debug-events`` recorded them, the run records no events itself:
+after a failure inside the run the command is replayed on a fresh engine
+that keeps its last 1000 events, and since a run is a pure function of
+(scenario, seed) the replay fails at the same event. A failure that does
+not recur there, or that came from the writers or the export, leaves a tail
+of the header only.
+
+Parallel ``sweep`` workers already keep the CPUs busy, so their runs format
+rows in-process rather than in a writer process of their own.
 """
 
 from __future__ import annotations
@@ -107,21 +111,35 @@ def _replayed_tail(topo, run):
     return None
 
 
-def _dump_event_tail(tail, out_dir: Path, exc: Exception) -> None:
+def _event_tail(engine, topo, run, exc: Exception, in_run: bool):
+    """The last 1000 events before ``exc``, and a note to print when there
+    are none. The events are the run's own with ``debug_log`` set, else a
+    replay's if the failure came from inside the run."""
+    if engine.debug_log is not None:
+        return engine.debug_log[-1000:], None
+    if not in_run or isinstance(exc, metrics.WriterError):
+        return (), "the failure came from the writers or the export, not the run, so the tail holds no events"
+    tail = _replayed_tail(topo, run)
+    if tail is None:
+        return (), "the failure did not recur when the run was replayed, so the tail holds no events"
+    return tail, None
+
+
+def _dump_event_tail(tail, note: str | None, out_dir: Path, exc: Exception) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     dump = out_dir / "event_log_tail.csv"
     with dump.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time_s", "seq", "kind"])
-        for time, seq, kind, _detail in tail or ():
+        for time, seq, kind, _detail in tail:
             writer.writerow([repr(time), seq, kind])
     detail = str(exc)
     if not isinstance(exc, EngineError):
         frame = traceback.extract_tb(exc.__traceback__)[-1]  # where it was raised
         detail = f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}: {exc}"
     print(f"engine error: {detail}", file=sys.stderr)
-    if tail is None:
-        print("the failure did not recur when the run was replayed, so the tail holds no events", file=sys.stderr)
+    if note is not None:
+        print(note, file=sys.stderr)
     print(f"event log tail written to {dump}", file=sys.stderr)
 
 
@@ -158,17 +176,19 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
     _write_yaml(out_dir / "summary.yaml", summary)
 
 
-def _streamed(engine, topo, out: Path, run) -> float | None:
+def _streamed(engine, topo, out: Path, run, fork: bool = True) -> float | None:
     """Call ``run(engine)`` with the engine's traces and probes streamed into
-    ``out``, then export every CSV. Returns the seconds from the start of the
-    streams to the end of the run. On any exception (exit 3) the streamed
-    files are removed, the event tail of a replay is dumped (see
-    ``_replayed_tail``), and this returns None."""
+    ``out`` (by a writer process unless ``fork`` is false), then export every
+    CSV. Returns the seconds from the start of the streams to the end of the
+    run. On any exception (exit 3) the streamed files are removed, the event
+    tail is dumped (see ``_event_tail``), and this returns None."""
     started = wall_time.perf_counter()
-    metrics.stream_csv(engine, out)
+    metrics.stream_csv(engine, out, fork)
     writers = (engine.trace_writer, engine.probe_writer)
+    in_run = True
     try:
         run(engine)
+        in_run = False
         elapsed = wall_time.perf_counter() - started
         metrics.export_csv(engine, out)
     except Exception as exc:
@@ -176,19 +196,19 @@ def _streamed(engine, topo, out: Path, run) -> float | None:
             with contextlib.suppress(Exception):  # a writer may be what failed
                 writer.close()
             writer.path.unlink()
-        _dump_event_tail(_replayed_tail(topo, run), out, exc)
+        _dump_event_tail(*_event_tail(engine, topo, run, exc, in_run), out, exc)
         return None
     return elapsed
 
 
-def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool) -> int:
+def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool, fork: bool = True) -> int:
     """Run a loaded scenario and export. Shared by run and the sweep workers."""
     engine = topology.build_runtime(topo)
     if debug_events:
         engine.debug_log = []
     bound = spec.duration_s if until is None else until
     out = Path(out_dir)
-    elapsed = _streamed(engine, topo, out, lambda state: state.run(until=bound))
+    elapsed = _streamed(engine, topo, out, lambda state: state.run(until=bound), fork)
     if elapsed is None:
         return EXIT_ENGINE
 
@@ -283,9 +303,11 @@ def _resolve_path(doc, path: str):
     return parent, key
 
 
-def _sweep_worker(task: tuple) -> tuple[str, int]:
+def _sweep_worker(task: tuple, fork: bool = False) -> tuple[str, int]:
+    """One run of a sweep; in a parallel worker (the default) it forks no
+    writer process, as the other workers already keep the CPUs busy."""
     spec, topo, out_dir, until = task
-    return out_dir, _run_to_dir(spec, topo, out_dir, until, False)
+    return out_dir, _run_to_dir(spec, topo, out_dir, until, False, fork)
 
 
 def cmd_sweep(args) -> int:
@@ -323,7 +345,7 @@ def cmd_sweep(args) -> int:
     # the executor starts every worker up front, so never more than the runs
     workers = min(args.jobs or 4, len(tasks))
     if workers == 1:
-        codes = [_sweep_worker(task)[1] for task in tasks]
+        codes = [_sweep_worker(task, fork=True)[1] for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a sweep starts processes
 

@@ -23,12 +23,14 @@ them to the engine, which writes rows during the run (see ``engine``), and
 ``export_csv`` writes whatever rows are still held through them.
 
 A writer packs each row into a tuple of plain values. Streamed by
-``stream_csv`` on a process that may use two CPUs and can fork, each file
-gets a writer process of its own, forked before the run: the run sends it
-length-prefixed ``marshal`` frames of ``FRAME_ROWS`` packed rows down a pipe,
-and the process formats them while the run goes on. ``close`` ends the pipe
-and waits for the process, and raises ``WriterError`` if it failed.
-Elsewhere the same formatter runs in-process; both write the same bytes.
+``stream_csv`` on a process that can fork, runs no other thread and may use
+two CPUs, both files get one writer process, forked before the run: the run
+sends it ``marshal`` frames of ``FRAME_ROWS`` packed rows down a pipe, each
+tagged with its file, and the process formats them while the run goes on.
+Closing the last of the two files ends the pipe and waits for the process,
+and raises ``WriterError`` if it failed. Elsewhere, and where the pipe or
+the fork fails, the same formatter runs in-process; both write the same
+bytes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import io
 import marshal
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,18 +140,15 @@ _TRACE_HEADER = (
 )
 _PROBE_HEADER = "src,dst,sent_at_s,rtt_ms,lost\r\n"
 
-# packed rows per marshal frame sent to a writer process: a whole flush
+# packed rows per marshal frame sent to the writer process: a whole flush
 # batch in one frame would raise the run's peak memory
 FRAME_ROWS = 128
-# asked of a writer's pipe, so that the run seldom waits on a full one
+# asked of the writer process's pipe, so that the run seldom waits on a full one
 _PIPE_BYTES = 1 << 20
-# write ends of this process's open pipes to writer processes; a writer
-# process closes those of the others, or they would never see their end
-_WRITE_ENDS: set[int] = set()
 
 
 class WriterError(RuntimeError):
-    """A writer process ended with a non-zero status."""
+    """The writer process ended with a non-zero status."""
 
 
 def _cells(*values) -> str:
@@ -164,9 +164,13 @@ def _stamp(value) -> str:
 
 
 def _forks() -> bool:
-    """Whether a writer process can format rows beside the run, on a CPU of
-    its own."""
+    """Whether a writer process can format rows beside the run: the process
+    can fork, runs no other thread (the child could be left holding a lock
+    that thread held), and may use a second CPU."""
     if not hasattr(os, "fork"):
+        return False
+    threading = sys.modules.get("threading")  # not loaded, no other thread
+    if threading is not None and threading.active_count() > 1:
         return False
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     return len(cpus) >= 2
@@ -175,89 +179,126 @@ def _forks() -> bool:
 class _RowFile:
     """One CSV file whose rows arrive packed as tuples of str, int, float
     and None, and are turned into text by the subclass's ``_format(write,
-    rows)``. With ``fork`` a writer process does that: each ``_send`` passes
-    a length-prefixed ``marshal`` frame down a pipe, and the process writes
-    the rows while the run goes on. Otherwise ``_send`` formats them here."""
+    rows)``: here, or in a writer process once ``_fork_writer`` gave it one."""
 
-    def __init__(self, path: Path, header: str, fork: bool):
+    def __init__(self, path: Path, header: str):
         self.path = path
         self._handle = path.open("w", newline="")
         self._handle.write(header)
-        self._pid = self._pipe = None
-        if fork:
-            self._fork()
-
-    def _fork(self) -> None:
-        self._handle.flush()  # or both processes would write the header
-        read_end, write_end = os.pipe()
-        try:
-            import fcntl
-
-            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (ImportError, AttributeError, OSError):
-            pass  # a smaller pipe only makes the run wait more often
-        pid = os.fork()
-        if pid == 0:
-            self._serve(read_end, (write_end, *_WRITE_ENDS))
-        os.close(read_end)
-        self._handle.close()
-        self._pid, self._pipe = pid, write_end
-        _WRITE_ENDS.add(write_end)
-
-    def _serve(self, read_end: int, write_ends) -> None:
-        """The writer process: format every frame until the pipe's end, then
-        exit, 0 if every row was written. Never returns."""
-        status = 1
-        try:
-            gc.disable()  # formatting makes no cycles, and a collection would touch every inherited object
-            for fd in write_ends:
-                os.close(fd)
-            with open(read_end, "rb", buffering=_PIPE_BYTES) as source, self._handle as handle:
-                write = handle.write
-                while head := source.read(4):
-                    self._format(write, marshal.loads(source.read(int.from_bytes(head, "little"))))
-            status = 0
-        except BaseException as exc:
-            os.write(2, f"writer of {self.path.name}: {type(exc).__name__}: {exc}\n".encode(errors="replace"))
-        finally:
-            os._exit(status)
+        self._process = self._tag = None
 
     def _send(self, rows: list) -> None:
-        if self._pipe is None:
+        if self._process is None:
             self._format(self._handle.write, rows)
             return
         frame = marshal.dumps(rows)
-        view = memoryview(len(frame).to_bytes(4, "little") + frame)
-        try:
-            while view:  # a signal can cut a write short
-                view = view[os.write(self._pipe, view) :]
-        except BrokenPipeError:
-            self.close()  # raises WriterError with the status of the writer that quit
-            raise
+        self._process.send(self._tag + len(frame).to_bytes(4, "little") + frame)
 
     def close(self) -> None:
-        """Finish the file: with a writer process, end its pipe and wait for
-        it, raising ``WriterError`` if it failed. Closing twice is harmless."""
+        """Finish the file. With a writer process the file is complete once
+        every file of that process is closed; the last close waits for it,
+        raising ``WriterError`` if it failed. Closing twice is harmless."""
         self._handle.close()
-        if self._pipe is None:
+        process, self._process = self._process, None
+        if process is not None:
+            process.release()
+
+
+class _WriterProcess:
+    """The parent's end of a writer process: its pipe, and the number of its
+    files still open."""
+
+    def __init__(self, pid: int, pipe: int, files):
+        self.pid, self.pipe, self.open = pid, pipe, len(files)
+        self.names = ", ".join(file.path.name for file in files)
+
+    def send(self, frame: bytes) -> None:
+        view = memoryview(frame)
+        try:
+            while view:  # a signal can cut a write short
+                view = view[os.write(self.pipe, view) :]
+        except BrokenPipeError:
+            self.end()  # raises WriterError with the status of the writer that quit
+            raise
+
+    def release(self) -> None:
+        self.open -= 1
+        if self.open == 0:
+            self.end()
+
+    def end(self) -> None:
+        """End the pipe and wait for the process; nothing once it has ended."""
+        if self.pipe is None:
             return
-        _WRITE_ENDS.discard(self._pipe)
-        os.close(self._pipe)
-        self._pipe = None
-        status = os.waitpid(self._pid, 0)[1]
+        os.close(self.pipe)
+        self.pipe = None
+        status = os.waitpid(self.pid, 0)[1]
         if status:
-            raise WriterError(f"writer of {self.path.name} exited with status {os.waitstatus_to_exitcode(status)}")
+            raise WriterError(f"writer of {self.names} exited with status {os.waitstatus_to_exitcode(status)}")
+
+
+def _fork_writer(files) -> None:
+    """Fork one writer process that formats the rows of every file in
+    ``files``; each frame on its pipe is the file's index in one byte, the
+    length in four and the ``marshal``ed rows. Where the pipe or the fork
+    cannot be made, the files go on formatting in-process."""
+    for file in files:
+        file._handle.flush()  # or both processes would write the header
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return
+    try:
+        import fcntl
+
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass  # a smaller pipe only makes the run wait more often
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return
+    if pid == 0:
+        os.close(write_end)
+        _serve(read_end, files)
+    os.close(read_end)
+    process = _WriterProcess(pid, write_end, files)
+    for tag, file in enumerate(files):
+        file._handle.close()
+        file._process, file._tag = process, bytes([tag])
+
+
+def _serve(read_end: int, files) -> None:
+    """The writer process: format every frame until the pipe's end, then
+    exit, 0 if every row was written. Never returns."""
+    status, name = 1, ", ".join(file.path.name for file in files)
+    try:
+        gc.disable()  # formatting makes no cycles, and a collection would touch every inherited object
+        with open(read_end, "rb", buffering=_PIPE_BYTES) as source:
+            while head := source.read(5):
+                file = files[head[0]]
+                name = file.path.name
+                file._format(file._handle.write, marshal.loads(source.read(int.from_bytes(head[1:], "little"))))
+        for file in files:
+            file._handle.close()
+        status = 0
+    except BaseException as exc:
+        os.write(2, f"writer of {name}: {type(exc).__name__}: {exc}\n".encode(errors="replace"))
+    finally:
+        os._exit(status)
 
 
 class TraceWriter(_RowFile):
     """``traces.csv`` at ``path``, one row per request handed to ``write``."""
 
-    def __init__(self, path: Path, engine, fork: bool = False):
+    def __init__(self, path: Path, engine):
         names = engine.cluster_names
         self._cells = {None: ",,"}
         for replica in engine.replicas:
             self._cells[replica] = _cells(replica.service, names[replica.cluster], replica.replica)
-        super().__init__(path, _TRACE_HEADER, fork)
+        super().__init__(path, _TRACE_HEADER)
 
     def write(self, requests) -> None:
         cells = self._cells
@@ -291,7 +332,7 @@ class ProbeWriter(_RowFile):
     """``probe_rtt.csv`` at ``path``, one row per probe sample handed to
     ``write``."""
 
-    def __init__(self, path: Path, engine, fork: bool = False):
+    def __init__(self, path: Path, engine):
         self._names = names = engine.cluster_names
         self._pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]  # filled as pairs show up
         # the probes of one grid step share one send-time object and mostly come
@@ -299,7 +340,7 @@ class ProbeWriter(_RowFile):
         # for an equal value (0.0 and -0.0, or 1 and 1.0, are equal); marshal
         # keeps that sharing within a frame
         self._last_sent = self._stamp = None
-        super().__init__(path, _PROBE_HEADER, fork)
+        super().__init__(path, _PROBE_HEADER)
 
     def write(self, samples) -> None:
         for start in range(0, len(samples), FRAME_ROWS):
@@ -321,16 +362,19 @@ class ProbeWriter(_RowFile):
         self._last_sent, self._stamp = last_sent, stamp
 
 
-def stream_csv(engine, out_dir: str | Path) -> None:
+def stream_csv(engine, out_dir: str | Path, fork: bool = True) -> None:
     """Open ``traces.csv`` and ``probe_rtt.csv`` in ``out_dir`` as the
     engine's writers: from then on the engine writes each row once it is
     final and keeps only the rows not yet written. ``export_csv`` writes the
-    rest and closes them."""
+    rest and closes them. Both files share one writer process where
+    ``_forks`` allows it; ``fork=False`` keeps their formatting in-process,
+    for callers that already keep every CPU busy."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fork = _forks()
-    engine.trace_writer = TraceWriter(out / "traces.csv", engine, fork)
-    engine.probe_writer = ProbeWriter(out / "probe_rtt.csv", engine, fork)
+    engine.trace_writer = TraceWriter(out / "traces.csv", engine)
+    engine.probe_writer = ProbeWriter(out / "probe_rtt.csv", engine)
+    if fork and _forks():
+        _fork_writer((engine.trace_writer, engine.probe_writer))
 
 
 def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:

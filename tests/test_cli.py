@@ -351,6 +351,60 @@ def test_the_dumped_tail_is_the_tail_of_the_failing_run(tmp_path, monkeypatch, c
     assert (out / "event_log_tail.csv").read_text().splitlines() == expected
 
 
+def _counted_builds(monkeypatch) -> list:
+    build, builds = topology.build_runtime, []
+
+    def counted_build(topo):
+        builds.append(1)
+        return build(topo)
+
+    monkeypatch.setattr(topology, "build_runtime", counted_build)
+    return builds
+
+
+def test_a_recorded_run_dumps_its_own_tail_without_a_replay(tmp_path, monkeypatch, capsys):
+    # with --debug-events the run holds its events, so it is not run again
+    scrape = metrics.scrape
+
+    def failing_scrape(engine, t):
+        if t >= 30.0:
+            raise EngineError("synthetic failure at 30 s")
+        scrape(engine, t)
+
+    monkeypatch.setattr(metrics, "scrape", failing_scrape)
+    builds = _counted_builds(monkeypatch)
+    text = fedsim.bundled_scenario("poc").read_text()
+    scenario = tmp_path / "poc.yaml"
+    scenario.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out-dir", str(out), "--debug-events"]) == 3
+    assert "engine error: synthetic failure at 30 s" in capsys.readouterr().err
+    assert builds == [1]
+    recorded = topology.build_runtime(make_topology(text))
+    recorded.debug_log = []
+    with pytest.raises(EngineError):
+        recorded.run(until=recorded.duration_s)
+    expected = ["time_s,seq,kind"] + [
+        f"{time!r},{'' if seq is None else seq},{kind}" for time, seq, kind, _ in recorded.debug_log[-1000:]
+    ]
+    assert (out / "event_log_tail.csv").read_text().splitlines() == expected
+
+
+def test_a_failure_after_the_run_is_not_replayed(mini_scenario, tmp_path, monkeypatch, capsys):
+    def broken(path, labels, rows):
+        raise OSError("synthetic export failure")
+
+    monkeypatch.setattr(metrics, "_write_rows", broken)
+    builds = _counted_builds(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["run", mini_scenario, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "engine error: OSError at test_cli.py:" in err
+    assert "the failure came from the writers or the export, not the run" in err
+    assert builds == [1]
+    assert (out / "event_log_tail.csv").read_text().splitlines() == ["time_s,seq,kind"]
+
+
 def test_the_replay_holds_only_what_the_run_held(tmp_path, monkeypatch, capsys):
     # the replay writes no files, but still hands its rows on, so a late
     # failure does not hold every request of the run until it recurs

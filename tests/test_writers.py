@@ -1,13 +1,16 @@
 """Writer processes of ``traces.csv`` and ``probe_rtt.csv``.
 
-``metrics.stream_csv`` forks one writer process per file when the process
-may use two CPUs, else the rows are formatted in-process by the same
-formatter. These tests pin the process lifecycle: no writer keeps another
-from ending, none outlives the command, a writer that fails makes the run
-exit 3, and both paths write the same bytes. Where a test needs the forked
-path it says the process may use two CPUs, so it runs on any machine.
+``metrics.stream_csv`` forks one writer process for both files when the
+process can fork, runs no other thread and may use two CPUs, else the rows
+are formatted in-process by the same formatter. These tests pin the process
+lifecycle: the writer ends whichever file closes first, it never outlives
+the command, a writer that fails makes the run exit 3, and both paths write
+the same bytes. Where a test needs the forked path it says the process may
+use two CPUs, so it runs on any machine.
 """
 
+import concurrent.futures
+import errno
 import os
 import subprocess
 import sys
@@ -29,11 +32,22 @@ def _cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def _python(script: str, tmp_path) -> subprocess.CompletedProcess:
+def _counted_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _python(script: str, tmp_path, *options: str) -> subprocess.CompletedProcess:
     paths = [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
+        [sys.executable, *options, "-c", textwrap.dedent(script)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -44,8 +58,8 @@ def _python(script: str, tmp_path) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("first", ["traces", "probes"])
 def test_both_writers_end_whichever_closes_first(first, tmp_path):
-    # the probe writer is forked second, so it inherits the pipe of the trace
-    # writer; unless it closes that pipe, closing the trace writer first hangs
+    # both files share one writer process: closing the first must not end it
+    # before the other's rows are in, and closing the second must end it
     script = f"""
         import os
         {TWO_CPUS}
@@ -55,10 +69,9 @@ def test_both_writers_end_whichever_closes_first(first, tmp_path):
         engine = topology.build_runtime(topology.validate(topology.load_scenario(fedsim.bundled_scenario("poc"))))
         metrics.stream_csv(engine, "out")
         probes.run_ping(engine, interval_s=1.0, duration_s=60.0)
-        engine.trace_writer.write(engine.traces)
-        engine.probe_writer.write(engine.probes)
-        writers = [engine.trace_writer, engine.probe_writer]
-        for writer in writers if {first!r} == "traces" else writers[::-1]:
+        files = [(engine.trace_writer, engine.traces), (engine.probe_writer, engine.probes)]
+        for writer, rows in files if {first!r} == "traces" else files[::-1]:
+            writer.write(rows)  # the second file's rows go after the first file is closed
             writer.close()
         print(sum(1 for _ in open("out/traces.csv")), sum(1 for _ in open("out/probe_rtt.csv")))
     """
@@ -102,6 +115,13 @@ def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, tmp_path, mon
 
     _cpus(monkeypatch, cpus)
     monkeypatch.setattr(metrics.TraceWriter, "_format", staticmethod(broken))
+    build, builds = topology.build_runtime, []
+
+    def counted_build(topo):
+        builds.append(1)
+        return build(topo)
+
+    monkeypatch.setattr(topology, "build_runtime", counted_build)
     scenario = tmp_path / "poc.yaml"
     scenario.write_text(fedsim.bundled_scenario("poc").read_text())
     out = tmp_path / "out"
@@ -111,11 +131,15 @@ def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, tmp_path, mon
     if cpus == 2:  # the writer process reports its error, the run its status
         assert "writer of traces.csv: ZeroDivisionError: synthetic" in err
         assert "engine error: WriterError at metrics.py:" in err
-        assert "writer of traces.csv exited with status 1" in err
+        assert "writer of traces.csv, probe_rtt.csv exited with status 1" in err
+        # the failure is the writer's, so the run is not replayed
+        assert "the failure came from the writers or the export, not the run" in err
+        assert builds == [1]
     else:
         assert "engine error: ZeroDivisionError at test_writers.py:" in err
-    # the replay has no writers, so the failure does not recur there
-    assert "the failure did not recur when the run was replayed" in err
+        # the replay has no writers, so the failure does not recur there
+        assert "the failure did not recur when the run was replayed" in err
+        assert builds == [1, 1]
     assert [path.name for path in out.iterdir()] == ["event_log_tail.csv"]
     assert (out / "event_log_tail.csv").read_text().splitlines() == ["time_s,seq,kind"]
 
@@ -129,15 +153,8 @@ def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, tmp_path, mon
     ],
     ids=["poc_lc", "blackout", "ping"],
 )
-def test_the_in_process_fallback_writes_the_bytes_of_the_writer_processes(argv, tmp_path, monkeypatch, capsys):
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+def test_the_in_process_fallback_writes_the_bytes_of_the_writer_process(argv, tmp_path, monkeypatch, capsys):
+    forks = _counted_forks(monkeypatch)
     files = {}
     for cpus in (2, 1):
         _cpus(monkeypatch, cpus)
@@ -145,7 +162,7 @@ def test_the_in_process_fallback_writes_the_bytes_of_the_writer_processes(argv, 
         assert cli.main([*argv, "--out-dir", str(out)]) == 0
         files[cpus] = {name: (out / name).read_bytes() for name in CSVS}
     capsys.readouterr()
-    assert forks == [os.getpid()] * 2  # one writer process per streamed file, and only with two CPUs
+    assert forks == [os.getpid()]  # one writer process for both files, and only with two CPUs
     assert files[2] == files[1]
     assert len(files[1]["traces.csv"].splitlines()) > 1 + 2 * metrics.FRAME_ROWS or argv[0] == "ping"
 
@@ -155,20 +172,98 @@ def test_writers_fall_back_where_fork_is_missing(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     engine = topology.build_runtime(make_topology(QUOTED))
     metrics.stream_csv(engine, tmp_path)
-    assert engine.trace_writer._pipe is None and engine.probe_writer._pipe is None
+    assert engine.trace_writer._process is None and engine.probe_writer._process is None
     metrics.export_csv(engine, tmp_path)
 
 
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_writers_fall_back_where_the_writer_process_cannot_start(call, tmp_path, monkeypatch, capsys):
+    def fails():
+        raise OSError(errno.EAGAIN, "synthetic")
+
+    scenario = str(fedsim.bundled_scenario("poc_lc"))
+    _cpus(monkeypatch, 1)
+    assert cli.main(["run", scenario, "--until", "200", "--out-dir", str(tmp_path / "1")]) == 0
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, call, fails)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    assert cli.main(["run", scenario, "--until", "200", "--out-dir", str(tmp_path / "2")]) == 0
+    capsys.readouterr()
+    if fds is not None:  # neither end of a pipe was left open
+        assert len(os.listdir("/proc/self/fd")) == len(fds)
+    for name in CSVS:
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+def test_a_process_with_another_thread_does_not_fork(tmp_path):
+    # from Python 3.12 a fork with other threads running warns, and the child
+    # could be left holding a lock that another thread held at the fork
+    scenario = fedsim.bundled_scenario("poc")
+    script = f"""
+        import os, threading
+        {TWO_CPUS}
+        from fedsim import cli
+
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        assert cli.main(["run", {str(scenario)!r}, "--out-dir", "threaded", "--until", "60"]) == 0
+        stop.set()
+        other.join(10)
+        assert not other.is_alive() and forks == [], forks
+        assert cli.main(["run", {str(scenario)!r}, "--out-dir", "alone", "--until", "60"]) == 0
+        assert forks == [1], forks
+        for name in ("traces.csv", "probe_rtt.csv"):
+            assert open(f"threaded/{{name}}", "rb").read() == open(f"alone/{{name}}", "rb").read()
+        print("ok")
+    """
+    proc = _python(script, tmp_path, "-W", "error::DeprecationWarning")
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "ok", proc.stderr
+
+
+class _InlineExecutor:
+    """A process pool that runs its tasks in this process, so that the
+    test sees every fork a sweep worker makes."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, function, tasks):
+        return list(map(function, tasks))
+
+
+@pytest.mark.parametrize("jobs, forks_per_run", [("1", 1), ("2", 0)])
+def test_only_a_sweep_run_alone_forks_a_writer_process(jobs, forks_per_run, tmp_path, monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    argv = ["sweep", str(fedsim.bundled_scenario("poc")), "--param", "seed", "--values", "1,2,3"]
+    assert cli.main([*argv, "--until", "30", "--jobs", jobs, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(forks) == 3 * forks_per_run
+
+
 @pytest.mark.parametrize("fork", [True, False])
-def test_equal_send_times_keep_their_own_repr_in_either_writer(fork, tmp_path):
+def test_equal_send_times_keep_their_own_repr_in_either_writer(fork, tmp_path, monkeypatch):
     # marshal keeps a float object shared within a frame, never merges equal ones
+    _cpus(monkeypatch, 2)
     engine = topology.build_runtime(make_topology(QUOTED))
     sent = [0.0, -0.0, -0.0, 0.0, 1, 1.0, 1.0, 1, 2.5, 2.5] * 30  # crosses frames
     samples = [probes.ProbeSample(k % 3, (k + 1) % 3, t, None if k % 4 else 1.5) for k, t in enumerate(sent)]
-    writer = metrics.ProbeWriter(tmp_path / "probe_rtt.csv", engine, fork)
+    metrics.stream_csv(engine, tmp_path, fork)
+    writer = engine.probe_writer
+    assert (writer._process is not None) == fork
     writer.write(samples[:7])
     writer.write(samples[7:])
-    writer.close()
-    writer.close()  # a second close does nothing
+    for each in (writer, engine.trace_writer, writer):
+        each.close()  # a second close does nothing
     rows = (tmp_path / "probe_rtt.csv").read_bytes().splitlines()
     assert [row.split(b",")[-3] for row in rows[1:]] == [repr(t).encode() for t in sent]
