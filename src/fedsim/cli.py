@@ -6,18 +6,19 @@ Subcommands:
   ping      run the RTT probe experiment and print the matrix
   sweep     run one scenario across a list of values for one parameter path
 
-Exit codes: 0 success, 1 invalid scenario or sweep values, 2 bad usage or
-unreadable input, 3 any error raised inside a run or by its writers (with an
-event-log tail dumped for diagnosis).
+Exit codes: 0 success, 1 invalid scenario or sweep values, 2 bad usage,
+unreadable input or an output directory that cannot be written, 3 any error
+raised inside a run or by its streams (with an event-log tail dumped for
+diagnosis). A sweep exits with the largest code of its runs.
 
 ``run`` and ``ping`` stream ``traces.csv`` and ``probe_rtt.csv`` while the
-run goes (``metrics.stream_csv``); a run that fails leaves only the tail.
+run goes (``metrics.Streams``); a run that fails leaves only the tail.
 Unless ``--debug-events`` recorded them, the run records no events itself:
 after a failure inside the run the command is replayed on a fresh engine
 that keeps its last 1000 events, and since a run is a pure function of
 (scenario, seed) the replay fails at the same event. A failure that does
-not recur there, or that came from the writers or the export, leaves a tail
-of the header only.
+not recur there, or that came from the streams or the export, leaves a
+tail of the header only.
 
 Parallel ``sweep`` workers already keep the CPUs busy, so their runs format
 rows in-process rather than in a writer process of their own.
@@ -88,22 +89,24 @@ def _load(text: str, seed: int | None = None):
 
 
 class _DroppedRows:
-    """The replay's writer: it takes the rows the engine hands on, as the
-    run's writers did, so the replay holds no more than the run, and keeps
+    """The replay's streams: they take the rows the engine hands on, as the
+    run's streams did, so the replay holds no more than the run, and keep
     none of them."""
 
-    def write(self, rows) -> None:
+    def traces(self, rows) -> None:
         pass
+
+    probes = traces
 
 
 def _replayed_tail(topo, run):
     """The last 1000 events of ``run`` replayed on a fresh engine of ``topo``
     that writes no files, or None if the replay does not fail. A run is a
     pure function of (scenario, seed), so a failure inside it fails the
-    replay at the same event; one outside it, such as a writer's, does not."""
+    replay at the same event; one outside it, such as the streams', does not."""
     engine = topology.build_runtime(topo)
     engine.debug_log = deque(maxlen=1000)
-    engine.trace_writer = engine.probe_writer = _DroppedRows()
+    engine.streams = _DroppedRows()
     try:
         run(engine)
     except Exception:
@@ -176,15 +179,20 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
     _write_yaml(out_dir / "summary.yaml", summary)
 
 
-def _streamed(engine, topo, out: Path, run, fork: bool = True) -> float | None:
+def _streamed(engine, topo, out: Path, run, fork: bool = True) -> tuple[int, float | None]:
     """Call ``run(engine)`` with the engine's traces and probes streamed into
     ``out`` (by a writer process unless ``fork`` is false), then export every
-    CSV. Returns the seconds from the start of the streams to the end of the
-    run. On any exception (exit 3) the streamed files are removed, the event
-    tail is dumped (see ``_event_tail``), and this returns None."""
+    CSV. Returns (exit code, seconds from the start of the streams to the end
+    of the run): EXIT_IO, before the run, if the streams cannot be opened;
+    EXIT_ENGINE on any exception in the run or the export, after removing
+    the streamed files and dumping the event tail (see ``_event_tail``)."""
     started = wall_time.perf_counter()
-    metrics.stream_csv(engine, out, fork)
-    writers = (engine.trace_writer, engine.probe_writer)
+    try:
+        metrics.stream_csv(engine, out, fork)
+    except OSError as exc:
+        print(f"error: cannot write to {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_IO, None
+    streams = engine.streams
     in_run = True
     try:
         run(engine)
@@ -192,13 +200,13 @@ def _streamed(engine, topo, out: Path, run, fork: bool = True) -> float | None:
         elapsed = wall_time.perf_counter() - started
         metrics.export_csv(engine, out)
     except Exception as exc:
-        for writer in writers:
-            with contextlib.suppress(Exception):  # a writer may be what failed
-                writer.close()
-            writer.path.unlink()
+        with contextlib.suppress(Exception):  # the streams may be what failed
+            streams.close()
+        for path in streams.paths:
+            path.unlink()
         _dump_event_tail(*_event_tail(engine, topo, run, exc, in_run), out, exc)
-        return None
-    return elapsed
+        return EXIT_ENGINE, None
+    return EXIT_OK, elapsed
 
 
 def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool, fork: bool = True) -> int:
@@ -208,9 +216,9 @@ def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: boo
         engine.debug_log = []
     bound = spec.duration_s if until is None else until
     out = Path(out_dir)
-    elapsed = _streamed(engine, topo, out, lambda state: state.run(until=bound), fork)
-    if elapsed is None:
-        return EXIT_ENGINE
+    code, elapsed = _streamed(engine, topo, out, lambda state: state.run(until=bound), fork)
+    if code:
+        return code
 
     if debug_events:
         with (out / "events.csv").open("w", newline="") as handle:
@@ -256,8 +264,9 @@ def cmd_ping(args) -> int:
     def ping(state):
         probes.run_ping(state, interval_s=args.interval, duration_s=duration)
 
-    if _streamed(engine, topo, out, ping) is None:
-        return EXIT_ENGINE
+    code, _ = _streamed(engine, topo, out, ping)
+    if code:
+        return code
 
     names = [cluster.name for cluster in spec.clusters]
     stats = probes.rtt_stats(engine.rtt_sums)

@@ -22,22 +22,23 @@ in placement order. ``run`` returns the engine itself, whose counters,
 ``traces``, ``probes`` and ``metrics`` are the run's outputs so far.
 
 ``traces`` holds requests in id order and ``probes`` samples in receipt
-order. Without writers they hold every one. With a ``trace_writer`` (see
-``metrics.stream_csv``), every ``FLUSH_BATCH`` arrivals the requests at the
-head of ``traces`` whose rows are final go to the writer and are dropped, up
-to the first that is not: a row is final once the request has an outcome and
-is not in backend service (a request that times out during backend service
-still gets ``be_end``). So ``traces`` holds the requests in flight and at
-most the rows that wait behind the oldest of them. With a ``probe_writer``,
-every ``FLUSH_BATCH`` samples go to it and are folded into ``rtt_sums``, so
-nothing per probe outlives its batch.
-``end_streams`` writes the rest. At the end of every ``run`` call the clock
-must be finite, ``in_flight`` must equal the held requests without an
-outcome, no balancer count may be below 0, and each frontend's count for a
-backend must equal the pending timeouts of the requests it sent there whose
-count is still open; otherwise ``EngineError``. A count can stand while
-nothing is in flight: a request lost on a link has its outcome at once,
-but its count is released only when its timeout fires.
+order. Without ``streams`` they hold every one. With ``streams`` (a
+``metrics.Streams``, see ``metrics.stream_csv``), every ``FLUSH_BATCH``
+arrivals the requests at the head of ``traces`` whose rows are final go to
+``streams.traces`` and are dropped, up to the first that is not: a row is
+final once the request has an outcome and is not in backend service (a
+request that times out during backend service still gets ``be_end``). So
+``traces`` holds the requests in flight and at most the rows that wait
+behind the oldest of them. Every ``FLUSH_BATCH`` samples go to
+``streams.probes`` and are folded into ``rtt_sums``, so nothing per probe
+outlives its batch. ``end_streams`` writes the rest and closes the streams.
+At the end of every ``run`` call the clock must be finite, ``in_flight``
+must equal the held requests without an outcome, no balancer count may be
+below 0, and each frontend's count for a backend must equal the pending
+timeouts of the requests it sent there whose count is still open; otherwise
+``EngineError``. A count can stand while nothing is in flight: a request
+lost on a link has its outcome at once, but its count is released only when
+its timeout fires.
 
 Replicas are FIFO queues with a concurrency limit of
 ``max(1, node_vcpus // replicas_on_node)``; each in-service request holds one
@@ -86,7 +87,7 @@ OUTCOME_COMPLETED = "completed"
 OUTCOME_LOST = "lost"
 OUTCOME_TIMED_OUT = "timed_out"
 
-# held requests or samples per hand-over to a writer
+# held requests or samples per hand-over to the streams
 FLUSH_BATCH = 1024
 
 # link_deliver hop tags, in path order
@@ -204,8 +205,7 @@ class EngineState:
         self.metrics = metrics.Scrapes.of(self.replicas, self.cluster_names)
         self.traces: list[Request] = []  # not yet written
         self.probes: list = []  # not yet written
-        self.trace_writer = None
-        self.probe_writer = None
+        self.streams = None  # metrics.Streams, where rows go once final
         self.rtt_sums = probes.group_rtts((), len(self.cluster_names))  # of the written probes
         self.probe_plans: list = []
         self.arrivals = 0
@@ -344,27 +344,24 @@ class EngineState:
                 break
             final += 1
         if final:
-            self.trace_writer.write(held[:final])
+            self.streams.traces(held[:final])
             del held[:final]
 
     def _flush_probes(self) -> None:
         held = self.probes
-        self.probe_writer.write(held)
+        self.streams.probes(held)
         probes.group_rtts(held, len(self.cluster_names), self.rtt_sums)
         held.clear()
 
     def end_streams(self) -> None:
-        """Hand every held row to the open writers, requests in flight with
+        """Hand every held row to the open streams, requests in flight with
         blank stamps, and close them. The run is not continued after this."""
-        if self.trace_writer is not None:
-            self.trace_writer.write(self.traces)
+        if self.streams is not None:
+            self.streams.traces(self.traces)
             self.traces.clear()
-            self.trace_writer.close()
-            self.trace_writer = None
-        if self.probe_writer is not None:
             self._flush_probes()
-            self.probe_writer.close()
-            self.probe_writer = None
+            self.streams.close()
+            self.streams = None
 
     # -- request lifecycle --------------------------------------------------
 
@@ -381,7 +378,7 @@ class EngineState:
 
     def _on_arrival(self, t: float, _payload) -> None:
         rid = self._next_request_id
-        if self.trace_writer is not None and not rid % FLUSH_BATCH:
+        if self.streams is not None and not rid % FLUSH_BATCH:
             self._flush_traces()
         payload_bytes = self.payload_sampler.sample()
         reduction = self.frontend.profile.reduction_factor
@@ -545,7 +542,7 @@ class EngineState:
     def _on_probe_recv(self, t: float, sample) -> None:
         held = self.probes
         held.append(sample)
-        if self.probe_writer is not None and len(held) >= FLUSH_BATCH:
+        if self.streams is not None and len(held) >= FLUSH_BATCH:
             self._flush_probes()
 
     # kind -> handler and hop tag -> delivery, as plain functions called with

@@ -17,20 +17,19 @@ service, replica) order, floats written with ``repr``. ``traces.csv`` and
 ``probe_rtt.csv`` hold a row per request and per probe, so they are written
 one formatted row at a time rather than through ``csv.writer``; the name
 cells of each replica and probe pair still pass through it once, so names
-keep its quoting, and rows end in its ``\r\n``. ``TraceWriter`` and
-``ProbeWriter`` are the only formatters of those rows: ``stream_csv`` hands
-them to the engine, which writes rows during the run (see ``engine``), and
-``export_csv`` writes whatever rows are still held through them.
+keep its quoting, and rows end in its ``\r\n``. ``Streams`` owns both
+files and is the only writer of those rows: ``stream_csv`` hands one to the
+engine, which writes rows during the run (see ``engine``), and
+``export_csv`` writes whatever rows are still held through one.
 
-A writer packs each row into a tuple of plain values. Streamed by
+``Streams`` packs each row into a tuple of plain values. Opened by
 ``stream_csv`` on a process that can fork, runs no other thread and may use
-two CPUs, both files get one writer process, forked before the run: the run
-sends it ``marshal`` frames of ``FRAME_ROWS`` packed rows down a pipe, each
-tagged with its file, and the process formats them while the run goes on.
-Closing the last of the two files ends the pipe and waits for the process,
-and raises ``WriterError`` if it failed. Elsewhere, and where the pipe or
-the fork fails, the same formatter runs in-process; both write the same
-bytes.
+two CPUs, the streams fork one writer process before the run: the run sends
+it ``marshal`` frames of ``FRAME_ROWS`` packed rows down a pipe, each tagged
+with its file, and the process formats them while the run goes on. One
+``close`` finishes both files, ends the pipe and waits for the process, and
+raises ``WriterError`` if it failed. Elsewhere, and where the pipe or the
+fork fails, the same formatters run in-process; both write the same bytes.
 """
 
 from __future__ import annotations
@@ -139,6 +138,8 @@ _TRACE_HEADER = (
     "ingress_in,fe_start,fe_end,be_dispatch,be_start,be_end,response_out\r\n"
 )
 _PROBE_HEADER = "src,dst,sent_at_s,rtt_ms,lost\r\n"
+# the streamed files, in the order of the one-byte tag of their frames
+_FILES = ("traces.csv", "probe_rtt.csv")
 
 # packed rows per marshal frame sent to the writer process: a whole flush
 # batch in one frame would raise the run's peak memory
@@ -176,177 +177,35 @@ def _forks() -> bool:
     return len(cpus) >= 2
 
 
-class _RowFile:
-    """One CSV file whose rows arrive packed as tuples of str, int, float
-    and None, and are turned into text by the subclass's ``_format(write,
-    rows)``: here, or in a writer process once ``_fork_writer`` gave it one."""
-
-    def __init__(self, path: Path, header: str):
-        self.path = path
-        self._handle = path.open("w", newline="")
-        self._handle.write(header)
-        self._process = self._tag = None
-
-    def _send(self, rows: list) -> None:
-        if self._process is None:
-            self._format(self._handle.write, rows)
-            return
-        frame = marshal.dumps(rows)
-        self._process.send(self._tag + len(frame).to_bytes(4, "little") + frame)
-
-    def close(self) -> None:
-        """Finish the file. With a writer process the file is complete once
-        every file of that process is closed; the last close waits for it,
-        raising ``WriterError`` if it failed. Closing twice is harmless."""
-        self._handle.close()
-        process, self._process = self._process, None
-        if process is not None:
-            process.release()
-
-
-class _WriterProcess:
-    """The parent's end of a writer process: its pipe, and the number of its
-    files still open."""
-
-    def __init__(self, pid: int, pipe: int, files):
-        self.pid, self.pipe, self.open = pid, pipe, len(files)
-        self.names = ", ".join(file.path.name for file in files)
-
-    def send(self, frame: bytes) -> None:
-        view = memoryview(frame)
-        try:
-            while view:  # a signal can cut a write short
-                view = view[os.write(self.pipe, view) :]
-        except BrokenPipeError:
-            self.end()  # raises WriterError with the status of the writer that quit
-            raise
-
-    def release(self) -> None:
-        self.open -= 1
-        if self.open == 0:
-            self.end()
-
-    def end(self) -> None:
-        """End the pipe and wait for the process; nothing once it has ended."""
-        if self.pipe is None:
-            return
-        os.close(self.pipe)
-        self.pipe = None
-        status = os.waitpid(self.pid, 0)[1]
-        if status:
-            raise WriterError(f"writer of {self.names} exited with status {os.waitstatus_to_exitcode(status)}")
-
-
-def _fork_writer(files) -> None:
-    """Fork one writer process that formats the rows of every file in
-    ``files``; each frame on its pipe is the file's index in one byte, the
-    length in four and the ``marshal``ed rows. Where the pipe or the fork
-    cannot be made, the files go on formatting in-process."""
-    for file in files:
-        file._handle.flush()  # or both processes would write the header
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return
-    try:
-        import fcntl
-
-        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (ImportError, AttributeError, OSError):
-        pass  # a smaller pipe only makes the run wait more often
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return
-    if pid == 0:
-        os.close(write_end)
-        _serve(read_end, files)
-    os.close(read_end)
-    process = _WriterProcess(pid, write_end, files)
-    for tag, file in enumerate(files):
-        file._handle.close()
-        file._process, file._tag = process, bytes([tag])
-
-
-def _serve(read_end: int, files) -> None:
-    """The writer process: format every frame until the pipe's end, then
-    exit, 0 if every row was written. Never returns."""
-    status, name = 1, ", ".join(file.path.name for file in files)
-    try:
-        gc.disable()  # formatting makes no cycles, and a collection would touch every inherited object
-        with open(read_end, "rb", buffering=_PIPE_BYTES) as source:
-            while head := source.read(5):
-                file = files[head[0]]
-                name = file.path.name
-                file._format(file._handle.write, marshal.loads(source.read(int.from_bytes(head[1:], "little"))))
-        for file in files:
-            file._handle.close()
-        status = 0
-    except BaseException as exc:
-        os.write(2, f"writer of {name}: {type(exc).__name__}: {exc}\n".encode(errors="replace"))
-    finally:
-        os._exit(status)
-
-
-class TraceWriter(_RowFile):
-    """``traces.csv`` at ``path``, one row per request handed to ``write``."""
-
-    def __init__(self, path: Path, engine):
-        names = engine.cluster_names
-        self._cells = {None: ",,"}
-        for replica in engine.replicas:
-            self._cells[replica] = _cells(replica.service, names[replica.cluster], replica.replica)
-        super().__init__(path, _TRACE_HEADER)
-
-    def write(self, requests) -> None:
-        cells = self._cells
-        for start in range(0, len(requests), FRAME_ROWS):
-            self._send(
-                [
-                    (t.id, t.outcome, t.payload_bytes, t.reduced_bytes, cells[t.frontend], cells[t.backend],
-                     t.ingress_in, t.fe_start, t.fe_end, t.be_dispatch, t.be_start, t.be_end, t.response_out)
-                    for t in requests[start : start + FRAME_ROWS]
-                ]
+def _format_traces(write, rows) -> None:
+    for rid, outcome, payload, reduced, fe, be, ingress, fe_start, fe_end, dispatch, be_start, be_end, out in rows:
+        # only a completed request has response_out, and it has every other stamp
+        if out is not None:
+            write(
+                f"{rid},{outcome},{payload},{reduced!r},{fe},{be},{ingress!r},{fe_start!r},{fe_end!r},"
+                f"{dispatch!r},{be_start!r},{be_end!r},{out!r}\r\n"
+            )
+        else:
+            stamps = (ingress, fe_start, fe_end, dispatch, be_start, be_end)
+            write(
+                f"{rid},{outcome or 'in_flight'},{payload},{reduced!r},{fe},{be},"
+                f"{','.join(map(_stamp, stamps))},\r\n"
             )
 
-    @staticmethod
-    def _format(write, rows) -> None:
-        for rid, outcome, payload, reduced, fe, be, ingress, fe_start, fe_end, dispatch, be_start, be_end, out in rows:
-            # only a completed request has response_out, and it has every other stamp
-            if out is not None:
-                write(
-                    f"{rid},{outcome},{payload},{reduced!r},{fe},{be},{ingress!r},{fe_start!r},{fe_end!r},"
-                    f"{dispatch!r},{be_start!r},{be_end!r},{out!r}\r\n"
-                )
-            else:
-                stamps = (ingress, fe_start, fe_end, dispatch, be_start, be_end)
-                write(
-                    f"{rid},{outcome or 'in_flight'},{payload},{reduced!r},{fe},{be},"
-                    f"{','.join(map(_stamp, stamps))},\r\n"
-                )
 
+class _ProbeFormatter:
+    """Writes packed probe rows as text, keeping the cells of each pair."""
 
-class ProbeWriter(_RowFile):
-    """``probe_rtt.csv`` at ``path``, one row per probe sample handed to
-    ``write``."""
-
-    def __init__(self, path: Path, engine):
-        self._names = names = engine.cluster_names
+    def __init__(self, names):
+        self._names = names
         self._pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]  # filled as pairs show up
         # the probes of one grid step share one send-time object and mostly come
         # in a run, so the last one's repr is reused for the same object, never
         # for an equal value (0.0 and -0.0, or 1 and 1.0, are equal); marshal
         # keeps that sharing within a frame
         self._last_sent = self._stamp = None
-        super().__init__(path, _PROBE_HEADER)
 
-    def write(self, samples) -> None:
-        for start in range(0, len(samples), FRAME_ROWS):
-            self._send([tuple(sample) for sample in samples[start : start + FRAME_ROWS]])
-
-    def _format(self, write, rows) -> None:
+    def __call__(self, write, rows) -> None:
         names, pair_cells = self._names, self._pair_cells
         last_sent, stamp = self._last_sent, self._stamp
         for src, dst, sent_at, rtt_ms in rows:
@@ -362,19 +221,128 @@ class ProbeWriter(_RowFile):
         self._last_sent, self._stamp = last_sent, stamp
 
 
+class Streams:
+    """``traces.csv`` and ``probe_rtt.csv`` of one run in ``out_dir``, one
+    row per request handed to ``traces`` and per probe sample handed to
+    ``probes``, and the writer process that formats them where ``_forks``
+    allows it; ``fork=False`` keeps the formatting in-process, for callers
+    that already keep every CPU busy. ``close`` finishes both files."""
+
+    def __init__(self, out_dir: Path, engine, fork: bool = True):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.paths = tuple(out_dir / name for name in _FILES)
+        names = engine.cluster_names
+        self._cells = {None: ",,"}
+        for replica in engine.replicas:
+            self._cells[replica] = _cells(replica.service, names[replica.cluster], replica.replica)
+        self._formats = (_format_traces, _ProbeFormatter(names))
+        self._pid = self._pipe = None
+        self._files = []
+        try:
+            for path, header in zip(self.paths, (_TRACE_HEADER, _PROBE_HEADER)):
+                self._files.append(path.open("w", newline=""))
+                self._files[-1].write(header)
+        except OSError:
+            self.close()
+            raise
+        if fork and _forks():
+            self._fork()
+
+    def traces(self, requests) -> None:
+        cells = self._cells
+        for start in range(0, len(requests), FRAME_ROWS):
+            rows = [
+                (t.id, t.outcome, t.payload_bytes, t.reduced_bytes, cells[t.frontend], cells[t.backend],
+                 t.ingress_in, t.fe_start, t.fe_end, t.be_dispatch, t.be_start, t.be_end, t.response_out)
+                for t in requests[start : start + FRAME_ROWS]
+            ]
+            self._send(0, rows)
+
+    def probes(self, samples) -> None:
+        for start in range(0, len(samples), FRAME_ROWS):
+            self._send(1, [tuple(sample) for sample in samples[start : start + FRAME_ROWS]])
+
+    def _send(self, tag: int, rows: list) -> None:
+        if self._pipe is None:
+            self._formats[tag](self._files[tag].write, rows)
+            return
+        frame = marshal.dumps(rows)
+        view = memoryview(bytes([tag]) + len(frame).to_bytes(4, "little") + frame)
+        try:
+            while view:  # a signal can cut a write short
+                view = view[os.write(self._pipe, view) :]
+        except BrokenPipeError:
+            self.close()  # raises WriterError with the status of the writer that quit
+            raise
+
+    def close(self) -> None:
+        """Finish both files: with a writer process, end its pipe and wait for
+        it, raising ``WriterError`` if it failed. A second call does nothing."""
+        for handle in self._files:
+            handle.close()
+        pipe, self._pipe = self._pipe, None
+        if pipe is None:
+            return
+        os.close(pipe)
+        status = os.waitpid(self._pid, 0)[1]
+        if status:
+            raise WriterError(f"writer of {', '.join(_FILES)} exited with status {os.waitstatus_to_exitcode(status)}")
+
+    def _fork(self) -> None:
+        """Fork the writer process; each frame on its pipe is the file's index
+        in one byte, the length in four and the ``marshal``ed rows. Where the
+        pipe or the fork cannot be made, the rows stay in-process."""
+        for handle in self._files:
+            handle.flush()  # or both processes would write the header
+        try:
+            read_end, write_end = os.pipe()
+        except OSError:
+            return
+        try:
+            import fcntl
+
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (ImportError, AttributeError, OSError):
+            pass  # a smaller pipe only makes the run wait more often
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            return
+        if pid == 0:
+            os.close(write_end)
+            self._serve(read_end)
+        os.close(read_end)
+        for handle in self._files:
+            handle.close()
+        self._pid, self._pipe = pid, write_end
+
+    def _serve(self, read_end: int) -> None:
+        """The writer process: format every frame until the pipe's end, then
+        exit, 0 if every row was written. Never returns."""
+        status, name = 1, ", ".join(_FILES)
+        try:
+            gc.disable()  # formatting makes no cycles, and a collection would touch every inherited object
+            with open(read_end, "rb", buffering=_PIPE_BYTES) as source:
+                while head := source.read(5):
+                    tag, name = head[0], _FILES[head[0]]
+                    rows = marshal.loads(source.read(int.from_bytes(head[1:], "little")))
+                    self._formats[tag](self._files[tag].write, rows)
+            for handle in self._files:
+                handle.close()
+            status = 0
+        except BaseException as exc:
+            os.write(2, f"writer of {name}: {type(exc).__name__}: {exc}\n".encode(errors="replace"))
+        finally:
+            os._exit(status)
+
+
 def stream_csv(engine, out_dir: str | Path, fork: bool = True) -> None:
-    """Open ``traces.csv`` and ``probe_rtt.csv`` in ``out_dir`` as the
-    engine's writers: from then on the engine writes each row once it is
-    final and keeps only the rows not yet written. ``export_csv`` writes the
-    rest and closes them. Both files share one writer process where
-    ``_forks`` allows it; ``fork=False`` keeps their formatting in-process,
-    for callers that already keep every CPU busy."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    engine.trace_writer = TraceWriter(out / "traces.csv", engine)
-    engine.probe_writer = ProbeWriter(out / "probe_rtt.csv", engine)
-    if fork and _forks():
-        _fork_writer((engine.trace_writer, engine.probe_writer))
+    """Open the engine's ``Streams`` in ``out_dir``: from then on the engine
+    writes each row once it is final and keeps only the rows not yet
+    written. ``export_csv`` writes the rest and closes them."""
+    engine.streams = Streams(Path(out_dir), engine, fork)
 
 
 def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
@@ -382,23 +350,18 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
 
     Files are always created, header-only when a run produced no data, so a
     consumer can rely on the manifest. Traces and probes held by the engine
-    go to its writers when ``stream_csv`` opened them, which this closes
+    go to its streams when ``stream_csv`` opened them, which this closes
     (requests still in flight get blank stamps); otherwise every held row is
     written here, and the engine is left as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
-    for name, writer, held, writer_class in (
-        ("probe_rtt", engine.probe_writer, engine.probes, ProbeWriter),
-        ("traces", engine.trace_writer, engine.traces, TraceWriter),
-    ):
-        paths[name] = out / f"{name}.csv"
-        if writer is None:  # not streamed: every row is still held
-            writer = writer_class(paths[name], engine)
-            writer.write(held)
-            writer.close()
+    paths: dict[str, Path] = {"probe_rtt": out / "probe_rtt.csv", "traces": out / "traces.csv"}
+    if engine.streams is None:  # not streamed: every row is still held
+        streams = Streams(out, engine, fork=False)
+        streams.traces(engine.traces)
+        streams.probes(engine.probes)
+        streams.close()
     engine.end_streams()
 
     store = engine.metrics

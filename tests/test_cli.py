@@ -176,6 +176,22 @@ class TestSingleLoader:
             assert "cannot read scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options",
+    [["run"], ["ping", "--duration", "5"], ["sweep", "--param", "seed", "--values", "1,2", "--jobs", "2"]],
+    ids=["run", "ping", "sweep"],
+)
+def test_an_output_directory_that_cannot_be_written_is_bad_usage(options, mini_scenario, tmp_path, capfd):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "x"
+    assert cli.main([options[0], mini_scenario, *options[1:], "--out-dir", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: cannot write to {out}" in err and ": Not a directory\n" in err
+    assert blocker.read_text() == ""
+
+
 class TestRun:
     def test_run_exports_artifacts(self, mini_scenario, tmp_path, capsys):
         out = tmp_path / "out"

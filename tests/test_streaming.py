@@ -16,8 +16,8 @@ import pytest
 import yaml
 
 import fedsim
-from fedsim import cli, engine, metrics, probes, topology
-from tests.conftest import OVERLOAD, make_topology
+from fedsim import cli, engine, metrics, probes, topology, workload
+from tests.conftest import MINI_DOC, OVERLOAD, make_topology
 from tests.test_golden import CSVS, OVERLOAD_RUNS, TIE_PING
 
 BLACKOUT = fedsim.bundled_scenario("blackout").read_text()
@@ -45,7 +45,7 @@ def flush_every_row(monkeypatch):
 def _in_memory(text, out, run):
     state = topology.build_runtime(make_topology(text))
     run(state)
-    assert state.trace_writer is None
+    assert state.streams is None
     metrics.export_csv(state, out)
     return state
 
@@ -109,6 +109,31 @@ def test_streamed_run_holds_a_batch_beyond_the_requests_in_flight(tmp_path, monk
         most = max(most, len(state.traces) - state.in_flight)
         assert len(state.traces) <= engine.FLUSH_BATCH + state.in_flight, state.clock
     assert most > 0  # rows are held between batches
+    metrics.export_csv(state, tmp_path)
+    rows = (tmp_path / "traces.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",", 1)[0]) for row in rows] == list(range(state.arrivals))
+
+
+def test_one_request_in_backend_service_past_the_run_holds_every_later_row(tmp_path, monkeypatch):
+    # the known limit of the reorder buffer: rows go out in id order, so the
+    # rows behind one request still in backend service are held, beyond the
+    # bound of test_streamed_run_holds_a_batch_beyond_the_requests_in_flight
+    monkeypatch.setattr(engine, "FLUSH_BATCH", 1024)
+    text = MINI_DOC.replace("base_ms: 30.0", "base_ms: 1.0")
+    text = text.replace("{rate: 2.0, duration_s: 100}", "{rate: 200.0, duration_s: 10}")  # 2,000 requests
+    state = topology.build_runtime(make_topology(text))
+    demand, long = workload.service_demand, []
+
+    def one_long_backend_demand(profile, input_bytes):
+        if profile is state.backend.profile and not long:
+            long.append(1)
+            return 1e6  # seconds, far beyond the run
+        return demand(profile, input_bytes)
+
+    monkeypatch.setattr(workload, "service_demand", one_long_backend_demand)
+    metrics.stream_csv(state, tmp_path)
+    state.run(state.duration_s)
+    assert len(state.traces) - state.in_flight > engine.FLUSH_BATCH
     metrics.export_csv(state, tmp_path)
     rows = (tmp_path / "traces.csv").read_text().splitlines()[1:]
     assert [int(row.split(",", 1)[0]) for row in rows] == list(range(state.arrivals))

@@ -1,12 +1,12 @@
-"""Writer processes of ``traces.csv`` and ``probe_rtt.csv``.
+"""The writer process of ``traces.csv`` and ``probe_rtt.csv``.
 
-``metrics.stream_csv`` forks one writer process for both files when the
-process can fork, runs no other thread and may use two CPUs, else the rows
-are formatted in-process by the same formatter. These tests pin the process
-lifecycle: the writer ends whichever file closes first, it never outlives
-the command, a writer that fails makes the run exit 3, and both paths write
-the same bytes. Where a test needs the forked path it says the process may
-use two CPUs, so it runs on any machine.
+``metrics.Streams`` owns both files and forks one writer process for them
+when the process can fork, runs no other thread and may use two CPUs, else
+the rows are formatted in-process by the same formatters. These tests pin
+the process lifecycle: one ``close`` ends it with both files complete, it
+never outlives the command, a writer that fails makes the run exit 3, and
+both paths write the same bytes. Where a test needs the forked path it says
+the process may use two CPUs, so it runs on any machine.
 """
 
 import concurrent.futures
@@ -57,9 +57,9 @@ def _python(script: str, tmp_path, *options: str) -> subprocess.CompletedProcess
 
 
 @pytest.mark.parametrize("first", ["traces", "probes"])
-def test_both_writers_end_whichever_closes_first(first, tmp_path):
-    # both files share one writer process: closing the first must not end it
-    # before the other's rows are in, and closing the second must end it
+def test_one_close_ends_the_writer_process_with_both_files_complete(first, tmp_path):
+    # both files share one writer process: rows of either file may come first,
+    # and the one close must end the process only after every row is written
     script = f"""
         import os
         {TWO_CPUS}
@@ -69,16 +69,24 @@ def test_both_writers_end_whichever_closes_first(first, tmp_path):
         engine = topology.build_runtime(topology.validate(topology.load_scenario(fedsim.bundled_scenario("poc"))))
         metrics.stream_csv(engine, "out")
         probes.run_ping(engine, interval_s=1.0, duration_s=60.0)
-        files = [(engine.trace_writer, engine.traces), (engine.probe_writer, engine.probes)]
-        for writer, rows in files if {first!r} == "traces" else files[::-1]:
-            writer.write(rows)  # the second file's rows go after the first file is closed
-            writer.close()
-        print(sum(1 for _ in open("out/traces.csv")), sum(1 for _ in open("out/probe_rtt.csv")))
+        streams = engine.streams
+        assert streams._pipe is not None
+        hand = [lambda: streams.traces(engine.traces), lambda: streams.probes(engine.probes)]
+        for each in hand if {first!r} == "traces" else hand[::-1]:
+            each()
+        streams.close()
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            raise SystemExit("the writer process outlived close")
+        except ChildProcessError:
+            pass
+        print(engine.arrivals, sum(1 for _ in open("out/traces.csv")), sum(1 for _ in open("out/probe_rtt.csv")))
     """
     proc = _python(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    traces, probe_rows = map(int, proc.stdout.split())
-    assert traces > 1 and probe_rows == 1 + 60 * 16  # headers, and 16 pairs probed every second
+    arrivals, traces, probe_rows = map(int, proc.stdout.split())
+    assert arrivals > 1 and traces == 1 + arrivals  # headers, and one row per request
+    assert probe_rows == 1 + 60 * 16  # 16 pairs probed every second
 
 
 def test_no_writer_outlives_the_command(tmp_path):
@@ -114,7 +122,7 @@ def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, tmp_path, mon
         raise ZeroDivisionError("synthetic")
 
     _cpus(monkeypatch, cpus)
-    monkeypatch.setattr(metrics.TraceWriter, "_format", staticmethod(broken))
+    monkeypatch.setattr(metrics, "_format_traces", broken)
     build, builds = topology.build_runtime, []
 
     def counted_build(topo):
@@ -172,7 +180,7 @@ def test_writers_fall_back_where_fork_is_missing(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     engine = topology.build_runtime(make_topology(QUOTED))
     metrics.stream_csv(engine, tmp_path)
-    assert engine.trace_writer._process is None and engine.probe_writer._process is None
+    assert engine.streams._pipe is None
     metrics.export_csv(engine, tmp_path)
 
 
@@ -259,11 +267,11 @@ def test_equal_send_times_keep_their_own_repr_in_either_writer(fork, tmp_path, m
     sent = [0.0, -0.0, -0.0, 0.0, 1, 1.0, 1.0, 1, 2.5, 2.5] * 30  # crosses frames
     samples = [probes.ProbeSample(k % 3, (k + 1) % 3, t, None if k % 4 else 1.5) for k, t in enumerate(sent)]
     metrics.stream_csv(engine, tmp_path, fork)
-    writer = engine.probe_writer
-    assert (writer._process is not None) == fork
-    writer.write(samples[:7])
-    writer.write(samples[7:])
-    for each in (writer, engine.trace_writer, writer):
-        each.close()  # a second close does nothing
+    streams = engine.streams
+    assert (streams._pipe is not None) == fork
+    streams.probes(samples[:7])
+    streams.probes(samples[7:])
+    streams.close()
+    streams.close()  # a second close does nothing
     rows = (tmp_path / "probe_rtt.csv").read_bytes().splitlines()
     assert [row.split(b",")[-3] for row in rows[1:]] == [repr(t).encode() for t in sent]
