@@ -8,7 +8,9 @@ short; the others run to their scenario duration.
 
 ``OVERLOAD`` (in ``conftest``), whose events tie, is pinned run to the end,
 cut mid-burst with ``--until``, and with scrapes every 62.5 ms, the frontend
-demand, so that scrapes tie with service starts and completions.
+demand, so that scrapes tie with service starts and completions. The cut
+run's ``events.csv`` (``--debug-events``) is pinned too: its ``detail``
+cells name each ``link_deliver`` hop (``'request_fe'`` and so on).
 
 Two pings pin the order of probe sends against other events at the same
 instant: ``blackout`` probed every 100 ms for 310 s, through request traffic
@@ -141,6 +143,8 @@ OVERLOAD_GOLDEN = {
     },
 }
 
+# events.csv of the "cut" OVERLOAD run with --debug-events
+OVERLOAD_EVENTS_GOLDEN = "89bc2f5981b8d06cc663a582044d77661dc99e37bcee04f75a07d545c054124e"
 
 PING_GOLDEN = {
     "blackout": {
@@ -194,6 +198,19 @@ def test_overload_exports_match_golden_digests(name, tmp_path, capsys):
     assert cli.main(["run", str(scenario), "--out-dir", str(out), *options]) == 0
     capsys.readouterr()
     assert _digests(out) == OVERLOAD_GOLDEN[name]
+
+
+def test_overload_event_log_matches_its_golden_digest(tmp_path, capsys):
+    text, options = OVERLOAD_RUNS["cut"]
+    scenario = tmp_path / "overload.yaml"
+    scenario.write_text(text)
+    out = tmp_path / "cut"
+    assert cli.main(["run", str(scenario), "--out-dir", str(out), *options, "--debug-events"]) == 0
+    capsys.readouterr()
+    events = (out / "events.csv").read_bytes()
+    for hop in (b"'request_fe'", b"'request_be'", b"'response_fe'", b"'response_client'"):
+        assert hop in events
+    assert _sha256(events) == OVERLOAD_EVENTS_GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(PING_RUNS))

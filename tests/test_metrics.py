@@ -253,8 +253,8 @@ rate_window_s: 10.0
 
 
 def reference_export(engine, out):
-    """traces.csv and probe_rtt.csv written cell by cell with a plain
-    csv.writer, floats with repr."""
+    """traces.csv, probe_rtt.csv and the three scrape CSVs written cell by
+    cell with a plain csv.writer, floats with repr."""
     out.mkdir()
     names = engine.cluster_names
 
@@ -283,6 +283,18 @@ def reference_export(engine, out):
         writer.writerow(["src", "dst", "sent_at_s", "rtt_ms", "lost"])
         for s in engine.probes:
             writer.writerow([names[s.src], names[s.dst], repr(s.sent_at), stamp(s.rtt_ms), str(s.lost).lower()])
+    store = engine.metrics
+    for name, rows in (
+        (BUSY_COUNTER, zip(store.times, store.busy)),
+        (OUTSTANDING_GAUGE, zip(store.times, store.outstanding)),
+        (CPU_RATE, cpu_rate(store, engine.spec.rate_window_s, engine.scrape_interval_s)),
+    ):
+        with (out / f"{name}.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["time_s", "cluster", "service", "replica", "value"])
+            for t, row in rows:
+                for label, value in zip(store.labels, row):
+                    writer.writerow([repr(t), *label, repr(value)])
 
 
 def test_quoted_names_and_every_outcome_match_a_plain_csv_writer(tmp_path):
@@ -293,10 +305,12 @@ def test_quoted_names_and_every_outcome_match_a_plain_csv_writer(tmp_path):
 
     export_csv(engine, tmp_path / "export")
     reference_export(engine, tmp_path / "reference")
-    for name in ("traces.csv", "probe_rtt.csv"):
+    for name in ("traces.csv", "probe_rtt.csv", *(f"{n}.csv" for n in (BUSY_COUNTER, OUTSTANDING_GAUGE, CPU_RATE))):
         exported = (tmp_path / "export" / name).read_bytes()
         assert exported == (tmp_path / "reference" / name).read_bytes(), name
         assert b'"edge, ""west""",' in exported and b", dc1," in exported and b'"dc ""2"""' in exported
+        if name != "probe_rtt.csv":
+            assert b'"fe, ""front""",' in exported and b", be," in exported
 
 
 def test_equal_send_times_keep_their_own_repr(tmp_path):
