@@ -311,7 +311,13 @@ class Streams:
             os.close(write_end)
             return
         if pid == 0:
-            os.close(write_end)
+            # keep only stdio, the read end and the two files: a write end of
+            # another run's pipe held here would keep that writer from its end
+            low = 3
+            for fd in sorted((read_end, *(handle.fileno() for handle in self._files))):
+                os.closerange(low, fd)
+                low = fd + 1
+            os.closerange(low, os.sysconf("SC_OPEN_MAX"))
             self._serve(read_end)
         os.close(read_end)
         for handle in self._files:

@@ -43,7 +43,7 @@ def _counted_forks(monkeypatch) -> list:
     return forks
 
 
-def _python(script: str, tmp_path, *options: str) -> subprocess.CompletedProcess:
+def _python(script: str, tmp_path, *options: str, timeout: float = 60) -> subprocess.CompletedProcess:
     paths = [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run(
@@ -52,7 +52,7 @@ def _python(script: str, tmp_path, *options: str) -> subprocess.CompletedProcess
         env=env,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -114,6 +114,37 @@ def test_no_writer_outlives_the_command(tmp_path):
     """
     proc = _python(script, tmp_path)
     assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "ok", proc.stderr
+
+
+def test_two_streams_open_at_once_each_close_alone(tmp_path):
+    # the second writer process must not hold the first one's pipe open, or
+    # the first writer never sees the end of its input and its close hangs
+    script = f"""
+        import os
+        {TWO_CPUS}
+        import fedsim
+        from fedsim import metrics, topology
+
+        scenario = topology.validate(topology.load_scenario(fedsim.bundled_scenario("poc")))
+        engines = [topology.build_runtime(scenario) for _ in range(2)]
+        for index, engine in enumerate(engines):
+            metrics.stream_csv(engine, f"out{{index}}")
+            assert engine.streams._pipe is not None
+        for engine in engines:
+            engine.run(until=10.0)
+        for engine in engines:
+            metrics.export_csv(engine, f"out{{engines.index(engine)}}")
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            raise SystemExit("a writer process outlived its close")
+        except ChildProcessError:
+            pass
+        print("ok")
+    """
+    proc = _python(script, tmp_path, timeout=20)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "ok", proc.stderr
+    for name in CSVS:
+        assert (tmp_path / "out0" / name).read_bytes() == (tmp_path / "out1" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("cpus", [2, 1])
