@@ -18,7 +18,10 @@ Intra-cluster legs cost the intra-cluster base delay and never drop.
 A replica is one ``Replica`` object: a ``mesh.Endpoint`` (identity and
 health, what the balancers pick) extended with its node, queue and busy
 counter; messages carry it as their target. ``engine.replicas`` lists them
-in placement order. ``run`` returns the engine itself, whose counters,
+in placement order. A ``link_deliver`` payload is (request, target,
+deliver), ``deliver`` being the hop's own function (``request_fe``,
+``request_be``, ``response_fe`` or ``response_client``); the debug log names
+the hop by its name. ``run`` returns the engine itself, whose counters,
 ``traces``, ``probes`` and ``metrics`` are the run's outputs so far.
 
 ``traces`` holds requests in id order and ``probes`` samples in receipt
@@ -55,7 +58,7 @@ are not queued as events, but each counts as one ``service_start`` in
 The loop records events only when asked: with ``debug_log`` set (a list, or
 a bounded deque), each event and start appends (time, seq, kind, detail) to
 it; otherwise the cost is one ``is not None`` test per event and per start.
-The dispatch tables hold plain functions called with the engine, so nothing
+The handlers and hops are plain functions called with the engine, so nothing
 the engine holds refers back to it, and it is freed with its last reference.
 
 A ping queues one ``probe_send`` event per grid step, with payload
@@ -66,7 +69,7 @@ and one ``probe_recv`` per probe, which records its sample.
 from __future__ import annotations
 
 import heapq
-import math
+from math import inf, isfinite
 from collections import deque
 from itertools import chain
 
@@ -89,12 +92,6 @@ OUTCOME_TIMED_OUT = "timed_out"
 
 # held requests or samples per hand-over to the streams
 FLUSH_BATCH = 1024
-
-# link_deliver hop tags, in path order
-HOP_REQUEST_FE = "request_fe"
-HOP_REQUEST_BE = "request_be"
-HOP_RESPONSE_FE = "response_fe"
-HOP_RESPONSE_CLIENT = "response_client"
 
 
 class EngineError(Exception):
@@ -243,7 +240,7 @@ class EngineState:
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: str, payload=None) -> None:
-        if not self.clock <= time < math.inf:
+        if not self.clock <= time < inf:
             raise EngineError(f"event time before the clock or not finite: {kind} at {time!r}, clock {self.clock!r}")
         if kind not in self._handlers:
             raise EngineError(f"unknown event kind {kind!r}")
@@ -303,7 +300,7 @@ class EngineState:
         return self
 
     def _check_invariants(self) -> None:
-        if not math.isfinite(self.clock):
+        if not isfinite(self.clock):
             raise EngineError(f"clock not finite: {self.clock!r}")
         held_open = sum(1 for request in self.traces if request.outcome is None)
         if held_open != self.in_flight:
@@ -393,52 +390,14 @@ class EngineState:
             self._finalize(request, OUTCOME_LOST)
         else:
             request.frontend = frontend
-            self.schedule(t + self.base_delay_s, LINK_DELIVER, (request, frontend, HOP_REQUEST_FE))
+            self.schedule(t + self.base_delay_s, LINK_DELIVER, (request, frontend, request_fe))
         nxt = workload.next_arrival(self.workload, t, self.arrival_rng, self.phase_windows)
         if nxt is not None:
             self.schedule(nxt, ARRIVAL)
 
     def _on_link_deliver(self, t: float, payload) -> None:
-        request, target, hop = payload
-        self._hops[hop](self, request, target, t)
-
-    def _deliver_request_fe(self, request: Request, target: Replica, t: float) -> None:
-        demand = workload.service_demand(self.frontend.profile, request.payload_bytes)
-        self._admit(target, request, demand, t)
-
-    def _deliver_request_be(self, request: Request, target: Replica, t: float) -> None:
-        if request.outcome is not None:
-            return  # timed out before the message arrived
-        demand = workload.service_demand(self.backend.profile, request.reduced_bytes)
-        self._admit(target, request, demand, t)
-
-    def _deliver_response_fe(self, request: Request, _target, t: float) -> None:
-        if request.outcome is not None or request.responded:
-            return
-        request.responded = True
-        self._release_lc(request)
-        # zero-demand merge at the frontend, reply leaves via the gateway
-        self.schedule(t + self.base_delay_s, LINK_DELIVER, (request, None, HOP_RESPONSE_CLIENT))
-
-    def _deliver_response_client(self, request: Request, _target, t: float) -> None:
-        if request.outcome is not None:
-            return
-        request.response_out = t
-        self._finalize(request, OUTCOME_COMPLETED)
-
-    def _admit(self, replica: Replica, request: Request, demand: float, t: float) -> None:
-        if replica.free_slots > 0:
-            replica.free_slots -= 1
-            self._start(replica, request, demand, t)
-        else:
-            replica.fifo.append((request, demand))
-
-    def _pass_slot(self, replica: Replica, t: float) -> None:
-        if replica.fifo:
-            request, demand = replica.fifo.popleft()
-            self._start(replica, request, demand, t)
-        else:
-            replica.free_slots += 1
+        request, target, deliver = payload
+        deliver(self, request, target, t)
 
     def _start(self, replica: Replica, request: Request, demand: float, t: float) -> None:
         """Start ``request`` on the slot it holds, or hand the slot on down
@@ -471,16 +430,19 @@ class EngineState:
         replica, request, demand = payload
         replica.in_service -= 1
         replica.busy_vcpu_seconds += demand
-        self._pass_slot(replica, t)
-        if replica.is_frontend:
-            request.fe_end = t
-            self._dispatch_backend(request, t)
+        # the freed slot goes to the head of the queue
+        if replica.fifo:
+            queued, queued_demand = replica.fifo.popleft()
+            self._start(replica, queued, queued_demand, t)
         else:
+            replica.free_slots += 1
+        frontend = request.frontend
+        if not replica.is_frontend:
             request.be_end = t
-            self._dispatch_response(request, t)
-
-    def _dispatch_backend(self, request: Request, t: float) -> None:
-        state = self.fe_states[request.frontend]
+            self._send(request, request.backend.cluster, frontend.cluster, frontend, response_fe, t)
+            return
+        request.fe_end = t
+        state = self.fe_states[frontend]
         try:
             backend = mesh.pick(state, self.backend_endpoints)
         except mesh.NoHealthyEndpoint:
@@ -491,14 +453,11 @@ class EngineState:
         mesh.lc_update(state, backend, +1)
         request.lc_open = True
         self.schedule(t + self.timeout_s, TIMEOUT, request)
-        self._send(request, request.frontend.cluster, backend.cluster, backend, HOP_REQUEST_BE, t)
+        self._send(request, frontend.cluster, backend.cluster, backend, request_be, t)
 
-    def _dispatch_response(self, request: Request, t: float) -> None:
-        self._send(request, request.backend.cluster, request.frontend.cluster, request.frontend, HOP_RESPONSE_FE, t)
-
-    def _send(self, request: Request, src: int, dst: int, target, hop: str, t: float) -> None:
+    def _send(self, request: Request, src: int, dst: int, target, deliver, t: float) -> None:
         if src == dst:
-            self.schedule(t + self.intra_delay_s, LINK_DELIVER, (request, target, hop))
+            self.schedule(t + self.intra_delay_s, LINK_DELIVER, (request, target, deliver))
             return
         delay_ms = self.table.classify(src, dst).transit_ms()
         if delay_ms is None:
@@ -506,7 +465,7 @@ class EngineState:
             self._finalize(request, OUTCOME_LOST)
             return
         delay_s = delay_ms * 1e-3 + self.base_delay_s
-        self.schedule(t + delay_s, LINK_DELIVER, (request, target, hop))
+        self.schedule(t + delay_s, LINK_DELIVER, (request, target, deliver))
 
     def _release_lc(self, request: Request) -> None:
         if request.lc_open:
@@ -545,8 +504,8 @@ class EngineState:
         if self.streams is not None and len(held) >= FLUSH_BATCH:
             self._flush_probes()
 
-    # kind -> handler and hop tag -> delivery, as plain functions called with
-    # the engine: bound methods held by the engine would keep it in a cycle
+    # kind -> handler, as plain functions called with the engine: bound
+    # methods held by the engine would keep it in a cycle
     _handlers = {
         ARRIVAL: _on_arrival,
         LINK_DELIVER: _on_link_deliver,
@@ -557,12 +516,45 @@ class EngineState:
         PROBE_SEND: _on_probe_send,
         PROBE_RECV: _on_probe_recv,
     }
-    _hops = {
-        HOP_REQUEST_FE: _deliver_request_fe,
-        HOP_REQUEST_BE: _deliver_request_be,
-        HOP_RESPONSE_FE: _deliver_response_fe,
-        HOP_RESPONSE_CLIENT: _deliver_response_client,
-    }
+
+
+# -- link_deliver hops, in path order (see the module docstring) -------------
+
+
+def request_fe(engine: EngineState, request: Request, replica: Replica, t: float) -> None:
+    demand = workload.service_demand(engine.frontend.profile, request.payload_bytes)
+    if replica.free_slots > 0:
+        replica.free_slots -= 1
+        engine._start(replica, request, demand, t)
+    else:
+        replica.fifo.append((request, demand))
+
+
+def request_be(engine: EngineState, request: Request, replica: Replica, t: float) -> None:
+    if request.outcome is not None:
+        return  # timed out before the message arrived
+    demand = workload.service_demand(engine.backend.profile, request.reduced_bytes)
+    if replica.free_slots > 0:
+        replica.free_slots -= 1
+        engine._start(replica, request, demand, t)
+    else:
+        replica.fifo.append((request, demand))
+
+
+def response_fe(engine: EngineState, request: Request, _target, t: float) -> None:
+    if request.outcome is not None or request.responded:
+        return
+    request.responded = True
+    engine._release_lc(request)
+    # zero-demand merge at the frontend, reply leaves via the gateway
+    engine.schedule(t + engine.base_delay_s, LINK_DELIVER, (request, None, response_client))
+
+
+def response_client(engine: EngineState, request: Request, _target, t: float) -> None:
+    if request.outcome is not None:
+        return
+    request.response_out = t
+    engine._finalize(request, OUTCOME_COMPLETED)
 
 
 def _describe(payload) -> str:
@@ -572,4 +564,6 @@ def _describe(payload) -> str:
         return repr(payload)
     if type(payload) is tuple:  # not a ProbeSample, which is described whole
         return ",".join(_describe(part) for part in payload)
+    if callable(payload):  # a link_deliver hop
+        return repr(payload.__name__)
     return repr(payload)

@@ -13,11 +13,10 @@ scrapes back, on the last scrape at or before ``t_k - window + eps``; a lag
 below 1 gives no rates.
 
 Exports are deterministic: fixed column orders, rows in (time, cluster,
-service, replica) order, floats written with ``repr``. ``traces.csv`` and
-``probe_rtt.csv`` hold a row per request and per probe, so they are written
-one formatted row at a time rather than through ``csv.writer``; the name
-cells of each replica and probe pair still pass through it once, so names
-keep its quoting, and rows end in its ``\r\n``. ``Streams`` owns both
+service, replica) order, floats written with ``repr``. Every CSV is
+written one formatted row at a time rather than through ``csv.writer``; the
+name cells of each replica and probe pair still pass through it once, so
+names keep its quoting, and rows end in its ``\r\n``. ``Streams`` owns both
 files and is the only writer of those rows: ``stream_csv`` hands one to the
 engine, which writes rows during the run (see ``engine``), and
 ``export_csv`` writes whatever rows are still held through one.
@@ -121,13 +120,13 @@ def cluster_rates(store: Scrapes, rates) -> dict[tuple[str, str], list[tuple[flo
 
 
 def _write_rows(path: Path, labels, rows) -> None:
+    cells = [_cells(*label) for label in labels]
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time_s", "cluster", "service", "replica", "value"])
+        write = handle.write
+        write("time_s,cluster,service,replica,value\r\n")
         for t, row in rows:
             stamp = repr(t)
-            writer.writerows([stamp, *label, repr(value)] for label, value in zip(labels, row))
-
+            write("".join([f"{stamp},{label},{value!r}\r\n" for label, value in zip(cells, row)]))
 
 
 # Row formats end in the csv module's \r\n. ``!r`` is repr, as csv.writer
@@ -260,7 +259,7 @@ class Streams:
 
     def probes(self, samples) -> None:
         for start in range(0, len(samples), FRAME_ROWS):
-            self._send(1, [tuple(sample) for sample in samples[start : start + FRAME_ROWS]])
+            self._send(1, list(map(tuple, samples[start : start + FRAME_ROWS])))
 
     def _send(self, tag: int, rows: list) -> None:
         if self._pipe is None:
@@ -311,13 +310,6 @@ class Streams:
             os.close(write_end)
             return
         if pid == 0:
-            # keep only stdio, the read end and the two files: a write end of
-            # another run's pipe held here would keep that writer from its end
-            low = 3
-            for fd in sorted((read_end, *(handle.fileno() for handle in self._files))):
-                os.closerange(low, fd)
-                low = fd + 1
-            os.closerange(low, os.sysconf("SC_OPEN_MAX"))
             self._serve(read_end)
         os.close(read_end)
         for handle in self._files:
@@ -329,6 +321,12 @@ class Streams:
         exit, 0 if every row was written. Never returns."""
         status, name = 1, ", ".join(_FILES)
         try:
+            # keep only stdio, the read end and the two files: a write end of
+            # another run's pipe held here would keep that writer from its end
+            low = 3
+            for fd in (*sorted([read_end, *(handle.fileno() for handle in self._files)]), os.sysconf("SC_OPEN_MAX")):
+                os.closerange(low, fd)
+                low = max(low, fd + 1)
             gc.disable()  # formatting makes no cycles, and a collection would touch every inherited object
             with open(read_end, "rb", buffering=_PIPE_BYTES) as source:
                 while head := source.read(5):

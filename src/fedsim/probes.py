@@ -89,18 +89,19 @@ def handle_probe_send(engine, t: float, payload) -> None:
     classify = engine.table.classify
     base_ms = engine.links.base_delay_ms
     diagonal_ms = 2.0 * engine.links.intra_base_delay_ms
+    new = tuple.__new__  # new(ProbeSample, fields) skips its Python-level __new__
     for src, dst in plan.pairs:
         if src == dst:
-            schedule(t + diagonal_ms * 1e-3, PROBE_RECV, ProbeSample(src, dst, t, diagonal_ms))
+            schedule(t + diagonal_ms * 1e-3, PROBE_RECV, new(ProbeSample, (src, dst, t, diagonal_ms)))
             continue
         # the return leg is sent only if the forward leg arrives
         forward_ms = classify(src, dst).transit_ms()
         return_ms = None if forward_ms is None else classify(dst, src).transit_ms()
         if return_ms is None:
-            schedule(t, PROBE_RECV, ProbeSample(src, dst, t, None))
+            schedule(t, PROBE_RECV, new(ProbeSample, (src, dst, t, None)))
         else:
             rtt_ms = (forward_ms + base_ms) + (return_ms + base_ms)
-            schedule(t + rtt_ms * 1e-3, PROBE_RECV, ProbeSample(src, dst, t, rtt_ms))
+            schedule(t + rtt_ms * 1e-3, PROBE_RECV, new(ProbeSample, (src, dst, t, rtt_ms)))
 
 
 @dataclass
