@@ -441,6 +441,7 @@ class EngineState:
             request.be_end = t
             self._send(request, request.backend.cluster, frontend.cluster, frontend, response_fe, t)
             return
+        # the frontend picks a backend and arms the request's timeout
         request.fe_end = t
         state = self.fe_states[frontend]
         try:

@@ -13,10 +13,10 @@ scrapes back, on the last scrape at or before ``t_k - window + eps``; a lag
 below 1 gives no rates.
 
 Exports are deterministic: fixed column orders, rows in (time, cluster,
-service, replica) order, floats written with ``repr``. Every CSV is
-written one formatted row at a time rather than through ``csv.writer``; the
-name cells of each replica and probe pair still pass through it once, so
-names keep its quoting, and rows end in its ``\r\n``. ``Streams`` owns both
+service, replica) order, floats written with ``repr``. Each CSV is written
+one formatted row at a time rather than through ``csv.writer``; the name
+cells of each replica and probe pair still pass through it once, so names
+keep its quoting, and rows end in its ``\r\n``. ``Streams`` owns both
 files and is the only writer of those rows: ``stream_csv`` hands one to the
 engine, which writes rows during the run (see ``engine``), and
 ``export_csv`` writes whatever rows are still held through one.
@@ -120,13 +120,13 @@ def cluster_rates(store: Scrapes, rates) -> dict[tuple[str, str], list[tuple[flo
 
 
 def _write_rows(path: Path, labels, rows) -> None:
-    cells = [_cells(*label) for label in labels]
+    names = [_cells(*label) for label in labels]
     with path.open("w", newline="") as handle:
         write = handle.write
         write("time_s,cluster,service,replica,value\r\n")
         for t, row in rows:
             stamp = repr(t)
-            write("".join([f"{stamp},{label},{value!r}\r\n" for label, value in zip(cells, row)]))
+            write("".join([f"{stamp},{name},{value!r}\r\n" for name, value in zip(names, row)]))
 
 
 # Row formats end in the csv module's \r\n. ``!r`` is repr, as csv.writer
