@@ -132,8 +132,8 @@ def test_two_streams_open_at_once_each_close_alone(tmp_path):
             assert engine.streams._pipe is not None
         for engine in engines:
             engine.run(until=10.0)
-        for engine in engines:
-            metrics.export_csv(engine, f"out{{engines.index(engine)}}")
+        for index, engine in enumerate(engines):
+            metrics.export_csv(engine, f"out{{index}}")
         try:
             os.waitpid(-1, os.WNOHANG)
             raise SystemExit("a writer process outlived its close")
