@@ -5,9 +5,10 @@ so equal-time events run in scheduling order and replay is exact. Timeouts
 wait in a FIFO lane beside the heap: every one is armed ``timeout_s`` after a
 dispatch and the clock never goes back, so they arrive already in order. The
 loop takes whichever of the lane head and the heap head is first by
-(time, seq). Event times must be finite and not before the clock. All
-randomness comes from per-source streams derived from the scenario seed,
-which makes a run a pure function of (scenario, seed).
+(time, seq). Event times must be finite and not before the clock, and a
+``run`` bound must not be NaN or before it, so the clock is monotone across
+``run`` calls. All randomness comes from per-source streams derived from the
+scenario seed, which makes a run a pure function of (scenario, seed).
 
 Request path: client -> gateway -> frontend replica -> gateway -> backend
 replica -> gateway -> frontend -> gateway -> client. Every gateway traversal
@@ -268,7 +269,10 @@ class EngineState:
         ends at ``until``. Can be called repeatedly with increasing bounds.
         Returns the engine itself: its counters, ``traces``, ``probes`` and
         ``metrics`` are the run's outputs so far. Raises ``EngineError`` if
-        the end-of-run checks fail (see the module docstring)."""
+        ``until`` is NaN or before the clock, or if the end-of-run checks
+        fail (see the module docstring)."""
+        if not until >= self.clock:
+            raise EngineError(f"run bound before the clock or not a number: until {until!r}, clock {self.clock!r}")
         if not self._primed:
             self._primed = True
             self._prime()

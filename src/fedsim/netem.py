@@ -8,6 +8,13 @@ a dense n x n table:
 - how many of its two clusters are blacked out;
 - its own delay stream and loss channel.
 
+A link makes its delay stream, and its loss channel its RNG, on the first
+draw from each; until then each holds only the link's (seed, src, dst) key.
+Most links of a wide federation carry no traffic in a run, and each stream is
+a 2.5 KB MT19937 state derived through SHA-256. A stream's seed depends only
+on the scenario seed and its label (``"delay"`` or ``"loss"``, src, dst), so
+a stream made late draws what it would have drawn if made at set-up.
+
 A link is dark while that count is above 0. A dark link keeps its rule, and
 each message on it draws its loss stream as a ``p = 1, c = 0`` rule would, so
 every message is dropped. Replacing the rule never touches the count, so a
@@ -64,21 +71,32 @@ DARK = ImpairmentRule(loss=LossSpec(p=1.0, correlation=0.0))
 
 
 class Link:
-    """One directed link between two clusters."""
+    """One directed link between two clusters. A ``delay_rng`` of None is
+    made on first draw from ``key``, the link's (seed, src, dst)."""
 
-    __slots__ = ("rule", "blackouts", "delay_rng", "loss_channel")
+    __slots__ = ("rule", "blackouts", "delay_rng", "loss_channel", "key")
 
-    def __init__(self, rule: ImpairmentRule, delay_rng: random.Random, loss_channel: LossChannel):
+    def __init__(
+        self, rule: ImpairmentRule, delay_rng: random.Random | None, loss_channel: LossChannel, key: tuple = ()
+    ):
         self.rule = rule
         self.blackouts = 0  # how many of its two clusters are blacked out; dark while > 0
         self.delay_rng = delay_rng
         self.loss_channel = loss_channel
+        self.key = key
 
     def transit_ms(self) -> float | None:
         """One message's impairment delay in ms, or None if the link drops it."""
         if sample_loss(DARK if self.blackouts else self.rule, self.loss_channel):
             return None
-        return sample_delay(self.rule, self.delay_rng)
+        rng = self.delay_rng
+        # an explicit test, not a __getattr__ that fills the slot: defining
+        # __getattr__ sends every attribute read on the class through
+        # CPython's slow lookup path
+        if rng is None:
+            seed, src, dst = self.key
+            rng = self.delay_rng = stream(seed, "delay", src, dst)
+        return sample_delay(self.rule, rng)
 
 
 class ClassifierTable:
@@ -90,19 +108,13 @@ class ClassifierTable:
 
     def __init__(self, links, seed: int):
         n = len(links.one_way_delay_ms)
-        self.links = [
-            [
-                None
-                if i == j
-                else Link(
-                    ImpairmentRule(links.one_way_delay_ms[i][j], links.jitter[i][j], links.loss[i][j]),
-                    stream(seed, "delay", i, j),
-                    LossChannel(stream(seed, "loss", i, j)),
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        self.links = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    key = (seed, i, j)
+                    rule = ImpairmentRule(links.one_way_delay_ms[i][j], links.jitter[i][j], links.loss[i][j])
+                    self.links[i][j] = Link(rule, None, LossChannel(None, key), key)
 
     def classify(self, src: int, dst: int) -> Link:
         """The link a message from ``src`` to ``dst`` crosses."""
@@ -124,13 +136,16 @@ def sample_delay(rule: ImpairmentRule, rng: random.Random) -> float:
 
 
 class LossChannel:
-    """Per-directed-link loss state: the RNG plus the previous composite uniform."""
+    """Per-directed-link loss state: the RNG plus the previous composite
+    uniform. An ``rng`` of None is made on first draw from ``key``, the
+    link's (seed, src, dst)."""
 
-    __slots__ = ("rng", "prev_u")
+    __slots__ = ("rng", "prev_u", "key")
 
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random | None, key: tuple = ()):
         self.rng = rng
         self.prev_u: float | None = None
+        self.key = key
 
 
 def sample_loss(rule: ImpairmentRule, channel: LossChannel) -> bool:
@@ -138,7 +153,11 @@ def sample_loss(rule: ImpairmentRule, channel: LossChannel) -> bool:
     p = rule.loss.p
     if p <= 0.0:
         return False
-    u_new = channel.rng.random()
+    rng = channel.rng
+    if rng is None:  # an explicit test, as in Link.transit_ms
+        seed, src, dst = channel.key
+        rng = channel.rng = stream(seed, "loss", src, dst)
+    u_new = rng.random()
     c = rule.loss.correlation
     if c > 0.0 and channel.prev_u is not None:
         u = c * channel.prev_u + (1.0 - c) * u_new

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fedsim import netem
+from fedsim import netem, topology
 from fedsim.netem import (
     ClassifierTable,
     ImpairmentRule,
@@ -225,3 +225,105 @@ def test_two_link_loss_sequences_statistically_independent():
     b = [sample_loss(r, b_channel) for _ in range(N_DRAWS)]
     # chi-square independence, df=1: critical value 6.635 at alpha=0.01
     assert chi_square_2x2(a, b) < 6.635
+
+
+# -- streams made on first draw ----------------------------------------------
+
+# 16 clusters; traffic crosses only K00<->K01, K00<->K02 and K00<->K03. K03
+# is dark from the start, so K00->K03 first draws while dark; K00->K02 is set
+# before its first draw and, like K02->K00, has p = 0 and never goes dark.
+WIDE_NAMES = [f"K{k:02d}" for k in range(16)]
+WIDE = f"""
+clusters:
+{chr(10).join(f"  - {{name: {name}, nodes: 1, vcpus_per_node: 4}}" for name in WIDE_NAMES)}
+links:
+  base_delay_ms: 1.0
+  jitter:
+    - {{src: K00, dst: K01, dist: normal, scale_ms: 2.0}}
+    - {{src: K01, dst: K00, dist: uniform, scale_ms: 3.0}}
+    - {{src: K03, dst: K00, dist: uniform, scale_ms: 1.0}}
+  loss:
+    - {{src: K00, dst: K01, p: 0.2, correlation: 0.25}}
+    - {{src: K01, dst: K00, p: 0.1}}
+    - {{src: K00, dst: K03, p: 0.05}}
+services:
+  - {{name: fe, stage: frontend, replicas_per_cluster: {{K00: 1}}, demand: {{base_ms: 2.0, per_kb_ms: 0.0}}}}
+  - name: be
+    stage: backend
+    replicas_per_cluster: {{K01: 1, K02: 1, K03: 1}}
+    demand: {{base_ms: 5.0, per_kb_ms: 0.0}}
+    backend_policy: round_robin
+workload:
+  payload: {{dist: constant, bytes: 1000}}
+  phases: [{{rate: 20.0, duration_s: 20}}]
+timeline:
+  - {{action: blackout, at_s: 0, cluster: K03, end_s: 8}}
+  - {{action: set_link, at_s: 0, src: K00, dst: K02, delay_ms: 4.0, jitter: {{dist: uniform, scale_ms: 2.0}}}}
+seed: 13
+duration_s: 25
+"""
+CARRYING = {(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)}
+
+
+def wide_engine():
+    return topology.build_runtime(topology.validate(topology.parse_scenario(WIDE)))
+
+
+def cross_links(engine):
+    return [(i, j, link) for i, row in enumerate(engine.table.links) for j, link in enumerate(row) if link is not None]
+
+
+def test_a_built_engine_holds_no_link_stream():
+    links = cross_links(wide_engine())
+    assert len(links) == 16 * 15
+    assert all(link.delay_rng is None and link.loss_channel.rng is None for _, _, link in links)
+
+
+def test_after_a_run_only_links_that_drew_hold_streams():
+    engine = wide_engine()
+    engine.run(until=25.0)
+    assert engine.lost > 0 and engine.completed > 0
+    made = {(i, j): (link.delay_rng is not None, link.loss_channel.rng is not None) for i, j, link in cross_links(engine)}
+    assert all(made[pair] == (False, False) for pair in made.keys() - CARRYING)
+    # p = 0 channels make no RNG unless they carry a message while dark;
+    # K03->K00 carries none until K03's blackout has ended
+    assert made[0, 2] == made[2, 0] == made[3, 0] == (True, False)
+    assert made[0, 1] == made[1, 0] == made[0, 3] == (True, True)
+
+
+def test_every_stream_made_on_first_draw_draws_as_one_made_at_set_up():
+    lazy, eager = wide_engine(), wide_engine()
+    seed = eager.spec.seed
+    for i, j, link in cross_links(eager):
+        eager.table.links[i][j] = netem.Link(
+            link.rule, stream(seed, "delay", i, j), LossChannel(stream(seed, "loss", i, j))
+        )
+    lazy.run(until=25.0)
+    eager.run(until=25.0)
+    stamps = [[(t.ingress_in, t.be_start, t.response_out, t.outcome) for t in e.traces] for e in (lazy, eager)]
+    assert stamps[0] == stamps[1]
+    for (i, j, made), (_, _, ref) in zip(cross_links(lazy), cross_links(eager)):
+        # a stream never made is one never drawn: the eager one is still fresh
+        delay = made.delay_rng or stream(seed, "delay", i, j)
+        loss = made.loss_channel.rng or stream(seed, "loss", i, j)
+        assert delay.getstate() == ref.delay_rng.getstate(), (i, j)
+        assert loss.getstate() == ref.loss_channel.rng.getstate(), (i, j)
+        assert made.loss_channel.prev_u == ref.loss_channel.prev_u
+
+
+def test_first_draws_while_dark_and_after_a_set_link_match_streams_made_at_set_up(poc_spec):
+    seed = poc_spec.seed
+    table = ClassifierTable(poc_spec.links, seed)
+    lossy = rule(delay=5.0, jitter=JitterSpec("normal", 2.0), loss=LossSpec(0.3, 0.5))
+    table.classify(1, 2).blackouts = 1
+    table.classify(2, 1).rule = lossy
+    for i, j in ((1, 2), (2, 1)):
+        lazy = table.classify(i, j)
+        ref = netem.Link(lazy.rule, stream(seed, "delay", i, j), LossChannel(stream(seed, "loss", i, j)))
+        ref.blackouts = lazy.blackouts
+        draws = [(lazy.transit_ms(), ref.transit_ms()) for _ in range(40)]
+        lazy.blackouts = ref.blackouts = 0
+        draws += [(lazy.transit_ms(), ref.transit_ms()) for _ in range(200)]
+        assert all(a == b for a, b in draws), (i, j)
+        assert lazy.delay_rng.getstate() == ref.delay_rng.getstate()
+        assert lazy.loss_channel.rng.getstate() == ref.loss_channel.rng.getstate()
