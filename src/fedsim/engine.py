@@ -34,8 +34,10 @@ final once the request has an outcome and is not in backend service (a
 request that times out during backend service still gets ``be_end``). So
 ``traces`` holds the requests in flight and at most the rows that wait
 behind the oldest of them. Every ``FLUSH_BATCH`` samples go to
-``streams.probes`` and are folded into ``rtt_sums``, so nothing per probe
-outlives its batch. ``end_streams`` writes the rest and closes the streams.
+``streams.probes`` and are dropped, so nothing per probe outlives its batch;
+the streams fold them into per-pair RTT sums as they write them (see
+``metrics``), and ``probes_received`` counts them as they are handed over.
+``end_streams`` writes the rest, closes the streams and sets ``rtt_sums``.
 At the end of every ``run`` call the clock must be finite, ``in_flight``
 must equal the held requests without an outcome, no balancer count may be
 below 0, and each frontend's count for a backend must equal the pending
@@ -204,7 +206,10 @@ class EngineState:
         self.traces: list[Request] = []  # not yet written
         self.probes: list = []  # not yet written
         self.streams = None  # metrics.Streams, where rows go once final
-        self.rtt_sums = probes.group_rtts((), len(self.cluster_names))  # of the written probes
+        # per pair, the probes.RttSums of the probes the streams wrote (None
+        # for a pair with none), set when end_streams closes them
+        self.rtt_sums: list = [[None] * len(self.cluster_names) for _ in self.cluster_names]
+        self._probes_streamed = 0  # samples handed to the streams
         self.probe_plans: list = []
         self.arrivals = 0
         self.completed = 0
@@ -333,7 +338,7 @@ class EngineState:
 
     @property
     def probes_received(self) -> int:
-        return len(self.probes) + sum(sums.count for row in self.rtt_sums for sums in row)
+        return len(self.probes) + self._probes_streamed
 
     # -- streaming ----------------------------------------------------------
 
@@ -351,17 +356,19 @@ class EngineState:
     def _flush_probes(self) -> None:
         held = self.probes
         self.streams.probes(held)
-        probes.group_rtts(held, len(self.cluster_names), self.rtt_sums)
+        self._probes_streamed += len(held)
         held.clear()
 
     def end_streams(self) -> None:
         """Hand every held row to the open streams, requests in flight with
-        blank stamps, and close them. The run is not continued after this."""
+        blank stamps, close them and take their ``rtt_sums``. The run is not
+        continued after this."""
         if self.streams is not None:
             self.streams.traces(self.traces)
             self.traces.clear()
             self._flush_probes()
             self.streams.close()
+            self.rtt_sums = self.streams.rtt_sums
             self.streams = None
 
     # -- request lifecycle --------------------------------------------------

@@ -26,9 +26,17 @@ engine, which writes rows during the run (see ``engine``), and
 two CPUs, the streams fork one writer process before the run: the run sends
 it ``marshal`` frames of ``FRAME_ROWS`` packed rows down a pipe, each tagged
 with its file, and the process formats them while the run goes on. One
-``close`` finishes both files, ends the pipe and waits for the process, and
-raises ``WriterError`` if it failed. Elsewhere, and where the pipe or the
-fork fails, the same formatters run in-process; both write the same bytes.
+``close`` finishes both files, ends the pipe, reads back the probe pairs'
+RTT sums and waits for the process, and raises ``WriterError`` if it
+failed. Elsewhere, and where a pipe or the fork fails, the same formatters
+run in-process; both write the same bytes and fold the same sums.
+
+The probe row formatter folds each frame it writes into the pairs'
+``probes.RttSums`` (``probes.group_rtts``), making a pair's on its first
+row. A writer process sends them back down a second pipe once its input
+ends, as one ``marshal`` frame of ``(src, dst, count, lost, shift, s1, s2)``
+per pair, or nothing if it saw no probe row; ``Streams.rtt_sums`` holds
+them after ``close``.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .probes import RttSums, group_rtts
 
 BUSY_COUNTER = "replica_busy_vcpu_seconds_total"
 OUTSTANDING_GAUGE = "replica_outstanding_requests"
@@ -193,11 +203,15 @@ def _format_traces(write, rows) -> None:
 
 
 class _ProbeFormatter:
-    """Writes packed probe rows as text, keeping the cells of each pair."""
+    """Writes packed probe rows as text, keeping the cells of each pair, and
+    folds each frame into ``sums[src][dst]``, the pair's ``RttSums`` (None
+    until the pair's first row)."""
 
     def __init__(self, names):
         self._names = names
-        self._pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]  # filled as pairs show up
+        # both filled as pairs show up
+        self._pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]
+        self.sums: list[list[RttSums | None]] = [[None] * len(names) for _ in names]
         # the probes of one grid step share one send-time object and mostly come
         # in a run, so the last one's repr is reused for the same object, never
         # for an equal value (0.0 and -0.0, or 1 and 1.0, are equal); marshal
@@ -211,6 +225,7 @@ class _ProbeFormatter:
             cells = pair_cells[src][dst]
             if cells is None:
                 cells = pair_cells[src][dst] = _cells(names[src], names[dst])
+                self.sums[src][dst] = RttSums()
             if sent_at is not last_sent:
                 last_sent, stamp = sent_at, repr(sent_at)
             if rtt_ms is None:
@@ -218,6 +233,7 @@ class _ProbeFormatter:
             else:
                 write(f"{cells},{stamp},{rtt_ms!r},false\r\n")
         self._last_sent, self._stamp = last_sent, stamp
+        group_rtts(rows, len(names), self.sums)
 
 
 class Streams:
@@ -235,7 +251,7 @@ class Streams:
         for replica in engine.replicas:
             self._cells[replica] = _cells(replica.service, names[replica.cluster], replica.replica)
         self._formats = (_format_traces, _ProbeFormatter(names))
-        self._pid = self._pipe = None
+        self._pid = self._pipe = self._sums_end = None
         self._files = []
         try:
             for path, header in zip(self.paths, (_TRACE_HEADER, _PROBE_HEADER)):
@@ -246,6 +262,12 @@ class Streams:
             raise
         if fork and _forks():
             self._fork()
+
+    @property
+    def rtt_sums(self) -> list[list[RttSums | None]]:
+        """``[src][dst]``: the ``probes.RttSums`` of the pair's probe rows,
+        None for a pair with none; complete once ``close`` has returned."""
+        return self._formats[1].sums
 
     def traces(self, requests) -> None:
         cells = self._cells
@@ -275,56 +297,66 @@ class Streams:
             raise
 
     def close(self) -> None:
-        """Finish both files: with a writer process, end its pipe and wait for
-        it, raising ``WriterError`` if it failed. A second call does nothing."""
+        """Finish both files: with a writer process, end its pipe, read back
+        the RTT sums it folded and wait for it, raising ``WriterError`` if it
+        failed. A second call does nothing."""
         for handle in self._files:
             handle.close()
         pipe, self._pipe = self._pipe, None
         if pipe is None:
             return
         os.close(pipe)
+        with open(self._sums_end, "rb") as source:
+            returned = source.read()
         status = os.waitpid(self._pid, 0)[1]
         if status:
             raise WriterError(f"writer of {', '.join(_FILES)} exited with status {os.waitstatus_to_exitcode(status)}")
+        sums = self.rtt_sums
+        for src, dst, *fields in marshal.loads(returned) if returned else ():
+            sums[src][dst] = RttSums(*fields)
 
     def _fork(self) -> None:
         """Fork the writer process; each frame on its pipe is the file's index
-        in one byte, the length in four and the ``marshal``ed rows. Where the
-        pipe or the fork cannot be made, the rows stay in-process."""
+        in one byte, the length in four and the ``marshal``ed rows, and the
+        sums come back on a second pipe. Where a pipe or the fork cannot be
+        made, the rows stay in-process."""
         for handle in self._files:
             handle.flush()  # or both processes would write the header
+        ends: list[int] = []
         try:
-            read_end, write_end = os.pipe()
-        except OSError:
-            return
-        try:
-            import fcntl
+            ends += os.pipe()  # the rows, from the run to the writer
+            ends += os.pipe()  # the RTT sums, from the writer back to the run
+            try:
+                import fcntl
 
-            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (ImportError, AttributeError, OSError):
-            pass  # a smaller pipe only makes the run wait more often
-        try:
+                fcntl.fcntl(ends[1], fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            except (ImportError, AttributeError, OSError):
+                pass  # a smaller pipe only makes the run wait more often
             pid = os.fork()
         except OSError:
-            os.close(read_end)
-            os.close(write_end)
+            for end in ends:
+                os.close(end)
             return
+        read_end, write_end, sums_end, sums_write_end = ends
         if pid == 0:
-            self._serve(read_end)
+            self._serve(read_end, sums_write_end)
         os.close(read_end)
+        os.close(sums_write_end)  # or the run would never see the end of the sums
         for handle in self._files:
             handle.close()
-        self._pid, self._pipe = pid, write_end
+        self._pid, self._pipe, self._sums_end = pid, write_end, sums_end
 
-    def _serve(self, read_end: int) -> None:
-        """The writer process: format every frame until the pipe's end, then
-        exit, 0 if every row was written. Never returns."""
+    def _serve(self, read_end: int, sums_end: int) -> None:
+        """The writer process: format every frame until the pipe's end, send
+        the RTT sums back down ``sums_end``, then exit, 0 if every row and the
+        sums were written. Never returns."""
         status, name = 1, ", ".join(_FILES)
         try:
-            # keep only stdio, the read end and the two files: a write end of
-            # another run's pipe held here would keep that writer from its end
+            # keep only stdio, the two pipe ends and the two files: a write end
+            # of another run's pipe held here would keep that writer from its end
             low = 3
-            for fd in (*sorted([read_end, *(handle.fileno() for handle in self._files)]), os.sysconf("SC_OPEN_MAX")):
+            kept = sorted([read_end, sums_end, *(handle.fileno() for handle in self._files)])
+            for fd in (*kept, os.sysconf("SC_OPEN_MAX")):
                 os.closerange(low, fd)
                 low = max(low, fd + 1)
             gc.disable()  # formatting makes no cycles, and a collection would touch every inherited object
@@ -335,6 +367,15 @@ class Streams:
                     self._formats[tag](self._files[tag].write, rows)
             for handle in self._files:
                 handle.close()
+            sums = [
+                (src, dst, pair.count, pair.lost, pair.shift, pair.s1, pair.s2)
+                for src, row in enumerate(self.rtt_sums)
+                for dst, pair in enumerate(row)
+                if pair is not None
+            ]
+            with open(sums_end, "wb") as sink:
+                if sums:
+                    sink.write(marshal.dumps(sums))
             status = 0
         except BaseException as exc:
             os.write(2, f"writer of {name}: {type(exc).__name__}: {exc}\n".encode(errors="replace"))

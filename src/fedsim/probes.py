@@ -18,10 +18,11 @@ and the receipts queued, in (step, pair) order.
 ``group_rtts`` folds the samples of each pair into an ``RttSums``: a count,
 a lost count and exact integer sums of the RTTs and their squares, so a
 pair's memory does not grow with the number of probes. ``rtt_stats``
-computes the statistics from those sums; a streamed ping folds its samples
-batch by batch as they are written (see ``engine``), an API caller all at
-once. Mean and variance are rounded once from the exact sums, so they equal
-``statistics.fmean`` and ``statistics.pvariance`` bit for bit.
+computes the statistics from those sums. A streamed ping's samples are
+folded frame by frame by the probe row formatter as it writes them, in the
+writer process where there is one (see ``metrics``); an API caller folds
+them all at once. Mean and variance are rounded once from the exact sums,
+so they equal ``statistics.fmean`` and ``statistics.pvariance`` bit for bit.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ class RttSums:
     magnitude seen, every value scales to an exact integer N = v * 2**shift.
     Only ``count``, ``lost``, ``shift``, ``s1`` = sum(N) and ``s2`` =
     sum(N*N) are kept. A value that needs a larger shift first rescales the
-    sums, exactly: ``s1 <<= d``, ``s2 <<= 2 * d``.
+    sums, exactly: ``s1 <<= d``, ``s2 <<= 2 * d``. ``RttSums(count, lost,
+    shift, s1, s2)`` takes the sums back from those five fields.
 
     ``mean`` is the exact sum rounded once and divided by the count, as
     ``statistics.fmean`` computes it (``math.fsum`` and int true division
@@ -135,13 +137,13 @@ class RttSums:
 
     __slots__ = ("count", "lost", "shift", "s1", "s2", "_exact_from")
 
-    def __init__(self):
-        self.count = 0
-        self.lost = 0
-        self.shift = 0
-        self.s1 = 0
-        self.s2 = 0
-        self._exact_from = 2.0**52  # values at least this scale exactly by ldexp
+    def __init__(self, count: int = 0, lost: int = 0, shift: int = 0, s1: int = 0, s2: int = 0):
+        self.count = count
+        self.lost = lost
+        self.shift = shift
+        self.s1 = s1
+        self.s2 = s2
+        self._exact_from = ldexp(1.0, 52 - shift)  # values at least this scale exactly by ldexp
 
     def add(self, rtt_ms: float | None) -> None:
         """Fold one RTT, None for a lost probe. Raises ``ValueError`` on a
@@ -199,7 +201,8 @@ def pvariance(values) -> float | None:
 
 def group_rtts(samples, n_clusters: int, groups=None) -> list[list[RttSums]]:
     """``groups[src][dst]``: the ``RttSums`` of the pair's samples. Folds
-    into ``groups`` when given them."""
+    into ``groups`` when given them, which must hold sums for every pair of
+    ``samples``."""
     if groups is None:
         groups = [[RttSums() for _ in range(n_clusters)] for _ in range(n_clusters)]
     for src, dst, _sent_at, rtt_ms in samples:
@@ -209,7 +212,10 @@ def group_rtts(samples, n_clusters: int, groups=None) -> list[list[RttSums]]:
 
 def rtt_stats(groups) -> RttStats:
     """Mean, population variance, and loss fraction per ordered pair, from
-    the sums ``group_rtts`` folded for it."""
+    the sums ``group_rtts`` folded for it; None in place of a pair's sums
+    stands for no probe."""
+    none = RttSums()
+    groups = [[none if sums is None else sums for sums in row] for row in groups]
     return RttStats(
         [[sums.mean for sums in row] for row in groups],
         [[sums.variance for sums in row] for row in groups],

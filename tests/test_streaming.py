@@ -10,6 +10,7 @@ would show.
 """
 
 import gc
+import os
 import tracemalloc
 
 import pytest
@@ -97,6 +98,30 @@ def test_streamed_ping_matches_the_in_memory_export(name, tmp_path, capsys):
     assert matrix["mean_rtt_ms"] == cli._matrix_doc(stats.mean_ms, names)
     assert matrix["variance_rtt_ms2"] == cli._matrix_doc(stats.variance_ms2, names)
     assert matrix["loss_fraction"] == cli._matrix_doc(stats.loss_fraction, names)
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_a_streamed_ping_counts_its_probes_at_every_step(fork, tmp_path, monkeypatch):
+    # the streams fold the RTT sums where they write the rows, in the writer
+    # process if there is one, so the count comes from the samples handed on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    text = fedsim.bundled_scenario("ping").read_text()
+    streamed, whole = (topology.build_runtime(make_topology(text)) for _ in range(2))
+    metrics.stream_csv(streamed, tmp_path, fork)
+    assert (streamed.streams._pipe is not None) == fork
+    n = len(whole.cluster_names)
+    plan = probes.ProbePlan(tuple((i, j) for i in range(n) for j in range(n)), 0.2, probes.probe_count(40.0, 0.2))
+    for state in (streamed, whole):
+        state.probe_plans.append(plan)
+        state.schedule(0.0, probes.PROBE_SEND, (0, 0))
+    for step in range(1, 9):
+        for state in (streamed, whole):
+            state.run(5.0 * step)
+        assert not streamed.probes  # every sample was handed on
+        assert streamed.probes_received == whole.probes_received == len(whole.probes) > 0, step
+    metrics.export_csv(streamed, tmp_path)
+    assert streamed.probes_received == whole.probes_received == 40 * 5 * n * n
+    assert probes.rtt_stats(streamed.rtt_sums) == probes.rtt_stats(probes.group_rtts(whole.probes, n))
 
 
 def test_streamed_run_holds_a_batch_beyond_the_requests_in_flight(tmp_path, monkeypatch):

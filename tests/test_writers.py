@@ -3,9 +3,10 @@
 ``metrics.Streams`` owns both files and forks one writer process for them
 when the process can fork, runs no other thread and may use two CPUs, else
 the rows are formatted in-process by the same formatters. These tests pin
-the process lifecycle: one ``close`` ends it with both files complete, it
-never outlives the command, a writer that fails makes the run exit 3, and
-both paths write the same bytes. Where a test needs the forked path it says
+the process lifecycle: one ``close`` ends it with both files complete and
+reads back the RTT sums it folded, it never outlives the command, a writer
+that fails makes the run exit 3, and both paths write the same bytes and
+the same RTT matrix. Where a test needs the forked path it says
 the process may use two CPUs, so it runs on any machine.
 """
 
@@ -33,14 +34,17 @@ def _cpus(monkeypatch, count: int) -> None:
 
 
 def _counted_forks(monkeypatch) -> list:
-    forks, fork = [], os.fork
+    """The pids of the processes forked from here on."""
+    pids, fork = [], os.fork
 
     def counted_fork():
-        forks.append(os.getpid())
-        return fork()
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
+    return pids
 
 
 def _python(script: str, tmp_path, *options: str, timeout: float = 60) -> subprocess.CompletedProcess:
@@ -147,13 +151,17 @@ def test_two_streams_open_at_once_each_close_alone(tmp_path):
         assert (tmp_path / "out0" / name).read_bytes() == (tmp_path / "out1" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("cpus", [2, 1])
-def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, tmp_path, monkeypatch, capfd):
-    def broken(write, rows):
+@pytest.mark.parametrize(
+    "cpus, command", [(2, "run"), (1, "run"), (2, "ping"), (1, "ping")], ids=["2", "1", "ping-2", "ping-1"]
+)
+def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, command, tmp_path, monkeypatch, capfd):
+    # a run breaks the trace row formatter, a ping the fold of the probe rows
+    def broken(*args):
         raise ZeroDivisionError("synthetic")
 
     _cpus(monkeypatch, cpus)
-    monkeypatch.setattr(metrics, "_format_traces", broken)
+    pids = _counted_forks(monkeypatch)
+    monkeypatch.setattr(metrics, "_format_traces" if command == "run" else "group_rtts", broken)
     build, builds = topology.build_runtime, []
 
     def counted_build(topo):
@@ -164,11 +172,13 @@ def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, tmp_path, mon
     scenario = tmp_path / "poc.yaml"
     scenario.write_text(fedsim.bundled_scenario("poc").read_text())
     out = tmp_path / "out"
-    assert cli.main(["run", str(scenario), "--out-dir", str(out), "--until", "120"]) == 3
+    options = ["--until", "120"] if command == "run" else ["--duration", "120"]
+    assert cli.main([command, str(scenario), "--out-dir", str(out), *options]) == 3
     err = capfd.readouterr().err
     assert "Traceback" not in err
     if cpus == 2:  # the writer process reports its error, the run its status
-        assert "writer of traces.csv: ZeroDivisionError: synthetic" in err
+        failed = "traces.csv" if command == "run" else "probe_rtt.csv"
+        assert f"writer of {failed}: ZeroDivisionError: synthetic" in err
         assert "engine error: WriterError at metrics.py:" in err
         assert "writer of traces.csv, probe_rtt.csv exited with status 1" in err
         # the failure is the writer's, so the run is not replayed
@@ -179,8 +189,13 @@ def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, tmp_path, mon
         # the replay has no writers, so the failure does not recur there
         assert "the failure did not recur when the run was replayed" in err
         assert builds == [1, 1]
+    # no rtt_matrix.yaml either, and the writer process was waited for
     assert [path.name for path in out.iterdir()] == ["event_log_tail.csv"]
     assert (out / "event_log_tail.csv").read_text().splitlines() == ["time_s,seq,kind"]
+    assert len(pids) == (1 if cpus == 2 else 0)
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -193,15 +208,18 @@ def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, tmp_path, mon
     ids=["poc_lc", "blackout", "ping"],
 )
 def test_the_in_process_fallback_writes_the_bytes_of_the_writer_process(argv, tmp_path, monkeypatch, capsys):
+    # a ping's matrix comes from the sums the writer process sends back, or
+    # from the in-process formatter's own
     forks = _counted_forks(monkeypatch)
     files = {}
     for cpus in (2, 1):
         _cpus(monkeypatch, cpus)
         out = tmp_path / str(cpus)
         assert cli.main([*argv, "--out-dir", str(out)]) == 0
-        files[cpus] = {name: (out / name).read_bytes() for name in CSVS}
-    capsys.readouterr()
-    assert forks == [os.getpid()]  # one writer process for both files, and only with two CPUs
+        names = (*CSVS, "rtt_matrix.yaml") if argv[0] == "ping" else CSVS
+        files[cpus] = {name: (out / name).read_bytes() for name in names}
+        files[cpus]["stdout"] = capsys.readouterr().out.replace(str(out), "<out>")
+    assert len(forks) == 1  # one writer process for both files, and only with two CPUs
     assert files[2] == files[1]
     assert len(files[1]["traces.csv"].splitlines()) > 1 + 2 * metrics.FRAME_ROWS or argv[0] == "ping"
 
@@ -215,10 +233,17 @@ def test_writers_fall_back_where_fork_is_missing(tmp_path, monkeypatch):
     metrics.export_csv(engine, tmp_path)
 
 
-@pytest.mark.parametrize("call", ["pipe", "fork"])
-def test_writers_fall_back_where_the_writer_process_cannot_start(call, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("call, failing", [("pipe", 1), ("fork", 1), ("pipe", 2)], ids=["pipe", "fork", "sums_pipe"])
+def test_writers_fall_back_where_the_writer_process_cannot_start(call, failing, tmp_path, monkeypatch, capsys):
+    # the failing call is the first pipe (the rows), the fork, or the second
+    # pipe (the RTT sums sent back)
+    real, calls = getattr(os, call), []
+
     def fails():
-        raise OSError(errno.EAGAIN, "synthetic")
+        calls.append(call)
+        if len(calls) == failing:
+            raise OSError(errno.EAGAIN, "synthetic")
+        return real()
 
     scenario = str(fedsim.bundled_scenario("poc_lc"))
     _cpus(monkeypatch, 1)
@@ -228,7 +253,8 @@ def test_writers_fall_back_where_the_writer_process_cannot_start(call, tmp_path,
     fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
     assert cli.main(["run", scenario, "--until", "200", "--out-dir", str(tmp_path / "2")]) == 0
     capsys.readouterr()
-    if fds is not None:  # neither end of a pipe was left open
+    assert len(calls) == failing
+    if fds is not None:  # no end of a pipe was left open
         assert len(os.listdir("/proc/self/fd")) == len(fds)
     for name in CSVS:
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
