@@ -20,8 +20,8 @@ that keeps its last 1000 events, and since a run is a pure function of
 not recur there, or that came from the streams or the export, leaves a
 tail of the header only.
 
-Parallel ``sweep`` workers already keep the CPUs busy, so their runs format
-rows in-process rather than in a writer process of their own.
+The runs of a parallel ``sweep`` format their rows in-process, not in a
+writer process of their own: ``metrics`` sees that it runs in a pool worker.
 """
 
 from __future__ import annotations
@@ -179,16 +179,16 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
     _write_yaml(out_dir / "summary.yaml", summary)
 
 
-def _streamed(engine, topo, out: Path, run, fork: bool = True) -> tuple[int, float | None]:
+def _streamed(engine, topo, out: Path, run) -> tuple[int, float | None]:
     """Call ``run(engine)`` with the engine's traces and probes streamed into
-    ``out`` (by a writer process unless ``fork`` is false), then export every
-    CSV. Returns (exit code, seconds from the start of the streams to the end
-    of the run): EXIT_IO, before the run, if the streams cannot be opened;
-    EXIT_ENGINE on any exception in the run or the export, after removing
-    the streamed files and dumping the event tail (see ``_event_tail``)."""
+    ``out``, then export every CSV. Returns (exit code, seconds from the
+    start of the streams to the end of the run): EXIT_IO, before the run, if
+    the streams cannot be opened; EXIT_ENGINE on any exception in the run or
+    the export, after removing the streamed files and dumping the event tail
+    (see ``_event_tail``)."""
     started = wall_time.perf_counter()
     try:
-        metrics.stream_csv(engine, out, fork)
+        metrics.stream_csv(engine, out)
     except OSError as exc:
         print(f"error: cannot write to {out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO, None
@@ -209,14 +209,14 @@ def _streamed(engine, topo, out: Path, run, fork: bool = True) -> tuple[int, flo
     return EXIT_OK, elapsed
 
 
-def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool, fork: bool = True) -> int:
+def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool) -> int:
     """Run a loaded scenario and export. Shared by run and the sweep workers."""
     engine = topology.build_runtime(topo)
     if debug_events:
         engine.debug_log = []
     bound = spec.duration_s if until is None else until
     out = Path(out_dir)
-    code, elapsed = _streamed(engine, topo, out, lambda state: state.run(until=bound), fork)
+    code, elapsed = _streamed(engine, topo, out, lambda state: state.run(until=bound))
     if code:
         return code
 
@@ -312,11 +312,9 @@ def _resolve_path(doc, path: str):
     return parent, key
 
 
-def _sweep_worker(task: tuple, fork: bool = False) -> tuple[str, int]:
-    """One run of a sweep; in a parallel worker (the default) it forks no
-    writer process, as the other workers already keep the CPUs busy."""
+def _sweep_worker(task: tuple) -> tuple[str, int]:
     spec, topo, out_dir, until = task
-    return out_dir, _run_to_dir(spec, topo, out_dir, until, False, fork)
+    return out_dir, _run_to_dir(spec, topo, out_dir, until, False)
 
 
 def cmd_sweep(args) -> int:
@@ -354,7 +352,7 @@ def cmd_sweep(args) -> int:
     # the executor starts every worker up front, so never more than the runs
     workers = min(args.jobs or 4, len(tasks))
     if workers == 1:
-        codes = [_sweep_worker(task, fork=True)[1] for task in tasks]
+        codes = [_sweep_worker(task)[1] for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a sweep starts processes
 

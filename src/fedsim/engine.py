@@ -207,7 +207,7 @@ class EngineState:
         self.probes: list = []  # not yet written
         self.streams = None  # metrics.Streams, where rows go once final
         # per pair, the probes.RttSums of the probes the streams wrote (None
-        # for a pair with none), set when end_streams closes them
+        # for a pair with none), set when metrics.export_csv closes them
         self.rtt_sums: list = [[None] * len(self.cluster_names) for _ in self.cluster_names]
         self._probes_streamed = 0  # samples handed to the streams
         self.probe_plans: list = []
@@ -396,7 +396,7 @@ class EngineState:
         request.ingress_in = t
         self.traces.append(request)
         try:
-            frontend = mesh.ingress_route(self.ingress_state, self.frontend_endpoints)
+            frontend = mesh.pick_rr(self.ingress_state, self.frontend_endpoints)
         except mesh.NoHealthyEndpoint:
             self._finalize(request, OUTCOME_LOST)
         else:
@@ -574,7 +574,7 @@ def _describe(payload) -> str:
         return ""
     if isinstance(payload, Request):
         return repr(payload)
-    if type(payload) is tuple:  # not a ProbeSample, which is described whole
+    if type(payload) is tuple:  # a payload of parts, or a probe sample
         return ",".join(_describe(part) for part in payload)
     if callable(payload):  # a link_deliver hop
         return repr(payload.__name__)

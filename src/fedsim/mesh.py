@@ -114,9 +114,3 @@ def lc_update(state: BalancerState, endpoint: Endpoint, delta: int) -> None:
     if count < 0:
         raise ValueError(f"outstanding count for {endpoint!r} would go negative")
     state.outstanding[endpoint] = count
-
-
-def ingress_route(state: BalancerState, frontends: list[Endpoint]) -> Endpoint:
-    """The ingress balances round-robin over every frontend replica in the
-    federation, flattened cluster-major."""
-    return pick_rr(state, frontends)

@@ -21,15 +21,18 @@ files and is the only writer of those rows: ``stream_csv`` hands one to the
 engine, which writes rows during the run (see ``engine``), and
 ``export_csv`` writes whatever rows are still held through one.
 
-``Streams`` packs each row into a tuple of plain values. Opened by
-``stream_csv`` on a process that can fork, runs no other thread and may use
-two CPUs, the streams fork one writer process before the run: the run sends
-it ``marshal`` frames of ``FRAME_ROWS`` packed rows down a pipe, each tagged
-with its file, and the process formats them while the run goes on. One
-``close`` finishes both files, ends the pipe, reads back the probe pairs'
-RTT sums and waits for the process, and raises ``WriterError`` if it
-failed. Elsewhere, and where a pipe or the fork fails, the same formatters
-run in-process; both write the same bytes and fold the same sums.
+``Streams`` takes plain values: requests, and probe samples as
+``(src, dst, sent_at, rtt_ms)`` tuples. It packs each request's row into a
+tuple of plain values and sends samples on as they are. One rule,
+``_forks``, decides where rows are formatted: in a process that can fork,
+runs no other thread, may use two CPUs and is not a ``multiprocessing``
+worker, the streams fork one writer process when they open: the run sends
+it ``marshal`` frames of ``FRAME_ROWS`` rows down a pipe, each tagged with
+its file, and the process formats them while the run goes on. One ``close`` finishes both files, ends
+the pipe, reads back the probe pairs' RTT sums and waits for the process,
+and raises ``WriterError`` if it failed. Elsewhere, and where a pipe or the
+fork fails, the same formatters run in-process; both write the same bytes
+and fold the same sums.
 
 The probe row formatter folds each frame it writes into the pairs'
 ``probes.RttSums`` (``probes.group_rtts``), making a pair's on its first
@@ -176,11 +179,16 @@ def _stamp(value) -> str:
 def _forks() -> bool:
     """Whether a writer process can format rows beside the run: the process
     can fork, runs no other thread (the child could be left holding a lock
-    that thread held), and may use a second CPU."""
+    that thread held), is not a ``multiprocessing`` worker (whatever its
+    start method; a pool's other workers already keep the CPUs busy), and
+    may use a second CPU."""
     if not hasattr(os, "fork"):
         return False
     threading = sys.modules.get("threading")  # not loaded, no other thread
     if threading is not None and threading.active_count() > 1:
+        return False
+    multiprocessing = sys.modules.get("multiprocessing")  # not loaded, not a worker
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
         return False
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     return len(cpus) >= 2
@@ -240,10 +248,9 @@ class Streams:
     """``traces.csv`` and ``probe_rtt.csv`` of one run in ``out_dir``, one
     row per request handed to ``traces`` and per probe sample handed to
     ``probes``, and the writer process that formats them where ``_forks``
-    allows it; ``fork=False`` keeps the formatting in-process, for callers
-    that already keep every CPU busy. ``close`` finishes both files."""
+    allows it. ``close`` finishes both files."""
 
-    def __init__(self, out_dir: Path, engine, fork: bool = True):
+    def __init__(self, out_dir: Path, engine):
         out_dir.mkdir(parents=True, exist_ok=True)
         self.paths = tuple(out_dir / name for name in _FILES)
         names = engine.cluster_names
@@ -260,7 +267,7 @@ class Streams:
         except OSError:
             self.close()
             raise
-        if fork and _forks():
+        if _forks():
             self._fork()
 
     @property
@@ -281,7 +288,7 @@ class Streams:
 
     def probes(self, samples) -> None:
         for start in range(0, len(samples), FRAME_ROWS):
-            self._send(1, list(map(tuple, samples[start : start + FRAME_ROWS])))
+            self._send(1, samples[start : start + FRAME_ROWS])
 
     def _send(self, tag: int, rows: list) -> None:
         if self._pipe is None:
@@ -383,11 +390,11 @@ class Streams:
             os._exit(status)
 
 
-def stream_csv(engine, out_dir: str | Path, fork: bool = True) -> None:
+def stream_csv(engine, out_dir: str | Path) -> None:
     """Open the engine's ``Streams`` in ``out_dir``: from then on the engine
     writes each row once it is final and keeps only the rows not yet
     written. ``export_csv`` writes the rest and closes them."""
-    engine.streams = Streams(Path(out_dir), engine, fork)
+    engine.streams = Streams(Path(out_dir), engine)
 
 
 def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
@@ -397,16 +404,18 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
     consumer can rely on the manifest. Traces and probes held by the engine
     go to its streams when ``stream_csv`` opened them, which this closes
     (requests still in flight get blank stamps); otherwise every held row is
-    written here, and the engine is left as it was.
+    written here through streams of its own, and the engine keeps its rows.
+    Either way ``engine.rtt_sums`` then holds the probe pairs' RTT sums.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {"probe_rtt": out / "probe_rtt.csv", "traces": out / "traces.csv"}
     if engine.streams is None:  # not streamed: every row is still held
-        streams = Streams(out, engine, fork=False)
+        streams = Streams(out, engine)
         streams.traces(engine.traces)
         streams.probes(engine.probes)
         streams.close()
+        engine.rtt_sums = streams.rtt_sums
     engine.end_streams()
 
     store = engine.metrics

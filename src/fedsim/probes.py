@@ -15,13 +15,17 @@ order. A receipt draws no randomness and schedules nothing, so no other
 event can run between two sends of a step: the links' streams are drawn,
 and the receipts queued, in (step, pair) order.
 
+A sample is the plain tuple ``(src, dst, sent_at, rtt_ms)``, cluster
+indices and the send time in seconds, with ``rtt_ms`` None for a lost probe;
+the engine hands it to ``metrics.Streams`` as it is.
+
 ``group_rtts`` folds the samples of each pair into an ``RttSums``: a count,
 a lost count and exact integer sums of the RTTs and their squares, so a
 pair's memory does not grow with the number of probes. ``rtt_stats``
-computes the statistics from those sums. A streamed ping's samples are
-folded frame by frame by the probe row formatter as it writes them, in the
-writer process where there is one (see ``metrics``); an API caller folds
-them all at once. Mean and variance are rounded once from the exact sums,
+computes the statistics from those sums. The probe row formatter folds the
+samples frame by frame as it writes them, in the writer process where there
+is one (see ``metrics``), and ``export_csv`` leaves the sums on
+``engine.rtt_sums``. Mean and variance are rounded once from the exact sums,
 so they equal ``statistics.fmean`` and ``statistics.pvariance`` bit for bit.
 """
 
@@ -29,24 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import frexp, isfinite, ldexp
-from typing import NamedTuple
 
 PROBE_SEND = "probe_send"
 PROBE_RECV = "probe_recv"
-
-
-class ProbeSample(NamedTuple):
-    """One probe result; ``rtt_ms`` is None when the probe was lost. A tuple,
-    so the statistics and the export unpack it without attribute lookups."""
-
-    src: int
-    dst: int
-    sent_at: float
-    rtt_ms: float | None
-
-    @property
-    def lost(self) -> bool:
-        return self.rtt_ms is None
 
 
 @dataclass(frozen=True)
@@ -65,7 +54,7 @@ def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | No
 
     Defaults to every ordered cluster pair including diagonals. Returns
     ``engine.probes``, the engine's own list of the samples not yet written
-    (every sample, unless the engine has a probe writer).
+    (every sample, unless the engine has streams).
     """
     n = len(engine.cluster_names)
     if duration_s is None:
@@ -90,19 +79,18 @@ def handle_probe_send(engine, t: float, payload) -> None:
     classify = engine.table.classify
     base_ms = engine.links.base_delay_ms
     diagonal_ms = 2.0 * engine.links.intra_base_delay_ms
-    new = tuple.__new__  # new(ProbeSample, fields) skips its Python-level __new__
     for src, dst in plan.pairs:
         if src == dst:
-            schedule(t + diagonal_ms * 1e-3, PROBE_RECV, new(ProbeSample, (src, dst, t, diagonal_ms)))
+            schedule(t + diagonal_ms * 1e-3, PROBE_RECV, (src, dst, t, diagonal_ms))
             continue
         # the return leg is sent only if the forward leg arrives
         forward_ms = classify(src, dst).transit_ms()
         return_ms = None if forward_ms is None else classify(dst, src).transit_ms()
         if return_ms is None:
-            schedule(t, PROBE_RECV, new(ProbeSample, (src, dst, t, None)))
+            schedule(t, PROBE_RECV, (src, dst, t, None))
         else:
             rtt_ms = (forward_ms + base_ms) + (return_ms + base_ms)
-            schedule(t + rtt_ms * 1e-3, PROBE_RECV, new(ProbeSample, (src, dst, t, rtt_ms)))
+            schedule(t + rtt_ms * 1e-3, PROBE_RECV, (src, dst, t, rtt_ms))
 
 
 @dataclass
@@ -188,15 +176,6 @@ class RttSums:
         """Population variance; None when no probe was answered."""
         k = self.count - self.lost
         return (k * self.s2 - self.s1 * self.s1) / (k * k << 2 * self.shift) if k else None
-
-
-def pvariance(values) -> float | None:
-    """``statistics.pvariance`` of finite floats, bit for bit: one
-    ``RttSums`` fold (None for no values)."""
-    sums = RttSums()
-    for value in values:
-        sums.add(value)
-    return sums.variance
 
 
 def group_rtts(samples, n_clusters: int, groups=None) -> list[list[RttSums]]:

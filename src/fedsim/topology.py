@@ -25,8 +25,12 @@ only what the table cannot express: the dense delay matrix, the sparse
 defaults, the ``action``-tagged timeline, and the cross-field checks.
 
 Scenario-level units are operator-friendly (milliseconds, ms per kB with
-1 kB = 1000 bytes); conversion to engine units (seconds, bytes) happens once
-during validation.
+1 kB = 1000 bytes). Validation converts service demands to seconds and
+seconds per byte once, into each service's ``StageProfile``. Delays stay in
+milliseconds in the link model (``netem``): the engine converts the gateway
+delays to seconds when it is built and each sampled link delay when it
+schedules the message, and ``probes`` keeps RTTs in milliseconds, as they
+are exported, converting only the receipt time.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from pathlib import Path
 
 import yaml
 
-from . import faults, fields
+from . import faults, fields, workload
 from .engine import EngineState
 from .fields import ScenarioError, as_list, as_map, as_str, each, fail, require
 from .mesh import POLICIES, ROUND_ROBIN
@@ -355,6 +359,15 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
 
     _validate_links(spec.links, len(spec.clusters), errors)
     frontend_spec, backend_spec, backend_policy = _validate_services(spec.services, index_of, errors)
+    profiles = [
+        StageProfile(
+            stage=service.stage,
+            base_demand_s=service.demand.base_ms * 1e-3,
+            per_byte_demand_s=service.demand.per_kb_ms * 1e-6,
+            reduction_factor=service.demand.reduction,
+        )
+        for service in spec.services
+    ]
 
     payload = spec.workload.payload
     largest = None  # the largest payload a draw can give, once it is known to be a float
@@ -381,7 +394,7 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
         else:
             largest = math.exp(payload.mu + 10 * payload.sigma)
     if largest is not None:
-        _check_demands(spec.services, frontend_spec, largest, errors)
+        _check_demands(profiles, frontend_spec, largest, errors)
     if spec.scrape_interval_s > 0 and spec.duration_s / spec.scrape_interval_s > MAX_SCRAPES:
         errors.append(
             f"scrape_interval_s: {spec.scrape_interval_s!r} gives more than {MAX_SCRAPES} scrapes "
@@ -406,13 +419,7 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
 
     services = []
     frontend = backend = None
-    for service in spec.services:
-        profile = StageProfile(
-            stage=service.stage,
-            base_demand_s=service.demand.base_ms * 1e-3,
-            per_byte_demand_s=service.demand.per_kb_ms * 1e-6,
-            reduction_factor=service.demand.reduction,
-        )
+    for service, profile in zip(spec.services, profiles):
         placements = tuple(
             (index_of[name], count)
             for name, count in sorted(service.replicas_per_cluster.items(), key=lambda kv: index_of[kv[0]])
@@ -435,16 +442,14 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
     )
 
 
-def _check_demands(services, frontend: ServiceSpec | None, largest_bytes: float, errors: list[str]) -> None:
-    """Each stage's service demand for the largest payload, computed as the
-    engine computes it, must be finite; the backend serves the frontend's
-    reduced bytes."""
-    for k, service in enumerate(services):
-        demand = service.demand
+def _check_demands(profiles, frontend: ServiceSpec | None, largest_bytes: float, errors: list[str]) -> None:
+    """Each stage's ``workload.service_demand`` for the largest payload must
+    be finite; the backend serves the frontend's reduced bytes."""
+    for k, profile in enumerate(profiles):
         input_bytes = largest_bytes
-        if service.stage == STAGE_BACKEND and frontend is not None:
+        if profile.stage == STAGE_BACKEND and frontend is not None:
             input_bytes = largest_bytes * frontend.demand.reduction
-        if not math.isfinite(demand.base_ms * 1e-3 + demand.per_kb_ms * 1e-6 * input_bytes):
+        if not math.isfinite(workload.service_demand(profile, input_bytes)):
             errors.append(
                 f"services[{k}].demand: base_ms + per_kb_ms * {input_bytes / 1000!r} kB, the largest payload, "
                 "overflows a float"

@@ -289,12 +289,24 @@ class TestRun:
         assert tail[1] == "1.0,0,arrival"
 
 
+def _demand_once_built(monkeypatch, demand) -> None:
+    """``workload.service_demand`` is ``demand`` from the first engine build
+    on, past ``validate``, which computes the demands with it too."""
+    build = topology.build_runtime
+
+    def build_with_demand(topo):
+        monkeypatch.setattr(workload, "service_demand", demand)
+        return build(topo)
+
+    monkeypatch.setattr(topology, "build_runtime", build_with_demand)
+
+
 @pytest.mark.parametrize("command", ["run", "ping"])
 def test_exception_inside_a_run_exits_3_with_the_event_tail(command, mini_scenario, tmp_path, monkeypatch, capsys):
     # a valid scenario whose demand comes out infinite, so the first start
     # schedules its completion at inf
     assert cli.main(["validate", mini_scenario]) == 0
-    monkeypatch.setattr(workload, "service_demand", lambda profile, input_bytes: float("inf"))
+    _demand_once_built(monkeypatch, lambda profile, input_bytes: float("inf"))
     out = tmp_path / "out"
     assert cli.main([command, mini_scenario, "--out-dir", str(out)]) == 3
     assert "engine error: event time before the clock or not finite: service_complete at inf" in capsys.readouterr().err
@@ -332,7 +344,7 @@ def test_exception_of_any_type_names_where_it_was_raised(mini_scenario, tmp_path
     def broken(profile, input_bytes):
         raise ZeroDivisionError("synthetic")
 
-    monkeypatch.setattr(workload, "service_demand", broken)
+    _demand_once_built(monkeypatch, broken)
     out = tmp_path / "out"
     assert cli.main(["run", mini_scenario, "--out-dir", str(out)]) == 3
     assert "engine error: ZeroDivisionError at test_cli.py:" in capsys.readouterr().err

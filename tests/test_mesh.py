@@ -9,7 +9,6 @@ from fedsim.mesh import (
     BalancerState,
     Endpoint,
     NoHealthyEndpoint,
-    ingress_route,
     lc_update,
     pick,
     pick_lc,
@@ -140,7 +139,7 @@ class TestIngress:
             Endpoint("frontend", 1, 1),
         ]
         state = BalancerState()
-        order = [ingress_route(state, frontends) for _ in range(4)]
+        order = [pick_rr(state, frontends) for _ in range(4)]
         assert [(e.cluster, e.replica) for e in order] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 

@@ -281,8 +281,8 @@ def reference_export(engine, out):
     with (out / "probe_rtt.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["src", "dst", "sent_at_s", "rtt_ms", "lost"])
-        for s in engine.probes:
-            writer.writerow([names[s.src], names[s.dst], repr(s.sent_at), stamp(s.rtt_ms), str(s.lost).lower()])
+        for src, dst, sent_at, rtt_ms in engine.probes:
+            writer.writerow([names[src], names[dst], repr(sent_at), stamp(rtt_ms), str(rtt_ms is None).lower()])
     store = engine.metrics
     for name, rows in (
         (BUSY_COUNTER, zip(store.times, store.busy)),
@@ -301,7 +301,7 @@ def test_quoted_names_and_every_outcome_match_a_plain_csv_writer(tmp_path):
     engine = topology.build_runtime(make_topology(QUOTED))
     probes.run_ping(engine, interval_s=0.5, duration_s=25.0)
     assert {trace.outcome for trace in engine.traces} == {"completed", "lost", "timed_out", None}
-    assert {sample.lost for sample in engine.probes} == {True, False}
+    assert {rtt_ms is None for *_, rtt_ms in engine.probes} == {True, False}
 
     export_csv(engine, tmp_path / "export")
     reference_export(engine, tmp_path / "reference")
@@ -317,7 +317,7 @@ def test_equal_send_times_keep_their_own_repr(tmp_path):
     # equal but differently written send times, alternating object by object
     engine = topology.build_runtime(make_topology(QUOTED))
     sent = [0.0, -0.0, -0.0, 0.0, 1, 1.0, 1.0, 1, 2.5, 2.5]
-    engine.probes = [probes.ProbeSample(k % 3, (k + 1) % 3, t, None if k % 4 else 1.5) for k, t in enumerate(sent)]
+    engine.probes = [(k % 3, (k + 1) % 3, t, None if k % 4 else 1.5) for k, t in enumerate(sent)]
     export_csv(engine, tmp_path / "export")
     reference_export(engine, tmp_path / "reference")
     exported = (tmp_path / "export" / "probe_rtt.csv").read_bytes()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import probes, topology
-from fedsim.probes import ProbeSample, format_rtt_table, group_rtts, probe_count, rtt_stats, run_ping
+from fedsim.probes import RttSums, format_rtt_table, group_rtts, probe_count, rtt_stats, run_ping
 from tests.conftest import make_topology
 
 HOT = {(0, 2), (1, 2), (2, 0), (2, 1)}
@@ -110,8 +110,8 @@ class TestImpairedProbes:
         extra = "timeline:\n  - {action: blackout, at_s: 4.0, cluster: b, end_s: 8.0}\n"
         engine = fresh_engine(probe_doc("  base_delay_ms: 0.5", duration=12, extra=extra))
         samples = run_ping(engine, pairs=[(0, 1)], interval_s=2.0, duration_s=12.0)
-        assert [s.sent_at for s in samples] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
-        assert [s.sent_at for s in samples if s.lost] == [4.0, 6.0]
+        assert [sent_at for _, _, sent_at, _ in samples] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        assert [sent_at for _, _, sent_at, rtt_ms in samples if rtt_ms is None] == [4.0, 6.0]
         stats = rtt_stats(group_rtts(samples, 2))
         assert stats.loss_fraction[0][1] == pytest.approx(2 / 6)
 
@@ -138,16 +138,16 @@ class TestDeterminism:
     def test_samples_sorted_by_receive_time(self, ping_spec):
         engine = topology.build_runtime(topology.validate(ping_spec))
         samples = run_ping(engine, duration_s=5.0)
-        received = [s.sent_at + (s.rtt_ms or 0.0) * 1e-3 for s in samples]
+        received = [sent_at + (rtt_ms or 0.0) * 1e-3 for _, _, sent_at, rtt_ms in samples]
         assert received == sorted(received)
 
 
 class TestFormatting:
     def test_table_layout(self):
         samples = [
-            ProbeSample(0, 1, 0.0, None),
-            ProbeSample(0, 1, 1.0, None),
-            ProbeSample(1, 0, 0.0, 5.0),
+            (0, 1, 0.0, None),
+            (0, 1, 1.0, None),
+            (1, 0, 0.0, 5.0),
         ]
         text = format_rtt_table(rtt_stats(group_rtts(samples, 2)), ("alpha", "beta"))
         lines = text.splitlines()
@@ -160,7 +160,7 @@ class TestFormatting:
         assert "1.000" in text
 
     def test_loss_section_omitted_when_clean(self):
-        samples = [ProbeSample(0, 1, 0.0, 3.0), ProbeSample(1, 0, 0.0, 4.0)]
+        samples = [(0, 1, 0.0, 3.0), (1, 0, 0.0, 4.0)]
         text = format_rtt_table(rtt_stats(group_rtts(samples, 2)), ("a", "b"))
         assert "loss fraction" not in text
 
@@ -175,10 +175,18 @@ def rtt_lists(draw):
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=500))
 
 
+def _variance(values) -> float:
+    """The variance of one ``RttSums`` fold of ``values``."""
+    sums = RttSums()
+    for value in values:
+        sums.add(value)
+    return sums.variance
+
+
 @settings(max_examples=150, deadline=None)
 @given(rtt_lists())
 def test_pvariance_is_statistics_pvariance_bit_for_bit(values):
-    assert probes.pvariance(values).hex() == statistics.pvariance(values).hex()
+    assert _variance(values).hex() == statistics.pvariance(values).hex()
 
 
 @pytest.mark.parametrize(
@@ -195,7 +203,7 @@ def test_pvariance_is_statistics_pvariance_bit_for_bit(values):
 )
 def test_pvariance_stays_in_integers(values):
     assert not hasattr(probes, "statistics")  # no fallback to the Fraction path
-    assert probes.pvariance(values).hex() == statistics.pvariance(values).hex()
+    assert _variance(values).hex() == statistics.pvariance(values).hex()
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,7 +212,7 @@ def test_a_fold_in_any_batches_is_fmean_and_pvariance_bit_for_bit(values, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=6)))
     groups = probes.group_rtts((), 1)
     for start, end in zip([0, *cuts], [*cuts, len(values)]):
-        probes.group_rtts([ProbeSample(0, 0, 0.0, rtt) for rtt in values[start:end]], 1, groups)
+        probes.group_rtts([(0, 0, 0.0, rtt) for rtt in values[start:end]], 1, groups)
     stats = rtt_stats(groups)
     assert stats.mean_ms[0][0].hex() == statistics.fmean(values).hex()
     assert stats.variance_ms2[0][0].hex() == statistics.pvariance(values).hex()
@@ -212,7 +220,7 @@ def test_a_fold_in_any_batches_is_fmean_and_pvariance_bit_for_bit(values, data):
 
 
 def test_lost_probes_count_but_do_not_enter_the_sums():
-    stats = rtt_stats(group_rtts([ProbeSample(0, 0, 0.0, rtt) for rtt in (None, 2.0, None, 4.0)], 1))
+    stats = rtt_stats(group_rtts([(0, 0, 0.0, rtt) for rtt in (None, 2.0, None, 4.0)], 1))
     assert (stats.count[0][0], stats.loss_fraction[0][0]) == (4, 0.5)
     assert (stats.mean_ms[0][0], stats.variance_ms2[0][0]) == (3.0, 1.0)
 

@@ -104,10 +104,11 @@ def test_streamed_ping_matches_the_in_memory_export(name, tmp_path, capsys):
 def test_a_streamed_ping_counts_its_probes_at_every_step(fork, tmp_path, monkeypatch):
     # the streams fold the RTT sums where they write the rows, in the writer
     # process if there is one, so the count comes from the samples handed on
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # one CPU keeps the rows in-process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2 if fork else 1)), raising=False)
     text = fedsim.bundled_scenario("ping").read_text()
     streamed, whole = (topology.build_runtime(make_topology(text)) for _ in range(2))
-    metrics.stream_csv(streamed, tmp_path, fork)
+    metrics.stream_csv(streamed, tmp_path)
     assert (streamed.streams._pipe is not None) == fork
     n = len(whole.cluster_names)
     plan = probes.ProbePlan(tuple((i, j) for i in range(n) for j in range(n)), 0.2, probes.probe_count(40.0, 0.2))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim
-from fedsim import faults, topology
+from fedsim import faults, topology, workload
 from fedsim.netem import JitterSpec, LossSpec
 from fedsim.topology import (
     ClusterSpec,
@@ -481,6 +481,15 @@ duration_s: 5
             make_topology(doc)
         [message] = exc.value.errors
         assert message.startswith(f"{error}.demand: base_ms + per_kb_ms * ") and message.endswith("overflows a float")
+
+    def test_the_demand_check_uses_the_engine_formula(self, monkeypatch):
+        # validate computes each stage's demand with workload.service_demand,
+        # the function the engine serves requests with
+        make_topology(MINI_DOC)
+        monkeypatch.setattr(workload, "service_demand", lambda profile, input_bytes: float("inf"))
+        with pytest.raises(ValidationError) as exc:
+            make_topology(MINI_DOC)
+        assert [message.split(":")[0] for message in exc.value.errors] == ["services[0].demand", "services[1].demand"]
 
     def test_probe_only_scenario_needs_no_services(self, ping_spec):
         topo = validate(ping_spec)

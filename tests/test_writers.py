@@ -1,8 +1,9 @@
 """The writer process of ``traces.csv`` and ``probe_rtt.csv``.
 
 ``metrics.Streams`` owns both files and forks one writer process for them
-when the process can fork, runs no other thread and may use two CPUs, else
-the rows are formatted in-process by the same formatters. These tests pin
+when the process can fork, runs no other thread, is not a
+``multiprocessing`` worker and may use two CPUs, else the rows are
+formatted in-process by the same formatters. These tests pin
 the process lifecycle: one ``close`` ends it with both files complete and
 reads back the RTT sums it folded, it never outlives the command, a writer
 that fails makes the run exit 3, and both paths write the same bytes and
@@ -12,10 +13,12 @@ the process may use two CPUs, so it runs on any machine.
 
 import concurrent.futures
 import errno
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -98,7 +101,7 @@ def test_no_writer_outlives_the_command(tmp_path):
     script = f"""
         import os
         {TWO_CPUS}
-        from fedsim import cli, workload
+        from fedsim import cli, topology, workload
 
         def no_child_left():
             try:
@@ -111,7 +114,13 @@ def test_no_writer_outlives_the_command(tmp_path):
         assert no_child_left(), "after run"
         assert cli.main(["ping", {str(scenario)!r}, "--out-dir", "ping", "--duration", "20"]) == 0
         assert no_child_left(), "after ping"
-        workload.service_demand = lambda profile, input_bytes: float("inf")
+        build = topology.build_runtime
+
+        def build_with_infinite_demand(topo):  # past validate, which would reject it
+            workload.service_demand = lambda profile, input_bytes: float("inf")
+            return build(topo)
+
+        topology.build_runtime = build_with_infinite_demand
         assert cli.main(["run", {str(scenario)!r}, "--out-dir", "failed"]) == 3
         assert no_child_left(), "after exit 3"
         print("ok")
@@ -224,6 +233,21 @@ def test_the_in_process_fallback_writes_the_bytes_of_the_writer_process(argv, tm
     assert len(files[1]["traces.csv"].splitlines()) > 1 + 2 * metrics.FRAME_ROWS or argv[0] == "ping"
 
 
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_an_export_without_streams_leaves_the_rtt_sums_on_the_engine(cpus, tmp_path, monkeypatch):
+    # the export writes the held rows through streams of its own, by the same
+    # rule as a streamed run, and keeps the sums their formatter folded
+    _cpus(monkeypatch, cpus)
+    forks = _counted_forks(monkeypatch)
+    engine = topology.build_runtime(make_topology(QUOTED))
+    probes.run_ping(engine, interval_s=0.5, duration_s=25.0)
+    metrics.export_csv(engine, tmp_path)
+    assert len(forks) == (1 if cpus == 2 else 0)
+    assert engine.probes  # and the engine keeps its rows
+    stats = probes.rtt_stats(probes.group_rtts(engine.probes, len(engine.cluster_names)))
+    assert stats.count[0][1] > 0 and probes.rtt_stats(engine.rtt_sums) == stats
+
+
 def test_writers_fall_back_where_fork_is_missing(tmp_path, monkeypatch):
     _cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
@@ -302,7 +326,9 @@ class _InlineExecutor:
         return False
 
     def map(self, function, tasks):
-        return list(map(function, tasks))
+        # as in a pool worker, whatever its start method
+        with unittest.mock.patch.object(multiprocessing, "parent_process", lambda: object()):
+            return list(map(function, tasks))
 
 
 @pytest.mark.parametrize("jobs, forks_per_run", [("1", 1), ("2", 0)])
@@ -316,14 +342,22 @@ def test_only_a_sweep_run_alone_forks_a_writer_process(jobs, forks_per_run, tmp_
     assert len(forks) == 3 * forks_per_run
 
 
+@pytest.mark.parametrize("context", ["fork", "spawn"])
+def test_a_pool_worker_forks_no_writer_process(context, monkeypatch):
+    _cpus(monkeypatch, 2)  # a forked worker inherits this
+    assert metrics._forks()
+    with concurrent.futures.ProcessPoolExecutor(1, multiprocessing.get_context(context)) as pool:
+        assert pool.submit(metrics._forks).result(timeout=60) is False
+
+
 @pytest.mark.parametrize("fork", [True, False])
 def test_equal_send_times_keep_their_own_repr_in_either_writer(fork, tmp_path, monkeypatch):
     # marshal keeps a float object shared within a frame, never merges equal ones
-    _cpus(monkeypatch, 2)
+    _cpus(monkeypatch, 2 if fork else 1)  # one CPU keeps the rows in-process
     engine = topology.build_runtime(make_topology(QUOTED))
     sent = [0.0, -0.0, -0.0, 0.0, 1, 1.0, 1.0, 1, 2.5, 2.5] * 30  # crosses frames
-    samples = [probes.ProbeSample(k % 3, (k + 1) % 3, t, None if k % 4 else 1.5) for k, t in enumerate(sent)]
-    metrics.stream_csv(engine, tmp_path, fork)
+    samples = [(k % 3, (k + 1) % 3, t, None if k % 4 else 1.5) for k, t in enumerate(sent)]
+    metrics.stream_csv(engine, tmp_path)
     streams = engine.streams
     assert (streams._pipe is not None) == fork
     streams.probes(samples[:7])
