@@ -131,7 +131,7 @@ def _event_tail(engine, topo, run, exc: Exception, in_run: bool):
 def _dump_event_tail(tail, note: str | None, out_dir: Path, exc: Exception) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     dump = out_dir / "event_log_tail.csv"
-    with dump.open("w", newline="") as handle:
+    with dump.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time_s", "seq", "kind"])
         for time, seq, kind, _detail in tail:
@@ -221,7 +221,7 @@ def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: boo
         return code
 
     if debug_events:
-        with (out / "events.csv").open("w", newline="") as handle:
+        with (out / "events.csv").open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["time_s", "seq", "kind", "detail"])
             for time, seq, kind, detail in engine.debug_log:
@@ -437,6 +437,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a cluster name the locale cannot encode prints escaped, as on stderr
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

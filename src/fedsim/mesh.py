@@ -73,8 +73,8 @@ def pick_rr(state: BalancerState, endpoints: list[Endpoint]) -> Endpoint:
     losing cursor position."""
     n = len(endpoints)
     for step in range(n):
-        i = (state.rr_cursor + step) % n if n else 0
-        if n and endpoints[i].healthy:
+        i = (state.rr_cursor + step) % n
+        if endpoints[i].healthy:
             state.rr_cursor = (i + 1) % n
             return endpoints[i]
     raise NoHealthyEndpoint("no healthy endpoint available")

@@ -134,7 +134,7 @@ def cluster_rates(store: Scrapes, rates) -> dict[tuple[str, str], list[tuple[flo
 
 def _write_rows(path: Path, labels, rows) -> None:
     names = [_cells(*label) for label in labels]
-    with path.open("w", newline="") as handle:
+    with path.open("w", encoding="utf-8", newline="") as handle:
         write = handle.write
         write("time_s,cluster,service,replica,value\r\n")
         for t, row in rows:
@@ -262,7 +262,7 @@ class Streams:
         self._files = []
         try:
             for path, header in zip(self.paths, (_TRACE_HEADER, _PROBE_HEADER)):
-                self._files.append(path.open("w", newline=""))
+                self._files.append(path.open("w", encoding="utf-8", newline=""))
                 self._files[-1].write(header)
         except OSError:
             self.close()

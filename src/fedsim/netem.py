@@ -6,14 +6,16 @@ a dense n x n table:
 
 - its configured rule ``{delay_ms, jitter, loss}``;
 - how many of its two clusters are blacked out;
-- its own delay stream and loss channel.
+- its (seed, src, dst) key, its delay and loss streams, and the previous
+  composite uniform of its loss draws.
 
-A link makes its delay stream, and its loss channel its RNG, on the first
-draw from each; until then each holds only the link's (seed, src, dst) key.
-Most links of a wide federation carry no traffic in a run, and each stream is
-a 2.5 KB MT19937 state derived through SHA-256. A stream's seed depends only
-on the scenario seed and its label (``"delay"`` or ``"loss"``, src, dst), so
-a stream made late draws what it would have drawn if made at set-up.
+Each sampler makes the link's stream it draws from on its first real draw:
+a rule without jitter draws no delay and a rule with ``p = 0`` draws no loss,
+so neither makes a stream. Most links of a wide federation carry no traffic
+in a run, and each stream is a 2.5 KB MT19937 state derived through SHA-256.
+A stream's seed depends only on the scenario seed and its label (``"delay"``
+or ``"loss"``, src, dst), so a stream made late draws what it would have
+drawn if made at set-up.
 
 A link is dark while that count is above 0. A dark link keeps its rule, and
 each message on it draws its loss stream as a ``p = 1, c = 0`` rule would, so
@@ -27,7 +29,6 @@ With ``c = 0`` this degenerates to independent Bernoulli loss.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from . import fields
@@ -71,32 +72,23 @@ DARK = ImpairmentRule(loss=LossSpec(p=1.0, correlation=0.0))
 
 
 class Link:
-    """One directed link between two clusters. A ``delay_rng`` of None is
-    made on first draw from ``key``, the link's (seed, src, dst)."""
+    """One directed link between two clusters, keyed by its (seed, src, dst).
+    Its streams are None until a sampler first draws from each."""
 
-    __slots__ = ("rule", "blackouts", "delay_rng", "loss_channel", "key")
+    __slots__ = ("rule", "blackouts", "key", "delay_rng", "loss_rng", "prev_u")
 
-    def __init__(
-        self, rule: ImpairmentRule, delay_rng: random.Random | None, loss_channel: LossChannel, key: tuple = ()
-    ):
+    def __init__(self, rule: ImpairmentRule, key: tuple):
         self.rule = rule
         self.blackouts = 0  # how many of its two clusters are blacked out; dark while > 0
-        self.delay_rng = delay_rng
-        self.loss_channel = loss_channel
         self.key = key
+        self.delay_rng = self.loss_rng = None
+        self.prev_u: float | None = None  # the composite uniform of its last loss draw
 
     def transit_ms(self) -> float | None:
         """One message's impairment delay in ms, or None if the link drops it."""
-        if sample_loss(DARK if self.blackouts else self.rule, self.loss_channel):
+        if sample_loss(DARK if self.blackouts else self.rule, self):
             return None
-        rng = self.delay_rng
-        # an explicit test, not a __getattr__ that fills the slot: defining
-        # __getattr__ sends every attribute read on the class through
-        # CPython's slow lookup path
-        if rng is None:
-            seed, src, dst = self.key
-            rng = self.delay_rng = stream(seed, "delay", src, dst)
-        return sample_delay(self.rule, rng)
+        return sample_delay(self.rule, self)
 
 
 class ClassifierTable:
@@ -112,56 +104,51 @@ class ClassifierTable:
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    key = (seed, i, j)
                     rule = ImpairmentRule(links.one_way_delay_ms[i][j], links.jitter[i][j], links.loss[i][j])
-                    self.links[i][j] = Link(rule, None, LossChannel(None, key), key)
+                    self.links[i][j] = Link(rule, (seed, i, j))
 
     def classify(self, src: int, dst: int) -> Link:
         """The link a message from ``src`` to ``dst`` crosses."""
         return self.links[src][dst]
 
 
-def sample_delay(rule: ImpairmentRule, rng: random.Random) -> float:
-    """One-way delay sample in milliseconds; never negative."""
+def sample_delay(rule: ImpairmentRule, link: Link) -> float:
+    """One-way delay sample in milliseconds on the link; never negative. A
+    rule without jitter consumes no randomness."""
     jit = rule.jitter
     if jit.dist == JITTER_NONE:
         value = rule.delay_ms
-    elif jit.dist == JITTER_UNIFORM:
-        value = rule.delay_ms + rng.uniform(-jit.scale_ms, jit.scale_ms)
-    elif jit.dist == JITTER_NORMAL:
-        value = rule.delay_ms + rng.gauss(0.0, jit.scale_ms)
     else:
-        raise ValueError(f"unknown jitter dist {jit.dist!r}")
+        rng = link.delay_rng
+        # an explicit test, not a __getattr__ that fills the slot: defining
+        # __getattr__ sends every attribute read on the class through
+        # CPython's slow lookup path
+        if rng is None:
+            seed, src, dst = link.key
+            rng = link.delay_rng = stream(seed, "delay", src, dst)
+        if jit.dist == JITTER_UNIFORM:
+            value = rule.delay_ms + rng.uniform(-jit.scale_ms, jit.scale_ms)
+        elif jit.dist == JITTER_NORMAL:
+            value = rule.delay_ms + rng.gauss(0.0, jit.scale_ms)
+        else:
+            raise ValueError(f"unknown jitter dist {jit.dist!r}")
     return value if value > 0.0 else 0.0
 
 
-class LossChannel:
-    """Per-directed-link loss state: the RNG plus the previous composite
-    uniform. An ``rng`` of None is made on first draw from ``key``, the
-    link's (seed, src, dst)."""
-
-    __slots__ = ("rng", "prev_u", "key")
-
-    def __init__(self, rng: random.Random | None, key: tuple = ()):
-        self.rng = rng
-        self.prev_u: float | None = None
-        self.key = key
-
-
-def sample_loss(rule: ImpairmentRule, channel: LossChannel) -> bool:
-    """Draw one loss decision on the channel. ``p <= 0`` consumes no randomness."""
+def sample_loss(rule: ImpairmentRule, link: Link) -> bool:
+    """Draw one loss decision on the link. ``p <= 0`` consumes no randomness."""
     p = rule.loss.p
     if p <= 0.0:
         return False
-    rng = channel.rng
-    if rng is None:  # an explicit test, as in Link.transit_ms
-        seed, src, dst = channel.key
-        rng = channel.rng = stream(seed, "loss", src, dst)
+    rng = link.loss_rng
+    if rng is None:  # an explicit test, as in sample_delay
+        seed, src, dst = link.key
+        rng = link.loss_rng = stream(seed, "loss", src, dst)
     u_new = rng.random()
     c = rule.loss.correlation
-    if c > 0.0 and channel.prev_u is not None:
-        u = c * channel.prev_u + (1.0 - c) * u_new
+    if c > 0.0 and link.prev_u is not None:
+        u = c * link.prev_u + (1.0 - c) * u_new
     else:
         u = u_new
-    channel.prev_u = u
+    link.prev_u = u
     return u < p

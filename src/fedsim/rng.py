@@ -5,9 +5,10 @@ sampling, arrival process, payload sizes) draws from its own ``random.Random``
 instance whose seed is derived from the scenario seed plus a structured label.
 Streams are therefore independent of each other and of event interleaving:
 adding traffic on one link never shifts the draw sequence of another. For the
-same reason a stream may be made at any time before its first draw: the
-per-link streams are made on first draw (see ``netem``), and draw exactly what
-streams made at set-up would.
+same reason a stream may be made at any time before its first draw: each
+per-link stream is made by its sampler on the link's first draw from it, so a
+rule without jitter or loss makes none (see ``netem``), and it draws exactly
+what a stream made at set-up would.
 
 Derivation goes through SHA-256 rather than ``hash()`` so it is stable across
 interpreter invocations and immune to hash randomization. It is taken from

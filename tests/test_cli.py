@@ -487,6 +487,38 @@ def test_yaml_artifacts_match_the_pure_python_dumper(tmp_path):
         assert yaml.dump(yaml.safe_load(text), Dumper=yaml.SafeDumper, sort_keys=False) == text, path.name
 
 
+# an ASCII locale that Python neither coerces nor overrides with UTF-8 mode
+ASCII_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    scenario = tmp_path / "zurich.scenario"
+    text = fedsim.bundled_scenario("poc").read_text(encoding="utf-8")
+    scenario.write_text(text.replace("C1", "Zürich"), encoding="utf-8")
+    src = str(Path(fedsim.__file__).parents[1])
+    base = {key: value for key, value in os.environ.items() if key not in {"PYTHONIOENCODING", *ASCII_LOCALE}}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = {"run": ["--until", "20", "--debug-events"], "ping": ["--duration", "5"]}
+    for locale, extra in (("ascii", ASCII_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        for command, options in commands.items():
+            out = tmp_path / locale / command
+            argv = [sys.executable, "-m", "fedsim.cli", command, str(scenario), "--out-dir", str(out), *options]
+            proc = subprocess.run(argv, env={**base, **extra}, capture_output=True, timeout=120)
+            assert proc.returncode == 0 and b"Traceback" not in proc.stderr, (locale, command, proc.stderr)
+    for command in commands:
+        ascii_dir, utf8_dir = tmp_path / "ascii" / command, tmp_path / "utf8" / command
+        names = sorted(path.name for path in ascii_dir.iterdir())
+        assert names == sorted(path.name for path in utf8_dir.iterdir())
+        assert any(name.endswith(".csv") for name in names)
+        for name in names:
+            ascii_bytes, utf8_bytes = ((tree / name).read_bytes() for tree in (ascii_dir, utf8_dir))
+            if name == "summary.yaml":
+                ascii_bytes, utf8_bytes = (yaml.safe_load(doc)["results"] for doc in (ascii_bytes, utf8_bytes))
+            assert ascii_bytes == utf8_bytes, (command, name)
+    for command, name in (("run", "traces.csv"), ("ping", "probe_rtt.csv")):
+        assert "Zürich" in (tmp_path / "ascii" / command / name).read_text(encoding="utf-8")
+
+
 class TestPing:
     def test_ping_prints_matrix_and_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -373,7 +373,7 @@ duration_s: 20
         assert result.completed == 50
         # a link makes its streams on its first draw, so neither link made one
         assert len(links) == 2
-        assert all(link.delay_rng is None and link.loss_channel.rng is None for link in links)
+        assert all(link.delay_rng is None and link.loss_rng is None for link in links)
 
     def test_single_cluster_has_no_link_state(self):
         engine = topology.build_runtime(make_topology(MINI_DOC))

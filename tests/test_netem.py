@@ -8,7 +8,6 @@ from fedsim.netem import (
     ClassifierTable,
     ImpairmentRule,
     JitterSpec,
-    LossChannel,
     LossSpec,
     sample_delay,
     sample_loss,
@@ -20,6 +19,13 @@ N_DRAWS = 100_000
 
 def rule(delay=0.0, jitter=None, loss=None):
     return ImpairmentRule(delay, jitter or JitterSpec(), loss or LossSpec())
+
+
+def link_on(delay_rng=None, loss_rng=None, r=None):
+    """A link that draws from the given streams; its key is never used."""
+    link = netem.Link(r or rule(), (0, 0, 1))
+    link.delay_rng, link.loss_rng = delay_rng, loss_rng
+    return link
 
 
 # -- link table ------------------------------------------------------------
@@ -64,13 +70,13 @@ def test_table_is_dense_over_the_link_matrices(poc_spec):
 def test_dark_link_drops_every_message_and_draws_as_full_loss():
     # a dark link keeps its rule and draws its loss stream as p = 1, c = 0
     lossy = rule(delay=5.0, loss=LossSpec(p=0.3, correlation=0.5))
-    dark = netem.Link(lossy, stream(9, "delay"), LossChannel(stream(9, "loss")))
+    dark = link_on(stream(9, "delay"), stream(9, "loss"), lossy)
     dark.blackouts = 1
-    full = LossChannel(stream(9, "loss"))
+    full = link_on(loss_rng=stream(9, "loss"))
     for _ in range(50):
         assert dark.transit_ms() is None
         assert sample_loss(rule(loss=LossSpec(1.0)), full)
-    assert dark.loss_channel.prev_u == full.prev_u
+    assert dark.prev_u == full.prev_u
     assert dark.rule is lossy
     # once lit, the correlated draws go on from the blackout's last draw
     dark.blackouts = 0
@@ -82,38 +88,39 @@ def test_dark_link_drops_every_message_and_draws_as_full_loss():
 
 
 def test_no_jitter_is_exact():
-    rng = stream(0, "t")
-    assert sample_delay(rule(delay=25.0), rng) == 25.0
-    assert sample_delay(rule(delay=0.0), rng) == 0.0
+    link = link_on()
+    assert sample_delay(rule(delay=25.0), link) == 25.0
+    assert sample_delay(rule(delay=0.0), link) == 0.0
+    assert link.delay_rng is None  # no jitter, no draw, no stream
 
 
 def test_uniform_jitter_bounds():
     r = rule(delay=25.0, jitter=JitterSpec("uniform", 2.0))
-    rng = stream(1, "t")
-    values = [sample_delay(r, rng) for _ in range(10_000)]
+    link = link_on(stream(1, "t"))
+    values = [sample_delay(r, link) for _ in range(10_000)]
     assert all(23.0 <= v <= 27.0 for v in values)
     assert min(values) < 23.5 and max(values) > 26.5  # actually spreads
 
 
 def test_negative_samples_clamp_to_zero():
     r = rule(delay=1.0, jitter=JitterSpec("uniform", 5.0))
-    rng = stream(2, "t")
-    values = [sample_delay(r, rng) for _ in range(10_000)]
+    link = link_on(stream(2, "t"))
+    values = [sample_delay(r, link) for _ in range(10_000)]
     assert min(values) == 0.0
     assert all(v >= 0.0 for v in values)
 
 
 def test_unknown_jitter_dist_rejected():
     with pytest.raises(ValueError):
-        sample_delay(rule(jitter=JitterSpec("pareto", 1.0)), stream(0, "t"))
+        sample_delay(rule(jitter=JitterSpec("pareto", 1.0)), link_on(stream(0, "t")))
 
 
 def test_uniform_jitter_moments():
     # U(-s, s) around the base: mean = delay, var = s^2 / 3
     scale = 2.0
     r = rule(delay=25.0, jitter=JitterSpec("uniform", scale))
-    rng = stream(3, "t")
-    values = [sample_delay(r, rng) for _ in range(N_DRAWS)]
+    link = link_on(stream(3, "t"))
+    values = [sample_delay(r, link) for _ in range(N_DRAWS)]
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
     assert mean == pytest.approx(25.0, abs=4 * scale / math.sqrt(3 * N_DRAWS))
@@ -123,8 +130,8 @@ def test_uniform_jitter_moments():
 def test_normal_jitter_moments():
     scale = 2.0
     r = rule(delay=25.0, jitter=JitterSpec("normal", scale))
-    rng = stream(4, "t")
-    values = [sample_delay(r, rng) for _ in range(N_DRAWS)]
+    link = link_on(stream(4, "t"))
+    values = [sample_delay(r, link) for _ in range(N_DRAWS)]
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
     assert mean == pytest.approx(25.0, abs=4 * scale / math.sqrt(N_DRAWS))
@@ -135,22 +142,22 @@ def test_normal_jitter_moments():
 
 
 def test_zero_loss_never_drops_and_consumes_nothing():
-    channel = LossChannel(stream(5, "l"))
-    before = channel.rng.getstate()
-    assert not any(sample_loss(rule(loss=LossSpec(0.0)), channel) for _ in range(100))
-    assert channel.rng.getstate() == before
+    link = link_on(loss_rng=stream(5, "l"))
+    before = link.loss_rng.getstate()
+    assert not any(sample_loss(rule(loss=LossSpec(0.0)), link) for _ in range(100))
+    assert link.loss_rng.getstate() == before
 
 
 def test_full_loss_always_drops():
-    channel = LossChannel(stream(6, "l"))
-    assert all(sample_loss(rule(loss=LossSpec(1.0)), channel) for _ in range(100))
+    link = link_on(loss_rng=stream(6, "l"))
+    assert all(sample_loss(rule(loss=LossSpec(1.0)), link) for _ in range(100))
 
 
 def test_iid_loss_rate():
     p = 0.1
-    channel = LossChannel(stream(7, "l"))
+    link = link_on(loss_rng=stream(7, "l"))
     r = rule(loss=LossSpec(p))
-    losses = sum(sample_loss(r, channel) for _ in range(N_DRAWS))
+    losses = sum(sample_loss(r, link) for _ in range(N_DRAWS))
     sigma = math.sqrt(p * (1 - p) / N_DRAWS)
     assert losses / N_DRAWS == pytest.approx(p, abs=4 * sigma)
 
@@ -164,12 +171,12 @@ def test_composite_recurrence_exact():
         def random(self):
             return self.values.pop(0)
 
-    channel = LossChannel(Scripted([0.1, 0.9, 0.2]))
+    link = link_on(loss_rng=Scripted([0.1, 0.9, 0.2]))
     r = rule(loss=LossSpec(p=0.3, correlation=0.5))
-    assert sample_loss(r, channel) is True  # u = 0.1
-    assert sample_loss(r, channel) is False  # u = 0.5*0.1 + 0.5*0.9 = 0.5
-    assert sample_loss(r, channel) is False  # u = 0.5*0.5 + 0.5*0.2 = 0.35
-    assert channel.prev_u == pytest.approx(0.35)
+    assert sample_loss(r, link) is True  # u = 0.1
+    assert sample_loss(r, link) is False  # u = 0.5*0.1 + 0.5*0.9 = 0.5
+    assert sample_loss(r, link) is False  # u = 0.5*0.5 + 0.5*0.2 = 0.35
+    assert link.prev_u == pytest.approx(0.35)
 
 
 def test_correlated_loss_clusters():
@@ -177,8 +184,8 @@ def test_correlated_loss_clusters():
     # marginal sits near 0.10 (the recurrence reshapes the composite's
     # distribution) and losses cluster strongly
     r = rule(loss=LossSpec(p=0.2, correlation=0.25))
-    channel = LossChannel(stream(8, "l"))
-    losses = [sample_loss(r, channel) for _ in range(N_DRAWS)]
+    link = link_on(loss_rng=stream(8, "l"))
+    losses = [sample_loss(r, link) for _ in range(N_DRAWS)]
     marginal = sum(losses) / len(losses)
     after_loss = [b for a, b in zip(losses, losses[1:]) if a]
     conditional = sum(after_loss) / len(after_loss)
@@ -190,11 +197,11 @@ def test_per_link_streams_do_not_interact():
     # drawing on one link never shifts another link's sequence
     r = rule(loss=LossSpec(0.5))
 
-    solo = LossChannel(stream(11, "loss", 0, 2))
+    solo = link_on(loss_rng=stream(11, "loss", 0, 2))
     alone = [sample_loss(r, solo) for _ in range(200)]
 
-    other = LossChannel(stream(11, "loss", 1, 2))
-    mixed = LossChannel(stream(11, "loss", 0, 2))
+    other = link_on(loss_rng=stream(11, "loss", 1, 2))
+    mixed = link_on(loss_rng=stream(11, "loss", 0, 2))
     interleaved = []
     for _ in range(200):
         sample_loss(r, other)
@@ -219,10 +226,10 @@ def chi_square_2x2(a, b):
 
 def test_two_link_loss_sequences_statistically_independent():
     r = rule(loss=LossSpec(0.3))
-    a_channel = LossChannel(stream(12, "loss", 0, 2))
-    b_channel = LossChannel(stream(12, "loss", 1, 2))
-    a = [sample_loss(r, a_channel) for _ in range(N_DRAWS)]
-    b = [sample_loss(r, b_channel) for _ in range(N_DRAWS)]
+    a_link = link_on(loss_rng=stream(12, "loss", 0, 2))
+    b_link = link_on(loss_rng=stream(12, "loss", 1, 2))
+    a = [sample_loss(r, a_link) for _ in range(N_DRAWS)]
+    b = [sample_loss(r, b_link) for _ in range(N_DRAWS)]
     # chi-square independence, df=1: critical value 6.635 at alpha=0.01
     assert chi_square_2x2(a, b) < 6.635
 
@@ -276,28 +283,52 @@ def cross_links(engine):
 def test_a_built_engine_holds_no_link_stream():
     links = cross_links(wide_engine())
     assert len(links) == 16 * 15
-    assert all(link.delay_rng is None and link.loss_channel.rng is None for _, _, link in links)
+    assert all(link.delay_rng is None and link.loss_rng is None for _, _, link in links)
 
 
 def test_after_a_run_only_links_that_drew_hold_streams():
     engine = wide_engine()
     engine.run(until=25.0)
     assert engine.lost > 0 and engine.completed > 0
-    made = {(i, j): (link.delay_rng is not None, link.loss_channel.rng is not None) for i, j, link in cross_links(engine)}
+    made = {(i, j): (link.delay_rng is not None, link.loss_rng is not None) for i, j, link in cross_links(engine)}
     assert all(made[pair] == (False, False) for pair in made.keys() - CARRYING)
-    # p = 0 channels make no RNG unless they carry a message while dark;
-    # K03->K00 carries none until K03's blackout has ended
-    assert made[0, 2] == made[2, 0] == made[3, 0] == (True, False)
-    assert made[0, 1] == made[1, 0] == made[0, 3] == (True, True)
+    # a p = 0 link makes no loss stream unless it carries a message while
+    # dark, and a link without jitter makes no delay stream; K03->K00
+    # carries none until K03's blackout has ended
+    assert made[0, 2] == made[3, 0] == (True, False)
+    assert made[0, 1] == made[1, 0] == (True, True)
+    assert made[0, 3] == (False, True)
+    assert made[2, 0] == (False, False)
+
+
+def test_a_jitter_free_link_makes_its_delay_stream_when_a_set_link_gives_it_jitter():
+    # K00->K03 has no jitter and carries traffic once K03's blackout ends at
+    # 8 s; at 12 s a set_link gives it jitter
+    doc = WIDE.replace(
+        "timeline:\n",
+        "timeline:\n  - {action: set_link, at_s: 12, src: K00, dst: K03, delay_ms: 1.0,"
+        " jitter: {dist: normal, scale_ms: 2.0}, loss: {p: 0.05}}\n",
+    )
+    lazy, eager = (topology.build_runtime(topology.validate(topology.parse_scenario(doc))) for _ in range(2))
+    seed = eager.spec.seed
+    for i, j, link in cross_links(eager):
+        link.delay_rng, link.loss_rng = stream(seed, "delay", i, j), stream(seed, "loss", i, j)
+    lazy.run(until=12.0)
+    link = lazy.table.classify(0, 3)
+    assert link.loss_rng is not None and link.delay_rng is None
+    lazy.run(until=25.0)
+    eager.run(until=25.0)
+    stamps = [[(t.ingress_in, t.be_start, t.response_out, t.outcome) for t in e.traces] for e in (lazy, eager)]
+    assert stamps[0] == stamps[1]
+    assert link.delay_rng.getstate() == eager.table.classify(0, 3).delay_rng.getstate()
+    assert link.delay_rng.getstate() != stream(seed, "delay", 0, 3).getstate()
 
 
 def test_every_stream_made_on_first_draw_draws_as_one_made_at_set_up():
     lazy, eager = wide_engine(), wide_engine()
     seed = eager.spec.seed
     for i, j, link in cross_links(eager):
-        eager.table.links[i][j] = netem.Link(
-            link.rule, stream(seed, "delay", i, j), LossChannel(stream(seed, "loss", i, j))
-        )
+        link.delay_rng, link.loss_rng = stream(seed, "delay", i, j), stream(seed, "loss", i, j)
     lazy.run(until=25.0)
     eager.run(until=25.0)
     stamps = [[(t.ingress_in, t.be_start, t.response_out, t.outcome) for t in e.traces] for e in (lazy, eager)]
@@ -305,10 +336,10 @@ def test_every_stream_made_on_first_draw_draws_as_one_made_at_set_up():
     for (i, j, made), (_, _, ref) in zip(cross_links(lazy), cross_links(eager)):
         # a stream never made is one never drawn: the eager one is still fresh
         delay = made.delay_rng or stream(seed, "delay", i, j)
-        loss = made.loss_channel.rng or stream(seed, "loss", i, j)
+        loss = made.loss_rng or stream(seed, "loss", i, j)
         assert delay.getstate() == ref.delay_rng.getstate(), (i, j)
-        assert loss.getstate() == ref.loss_channel.rng.getstate(), (i, j)
-        assert made.loss_channel.prev_u == ref.loss_channel.prev_u
+        assert loss.getstate() == ref.loss_rng.getstate(), (i, j)
+        assert made.prev_u == ref.prev_u
 
 
 def test_first_draws_while_dark_and_after_a_set_link_match_streams_made_at_set_up(poc_spec):
@@ -319,11 +350,13 @@ def test_first_draws_while_dark_and_after_a_set_link_match_streams_made_at_set_u
     table.classify(2, 1).rule = lossy
     for i, j in ((1, 2), (2, 1)):
         lazy = table.classify(i, j)
-        ref = netem.Link(lazy.rule, stream(seed, "delay", i, j), LossChannel(stream(seed, "loss", i, j)))
+        ref = link_on(stream(seed, "delay", i, j), stream(seed, "loss", i, j), lazy.rule)
         ref.blackouts = lazy.blackouts
         draws = [(lazy.transit_ms(), ref.transit_ms()) for _ in range(40)]
         lazy.blackouts = ref.blackouts = 0
         draws += [(lazy.transit_ms(), ref.transit_ms()) for _ in range(200)]
         assert all(a == b for a, b in draws), (i, j)
-        assert lazy.delay_rng.getstate() == ref.delay_rng.getstate()
-        assert lazy.loss_channel.rng.getstate() == ref.loss_channel.rng.getstate()
+        # (1, 2) has no jitter, so it makes no delay stream and its eager one stays fresh
+        delay = lazy.delay_rng or stream(seed, "delay", i, j)
+        assert delay.getstate() == ref.delay_rng.getstate()
+        assert lazy.loss_rng.getstate() == ref.loss_rng.getstate()
