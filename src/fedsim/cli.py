@@ -43,7 +43,7 @@ import yaml
 from . import __version__, faults, metrics, probes, topology
 from .engine import EngineError
 
-# libyaml's safe dumper when PyYAML was built with it, as topology loads with
+# libyaml's safe dumper when PyYAML was built with it, as topology loads over
 # libyaml's safe loader: the same representers, a faster emitter
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
@@ -325,24 +325,24 @@ def cmd_sweep(args) -> int:
     # operate on the canonical document so defaulted fields are sweepable
     spec, _ = loaded
     canonical = topology.render_scenario(spec)
-    doc = yaml.safe_load(canonical)
+    doc = yaml.load(canonical, Loader=topology._LOADER)
     try:
         _resolve_path(doc, args.param)
     except KeyError as exc:
         print(f"error: unknown parameter path '{args.param}': {exc.args[0]}", file=sys.stderr)
         return EXIT_INVALID
 
-    values = [yaml.safe_load(token) for token in args.values.split(",") if token != ""]
+    values = [yaml.load(token, Loader=topology._LOADER) for token in args.values.split(",") if token != ""]
     if not values:
         print("error: no values given", file=sys.stderr)
         return EXIT_INVALID
 
     tasks = []
     for value in values:
-        variant = yaml.safe_load(canonical)
+        variant = yaml.load(canonical, Loader=topology._LOADER)
         parent, key = _resolve_path(variant, args.param)
         parent[key] = value
-        variant_loaded = _load(yaml.safe_dump(variant, sort_keys=False), args.seed)
+        variant_loaded = _load(yaml.dump(variant, Dumper=_DUMPER, sort_keys=False), args.seed)
         if isinstance(variant_loaded, int):
             print(f"error: {args.param}={value} produces an invalid scenario", file=sys.stderr)
             return variant_loaded

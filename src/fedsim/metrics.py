@@ -26,7 +26,9 @@ engine, which writes rows during the run (see ``engine``), and
 tuple of plain values and sends samples on as they are. One rule,
 ``_forks``, decides where rows are formatted: in a process that can fork,
 runs no other thread, may use two CPUs and is not a ``multiprocessing``
-worker, the streams fork one writer process when they open: the run sends
+worker, the streams fork one writer process when they open (``export_csv``
+opens them with ``fork=False`` for rows that fit in one frame per file,
+which leave a writer nothing to overlap): the run sends
 it ``marshal`` frames of ``FRAME_ROWS`` rows down a pipe, each tagged with
 its file, and the process formats them while the run goes on. One ``close`` finishes both files, ends
 the pipe, reads back the probe pairs' RTT sums and waits for the process,
@@ -248,9 +250,9 @@ class Streams:
     """``traces.csv`` and ``probe_rtt.csv`` of one run in ``out_dir``, one
     row per request handed to ``traces`` and per probe sample handed to
     ``probes``, and the writer process that formats them where ``_forks``
-    allows it. ``close`` finishes both files."""
+    allows it and ``fork`` is true. ``close`` finishes both files."""
 
-    def __init__(self, out_dir: Path, engine):
+    def __init__(self, out_dir: Path, engine, fork: bool = True):
         out_dir.mkdir(parents=True, exist_ok=True)
         self.paths = tuple(out_dir / name for name in _FILES)
         names = engine.cluster_names
@@ -267,7 +269,7 @@ class Streams:
         except OSError:
             self.close()
             raise
-        if _forks():
+        if fork and _forks():
             self._fork()
 
     @property
@@ -411,7 +413,9 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {"probe_rtt": out / "probe_rtt.csv", "traces": out / "traces.csv"}
     if engine.streams is None:  # not streamed: every row is still held
-        streams = Streams(out, engine)
+        # rows that fit in one frame per file leave a writer process nothing to overlap
+        small = len(engine.traces) <= FRAME_ROWS and len(engine.probes) <= FRAME_ROWS
+        streams = Streams(out, engine, fork=not small)
         streams.traces(engine.traces)
         streams.probes(engine.probes)
         streams.close()

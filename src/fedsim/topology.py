@@ -42,6 +42,7 @@ from functools import partial
 from pathlib import Path
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from . import faults, fields, workload
 from .engine import EngineState
@@ -199,15 +200,102 @@ _TIMELINE_ACTIONS = {
 _ACTION_OF = {cls: action for action, cls in _TIMELINE_ACTIONS.items()}
 
 
-# libyaml's safe loader when PyYAML was built with it: the same constructors
-# at about a seventh of the time, though it words syntax errors differently
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_TAG = "tag:yaml.org,2002:"
+
+
+def lean_loader(base: type) -> type:
+    """``base`` (``yaml.SafeLoader`` or ``yaml.CSafeLoader``) with a lean
+    ``construct_document``, which builds the document in one recursive pass
+    without PyYAML's per-node bookkeeping: a scalar tagged ``str`` is its own
+    text; one tagged ``int``, ``float``, ``bool`` or ``null`` goes through the
+    base's constructor for that tag, so YAML 1.1 forms such as ``0x1F`` or
+    ``yes`` keep their meaning; a ``seq`` node becomes a list and a ``map``
+    node with scalar keys a dict, each made once per node and known before
+    its children are built, so an alias is its anchor's object and a
+    recursive anchor holds itself. Any other node (another tag, a merge or
+    ``=`` key, a collection as a key), an error from a constructor, or
+    nesting deeper than Python's recursion limit sends the whole document
+    through the base's own ``construct_document``, which then gives PyYAML's
+    result or error. Plain scalars' tags are resolved once per text within
+    one load (a safe loader's tag for a plain scalar depends on its text
+    alone); nothing outlives the loader, which ``yaml.load`` makes anew."""
+    scalar_tags = [_YAML_TAG + name for name in ("int", "float", "bool", "null")]
+    scalars = {tag: base.yaml_constructors[tag] for tag in scalar_tags}
+    str_tag, seq_tag, map_tag = (_YAML_TAG + name for name in ("str", "seq", "map"))
+
+    class Fallback(Exception):
+        pass
+
+    class Lean(base):
+        def __init__(self, stream):
+            super().__init__(stream)
+            plain_tags: dict[str, str] = {}
+            resolve = super().resolve
+
+            def cached(kind, value, implicit):
+                if kind is ScalarNode and implicit[0]:
+                    tag = plain_tags.get(value)
+                    if tag is None:
+                        tag = plain_tags[value] = resolve(kind, value, implicit)
+                    return tag
+                return resolve(kind, value, implicit)
+
+            # the composer calls resolve once per node; a closure skips the
+            # attribute lookups a method would make
+            self.resolve = cached
+
+        def construct_document(self, node):
+            built = {}  # collection node -> its object
+
+            def build(node):
+                cls, tag = node.__class__, node.tag
+                if cls is ScalarNode:
+                    if tag == str_tag:
+                        return node.value
+                    if tag not in scalars:
+                        raise Fallback
+                    return scalars[tag](self, node)
+                data = built.get(node)
+                if data is not None:
+                    return data
+                if cls is SequenceNode and tag == seq_tag:
+                    data = built[node] = []
+                    data.extend([build(item) for item in node.value])
+                    return data
+                if cls is MappingNode and tag == map_tag:
+                    data = built[node] = {}
+                    for key, value in node.value:
+                        if key.__class__ is not ScalarNode:
+                            raise Fallback
+                        data[build(key)] = build(value)
+                    return data
+                raise Fallback
+
+            try:
+                return build(node)
+            except Exception:  # Fallback, RecursionError, or any constructor error
+                # the base gives its own result, or raises its own error: of
+                # two bad scalars it meets first the one PyYAML's order does
+                return super().construct_document(node)
+
+    Lean.__name__ = Lean.__qualname__ = f"Lean{base.__name__}"
+    return Lean
+
+
+# over libyaml's safe loader when PyYAML was built with it: its composer takes
+# about a seventh of the pure-Python one's time, though it words syntax errors
+# differently
+_LOADER = lean_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def parse_scenario(text: str) -> FederationSpec:
     """Parse a scenario document. Raises ScenarioError on syntax errors,
-    unknown fields, missing required fields, non-finite numbers, or shape
-    mismatches."""
+    nesting too deep to compose, unknown fields, missing required fields,
+    non-finite numbers, or shape mismatches.
+
+    Any YAML that PyYAML's safe loader accepts loads to the same document:
+    ``_LOADER`` builds plain lists, dicts and str/int/float/bool/null scalars
+    itself and leaves every other node to PyYAML (see ``lean_loader``)."""
     try:
         doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
@@ -215,6 +303,8 @@ def parse_scenario(text: str) -> FederationSpec:
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc)
         raise ScenarioError([f"syntax error{where}: {problem}"]) from exc
+    except RecursionError as exc:  # PyYAML's pure-Python composer recurses once per level
+        raise ScenarioError(["document: nested too deeply"]) from exc
     doc = as_map({} if doc is None else doc, "document")
 
     clusters = each(require(doc, "clusters", "document"), "clusters", partial(fields.build, ClusterSpec))
@@ -246,24 +336,29 @@ def _parse_matrix(value, n: int, path: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _parse_sparse(value, names: list[str], path: str, cls, required: str):
-    """``src``/``dst`` entries over a matrix of ``cls()`` defaults."""
+    """``src``/``dst`` entries over a matrix of one shared ``cls()`` default
+    (the specs are frozen)."""
     n = len(names)
-    rows = [[cls() for _ in range(n)] for _ in range(n)]
+    index_of = {}
+    for k, name in enumerate(names):
+        index_of.setdefault(name, k)  # a duplicate name is validate's to report; the first one wins
+    default = cls()
+    rows = [[default] * n for _ in range(n)]
     for k, item in enumerate(as_list(value, path)):
         entry_path = f"{path}[{k}]"
         entry = as_map(item, entry_path)
         fields.check_keys(entry, cls, entry_path, extra=("src", "dst"))
-        i, j = (_cluster_index(entry, key, names, entry_path) for key in ("src", "dst"))
+        i, j = (_cluster_index(entry, key, index_of, entry_path) for key in ("src", "dst"))
         require(entry, required, entry_path)
         rows[i][j] = fields.build(cls, entry, entry_path, extra=("src", "dst"))
     return tuple(tuple(row) for row in rows)
 
 
-def _cluster_index(entry: dict, key: str, names: list[str], path: str) -> int:
+def _cluster_index(entry: dict, key: str, index_of: dict[str, int], path: str) -> int:
     name = as_str(require(entry, key, path), f"{path}.{key}")
-    if name not in names:
+    if name not in index_of:
         fail(f"{path}.{key}: unknown cluster '{name}'")
-    return names.index(name)
+    return index_of[name]
 
 
 def _parse_links(value, names: list[str]) -> LinksSpec:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import fedsim
@@ -12,6 +14,19 @@ def run_scenario_text(text: str, until: float | None = None):
     topo = make_topology(text)
     engine = topology.build_runtime(topo)
     return engine.run(until=topo.spec.duration_s if until is None else until), engine
+
+
+# nests deeper than Python recurses under ``shallow_recursion``; PyYAML's
+# pure-Python scanner takes time quadratic in the depth (0.8 s at 1,100)
+DEEP = 600
+
+
+@pytest.fixture
+def shallow_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(DEEP - 100)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 @pytest.fixture(scope="session")

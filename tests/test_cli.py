@@ -12,7 +12,7 @@ import pytest
 import fedsim
 from fedsim import cli, metrics, topology, workload
 from fedsim.engine import EngineError, EngineState
-from tests.conftest import MINI_DOC, OVERLOAD, QUOTED, make_topology, two_cluster_doc
+from tests.conftest import DEEP, MINI_DOC, OVERLOAD, QUOTED, make_topology, two_cluster_doc
 
 
 @pytest.fixture()
@@ -37,6 +37,18 @@ class TestValidate:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert cli.main(["validate", str(tmp_path / "absent.scenario")]) == 2
         assert "cannot read scenario" in capsys.readouterr().err
+
+    def test_nesting_too_deep_is_invalid_on_any_loader(self, tmp_path, monkeypatch, capsys, shallow_recursion):
+        path = tmp_path / "deep.scenario"
+        path.write_text("clusters: " + "[" * DEEP + "]" * DEEP + "\nduration_s: 5\n")
+        for loader in {yaml.SafeLoader, topology._LOADER}:
+            monkeypatch.setattr(topology, "_LOADER", loader)
+            assert cli.main(["validate", str(path)]) == 1
+            # PyYAML's pure-Python composer recurses once per level; libyaml's composes any depth
+            if issubclass(loader, yaml.SafeLoader):
+                assert capsys.readouterr().err == "error: document: nested too deeply\n"
+            else:
+                assert capsys.readouterr().err == "error: clusters[0]: expected a mapping\n"
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.scenario"
@@ -665,6 +677,22 @@ class TestSweep:
         )
         assert code == 1
         assert "no values given" in capsys.readouterr().err
+
+    def test_variants_equal_those_of_pyyaml_safe_load_and_dump(self, tmp_path, monkeypatch):
+        scenario = str(fedsim.bundled_scenario("blackout"))
+        tasks = []
+        monkeypatch.setattr(cli, "_sweep_worker", lambda task: tasks.append(task) or (task[2], 0))
+        values = "0.5,2,1.0e+3,7"
+        argv = ["sweep", scenario, "--param", "links.base_delay_ms", "--values", values, "--out-dir", str(tmp_path)]
+        assert cli.main([*argv, "--jobs", "1"]) == 0
+        canonical = topology.render_scenario(topology.load_scenario(scenario))
+        expected = []
+        for token in values.split(","):
+            variant = yaml.safe_load(canonical)
+            variant["links"]["base_delay_ms"] = yaml.safe_load(token)
+            expected.append(cli._load(yaml.safe_dump(variant, sort_keys=False)))
+        assert [task[:2] for task in tasks] == expected
+        assert [task[0].links.base_delay_ms for task in tasks] == [0.5, 2, 1000.0, 7]
 
 
     @pytest.mark.parametrize(

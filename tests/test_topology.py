@@ -23,13 +23,17 @@ from fedsim.topology import (
     validate,
 )
 from fedsim.workload import PayloadSpec, Phase, WorkloadSpec
-from tests.conftest import MINI_DOC, make_topology, two_cluster_doc
+from tests.conftest import DEEP, MINI_DOC, make_topology, two_cluster_doc
 
 MINIMAL = """
 clusters:
   - {name: only}
 duration_s: 10
 """
+
+# PyYAML's safe loaders, and fedsim's lean loader over each
+BASES = (yaml.SafeLoader, *([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else []))
+LEAN_LOADERS = tuple(topology.lean_loader(base) for base in BASES)
 
 
 class TestParse:
@@ -74,16 +78,28 @@ duration_s: 5
     def test_libyaml_and_python_loaders_agree(self, monkeypatch):
         if not hasattr(yaml, "CSafeLoader"):
             pytest.skip("PyYAML built without libyaml")
-        assert topology._LOADER is yaml.CSafeLoader
+        assert issubclass(topology._LOADER, yaml.CSafeLoader)
         texts = [fedsim.bundled_scenario(name).read_text() for name in ("poc", "poc_lc", "blackout", "ping")]
         specs = []
-        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader, *LEAN_LOADERS):
             monkeypatch.setattr(topology, "_LOADER", loader)
             specs.append([parse_scenario(text) for text in texts])
             with pytest.raises(ScenarioError) as exc:
                 parse_scenario("clusters: [{name: a}\n")
             assert exc.value.errors[0].startswith("syntax error at line ")
-        assert specs[0] == specs[1]
+        assert all(loaded == specs[0] for loaded in specs)
+
+    def test_nesting_too_deep_is_a_scenario_error(self, monkeypatch, shallow_recursion):
+        text = "clusters: " + "[" * DEEP + "]" * DEEP + "\nduration_s: 5\n"
+        for loader in (*BASES, *LEAN_LOADERS):
+            monkeypatch.setattr(topology, "_LOADER", loader)
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(text)
+            # PyYAML's pure-Python composer recurses once per level; libyaml's composes any depth
+            if issubclass(loader, yaml.SafeLoader):
+                assert exc.value.errors == ["document: nested too deeply"]
+            else:
+                assert exc.value.errors == ["clusters[0]: expected a mapping"]
 
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioError) as exc:
@@ -161,6 +177,162 @@ duration_s: 5
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(doc)
         assert exc.value.errors == ["links.loss[0].dst: unknown cluster 'z'"]
+
+    def test_sparse_entry_keeps_the_error_order(self):
+        doc = """
+clusters: [{name: a}]
+links:
+  loss: [{src: z, dst: y, weight: 1}]
+duration_s: 5
+"""
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert exc.value.errors == ["links.loss[0]: unknown field 'weight'"]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc.replace(", weight: 1", ""))
+        assert exc.value.errors == ["links.loss[0].src: unknown cluster 'z'"]
+
+    def test_sparse_entry_of_a_duplicate_name_goes_to_its_first_cluster(self):
+        doc = """
+clusters: [{name: a}, {name: b}, {name: a}]
+links:
+  jitter: [{src: b, dst: a, dist: uniform, scale_ms: 1.0}]
+duration_s: 5
+"""
+        jitter = parse_scenario(doc).links.jitter
+        assert jitter[1] == (JitterSpec("uniform", 1.0), JitterSpec(), JitterSpec())
+
+
+class TestLeanLoader:
+    """``topology.lean_loader`` gives PyYAML's own result, or error, over
+    either base."""
+
+    CASES = {
+        "aliases": "a: &x {k: [1, 2]}\nb: *x\nc: [*x, *x]\nd: &s text\ne: *s\n",
+        "merge keys": "base: &b {x: 1, y: 2}\nderived:\n  <<: *b\n  y: 3\nmany: {<<: [*b, {z: 4}]}\n",
+        "value key": "{=: 1, a: 2}",
+        "recursive list": "&a [*a, 1]",
+        "recursive map": "&m {self: *m, k: [*m]}",
+        "timestamps": "t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\n",
+        "binary": "!!binary aGVsbG8=",
+        "set": "!!set {a, b}",
+        "omap": "!!omap [a: 1, b: 2]",
+        "duplicate keys": "{a: 1, b: 2, a: 3}",
+        "non-string keys": "{1: a, 2.5: b, true: c, ~: d, 0x10: e, 1.0: f}",
+        "yaml 1.1 numbers": "[0x1F, 017, 0b101, 1_000.5, 1:30.5, 190:20:30, +.inf, -.Inf, .nan, 6.8523015e+5, -0]",
+        "yaml 1.1 bools and nulls": "[yes, No, on, OFF, y, n, ~, null, Null, '']",
+        "quoted numbers": "[\"1\", '2.5', \"true\", '~']",
+        "explicit tags": "[!!str 123, !!int '42', !!float '1', !!bool 'yes', !!null '']",
+        "empty document": "",
+        "empty explicit document": "---\n...\n",
+        "syntax error": "[1, 2",
+        "bad int": "[1, !!int abc]",
+        "two bad ints": "[[!!int a], !!int b]",  # PyYAML builds the outer list's items first: 'b' fails
+        "unknown tag": "!foo bar",
+        "wrong node for tag": "!!seq {a: 1}",
+        "collection key": "? [1, 2]\n: x\n",
+        "collection key of a map": "{? {a: 1} : x}",
+        "deep nesting": "[" * DEEP + "]" * DEEP,
+    }
+
+    @staticmethod
+    def _load(text, loader):
+        try:
+            return "ok", yaml.load(text, Loader=loader)
+        except Exception as exc:  # compared below: the same type and message
+            return "error", (type(exc), str(exc))
+
+    @staticmethod
+    def _depth(value):
+        depth = 0
+        while isinstance(value, list):
+            value, depth = value[0] if value else None, depth + 1
+        return depth
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_as_pyyaml(self, case, shallow_recursion):
+        text = self.CASES[case]
+        results = []
+        for base, lean in zip(BASES, LEAN_LOADERS):
+            expected, got = self._load(text, base), self._load(text, lean)
+            assert got[0] == expected[0], (base, got, expected)
+            if got[0] == "error":  # libyaml words its errors differently, so each against its own base
+                assert got == expected
+            else:
+                results += [expected[1], got[1]]
+        for value in results:
+            if case == "deep nesting":  # == and repr would recurse too deep
+                assert self._depth(value) == DEEP
+            else:
+                assert repr(value) == repr(results[0])
+                assert type(value) is type(results[0])
+
+    def test_aliases_share_their_anchor(self):
+        for loader in (*BASES, *LEAN_LOADERS):
+            doc = yaml.load(self.CASES["aliases"], Loader=loader)
+            assert doc["b"] is doc["a"] and doc["c"][0] is doc["a"] and doc["c"][1] is doc["a"]
+            assert doc["a"]["k"] == [1, 2]
+            recursive = yaml.load(self.CASES["recursive list"], Loader=loader)
+            assert recursive[0] is recursive
+            mapping = yaml.load(self.CASES["recursive map"], Loader=loader)
+            assert mapping["self"] is mapping and mapping["k"][0] is mapping
+
+    def test_alias_chain_is_shared_not_copied(self):
+        # 2^30 leaves if each alias were a copy
+        levels = 30
+        text = "- &l0 [leaf]\n" + "".join(f"- &l{k} [*l{k - 1}, *l{k - 1}]\n" for k in range(1, levels + 1))
+        for loader in (*BASES, *LEAN_LOADERS):
+            doc = yaml.load(text, Loader=loader)
+            assert len(doc) == levels + 1 and doc[0] == ["leaf"]
+            for k in range(1, levels + 1):
+                assert doc[k][0] is doc[k - 1] and doc[k][1] is doc[k - 1]
+
+    def test_lean_loader_builds_a_plain_document_itself(self, monkeypatch):
+        for base, lean in zip(BASES, LEAN_LOADERS):
+            calls = []
+            monkeypatch.setattr(base, "construct_document", lambda self, node: calls.append(node))
+            doc = yaml.load(fedsim.bundled_scenario("blackout").read_text(), Loader=lean)
+            assert calls == [] and doc["clusters"][0]["name"]
+            recursive = yaml.load("&a [*a, {k: *a}]", Loader=lean)
+            assert calls == [] and recursive[0] is recursive and recursive[1]["k"] is recursive
+            assert yaml.load("d: 2002-12-14", Loader=lean) is None and len(calls) == 1  # the patched fallback
+            monkeypatch.undo()
+
+    def test_plain_scalar_tags_are_resolved_once_per_load(self, monkeypatch):
+        for base, lean in zip(BASES, LEAN_LOADERS):
+            calls = []
+            resolve = base.resolve
+            monkeypatch.setattr(base, "resolve", lambda self, *args: calls.append(args[1]) or resolve(self, *args))
+            text = "[{src: a, p: 0.5}, {src: a, p: 0.5}, 'a']"
+            assert yaml.load(text, Loader=lean) == [{"src": "a", "p": 0.5}] * 2 + ["a"]
+            assert [value for value in calls if value is not None] == ["src", "a", "p", "0.5", "a"]
+            calls.clear()
+            yaml.load(text, Loader=lean)  # a new load resolves every text again
+            assert [value for value in calls if value is not None] == ["src", "a", "p", "0.5", "a"]
+            monkeypatch.undo()
+
+
+SCALARS = st.one_of(
+    st.text(max_size=8),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+KEYS = st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none())
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(DOCUMENTS, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_lean_loader_reads_any_dumped_document_as_pyyaml_does(document, flow):
+    text = yaml.safe_dump(document, default_flow_style=flow)
+    for base, lean in zip(BASES, LEAN_LOADERS):
+        assert repr(yaml.load(text, Loader=lean)) == repr(yaml.load(text, Loader=base))
 
 
 class TestRender:

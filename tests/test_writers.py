@@ -248,6 +248,27 @@ def test_an_export_without_streams_leaves_the_rtt_sums_on_the_engine(cpus, tmp_p
     assert stats.count[0][1] > 0 and probes.rtt_stats(engine.rtt_sums) == stats
 
 
+def test_an_export_that_fits_in_one_frame_per_file_forks_no_writer(tmp_path, monkeypatch):
+    # a writer process has nothing to overlap with one frame per file; a
+    # streamed run's writer process writes the bytes to compare with
+    _cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    text = fedsim.bundled_scenario("poc").read_text()
+    for until, writers in ((5.0, 0), (60.0, 1)):
+        held = topology.build_runtime(make_topology(text))
+        held.run(until=until)
+        assert (len(held.traces) <= metrics.FRAME_ROWS) == (writers == 0)
+        forks.clear()
+        metrics.export_csv(held, tmp_path / f"held-{until}")
+        assert len(forks) == writers
+        streamed = topology.build_runtime(make_topology(text))
+        metrics.stream_csv(streamed, tmp_path / f"streamed-{until}")
+        streamed.run(until=until)
+        metrics.export_csv(streamed, tmp_path / f"streamed-{until}")
+        for name in CSVS:
+            assert (tmp_path / f"held-{until}" / name).read_bytes() == (tmp_path / f"streamed-{until}" / name).read_bytes()
+
+
 def test_writers_fall_back_where_fork_is_missing(tmp_path, monkeypatch):
     _cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
