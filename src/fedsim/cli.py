@@ -332,7 +332,14 @@ def cmd_sweep(args) -> int:
         print(f"error: unknown parameter path '{args.param}': {exc.args[0]}", file=sys.stderr)
         return EXIT_INVALID
 
-    values = [yaml.load(token, Loader=topology._LOADER) for token in args.values.split(",") if token != ""]
+    values = []
+    for token in filter(None, args.values.split(",")):
+        try:
+            values.append(yaml.load(token, Loader=topology._LOADER))
+        except yaml.YAMLError as exc:
+            problem = getattr(exc, "problem", None) or str(exc)
+            print(f"error: --values token {token!r} is not a YAML value: {problem}", file=sys.stderr)
+            return EXIT_INVALID
     if not values:
         print("error: no values given", file=sys.stderr)
         return EXIT_INVALID

@@ -42,9 +42,11 @@ At the end of every ``run`` call the clock must be finite, ``in_flight``
 must equal the held requests without an outcome, no balancer count may be
 below 0, and each frontend's count for a backend must equal the pending
 timeouts of the requests it sent there whose count is still open; otherwise
-``EngineError``. A count can stand while nothing is in flight: a request
-lost on a link has its outcome at once, but its count is released only when
-its timeout fires.
+``EngineError``. An outcome is never cleared, so each check counts from the
+oldest request that had none at the check before, and a stepped run reads
+each final request about once. A count can stand while nothing is in
+flight: a request lost on a link has its outcome at once, but its count is
+released only when its timeout fires.
 
 Replicas are FIFO queues with a concurrency limit of
 ``max(1, node_vcpus // replicas_on_node)``; each in-service request holds one
@@ -67,6 +69,21 @@ the engine holds refers back to it, and it is freed with its last reference.
 A ping queues one ``probe_send`` event per grid step, with payload
 ``(plan_index, k)``, which probes every pair of the plan (see ``probes``),
 and one ``probe_recv`` per probe, which records its sample.
+
+The event path is laid out for CPython 3.11's specializing interpreter
+(PEP 659, https://peps.python.org/pep-0659/), whose attribute reads take a
+slow path under two rules:
+
+- an object that sets 30 or more instance attributes does not keep them
+  inline, so every read of one goes through its dict;
+- a class attribute of a mutable type (a dict, or an instance of a Python
+  class) blocks specialized reads of the same name.
+
+So ``EngineState`` keeps every attribute in ``__slots__``. Its ``__dict__``
+slot still takes an attribute set from outside (a test replaces ``run``),
+but that engine's method reads then take the slow path. The kind -> handler
+table is the module-level ``_HANDLERS``, and ``netem.ImpairmentRule`` is a
+slotted dataclass, so no field default stays a class attribute.
 """
 
 from __future__ import annotations
@@ -163,6 +180,17 @@ class Replica(mesh.Endpoint):
 class EngineState:
     """The whole mutable world of one run."""
 
+    # every attribute in a slot, so its reads specialize (module docstring)
+    __slots__ = (
+        "topology", "spec", "clock", "event_count", "_seq", "_heap", "_timeouts", "_primed",
+        "_scrape_at", "_scrape_k", "_deferred_starts", "cluster_names", "links", "workload", "phase_windows",
+        "frontend", "backend", "timeout_s", "scrape_interval_s", "duration_s", "base_delay_s", "intra_delay_s",
+        "table", "arrival_rng", "payload_sampler", "replicas", "frontend_endpoints", "backend_endpoints",
+        "ingress_state", "fe_states", "metrics", "traces", "_open_from", "probes", "streams", "rtt_sums",
+        "_probes_streamed", "probe_plans", "arrivals", "completed", "lost", "timed_out", "_next_request_id",
+        "debug_log", "__dict__", "__weakref__",
+    )
+
     def __init__(self, topology):
         self.topology = topology
         self.spec = spec = topology.spec
@@ -204,6 +232,9 @@ class EngineState:
 
         self.metrics = metrics.Scrapes.of(self.replicas, self.cluster_names)
         self.traces: list[Request] = []  # not yet written
+        # the id of the oldest request without an outcome at the last check;
+        # an outcome is never cleared, so the next check counts from there
+        self._open_from = 0
         self.probes: list = []  # not yet written
         self.streams = None  # metrics.Streams, where rows go once final
         # per pair, the probes.RttSums of the probes the streams wrote (None
@@ -248,7 +279,7 @@ class EngineState:
     def schedule(self, time: float, kind: str, payload=None) -> None:
         if not self.clock <= time < inf:
             raise EngineError(f"event time before the clock or not finite: {kind} at {time!r}, clock {self.clock!r}")
-        if kind not in self._handlers:
+        if kind not in _HANDLERS:
             raise EngineError(f"unknown event kind {kind!r}")
         entry = (time, self._seq, kind, payload)
         self._seq += 1
@@ -285,7 +316,7 @@ class EngineState:
         lane = self._timeouts
         pop = heapq.heappop
         popleft = lane.popleft
-        handlers = self._handlers
+        handlers = _HANDLERS
         debug_log = self.debug_log
         while True:
             if lane and (not heap or lane[0] < heap[0]):
@@ -311,7 +342,15 @@ class EngineState:
     def _check_invariants(self) -> None:
         if not isfinite(self.clock):
             raise EngineError(f"clock not finite: {self.clock!r}")
-        held_open = sum(1 for request in self.traces if request.outcome is None)
+        held = self.traces
+        n = len(held)
+        # held ids are consecutive (only final rows leave, from the head)
+        start = max(0, self._open_from - held[0].id) if n else 0
+        while start < n and held[start].outcome is not None:
+            start += 1
+        window = held[start:]
+        self._open_from = window[0].id if window else self._next_request_id
+        held_open = sum(1 for request in window if request.outcome is None)
         if held_open != self.in_flight:
             raise EngineError(f"{self.in_flight} requests in flight but {held_open} held without an outcome")
         for state in (self.ingress_state, *self.fe_states.values()):
@@ -516,18 +555,20 @@ class EngineState:
         if self.streams is not None and len(held) >= FLUSH_BATCH:
             self._flush_probes()
 
-    # kind -> handler, as plain functions called with the engine: bound
-    # methods held by the engine would keep it in a cycle
-    _handlers = {
-        ARRIVAL: _on_arrival,
-        LINK_DELIVER: _on_link_deliver,
-        SERVICE_COMPLETE: _on_service_complete,
-        TIMEOUT: _on_timeout,
-        TIMELINE_APPLY: _on_timeline_apply,
-        SCRAPE: _on_scrape,
-        PROBE_SEND: _on_probe_send,
-        PROBE_RECV: _on_probe_recv,
-    }
+
+# kind -> handler, as plain functions called with the engine: bound methods
+# held by the engine would keep it in a cycle. A module-level table, since
+# reads of a dict held as a class attribute do not specialize.
+_HANDLERS = {
+    ARRIVAL: EngineState._on_arrival,
+    LINK_DELIVER: EngineState._on_link_deliver,
+    SERVICE_COMPLETE: EngineState._on_service_complete,
+    TIMEOUT: EngineState._on_timeout,
+    TIMELINE_APPLY: EngineState._on_timeline_apply,
+    SCRAPE: EngineState._on_scrape,
+    PROBE_SEND: EngineState._on_probe_send,
+    PROBE_RECV: EngineState._on_probe_recv,
+}
 
 
 # -- link_deliver hops, in path order (see the module docstring) -------------

@@ -58,7 +58,8 @@ class LossSpec:
     correlation: float = field(default=0.0, metadata={"bounds": "[0, 1]"})
 
 
-@dataclass(frozen=True)
+# slotted, so no JitterSpec default blocks specialized reads (see engine)
+@dataclass(frozen=True, slots=True)
 class ImpairmentRule:
     """Impairment applied to one directed link."""
 

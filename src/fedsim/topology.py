@@ -244,6 +244,11 @@ def lean_loader(base: type) -> type:
             # attribute lookups a method would make
             self.resolve = cached
 
+        def dispose(self):
+            # the closure holds the loader's own bound resolve: a cycle
+            super().dispose()
+            del self.resolve
+
         def construct_document(self, node):
             built = {}  # collection node -> its object
 
@@ -277,6 +282,11 @@ def lean_loader(base: type) -> type:
                 # the base gives its own result, or raises its own error: of
                 # two bad scalars it meets first the one PyYAML's order does
                 return super().construct_document(node)
+            finally:
+                # build refers to itself and holds built, which holds every
+                # collection node: a cycle that would leave the tree as garbage
+                built.clear()
+                del build
 
     Lean.__name__ = Lean.__qualname__ = f"Lean{base.__name__}"
     return Lean

@@ -678,6 +678,18 @@ class TestSweep:
         assert code == 1
         assert "no values given" in capsys.readouterr().err
 
+    def test_a_value_that_is_not_yaml_is_one_error_line(self, two_cluster_scenario, tmp_path):
+        src = str(Path(fedsim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "s"
+        argv = ["sweep", two_cluster_scenario, "--param", "seed", "--values", "1,[1", "--out-dir", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "fedsim.cli", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: --values token '[1' is not a YAML value: ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_variants_equal_those_of_pyyaml_safe_load_and_dump(self, tmp_path, monkeypatch):
         scenario = str(fedsim.bundled_scenario("blackout"))
         tasks = []

@@ -7,8 +7,8 @@ from collections import deque
 import pytest
 
 import fedsim
-from fedsim import probes, topology
-from fedsim.engine import ARRIVAL, TIMEOUT, EngineError, Request
+from fedsim import metrics, probes, topology
+from fedsim.engine import ARRIVAL, TIMEOUT, EngineError, EngineState, Request
 from tests.conftest import MINI_DOC, OVERLOAD, make_topology, run_scenario_text, two_cluster_doc
 
 MINIMAL = """
@@ -177,6 +177,15 @@ class TestEndOfRunChecks:
         assert engine.clock == engine.duration_s
         assert open_while_idle > 0
 
+    def test_final_rows_dropped_between_steps_keep_the_count(self):
+        # what a controller that steps the run might do to bound its memory
+        engine = topology.build_runtime(make_topology(OVERLOAD))
+        for k in range(1, 221):
+            engine.run(until=k * 0.25)
+            final = next((i for i, t in enumerate(engine.traces) if t.outcome is None), len(engine.traces))
+            del engine.traces[: final // 2]
+        assert engine.clock == engine.duration_s
+
     def test_an_infinite_clock_raises(self):
         engine = self._engine()
         with pytest.raises(EngineError, match="clock not finite"):
@@ -198,6 +207,37 @@ class TestEndOfRunChecks:
         with pytest.raises(EngineError, match="run bound before the clock"):
             engine.run(until=-1.0)
         assert engine.event_count == 0 and not engine._heap
+
+    def test_a_stepped_run_reads_each_request_before_the_oldest_open_one_once(self):
+        # an outcome is never cleared, so the checks need not read a request
+        # again once it and every request before it have one
+        class Counted(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                got = super().__getitem__(index)
+                self.reads += len(got) if isinstance(index, slice) else 1
+                return got
+
+            def __iter__(self):
+                for request in super().__iter__():
+                    self.reads += 1
+                    yield request
+
+        engine = topology.build_runtime(make_topology(OVERLOAD))
+        held = engine.traces = Counted()
+        bound = rescans = 0
+        for k in range(1, 441):
+            engine.run(until=k * 0.125)
+            requests = list.__getitem__(held, slice(None))  # not counted
+            first_open = next((i for i, request in enumerate(requests) if request.outcome is None), len(requests))
+            # the requests from the oldest open one, the head, and the one
+            # that stops the advance to it
+            bound += 2 + len(requests) - first_open
+            rescans += len(requests)
+        assert engine.clock == engine.duration_s and len(requests) == engine.arrivals == 800
+        # plus, over the run, each request before the last oldest open one
+        assert held.reads <= bound + first_open < rescans / 10
 
 
 class TestRequestPath:
@@ -400,6 +440,31 @@ class TestBalancingInEngine:
         counts = self.run_policy("\n    backend_policy: least_connection")
         assert counts[0] + counts[1] == 100
         assert abs(counts[0] - counts[1]) <= 5
+
+
+class TestAttributeLayout:
+    """The engine keeps every attribute in a slot. One set anywhere else
+    would give the engine a dict and stop CPython specializing the reads of
+    its attributes on the event path."""
+
+    @pytest.mark.parametrize("use", ["built", "run", "streamed run and export", "ping"])
+    def test_no_attribute_lands_outside_the_slots(self, use, tmp_path):
+        scenario = fedsim.bundled_scenario("ping" if use == "ping" else "poc")
+        engine = topology.build_runtime(make_topology(scenario.read_text()))
+        if use == "run":
+            engine.run(until=20.0)
+        elif use == "streamed run and export":
+            metrics.stream_csv(engine, tmp_path)
+            engine.run(until=20.0)
+            metrics.export_csv(engine, tmp_path)
+        elif use == "ping":
+            probes.run_ping(engine, duration_s=5.0)
+        assert vars(engine) == {}
+
+    def test_the_class_holds_no_dict(self):
+        # a read through an instance of a class attribute does not specialize
+        held = [name for name, value in vars(EngineState).items() if isinstance(value, dict)]
+        assert held == []
 
 
 class TestRunResult:

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
+import types
 
 import pytest
 
@@ -26,6 +30,27 @@ def link_on(delay_rng=None, loss_rng=None, r=None):
     link = netem.Link(r or rule(), (0, 0, 1))
     link.delay_rng, link.loss_rng = delay_rng, loss_rng
     return link
+
+
+# -- the rule ----------------------------------------------------------------
+
+
+def test_no_rule_field_is_shadowed_by_a_class_attribute():
+    # a default held as a class attribute of a mutable type (a JitterSpec)
+    # stops CPython specializing the reads of that field on every message
+    for f in dataclasses.fields(ImpairmentRule):
+        assert isinstance(vars(ImpairmentRule)[f.name], types.MemberDescriptorType), f.name
+
+
+@pytest.mark.parametrize(
+    "r",
+    [ImpairmentRule(), netem.DARK, rule(12.5, JitterSpec("normal", 2.0), LossSpec(0.25, 0.5))],
+    ids=["default", "dark", "impaired"],
+)
+def test_a_rule_survives_pickle_and_deepcopy(r):
+    for again in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert type(again) is ImpairmentRule and not hasattr(again, "__dict__")
+        assert again == r and hash(again) == hash(r)
 
 
 # -- link table ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scenario parsing, canonical rendering, validation, and placement."""
 
+import gc
 import sys
 
 import pytest
@@ -310,6 +311,24 @@ class TestLeanLoader:
             yaml.load(text, Loader=lean)  # a new load resolves every text again
             assert [value for value in calls if value is not None] == ["src", "a", "p", "0.5", "a"]
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("case", ["scenarios", "timestamps", "bad int", "syntax error"])
+    def test_a_load_leaves_no_cyclic_garbage(self, case):
+        # with the collector off, reference counts alone must free the
+        # composed node tree and the loader, on the lean path and the fallback
+        if case == "scenarios":
+            texts = [fedsim.bundled_scenario(name).read_text() for name in ("poc", "poc_lc", "blackout", "ping")]
+        else:
+            texts = [self.CASES[case]]
+        gc.collect()
+        gc.disable()
+        try:
+            for lean in LEAN_LOADERS:
+                for text in texts:
+                    self._load(text, lean)
+                    assert gc.collect() == 0, (lean, text[:40])
+        finally:
+            gc.enable()
 
 
 SCALARS = st.one_of(
