@@ -8,18 +8,22 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid scenario or sweep values, 2 bad usage,
 unreadable input or an output directory that cannot be written, 3 any error
-raised inside a run or by its streams (with an event-log tail dumped for
-diagnosis). A sweep exits with the largest code of its runs.
+raised inside a run, by its streams or while writing any artifact after it
+(with an event-log tail dumped for diagnosis). A sweep exits with the
+largest code of its runs.
 
 ``run`` and ``ping`` stream ``traces.csv`` and ``probe_rtt.csv`` while the
-run goes (``metrics.Streams``); a run that fails leaves only the tail.
-Unless ``--debug-events`` recorded them, the run records no events itself:
-after a failure inside the run the command is replayed on a fresh engine
-that keeps its last 1000 events, and since a run is a pure function of
-(scenario, seed) the replay fails at the same event. A failure that does
-not recur there, or that came from the streams or the export, leaves a
-tail of the header only.
+run goes (``metrics.Streams``). A command that fails from their opening on
+removes every file of ``_ARTIFACTS``, an earlier command's too: it leaves
+only the tail, or nothing at exit 2. Unless ``--debug-events`` recorded them, the run records no
+events itself: after a failure inside the run the command is replayed on a
+fresh engine that keeps its last 1000 events, and since a run is a pure
+function of (scenario, seed) the replay fails at the same event. A failure
+that does not recur there, or that came from the streams or after the run,
+leaves a tail of the header only.
 
+``sweep --values`` is a YAML flow sequence without its brackets, such as
+``[0,5],[0,10]``; two values that share a variant directory are an error.
 The runs of a parallel ``sweep`` format their rows in-process, not in a
 writer process of their own: ``metrics`` sees that it runs in a pool worker.
 """
@@ -37,6 +41,7 @@ import traceback
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import yaml
 
@@ -52,21 +57,32 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_ENGINE = 3
 
+# every file ``run`` and ``ping`` write in their output directory
+_ARTIFACTS = (
+    "traces.csv", "probe_rtt.csv", f"{metrics.BUSY_COUNTER}.csv", f"{metrics.OUTSTANDING_GAUGE}.csv",
+    f"{metrics.CPU_RATE}.csv", "events.csv", "summary.yaml", "rtt_matrix.yaml", "event_log_tail.csv",
+)
+
+
+class _Exit(SystemExit):
+    """Raised with the exit ``code`` where an error has been printed; ``main``
+    returns it, and ``_sweep_worker`` makes it that run's code."""
+
 
 def _load_file(path: str, seed: int | None = None):
-    """Read a scenario file, then ``_load`` it; EXIT_IO if it cannot be read."""
+    """Read a scenario file, then ``_load`` it; raises EXIT_IO if it cannot be read."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Exit(EXIT_IO) from None
     return _load(text, seed)
 
 
 def _load(text: str, seed: int | None = None):
     """Parse and validate scenario text, with ``seed`` overriding the
-    scenario's. Returns (spec, topology), or EXIT_INVALID after printing every
-    error. Warnings go to stderr and do not change the outcome."""
+    scenario's. Returns (spec, topology), or raises EXIT_INVALID after
+    printing every error. Warnings go to stderr and do not change the outcome."""
     try:
         spec = topology.parse_scenario(text)
         if seed is not None:
@@ -75,7 +91,7 @@ def _load(text: str, seed: int | None = None):
     except (topology.ScenarioError, topology.ValidationError) as exc:
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(EXIT_INVALID) from None
     losses = [(f"loss[{i}][{j}]", loss) for i, row in enumerate(spec.links.loss) for j, loss in enumerate(row)]
     losses += [
         (f"timeline[{k}].loss", event.loss)
@@ -88,54 +104,28 @@ def _load(text: str, seed: int | None = None):
     return spec, topo
 
 
-class _DroppedRows:
-    """The replay's streams: they take the rows the engine hands on, as the
-    run's streams did, so the replay holds no more than the run, and keep
-    none of them."""
-
-    def traces(self, rows) -> None:
-        pass
-
-    probes = traces
-
-
-def _replayed_tail(topo, run):
-    """The last 1000 events of ``run`` replayed on a fresh engine of ``topo``
-    that writes no files, or None if the replay does not fail. A run is a
-    pure function of (scenario, seed), so a failure inside it fails the
-    replay at the same event; one outside it, such as the streams', does not."""
-    engine = topology.build_runtime(topo)
-    engine.debug_log = deque(maxlen=1000)
-    engine.streams = _DroppedRows()
-    try:
-        run(engine)
-    except Exception:
-        return engine.debug_log
-    return None
-
-
-def _event_tail(engine, topo, run, exc: Exception, in_run: bool):
-    """The last 1000 events before ``exc``, and a note to print when there
-    are none. The events are the run's own with ``debug_log`` set, else a
-    replay's if the failure came from inside the run."""
+def _write_tail(engine, topo, run, exc: Exception, in_run: bool, out: Path) -> None:
+    """Print ``exc`` and write the last 1000 events before it to
+    ``event_log_tail.csv``: the run's own with ``debug_log`` set, else, for a
+    failure inside the run, those of ``run`` replayed on a fresh engine of
+    ``topo`` that writes no files. A run is a pure function of (scenario,
+    seed), so the replay fails at the same event; a failure of the streams does not."""
+    tail, note = (), None
     if engine.debug_log is not None:
-        return engine.debug_log[-1000:], None
-    if not in_run or isinstance(exc, metrics.WriterError):
-        return (), "the failure came from the writers or the export, not the run, so the tail holds no events"
-    tail = _replayed_tail(topo, run)
-    if tail is None:
-        return (), "the failure did not recur when the run was replayed, so the tail holds no events"
-    return tail, None
-
-
-def _dump_event_tail(tail, note: str | None, out_dir: Path, exc: Exception) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump = out_dir / "event_log_tail.csv"
-    with dump.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time_s", "seq", "kind"])
-        for time, seq, kind, _detail in tail:
-            writer.writerow([repr(time), seq, kind])
+        tail = engine.debug_log[-1000:]
+    elif not in_run or isinstance(exc, metrics.WriterError):
+        note = "the failure came from the writers or the export, not the run, so the tail holds no events"
+    else:
+        replay = topology.build_runtime(topo)
+        replay.debug_log = deque(maxlen=1000)
+        # streams that take the rows the engine hands on, as the run's did,
+        # so the replay holds no more than the run, and keep none of them
+        replay.streams = SimpleNamespace(traces=len, probes=len)
+        try:
+            run(replay)
+            note = "the failure did not recur when the run was replayed, so the tail holds no events"
+        except Exception:
+            tail = replay.debug_log
     detail = str(exc)
     if not isinstance(exc, EngineError):
         frame = traceback.extract_tb(exc.__traceback__)[-1]  # where it was raised
@@ -143,7 +133,18 @@ def _dump_event_tail(tail, note: str | None, out_dir: Path, exc: Exception) -> N
     print(f"engine error: {detail}", file=sys.stderr)
     if note is not None:
         print(note, file=sys.stderr)
-    print(f"event log tail written to {dump}", file=sys.stderr)
+    dump = out / "event_log_tail.csv"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with dump.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["time_s", "seq", "kind"])
+            for time, seq, kind, _detail in tail:
+                writer.writerow([repr(time), seq, kind])
+    except OSError as error:
+        print(f"error: cannot write the event log tail to {dump}: {error.strerror or error}", file=sys.stderr)
+    else:
+        print(f"event log tail written to {dump}", file=sys.stderr)
 
 
 def _write_yaml(path: Path, doc: dict) -> None:
@@ -179,34 +180,36 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
     _write_yaml(out_dir / "summary.yaml", summary)
 
 
-def _streamed(engine, topo, out: Path, run) -> tuple[int, float | None]:
-    """Call ``run(engine)`` with the engine's traces and probes streamed into
-    ``out``, then export every CSV. Returns (exit code, seconds from the
-    start of the streams to the end of the run): EXIT_IO, before the run, if
-    the streams cannot be opened; EXIT_ENGINE on any exception in the run or
-    the export, after removing the streamed files and dumping the event tail
-    (see ``_event_tail``)."""
+def _streamed(engine, topo, out: Path, run, write) -> None:
+    """The guarded step of ``run`` and ``ping``: call ``run(engine)`` with
+    the engine's traces and probes streamed into ``out``, export every CSV,
+    then call ``write(elapsed)``, which writes the command's own files and
+    reports; ``elapsed`` runs from the opening of the streams to the end of
+    the run. On any failure remove every file of ``_ARTIFACTS`` from ``out``
+    and raise ``_Exit``: EXIT_IO if the streams cannot be opened, else
+    EXIT_ENGINE after ``_write_tail``."""
     started = wall_time.perf_counter()
+    streams, in_run = None, False
     try:
         metrics.stream_csv(engine, out)
-    except OSError as exc:
-        print(f"error: cannot write to {out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_IO, None
-    streams = engine.streams
-    in_run = True
-    try:
+        streams, in_run = engine.streams, True
         run(engine)
         in_run = False
         elapsed = wall_time.perf_counter() - started
         metrics.export_csv(engine, out)
+        write(elapsed)
     except Exception as exc:
-        with contextlib.suppress(Exception):  # the streams may be what failed
-            streams.close()
-        for path in streams.paths:
-            path.unlink()
-        _dump_event_tail(*_event_tail(engine, topo, run, exc, in_run), out, exc)
-        return EXIT_ENGINE, None
-    return EXIT_OK, elapsed
+        if streams is not None:
+            with contextlib.suppress(Exception):  # the streams may be what failed
+                streams.close()
+        for name in _ARTIFACTS:
+            with contextlib.suppress(OSError):  # absent, or not a file
+                (out / name).unlink()
+        if streams is None and isinstance(exc, OSError):
+            print(f"error: cannot write to {out}: {exc.strerror or exc}", file=sys.stderr)
+            raise _Exit(EXIT_IO) from None
+        _write_tail(engine, topo, run, exc, in_run, out)
+        raise _Exit(EXIT_ENGINE) from None
 
 
 def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool) -> int:
@@ -216,44 +219,36 @@ def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: boo
         engine.debug_log = []
     bound = spec.duration_s if until is None else until
     out = Path(out_dir)
-    code, elapsed = _streamed(engine, topo, out, lambda state: state.run(until=bound))
-    if code:
-        return code
 
-    if debug_events:
-        with (out / "events.csv").open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["time_s", "seq", "kind", "detail"])
-            for time, seq, kind, detail in engine.debug_log:
-                writer.writerow([repr(time), seq, kind, detail])
-    _summarize(engine, spec, out, elapsed, bound)
-    print(
-        f"{out}: {engine.arrivals} arrivals, {engine.completed} completed, "
-        f"{engine.lost} lost, {engine.timed_out} timed out, {engine.event_count} events"
-    )
+    def write(elapsed: float) -> None:
+        if debug_events:
+            with (out / "events.csv").open("w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["time_s", "seq", "kind", "detail"])
+                for time, seq, kind, detail in engine.debug_log:
+                    writer.writerow([repr(time), seq, kind, detail])
+        _summarize(engine, spec, out, elapsed, bound)
+        print(
+            f"{out}: {engine.arrivals} arrivals, {engine.completed} completed, "
+            f"{engine.lost} lost, {engine.timed_out} timed out, {engine.event_count} events"
+        )
+
+    _streamed(engine, topo, out, lambda state: state.run(until=bound), write)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    loaded = _load_file(args.scenario)
-    if isinstance(loaded, int):
-        return loaded
+    _load_file(args.scenario)
     print("ok")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    loaded = _load_file(args.scenario, args.seed)
-    if isinstance(loaded, int):
-        return loaded
-    return _run_to_dir(*loaded, args.out_dir, args.until, args.debug_events)
+    return _run_to_dir(*_load_file(args.scenario, args.seed), args.out_dir, args.until, args.debug_events)
 
 
 def cmd_ping(args) -> int:
-    loaded = _load_file(args.scenario, args.seed)
-    if isinstance(loaded, int):
-        return loaded
-    spec, topo = loaded
+    spec, topo = _load_file(args.scenario, args.seed)
     duration = args.duration if args.duration is not None else spec.duration_s
     if not math.isfinite(duration / args.interval):
         print(f"error: duration / interval is not finite: {duration!r} / {args.interval!r}", file=sys.stderr)
@@ -264,21 +259,20 @@ def cmd_ping(args) -> int:
     def ping(state):
         probes.run_ping(state, interval_s=args.interval, duration_s=duration)
 
-    code, _ = _streamed(engine, topo, out, ping)
-    if code:
-        return code
+    def write(_elapsed: float) -> None:
+        names = [cluster.name for cluster in spec.clusters]
+        stats = probes.rtt_stats(engine.rtt_sums)
+        matrix_doc = {
+            "interval_s": args.interval,
+            "duration_s": duration,
+            "mean_rtt_ms": _matrix_doc(stats.mean_ms, names),
+            "variance_rtt_ms2": _matrix_doc(stats.variance_ms2, names),
+            "loss_fraction": _matrix_doc(stats.loss_fraction, names),
+        }
+        _write_yaml(out / "rtt_matrix.yaml", matrix_doc)
+        print(probes.format_rtt_table(stats, names))
 
-    names = [cluster.name for cluster in spec.clusters]
-    stats = probes.rtt_stats(engine.rtt_sums)
-    matrix_doc = {
-        "interval_s": args.interval,
-        "duration_s": duration,
-        "mean_rtt_ms": _matrix_doc(stats.mean_ms, names),
-        "variance_rtt_ms2": _matrix_doc(stats.variance_ms2, names),
-        "loss_fraction": _matrix_doc(stats.loss_fraction, names),
-    }
-    _write_yaml(out / "rtt_matrix.yaml", matrix_doc)
-    print(probes.format_rtt_table(stats, names))
+    _streamed(engine, topo, out, ping, write)
     return EXIT_OK
 
 
@@ -314,16 +308,15 @@ def _resolve_path(doc, path: str):
 
 def _sweep_worker(task: tuple) -> tuple[str, int]:
     spec, topo, out_dir, until = task
-    return out_dir, _run_to_dir(spec, topo, out_dir, until, False)
+    try:
+        return out_dir, _run_to_dir(spec, topo, out_dir, until, False)
+    except _Exit as exc:
+        return out_dir, exc.code
 
 
 def cmd_sweep(args) -> int:
-    loaded = _load_file(args.scenario)
-    if isinstance(loaded, int):
-        return loaded
-
     # operate on the canonical document so defaulted fields are sweepable
-    spec, _ = loaded
+    spec, _ = _load_file(args.scenario)
     canonical = topology.render_scenario(spec)
     doc = yaml.load(canonical, Loader=topology._LOADER)
     try:
@@ -332,28 +325,31 @@ def cmd_sweep(args) -> int:
         print(f"error: unknown parameter path '{args.param}': {exc.args[0]}", file=sys.stderr)
         return EXIT_INVALID
 
-    values = []
-    for token in filter(None, args.values.split(",")):
-        try:
-            values.append(yaml.load(token, Loader=topology._LOADER))
-        except yaml.YAMLError as exc:
-            problem = getattr(exc, "problem", None) or str(exc)
-            print(f"error: --values token {token!r} is not a YAML value: {problem}", file=sys.stderr)
-            return EXIT_INVALID
+    try:
+        values = yaml.load(f"[{args.values}]", Loader=topology._LOADER)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a timestamp such as 2001-13-01
+        problem = getattr(exc, "problem", None) or str(exc)
+        print(f"error: --values [{args.values}] is not a YAML flow sequence: {problem}", file=sys.stderr)
+        return EXIT_INVALID
     if not values:
         print("error: no values given", file=sys.stderr)
         return EXIT_INVALID
 
-    tasks = []
+    tasks, subdirs = [], set()
     for value in values:
         variant = yaml.load(canonical, Loader=topology._LOADER)
         parent, key = _resolve_path(variant, args.param)
         parent[key] = value
-        variant_loaded = _load(yaml.dump(variant, Dumper=_DUMPER, sort_keys=False), args.seed)
-        if isinstance(variant_loaded, int):
+        try:
+            variant_loaded = _load(yaml.dump(variant, Dumper=_DUMPER, sort_keys=False), args.seed)
+        except _Exit:
             print(f"error: {args.param}={value} produces an invalid scenario", file=sys.stderr)
-            return variant_loaded
+            raise
         subdir = str(Path(args.out_dir) / f"{args.param}={value}".replace("/", "_"))
+        if subdir in subdirs:
+            print(f"error: two --values share the variant directory {subdir}", file=sys.stderr)
+            return EXIT_INVALID
+        subdirs.add(subdir)
         tasks.append((*variant_loaded, subdir, args.until))
 
     # the executor starts every worker up front, so never more than the runs
@@ -427,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subparsers.add_parser("sweep", help="run one scenario across parameter values")
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--param", required=True, help="dotted path, e.g. workload.phases[0].rate")
-    p_sweep.add_argument("--values", required=True, help="comma-separated YAML scalars")
+    p_sweep.add_argument("--values", required=True, help="YAML flow sequence, no brackets: 1,2 or [0,5],[0,10]")
     p_sweep.add_argument("--out-dir", default="fedsim-out/sweep")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--until", type=_until_seconds, default=None)
@@ -440,7 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        return exc.code
 
 
 def entry() -> None:

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and exported artifacts."""
 
 import concurrent.futures
+import errno
 import os
 import subprocess
 import sys
@@ -431,18 +432,68 @@ def test_a_recorded_run_dumps_its_own_tail_without_a_replay(tmp_path, monkeypatc
 
 
 def test_a_failure_after_the_run_is_not_replayed(mini_scenario, tmp_path, monkeypatch, capsys):
-    def broken(path, labels, rows):
-        raise OSError("synthetic export failure")
-
-    monkeypatch.setattr(metrics, "_write_rows", broken)
+    write_rows = metrics._write_rows
     builds = _counted_builds(monkeypatch)
+    for failing in (1, 2):  # the first or the second scrape CSV
+        calls = []
+
+        def broken(path, labels, rows):
+            calls.append(path)
+            if len(calls) == failing:
+                raise OSError(errno.ENOSPC, "synthetic export failure")
+            write_rows(path, labels, rows)
+
+        monkeypatch.setattr(metrics, "_write_rows", broken)
+        builds.clear()
+        out = tmp_path / f"out{failing}"
+        assert cli.main(["run", mini_scenario, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "engine error: OSError at test_cli.py:" in err
+        assert "the failure came from the writers or the export, not the run" in err
+        assert builds == [1]
+        # a scrape CSV written before the failure was removed with the rest
+        assert [path.name for path in out.iterdir()] == ["event_log_tail.csv"]
+        assert (out / "event_log_tail.csv").read_text().splitlines() == ["time_s,seq,kind"]
+
+
+@pytest.mark.parametrize(
+    "command, options, blocked, code",
+    [
+        ("run", [], ["summary.yaml"], 3),
+        ("ping", ["--duration", "5"], ["rtt_matrix.yaml"], 3),
+        ("run", ["--debug-events"], ["events.csv"], 3),
+        ("run", [], ["probe_rtt.csv"], 2),
+        ("run", [], ["summary.yaml", "event_log_tail.csv"], 3),
+    ],
+    ids=["summary", "rtt_matrix", "events", "probe_rtt", "tail"],
+)
+def test_a_failed_command_leaves_no_artifact_but_the_tail(command, options, blocked, code, tmp_path, capfd):
+    # a directory stands at each blocked name; every other artifact name
+    # holds a file an earlier command left there
+    scenario = tmp_path / "poc.yaml"
+    scenario.write_text(fedsim.bundled_scenario("poc").read_text())
     out = tmp_path / "out"
-    assert cli.main(["run", mini_scenario, "--out-dir", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "engine error: OSError at test_cli.py:" in err
-    assert "the failure came from the writers or the export, not the run" in err
-    assert builds == [1]
-    assert (out / "event_log_tail.csv").read_text().splitlines() == ["time_s,seq,kind"]
+    for name in cli._ARTIFACTS:
+        if name in blocked:
+            (out / name).mkdir(parents=True)
+        else:
+            out.mkdir(exist_ok=True)
+            (out / name).write_text("stale\n")
+    argv = [command, str(scenario), "--out-dir", str(out), *options]
+    assert cli.main(argv if command == "ping" else [*argv, "--until", "20"]) == code
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    files = [name for name in cli._ARTIFACTS if (out / name).is_file()]
+    tail = out / "event_log_tail.csv"
+    if code == 2:
+        assert err == f"error: cannot write to {out}: Is a directory\n"
+        assert files == []
+    elif tail.is_dir():
+        assert err.endswith(f"error: cannot write the event log tail to {tail}: Is a directory\n")
+        assert files == []
+    else:
+        assert "engine error: IsADirectoryError at " in err and err.endswith(f"event log tail written to {tail}\n")
+        assert files == ["event_log_tail.csv"]
 
 
 def test_the_replay_holds_only_what_the_run_held(tmp_path, monkeypatch, capsys):
@@ -682,12 +733,35 @@ class TestSweep:
         src = str(Path(fedsim.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / "s"
-        argv = ["sweep", two_cluster_scenario, "--param", "seed", "--values", "1,[1", "--out-dir", str(out)]
-        proc = subprocess.run([sys.executable, "-m", "fedsim.cli", *argv], env=env, capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: --values token '[1' is not a YAML value: ")
-        assert proc.stderr.count("\n") == 1
+        for values in ("1,[1", "1,,2", "2001-13-01"):  # an unclosed list, an empty item, a bad date
+            argv = ["sweep", two_cluster_scenario, "--param", "seed", "--values", values, "--out-dir", str(out)]
+            proc = subprocess.run([sys.executable, "-m", "fedsim.cli", *argv], env=env, capture_output=True, text=True)
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith(f"error: --values [{values}] is not a YAML flow sequence: ")
+            assert proc.stderr.count("\n") == 1
+            assert not out.exists()
+
+    def test_values_are_one_flow_sequence_so_lists_can_be_swept(self, two_cluster_scenario, tmp_path, monkeypatch):
+        tasks = []
+        monkeypatch.setattr(cli, "_sweep_worker", lambda task: tasks.append(task) or (task[2], 0))
+        param = "links.one_way_delay_ms[0]"
+        argv = ["sweep", two_cluster_scenario, "--param", param, "--values", "[0,5],[0,10]"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path), "--jobs", "1"]) == 0
+        assert [task[0].links.one_way_delay_ms[0] for task in tasks] == [(0.0, 5.0), (0.0, 10.0)]
+        assert [Path(task[2]).name for task in tasks] == [f"{param}=[0, 5]", f"{param}=[0, 10]"]
+
+    @pytest.mark.parametrize(
+        "param, values, subdir",
+        [("seed", "1,0x1", "seed=1"), ("services[1].name", "b/e,b_e", "services[1].name=b_e")],
+    )
+    def test_values_that_share_a_variant_directory_are_invalid(
+        self, param, values, subdir, two_cluster_scenario, tmp_path, capsys
+    ):
+        out = tmp_path / "s"
+        argv = ["sweep", two_cluster_scenario, "--param", param, "--values", values, "--out-dir", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: two --values share the variant directory {out / subdir}\n"
         assert not out.exists()
 
     def test_variants_equal_those_of_pyyaml_safe_load_and_dump(self, tmp_path, monkeypatch):
