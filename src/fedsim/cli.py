@@ -13,11 +13,12 @@ raised inside a run, by its streams or while writing any artifact after it
 largest code of its runs.
 
 ``run`` and ``ping`` stream ``traces.csv`` and ``probe_rtt.csv`` while the
-run goes (``metrics.Streams``). A command that fails from their opening on
-removes every file of ``_ARTIFACTS``, an earlier command's too: it leaves
-only the tail, or nothing at exit 2. Unless ``--debug-events`` recorded them, the run records no
-events itself: after a failure inside the run the command is replayed on a
-fresh engine that keeps its last 1000 events, and since a run is a pure
+run goes (``metrics.Streams``). Each first removes the files of
+``_ARTIFACTS`` that an earlier command left in its output directory, and its
+own if it fails from the opening of the streams on: it leaves only the tail,
+or nothing at exit 2. Unless ``--debug-events`` recorded them, the run records
+no events itself: after a failure inside the run the command is replayed on
+a fresh engine that keeps its last 1000 events, and since a run is a pure
 function of (scenario, seed) the replay fails at the same event. A failure
 that does not recur there, or that came from the streams or after the run,
 leaves a tail of the header only.
@@ -81,8 +82,8 @@ def _load_file(path: str, seed: int | None = None):
 
 def _load(text: str, seed: int | None = None):
     """Parse and validate scenario text, with ``seed`` overriding the
-    scenario's. Returns (spec, topology), or raises EXIT_INVALID after
-    printing every error. Warnings go to stderr and do not change the outcome."""
+    scenario's. Returns the ``ValidatedTopology``, or raises EXIT_INVALID
+    after printing every error. Warnings go to stderr and do not change the outcome."""
     try:
         spec = topology.parse_scenario(text)
         if seed is not None:
@@ -101,22 +102,22 @@ def _load(text: str, seed: int | None = None):
     for path, loss in losses:
         if loss.correlation > 0:
             print(f"warning: {path}: loss correlation > 0 thins the marginal loss rate far below p", file=sys.stderr)
-    return spec, topo
+    return topo
 
 
-def _write_tail(engine, topo, run, exc: Exception, in_run: bool, out: Path) -> None:
+def _write_tail(engine, run, exc: Exception, in_run: bool, out: Path) -> None:
     """Print ``exc`` and write the last 1000 events before it to
     ``event_log_tail.csv``: the run's own with ``debug_log`` set, else, for a
-    failure inside the run, those of ``run`` replayed on a fresh engine of
-    ``topo`` that writes no files. A run is a pure function of (scenario,
-    seed), so the replay fails at the same event; a failure of the streams does not."""
+    failure inside the run, those of ``run`` replayed on a fresh engine that
+    writes no files. A run is a pure function of (scenario, seed), so the
+    replay fails at the same event; a failure of the streams does not."""
     tail, note = (), None
     if engine.debug_log is not None:
         tail = engine.debug_log[-1000:]
     elif not in_run or isinstance(exc, metrics.WriterError):
         note = "the failure came from the writers or the export, not the run, so the tail holds no events"
     else:
-        replay = topology.build_runtime(topo)
+        replay = topology.build_runtime(engine.topology)
         replay.debug_log = deque(maxlen=1000)
         # streams that take the rows the engine hands on, as the run's did,
         # so the replay holds no more than the run, and keep none of them
@@ -151,9 +152,9 @@ def _write_yaml(path: Path, doc: dict) -> None:
     path.write_text(yaml.dump(doc, Dumper=_DUMPER, sort_keys=False), encoding="utf-8")
 
 
-def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> None:
+def _summarize(engine, out_dir: Path, elapsed_s: float, until: float) -> None:
     rate_means: dict[str, dict[str, float]] = {}
-    rates = metrics.cpu_rate(engine.metrics, spec.rate_window_s, engine.scrape_interval_s)
+    rates = metrics.cpu_rate(engine.metrics, engine.spec.rate_window_s, engine.scrape_interval_s)
     for (cluster, service), series in metrics.cluster_rates(engine.metrics, rates).items():
         if series:  # empty when the run is shorter than the rate window
             values = [value for _, value in series]
@@ -161,7 +162,7 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
 
     summary = {
         "results": {
-            "seed": spec.seed,
+            "seed": engine.spec.seed,
             "until_s": until,
             "arrivals": engine.arrivals,
             "completed": engine.completed,
@@ -180,44 +181,50 @@ def _summarize(engine, spec, out_dir: Path, elapsed_s: float, until: float) -> N
     _write_yaml(out_dir / "summary.yaml", summary)
 
 
-def _streamed(engine, topo, out: Path, run, write) -> None:
-    """The guarded step of ``run`` and ``ping``: call ``run(engine)`` with
-    the engine's traces and probes streamed into ``out``, export every CSV,
-    then call ``write(elapsed)``, which writes the command's own files and
-    reports; ``elapsed`` runs from the opening of the streams to the end of
-    the run. On any failure remove every file of ``_ARTIFACTS`` from ``out``
-    and raise ``_Exit``: EXIT_IO if the streams cannot be opened, else
+def _clear(out: Path) -> None:
+    """Remove every file of ``_ARTIFACTS`` from ``out``."""
+    for name in _ARTIFACTS:
+        with contextlib.suppress(OSError):  # absent, or not a file
+            (out / name).unlink()
+
+
+def _streamed(engine, out: Path, run, write) -> None:
+    """The guarded step of ``run`` and ``ping``: clear ``out``, call
+    ``run(engine)`` with the engine's traces and probes streamed into it,
+    export every CSV, then call ``write(elapsed)``, which writes the
+    command's own files and reports; ``elapsed`` runs from the opening of the
+    streams to the end of the run. On any failure clear ``out`` again and
+    raise ``_Exit``: EXIT_IO if the streams cannot be opened, else
     EXIT_ENGINE after ``_write_tail``."""
+    _clear(out)
     started = wall_time.perf_counter()
-    streams, in_run = None, False
+    in_run = False
     try:
         metrics.stream_csv(engine, out)
-        streams, in_run = engine.streams, True
+        in_run = True
         run(engine)
         in_run = False
         elapsed = wall_time.perf_counter() - started
         metrics.export_csv(engine, out)
         write(elapsed)
     except Exception as exc:
-        if streams is not None:
+        if engine.streams is not None:
             with contextlib.suppress(Exception):  # the streams may be what failed
-                streams.close()
-        for name in _ARTIFACTS:
-            with contextlib.suppress(OSError):  # absent, or not a file
-                (out / name).unlink()
-        if streams is None and isinstance(exc, OSError):
-            print(f"error: cannot write to {out}: {exc.strerror or exc}", file=sys.stderr)
+                engine.streams.close()
+        _clear(out)
+        if engine.streams is None and isinstance(exc, OSError):
+            print(f"error: cannot write to {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
             raise _Exit(EXIT_IO) from None
-        _write_tail(engine, topo, run, exc, in_run, out)
+        _write_tail(engine, run, exc, in_run, out)
         raise _Exit(EXIT_ENGINE) from None
 
 
-def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: bool) -> int:
+def _run_to_dir(topo, out_dir: str, until: float | None, debug_events: bool) -> int:
     """Run a loaded scenario and export. Shared by run and the sweep workers."""
     engine = topology.build_runtime(topo)
     if debug_events:
         engine.debug_log = []
-    bound = spec.duration_s if until is None else until
+    bound = topo.spec.duration_s if until is None else until
     out = Path(out_dir)
 
     def write(elapsed: float) -> None:
@@ -227,13 +234,13 @@ def _run_to_dir(spec, topo, out_dir: str, until: float | None, debug_events: boo
                 writer.writerow(["time_s", "seq", "kind", "detail"])
                 for time, seq, kind, detail in engine.debug_log:
                     writer.writerow([repr(time), seq, kind, detail])
-        _summarize(engine, spec, out, elapsed, bound)
+        _summarize(engine, out, elapsed, bound)
         print(
             f"{out}: {engine.arrivals} arrivals, {engine.completed} completed, "
             f"{engine.lost} lost, {engine.timed_out} timed out, {engine.event_count} events"
         )
 
-    _streamed(engine, topo, out, lambda state: state.run(until=bound), write)
+    _streamed(engine, out, lambda state: state.run(until=bound), write)
     return EXIT_OK
 
 
@@ -244,12 +251,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    return _run_to_dir(*_load_file(args.scenario, args.seed), args.out_dir, args.until, args.debug_events)
+    return _run_to_dir(_load_file(args.scenario, args.seed), args.out_dir, args.until, args.debug_events)
 
 
 def cmd_ping(args) -> int:
-    spec, topo = _load_file(args.scenario, args.seed)
-    duration = args.duration if args.duration is not None else spec.duration_s
+    topo = _load_file(args.scenario, args.seed)
+    duration = args.duration if args.duration is not None else topo.spec.duration_s
     if not math.isfinite(duration / args.interval):
         print(f"error: duration / interval is not finite: {duration!r} / {args.interval!r}", file=sys.stderr)
         return EXIT_IO
@@ -260,7 +267,7 @@ def cmd_ping(args) -> int:
         probes.run_ping(state, interval_s=args.interval, duration_s=duration)
 
     def write(_elapsed: float) -> None:
-        names = [cluster.name for cluster in spec.clusters]
+        names = engine.cluster_names
         stats = probes.rtt_stats(engine.rtt_sums)
         matrix_doc = {
             "interval_s": args.interval,
@@ -272,7 +279,7 @@ def cmd_ping(args) -> int:
         _write_yaml(out / "rtt_matrix.yaml", matrix_doc)
         print(probes.format_rtt_table(stats, names))
 
-    _streamed(engine, topo, out, ping, write)
+    _streamed(engine, out, ping, write)
     return EXIT_OK
 
 
@@ -307,29 +314,26 @@ def _resolve_path(doc, path: str):
 
 
 def _sweep_worker(task: tuple) -> tuple[str, int]:
-    spec, topo, out_dir, until = task
+    topo, out_dir, until = task
     try:
-        return out_dir, _run_to_dir(spec, topo, out_dir, until, False)
+        return out_dir, _run_to_dir(topo, out_dir, until, False)
     except _Exit as exc:
         return out_dir, exc.code
 
 
 def cmd_sweep(args) -> int:
     # operate on the canonical document so defaulted fields are sweepable
-    spec, _ = _load_file(args.scenario)
-    canonical = topology.render_scenario(spec)
-    doc = yaml.load(canonical, Loader=topology._LOADER)
+    canonical = topology.render_scenario(_load_file(args.scenario).spec)
     try:
-        _resolve_path(doc, args.param)
+        _resolve_path(topology.load_yaml(canonical), args.param)
     except KeyError as exc:
         print(f"error: unknown parameter path '{args.param}': {exc.args[0]}", file=sys.stderr)
         return EXIT_INVALID
 
     try:
-        values = yaml.load(f"[{args.values}]", Loader=topology._LOADER)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a timestamp such as 2001-13-01
-        problem = getattr(exc, "problem", None) or str(exc)
-        print(f"error: --values [{args.values}] is not a YAML flow sequence: {problem}", file=sys.stderr)
+        values = topology.load_yaml(f"[{args.values}]")
+    except topology.ScenarioError as exc:
+        print(f"error: --values [{args.values}] is not a YAML flow sequence: {exc.errors[0]}", file=sys.stderr)
         return EXIT_INVALID
     if not values:
         print("error: no values given", file=sys.stderr)
@@ -337,11 +341,11 @@ def cmd_sweep(args) -> int:
 
     tasks, subdirs = [], set()
     for value in values:
-        variant = yaml.load(canonical, Loader=topology._LOADER)
+        variant = topology.load_yaml(canonical)
         parent, key = _resolve_path(variant, args.param)
         parent[key] = value
         try:
-            variant_loaded = _load(yaml.dump(variant, Dumper=_DUMPER, sort_keys=False), args.seed)
+            variant_topo = _load(yaml.dump(variant, Dumper=_DUMPER, sort_keys=False), args.seed)
         except _Exit:
             print(f"error: {args.param}={value} produces an invalid scenario", file=sys.stderr)
             raise
@@ -350,7 +354,7 @@ def cmd_sweep(args) -> int:
             print(f"error: two --values share the variant directory {subdir}", file=sys.stderr)
             return EXIT_INVALID
         subdirs.add(subdir)
-        tasks.append((*variant_loaded, subdir, args.until))
+        tasks.append((variant_topo, subdir, args.until))
 
     # the executor starts every worker up front, so never more than the runs
     workers = min(args.jobs or 4, len(tasks))

@@ -37,7 +37,7 @@ behind the oldest of them. Every ``FLUSH_BATCH`` samples go to
 ``streams.probes`` and are dropped, so nothing per probe outlives its batch;
 the streams fold them into per-pair RTT sums as they write them (see
 ``metrics``), and ``probes_received`` counts them as they are handed over.
-``end_streams`` writes the rest, closes the streams and sets ``rtt_sums``.
+``metrics.export_csv`` hands on the rest, still held, and closes the streams.
 At the end of every ``run`` call the clock must be finite, ``in_flight``
 must equal the held requests without an outcome, no balancer count may be
 below 0, and each frontend's count for a backend must equal the pending
@@ -235,7 +235,7 @@ class EngineState:
         # the id of the oldest request without an outcome at the last check;
         # an outcome is never cleared, so the next check counts from there
         self._open_from = 0
-        self.probes: list = []  # not yet written
+        self.probes: list = []  # held samples
         self.streams = None  # metrics.Streams, where rows go once final
         # per pair, the probes.RttSums of the probes the streams wrote (None
         # for a pair with none), set when metrics.export_csv closes them
@@ -392,24 +392,6 @@ class EngineState:
             self.streams.traces(held[:final])
             del held[:final]
 
-    def _flush_probes(self) -> None:
-        held = self.probes
-        self.streams.probes(held)
-        self._probes_streamed += len(held)
-        held.clear()
-
-    def end_streams(self) -> None:
-        """Hand every held row to the open streams, requests in flight with
-        blank stamps, close them and take their ``rtt_sums``. The run is not
-        continued after this."""
-        if self.streams is not None:
-            self.streams.traces(self.traces)
-            self.traces.clear()
-            self._flush_probes()
-            self.streams.close()
-            self.rtt_sums = self.streams.rtt_sums
-            self.streams = None
-
     # -- request lifecycle --------------------------------------------------
 
     def _finalize(self, request: Request, outcome: str) -> None:
@@ -553,7 +535,9 @@ class EngineState:
         held = self.probes
         held.append(sample)
         if self.streams is not None and len(held) >= FLUSH_BATCH:
-            self._flush_probes()
+            self.streams.probes(held)
+            self._probes_streamed += len(held)
+            held.clear()
 
 
 # kind -> handler, as plain functions called with the engine: bound methods

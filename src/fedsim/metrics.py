@@ -403,24 +403,23 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
     """Write the full artifact set of a run's engine; returns {name: path}.
 
     Files are always created, header-only when a run produced no data, so a
-    consumer can rely on the manifest. Traces and probes held by the engine
-    go to its streams when ``stream_csv`` opened them, which this closes
-    (requests still in flight get blank stamps); otherwise every held row is
-    written here through streams of its own, and the engine keeps its rows.
-    Either way ``engine.rtt_sums`` then holds the probe pairs' RTT sums.
+    consumer can rely on the manifest. The traces and probes the engine holds
+    go to its own streams when ``stream_csv`` opened them, else to streams
+    opened here; the engine keeps them either way, and requests still in
+    flight get blank stamps. Closing the streams sets ``engine.rtt_sums`` to
+    the probe pairs' RTT sums; an engine whose own streams are closed is not
+    run further.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {"probe_rtt": out / "probe_rtt.csv", "traces": out / "traces.csv"}
-    if engine.streams is None:  # not streamed: every row is still held
-        # rows that fit in one frame per file leave a writer process nothing to overlap
-        small = len(engine.traces) <= FRAME_ROWS and len(engine.probes) <= FRAME_ROWS
-        streams = Streams(out, engine, fork=not small)
-        streams.traces(engine.traces)
-        streams.probes(engine.probes)
-        streams.close()
-        engine.rtt_sums = streams.rtt_sums
-    engine.end_streams()
+    # rows that fit in one frame per file leave a writer process nothing to overlap
+    fork = len(engine.traces) > FRAME_ROWS or len(engine.probes) > FRAME_ROWS
+    streams = engine.streams or Streams(out, engine, fork=fork)
+    streams.traces(engine.traces)
+    streams.probes(engine.probes)
+    streams.close()
+    engine.rtt_sums = streams.rtt_sums
 
     store = engine.metrics
     for name, rows in (

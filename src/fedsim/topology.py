@@ -298,6 +298,19 @@ def lean_loader(base: type) -> type:
 _LOADER = lean_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
+def load_yaml(text: str):
+    """``text`` loaded by ``_LOADER``; each way that fails is one ScenarioError message."""
+    try:
+        return yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a timestamp such as 2001-13-01
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc)
+        raise ScenarioError([f"syntax error{where}: {problem}"]) from exc
+    except RecursionError as exc:  # PyYAML's pure-Python composer recurses once per level
+        raise ScenarioError(["document: nested too deeply"]) from exc
+
+
 def parse_scenario(text: str) -> FederationSpec:
     """Parse a scenario document. Raises ScenarioError on syntax errors,
     nesting too deep to compose, unknown fields, missing required fields,
@@ -306,15 +319,7 @@ def parse_scenario(text: str) -> FederationSpec:
     Any YAML that PyYAML's safe loader accepts loads to the same document:
     ``_LOADER`` builds plain lists, dicts and str/int/float/bool/null scalars
     itself and leaves every other node to PyYAML (see ``lean_loader``)."""
-    try:
-        doc = yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or str(exc)
-        raise ScenarioError([f"syntax error{where}: {problem}"]) from exc
-    except RecursionError as exc:  # PyYAML's pure-Python composer recurses once per level
-        raise ScenarioError(["document: nested too deeply"]) from exc
+    doc = load_yaml(text)
     doc = as_map({} if doc is None else doc, "document")
 
     clusters = each(require(doc, "clusters", "document"), "clusters", partial(fields.build, ClusterSpec))

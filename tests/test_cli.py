@@ -16,6 +16,30 @@ from fedsim.engine import EngineError, EngineState
 from tests.conftest import DEEP, MINI_DOC, OVERLOAD, QUOTED, make_topology, two_cluster_doc
 
 
+def _env() -> dict:
+    """This environment with the tested ``src`` first on PYTHONPATH."""
+    src = str(Path(fedsim.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _fedsim(*argv: str, **options) -> subprocess.CompletedProcess:
+    """``python -m fedsim.cli`` with ``argv`` in a process of its own."""
+    command = [sys.executable, "-m", "fedsim.cli", *argv]
+    return subprocess.run(command, env=_env(), capture_output=True, text=True, timeout=120, **options)
+
+
+def _assert_same_artifacts(one: Path, two: Path) -> None:
+    """The same file names in both, with the same bytes; ``summary.yaml`` is
+    compared by its ``results``, as its ``meta`` holds the wall time."""
+    names = sorted(path.name for path in one.iterdir())
+    assert names == sorted(path.name for path in two.iterdir())
+    for name in names:
+        first, second = ((tree / name).read_bytes() for tree in (one, two))
+        if name == "summary.yaml":
+            first, second = (yaml.safe_load(doc)["results"] for doc in (first, second))
+        assert first == second, (one, name)
+
+
 @pytest.fixture()
 def mini_scenario(tmp_path):
     path = tmp_path / "mini.scenario"
@@ -182,6 +206,14 @@ class TestSingleLoader:
         ]
         for command in self.COMMANDS:
             assert reports[command] == reports["validate"], command
+
+    def test_a_date_the_safe_constructor_cannot_build_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "date.scenario"
+        path.write_text(MINI_DOC.replace("duration_s: 120", "duration_s: 2001-13-01"))
+        for command in self.COMMANDS:
+            assert cli.main(_subcommand_argv(command, str(path), tmp_path)) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: syntax error: month must be in 1..12") and err.count("\n") == 1, command
 
     def test_missing_file_is_io_error_everywhere(self, tmp_path, capsys):
         for command in self.COMMANDS:
@@ -486,7 +518,7 @@ def test_a_failed_command_leaves_no_artifact_but_the_tail(command, options, bloc
     files = [name for name in cli._ARTIFACTS if (out / name).is_file()]
     tail = out / "event_log_tail.csv"
     if code == 2:
-        assert err == f"error: cannot write to {out}: Is a directory\n"
+        assert err == f"error: cannot write to {out / blocked[0]}: Is a directory\n"
         assert files == []
     elif tail.is_dir():
         assert err.endswith(f"error: cannot write the event log tail to {tail}: Is a directory\n")
@@ -494,6 +526,32 @@ def test_a_failed_command_leaves_no_artifact_but_the_tail(command, options, bloc
     else:
         assert "engine error: IsADirectoryError at " in err and err.endswith(f"event log tail written to {tail}\n")
         assert files == ["event_log_tail.csv"]
+
+
+@pytest.mark.parametrize(
+    "first, second, stale",
+    [
+        (["run", "--until", "20", "--debug-events"], ["run", "--until", "20"], "events.csv"),
+        (["run", "--until", "20"], ["run", "--until", "20"], "event_log_tail.csv"),  # the first run fails
+        (["run", "--until", "20"], ["ping", "--duration", "5"], "summary.yaml"),
+    ],
+    ids=["events", "tail", "summary"],
+)
+def test_a_command_leaves_no_artifact_of_an_earlier_one(first, second, stale, mini_scenario, tmp_path, monkeypatch):
+    def failing(self, until):
+        raise EngineError("synthetic failure")
+
+    if stale == "event_log_tail.csv":
+        monkeypatch.setattr(EngineState, "run", failing)
+    out = tmp_path / "out"
+    cli.main([first[0], mini_scenario, "--out-dir", str(out), *first[1:]])
+    assert (out / stale).is_file()
+    monkeypatch.undo()
+    fresh = tmp_path / "fresh"
+    for target in (out, fresh):
+        assert cli.main([second[0], mini_scenario, "--out-dir", str(target), *second[1:]]) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(path.name for path in fresh.iterdir())
+    assert not (out / stale).exists()
 
 
 def test_the_replay_holds_only_what_the_run_held(tmp_path, monkeypatch, capsys):
@@ -570,16 +628,59 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
             assert proc.returncode == 0 and b"Traceback" not in proc.stderr, (locale, command, proc.stderr)
     for command in commands:
         ascii_dir, utf8_dir = tmp_path / "ascii" / command, tmp_path / "utf8" / command
-        names = sorted(path.name for path in ascii_dir.iterdir())
-        assert names == sorted(path.name for path in utf8_dir.iterdir())
-        assert any(name.endswith(".csv") for name in names)
-        for name in names:
-            ascii_bytes, utf8_bytes = ((tree / name).read_bytes() for tree in (ascii_dir, utf8_dir))
-            if name == "summary.yaml":
-                ascii_bytes, utf8_bytes = (yaml.safe_load(doc)["results"] for doc in (ascii_bytes, utf8_bytes))
-            assert ascii_bytes == utf8_bytes, (command, name)
+        assert any(path.suffix == ".csv" for path in ascii_dir.iterdir())
+        _assert_same_artifacts(ascii_dir, utf8_dir)
     for command, name in (("run", "traces.csv"), ("ping", "probe_rtt.csv")):
         assert "Zürich" in (tmp_path / "ascii" / command / name).read_text(encoding="utf-8")
+
+
+def test_a_ping_pinned_to_one_cpu_writes_what_a_writer_process_writes(tmp_path):
+    # the real one-CPU choice, which the other tests reach only by patching
+    # os.sched_getaffinity: pinned to one CPU, a ping formats its probe rows
+    # and folds their RTT sums in-process, unpinned in a writer process
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs os.sched_setaffinity and two CPUs")
+    cpu = min(os.sched_getaffinity(0))
+    argv = ["ping", str(fedsim.bundled_scenario("blackout")), "--interval", "0.1", "--duration", "310"]
+    any_cpu = _fedsim(*argv, "--out-dir", str(tmp_path / "any-cpu"))
+    one_cpu = _fedsim(*argv, "--out-dir", str(tmp_path / "one-cpu"), preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert any_cpu.returncode == one_cpu.returncode == 0, (any_cpu.stderr, one_cpu.stderr)
+    assert any_cpu.stdout == one_cpu.stdout
+    _assert_same_artifacts(tmp_path / "any-cpu", tmp_path / "one-cpu")
+
+
+# two runs of the bundled poc scenario, swept in real pool workers
+SWEEP = ("sweep", str(fedsim.bundled_scenario("poc")), "--param", "seed", "--values", "1,2", "--until", "60")
+
+
+@pytest.fixture(scope="module")
+def one_job_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep") / "jobs-1"
+    proc = _fedsim(*SWEEP, "--jobs", "1", "--out-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+def test_a_parallel_sweep_writes_what_one_job_writes(one_job_sweep, tmp_path):
+    # the runs see that they run in a pool worker and format their rows
+    # in-process; with one job each run has a writer process
+    out = tmp_path / "jobs-2"
+    proc = _fedsim(*SWEEP, "--jobs", "2", "--out-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in out.iterdir()) == ["seed=1", "seed=2"]
+    for variant in ("seed=1", "seed=2"):
+        _assert_same_artifacts(one_job_sweep / variant, out / variant)
+
+
+def test_a_run_that_fails_in_a_pool_worker_leaves_only_its_tail(one_job_sweep, tmp_path):
+    # a directory at one variant's summary.yaml fails that run through the
+    # worker's exit path; the other variant is written as with one job
+    out = tmp_path / "blocked"
+    (out / "seed=1" / "summary.yaml").mkdir(parents=True)
+    proc = _fedsim(*SWEEP, "--jobs", "2", "--out-dir", str(out))
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr, proc.stderr
+    assert [path.name for path in (out / "seed=1").iterdir() if path.is_file()] == ["event_log_tail.csv"]
+    _assert_same_artifacts(one_job_sweep / "seed=2", out / "seed=2")
 
 
 class TestPing:
@@ -730,12 +831,9 @@ class TestSweep:
         assert "no values given" in capsys.readouterr().err
 
     def test_a_value_that_is_not_yaml_is_one_error_line(self, two_cluster_scenario, tmp_path):
-        src = str(Path(fedsim.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / "s"
         for values in ("1,[1", "1,,2", "2001-13-01"):  # an unclosed list, an empty item, a bad date
-            argv = ["sweep", two_cluster_scenario, "--param", "seed", "--values", values, "--out-dir", str(out)]
-            proc = subprocess.run([sys.executable, "-m", "fedsim.cli", *argv], env=env, capture_output=True, text=True)
+            proc = _fedsim("sweep", two_cluster_scenario, "--param", "seed", "--values", values, "--out-dir", str(out))
             assert proc.returncode == 1
             assert "Traceback" not in proc.stderr
             assert proc.stderr.startswith(f"error: --values [{values}] is not a YAML flow sequence: ")
@@ -744,12 +842,12 @@ class TestSweep:
 
     def test_values_are_one_flow_sequence_so_lists_can_be_swept(self, two_cluster_scenario, tmp_path, monkeypatch):
         tasks = []
-        monkeypatch.setattr(cli, "_sweep_worker", lambda task: tasks.append(task) or (task[2], 0))
+        monkeypatch.setattr(cli, "_sweep_worker", lambda task: tasks.append(task) or (task[1], 0))
         param = "links.one_way_delay_ms[0]"
         argv = ["sweep", two_cluster_scenario, "--param", param, "--values", "[0,5],[0,10]"]
         assert cli.main([*argv, "--out-dir", str(tmp_path), "--jobs", "1"]) == 0
-        assert [task[0].links.one_way_delay_ms[0] for task in tasks] == [(0.0, 5.0), (0.0, 10.0)]
-        assert [Path(task[2]).name for task in tasks] == [f"{param}=[0, 5]", f"{param}=[0, 10]"]
+        assert [task[0].spec.links.one_way_delay_ms[0] for task in tasks] == [(0.0, 5.0), (0.0, 10.0)]
+        assert [Path(task[1]).name for task in tasks] == [f"{param}=[0, 5]", f"{param}=[0, 10]"]
 
     @pytest.mark.parametrize(
         "param, values, subdir",
@@ -767,7 +865,7 @@ class TestSweep:
     def test_variants_equal_those_of_pyyaml_safe_load_and_dump(self, tmp_path, monkeypatch):
         scenario = str(fedsim.bundled_scenario("blackout"))
         tasks = []
-        monkeypatch.setattr(cli, "_sweep_worker", lambda task: tasks.append(task) or (task[2], 0))
+        monkeypatch.setattr(cli, "_sweep_worker", lambda task: tasks.append(task) or (task[1], 0))
         values = "0.5,2,1.0e+3,7"
         argv = ["sweep", scenario, "--param", "links.base_delay_ms", "--values", values, "--out-dir", str(tmp_path)]
         assert cli.main([*argv, "--jobs", "1"]) == 0
@@ -777,8 +875,8 @@ class TestSweep:
             variant = yaml.safe_load(canonical)
             variant["links"]["base_delay_ms"] = yaml.safe_load(token)
             expected.append(cli._load(yaml.safe_dump(variant, sort_keys=False)))
-        assert [task[:2] for task in tasks] == expected
-        assert [task[0].links.base_delay_ms for task in tasks] == [0.5, 2, 1000.0, 7]
+        assert [task[0] for task in tasks] == expected
+        assert [task[0].spec.links.base_delay_ms for task in tasks] == [0.5, 2, 1000.0, 7]
 
 
     @pytest.mark.parametrize(
@@ -825,10 +923,8 @@ class TestSweep:
 def test_importing_the_cli_loads_no_unused_module():
     # OpenSSL (_hashlib) alone costs a few MB; statistics pulls in fractions
     # and decimal; concurrent.futures is needed only by a sweep's pool
-    src = str(Path(fedsim.__file__).parents[1])
     script = "import sys; bare = set(sys.modules); import fedsim.cli; print(*sorted(set(sys.modules) - bare))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    loaded = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True, check=True)
     added = set(loaded.stdout.split())
     assert "fedsim.cli" in added
     assert not added & {"_hashlib", "statistics", "concurrent.futures"}

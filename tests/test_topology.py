@@ -102,6 +102,13 @@ duration_s: 5
             else:
                 assert exc.value.errors == ["clusters[0]: expected a mapping"]
 
+    def test_a_date_the_safe_constructor_cannot_build_is_a_syntax_error(self, monkeypatch):
+        for loader in (*BASES, *LEAN_LOADERS):
+            monkeypatch.setattr(topology, "_LOADER", loader)
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(MINIMAL.replace("duration_s: 10", "duration_s: 2001-13-01"))
+            assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith("syntax error: month must be in 1..12")
+
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(MINIMAL + "nonsense: 1\n")
