@@ -9,8 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 invalid scenario or sweep values, 2 bad usage,
 unreadable input or an output directory that cannot be written, 3 any error
 raised inside a run, by its streams or while writing any artifact after it
-(with an event-log tail dumped for diagnosis). A sweep exits with the
-largest code of its runs.
+(with an event-log tail dumped for diagnosis), 141 when the reader of
+stdout has gone (the artifacts stand). A sweep exits with the largest code
+of its runs.
 
 ``run`` and ``ping`` stream ``traces.csv`` and ``probe_rtt.csv`` while the
 run goes (``metrics.Streams``). Each first removes the files of
@@ -35,6 +36,7 @@ import argparse
 import contextlib
 import csv
 import math
+import os
 import re
 import sys
 import time as wall_time
@@ -57,6 +59,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_ENGINE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command that signal ended
 
 # every file ``run`` and ``ping`` write in their output directory
 _ARTIFACTS = (
@@ -188,14 +191,15 @@ def _clear(out: Path) -> None:
             (out / name).unlink()
 
 
-def _streamed(engine, out: Path, run, write) -> None:
+def _streamed(engine, out: Path, run, write) -> str:
     """The guarded step of ``run`` and ``ping``: clear ``out``, call
     ``run(engine)`` with the engine's traces and probes streamed into it,
     export every CSV, then call ``write(elapsed)``, which writes the
-    command's own files and reports; ``elapsed`` runs from the opening of the
-    streams to the end of the run. On any failure clear ``out`` again and
-    raise ``_Exit``: EXIT_IO if the streams cannot be opened, else
-    EXIT_ENGINE after ``_write_tail``."""
+    command's own files and returns its report, returned here for the
+    command to print once every file is complete; ``elapsed`` runs from the
+    opening of the streams to the end of the run. On any failure clear
+    ``out`` again and raise ``_Exit``: EXIT_IO if the streams cannot be
+    opened, else EXIT_ENGINE after ``_write_tail``."""
     _clear(out)
     started = wall_time.perf_counter()
     in_run = False
@@ -206,7 +210,7 @@ def _streamed(engine, out: Path, run, write) -> None:
         in_run = False
         elapsed = wall_time.perf_counter() - started
         metrics.export_csv(engine, out)
-        write(elapsed)
+        return write(elapsed)
     except Exception as exc:
         if engine.streams is not None:
             with contextlib.suppress(Exception):  # the streams may be what failed
@@ -227,7 +231,7 @@ def _run_to_dir(topo, out_dir: str, until: float | None, debug_events: bool) -> 
     bound = topo.spec.duration_s if until is None else until
     out = Path(out_dir)
 
-    def write(elapsed: float) -> None:
+    def write(elapsed: float) -> str:
         if debug_events:
             with (out / "events.csv").open("w", encoding="utf-8", newline="") as handle:
                 writer = csv.writer(handle)
@@ -235,12 +239,12 @@ def _run_to_dir(topo, out_dir: str, until: float | None, debug_events: bool) -> 
                 for time, seq, kind, detail in engine.debug_log:
                     writer.writerow([repr(time), seq, kind, detail])
         _summarize(engine, out, elapsed, bound)
-        print(
+        return (
             f"{out}: {engine.arrivals} arrivals, {engine.completed} completed, "
             f"{engine.lost} lost, {engine.timed_out} timed out, {engine.event_count} events"
         )
 
-    _streamed(engine, out, lambda state: state.run(until=bound), write)
+    print(_streamed(engine, out, lambda state: state.run(until=bound), write))
     return EXIT_OK
 
 
@@ -266,7 +270,7 @@ def cmd_ping(args) -> int:
     def ping(state):
         probes.run_ping(state, interval_s=args.interval, duration_s=duration)
 
-    def write(_elapsed: float) -> None:
+    def write(_elapsed: float) -> str:
         names = engine.cluster_names
         stats = probes.rtt_stats(engine.rtt_sums)
         matrix_doc = {
@@ -277,9 +281,9 @@ def cmd_ping(args) -> int:
             "loss_fraction": _matrix_doc(stats.loss_fraction, names),
         }
         _write_yaml(out / "rtt_matrix.yaml", matrix_doc)
-        print(probes.format_rtt_table(stats, names))
+        return probes.format_rtt_table(stats, names)
 
-    _streamed(engine, out, ping, write)
+    print(_streamed(engine, out, ping, write))
     return EXIT_OK
 
 
@@ -449,7 +453,16 @@ def main(argv=None) -> int:
 def entry() -> None:
     # a cluster name the locale cannot encode prints escaped, as on stderr
     sys.stdout.reconfigure(errors="backslashreplace")
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a report still buffered fails here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout is gone: every artifact stands, and nothing more
+        # is printed; stdout goes to devnull so that the flush at exit cannot
+        # fail again (the idiom of the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

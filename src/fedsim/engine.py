@@ -40,11 +40,13 @@ the streams fold them into per-pair RTT sums as they write them (see
 ``metrics.export_csv`` hands on the rest, still held, and closes the streams.
 At the end of every ``run`` call the clock must be finite, ``in_flight``
 must equal the held requests without an outcome, no balancer count may be
-below 0, and each frontend's count for a backend must equal the pending
-timeouts of the requests it sent there whose count is still open; otherwise
-``EngineError``. An outcome is never cleared, so each check counts from the
-oldest request that had none at the check before, and a stepped run reads
-each final request about once. A count can stand while nothing is in
+below 0, each frontend's count for a backend must equal the pending
+timeouts of the requests it sent there whose count is still open, and each
+replica's free slots and requests in service, neither below 0, must add up
+to its concurrency limit, with a free slot only while nothing is queued;
+otherwise ``EngineError``. An outcome is never cleared, so each check counts
+from the oldest request that had none at the check before, and a stepped
+run reads each final request about once. A count can stand while nothing is in
 flight: a request lost on a link has its outcome at once, but its count is
 released only when its timeout fires.
 
@@ -369,6 +371,14 @@ class EngineState:
             if counts != pending[frontend]:
                 raise EngineError(
                     f"balancer counts {counts} at {frontend!r}, but pending timeouts hold {pending[frontend]}"
+                )
+        # no start waits for a scrape here: the scrape falls before the bound
+        for replica in self.replicas:
+            free, busy = replica.free_slots, replica.in_service
+            if free < 0 or busy < 0 or free + busy != replica.concurrency_limit or (free and replica.fifo):
+                raise EngineError(
+                    f"replica {replica.key} has {free} free slots and {busy} in service "
+                    f"of {replica.concurrency_limit}, with {len(replica.fifo)} queued"
                 )
 
     @property

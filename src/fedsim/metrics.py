@@ -308,16 +308,22 @@ class Streams:
     def close(self) -> None:
         """Finish both files: with a writer process, end its pipe, read back
         the RTT sums it folded and wait for it, raising ``WriterError`` if it
-        failed. A second call does nothing."""
+        failed. Once the pipe is taken, the sums pipe is closed and the writer
+        waited for even if closing the pipe or reading the sums raises, as a
+        second call does nothing."""
         for handle in self._files:
             handle.close()
         pipe, self._pipe = self._pipe, None
         if pipe is None:
             return
-        os.close(pipe)
-        with open(self._sums_end, "rb") as source:
-            returned = source.read()
-        status = os.waitpid(self._pid, 0)[1]
+        try:
+            os.close(pipe)  # Linux frees the descriptor even when this raises, so the writer still sees the end
+        finally:
+            try:
+                with open(self._sums_end, "rb") as source:
+                    returned = source.read()
+            finally:
+                status = os.waitpid(self._pid, 0)[1]
         if status:
             raise WriterError(f"writer of {', '.join(_FILES)} exited with status {os.waitstatus_to_exitcode(status)}")
         sums = self.rtt_sums

@@ -35,6 +35,7 @@ are exported, converting only the receipt time.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from dataclasses import dataclass, field
@@ -207,11 +208,15 @@ def lean_loader(base: type) -> type:
     """``base`` (``yaml.SafeLoader`` or ``yaml.CSafeLoader``) with a lean
     ``construct_document``, which builds the document in one recursive pass
     without PyYAML's per-node bookkeeping: a scalar tagged ``str`` is its own
-    text; one tagged ``int``, ``float``, ``bool`` or ``null`` goes through the
-    base's constructor for that tag, so YAML 1.1 forms such as ``0x1F`` or
-    ``yes`` keep their meaning; a ``seq`` node becomes a list and a ``map``
-    node with scalar keys a dict, each made once per node and known before
-    its children are built, so an alias is its anchor's object and a
+    text; one tagged ``float`` whose text holds no ``_`` is ``float(text)``
+    if ``float`` takes that text, which is the base's value: the base strips
+    one sign and every ``_``, lowercases the rest and calls ``float`` on it,
+    and ``float`` takes a sign and any case itself; any other scalar tagged
+    ``int``, ``float``, ``bool`` or ``null`` goes through the base's
+    constructor for that tag, so YAML 1.1 forms such as ``0x1F``, ``.inf``,
+    ``1:30`` or ``yes`` keep their meaning; a ``seq`` node becomes a list and
+    a ``map`` node with scalar keys a dict, each made once per node and known
+    before its children are built, so an alias is its anchor's object and a
     recursive anchor holds itself. Any other node (another tag, a merge or
     ``=`` key, a collection as a key), an error from a constructor, or
     nesting deeper than Python's recursion limit sends the whole document
@@ -221,7 +226,7 @@ def lean_loader(base: type) -> type:
     alone); nothing outlives the loader, which ``yaml.load`` makes anew."""
     scalar_tags = [_YAML_TAG + name for name in ("int", "float", "bool", "null")]
     scalars = {tag: base.yaml_constructors[tag] for tag in scalar_tags}
-    str_tag, seq_tag, map_tag = (_YAML_TAG + name for name in ("str", "seq", "map"))
+    str_tag, float_tag, seq_tag, map_tag = (_YAML_TAG + name for name in ("str", "float", "seq", "map"))
 
     class Fallback(Exception):
         pass
@@ -257,6 +262,11 @@ def lean_loader(base: type) -> type:
                 if cls is ScalarNode:
                     if tag == str_tag:
                         return node.value
+                    if tag == float_tag and "_" not in node.value:
+                        try:
+                            return float(node.value)
+                        except ValueError:  # .inf, .nan, base 60, or a text the base rejects too
+                            pass
                     if tag not in scalars:
                         raise Fallback
                     return scalars[tag](self, node)
@@ -299,7 +309,20 @@ _LOADER = lean_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_yaml(text: str):
-    """``text`` loaded by ``_LOADER``; each way that fails is one ScenarioError message."""
+    """``text`` loaded by ``_LOADER``; each way that fails is one ScenarioError message.
+
+    The cyclic garbage collector is paused while the document is loaded and
+    turned back on afterwards, whatever the outcome, if it was on before.
+    Composing a document allocates a node per scalar and collection, none of
+    which can be garbage before the load ends, yet the collector keeps
+    running as they are made, and its full runs walk every node made so far:
+    left on, it makes the load's time grow faster than the document. The
+    pause is process-wide and lasts one load: another thread of an embedding
+    program runs without cyclic collection meanwhile, and a ``gc.disable()``
+    it makes during the load is undone when the load ends, if the collector
+    was on when it began."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a timestamp such as 2001-13-01
@@ -309,6 +332,9 @@ def load_yaml(text: str):
         raise ScenarioError([f"syntax error{where}: {problem}"]) from exc
     except RecursionError as exc:  # PyYAML's pure-Python composer recurses once per level
         raise ScenarioError(["document: nested too deeply"]) from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_scenario(text: str) -> FederationSpec:

@@ -649,6 +649,33 @@ def test_a_ping_pinned_to_one_cpu_writes_what_a_writer_process_writes(tmp_path):
     _assert_same_artifacts(tmp_path / "any-cpu", tmp_path / "one-cpu")
 
 
+@pytest.mark.parametrize(
+    "command, scenario, options",
+    [("run", "poc", ["--until", "20", "--out-dir"]), ("ping", "ping", ["--duration", "5", "--out-dir"]), ("validate", "poc", [])],
+    ids=["run", "ping", "validate"],
+)
+def test_a_closed_stdout_exits_141_and_keeps_every_artifact(command, scenario, options, tmp_path):
+    # as in `fedsim run ... | true` once `true` has exited: the read end of
+    # the pipe is closed before the command prints
+    def argv(out: str) -> list[str]:
+        return [command, str(fedsim.bundled_scenario(scenario)), *options, *([str(tmp_path / out)] if options else [])]
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run(
+            [sys.executable, "-m", "fedsim.cli", *argv("closed")],
+            env=_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert closed.returncode == 141 and closed.stderr == "", closed.stderr
+    if options:
+        proc = _fedsim(*argv("open"))
+        assert proc.returncode == 0 and proc.stdout, proc.stderr
+        _assert_same_artifacts(tmp_path / "open", tmp_path / "closed")
+
+
 # two runs of the bundled poc scenario, swept in real pool workers
 SWEEP = ("sweep", str(fedsim.bundled_scenario("poc")), "--param", "seed", "--values", "1,2", "--until", "60")
 

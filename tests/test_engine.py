@@ -18,6 +18,24 @@ duration_s: 10
 """
 
 
+# one single-slot backend busy for 1 s per request, a 0.5 s timeout and no
+# delays; a request arrives every 0.25 s for requests_s
+SLOW_BACKEND = """
+clusters:
+  - {{name: edge, nodes: 1, vcpus_per_node: 4}}
+  - {{name: dc, nodes: 1, vcpus_per_node: 1}}
+links: {{base_delay_ms: 0.0, intra_base_delay_ms: 0.0}}
+services:
+  - {{name: fe, stage: frontend, replicas_per_cluster: {{edge: 1}}, demand: {{base_ms: 62.5, per_kb_ms: 0.0}}}}
+  - {{name: be, stage: backend, replicas_per_cluster: {{dc: 1}}, demand: {{base_ms: 1000.0, per_kb_ms: 0.0}}}}
+workload:
+  payload: {{dist: constant, bytes: 1000}}
+  phases: [{{rate: 4, duration_s: {requests_s}}}]
+duration_s: 5
+timeout_s: 0.5
+"""
+
+
 def outcome_counts(result):
     counts = {"completed": 0, "lost": 0, "timed_out": 0, None: 0}
     for trace in result.traces:
@@ -186,6 +204,19 @@ class TestEndOfRunChecks:
             del engine.traces[: final // 2]
         assert engine.clock == engine.duration_s
 
+    @pytest.mark.parametrize("breach", ["slot lost", "slot below zero", "free slot beside a queue"])
+    def test_a_replica_whose_slots_do_not_add_up_raises(self, breach):
+        engine = self._engine()
+        replica = next(replica for replica in engine.replicas if replica.free_slots and not replica.fifo)
+        if breach == "slot lost":
+            replica.free_slots -= 1
+        elif breach == "slot below zero":
+            replica.free_slots, replica.in_service = -1, replica.in_service + replica.free_slots + 1
+        else:
+            replica.fifo.append((engine.traces[-1], 0.0))
+        with pytest.raises(EngineError, match="free slots and"):
+            engine.run(until=engine.clock)  # runs no event, only the checks
+
     def test_an_infinite_clock_raises(self):
         engine = self._engine()
         with pytest.raises(EngineError, match="clock not finite"):
@@ -305,24 +336,9 @@ class TestRequestPath:
         assert be_busy == 0.0
 
     def test_request_abandoned_in_queue_never_starts(self):
-        # one single-slot backend busy for 1 s per request, a 0.5 s timeout and
-        # no delays: request 2 falls due at 1.0625 s, the very instant request
-        # 0 hands the slot on, and times out without starting
-        doc = """
-clusters:
-  - {name: edge, nodes: 1, vcpus_per_node: 4}
-  - {name: dc, nodes: 1, vcpus_per_node: 1}
-links: {base_delay_ms: 0.0, intra_base_delay_ms: 0.0}
-services:
-  - {name: fe, stage: frontend, replicas_per_cluster: {edge: 1}, demand: {base_ms: 62.5, per_kb_ms: 0.0}}
-  - {name: be, stage: backend, replicas_per_cluster: {dc: 1}, demand: {base_ms: 1000.0, per_kb_ms: 0.0}}
-workload:
-  payload: {dist: constant, bytes: 1000}
-  phases: [{rate: 4, duration_s: 1}]
-duration_s: 5
-timeout_s: 0.5
-"""
-        result, _ = run_scenario_text(doc)
+        # request 2 falls due at 1.0625 s, the very instant request 0 hands
+        # the slot on, and times out without starting
+        result, _ = run_scenario_text(SLOW_BACKEND.format(requests_s=1))
         stamps = [(t.be_dispatch, t.be_start, t.be_end, t.outcome) for t in result.traces]
         assert stamps == [
             (0.0625, 0.0625, 1.0625, "timed_out"),
@@ -330,6 +346,22 @@ timeout_s: 0.5
             (0.5625, None, None, "timed_out"),
             (0.8125, 1.0625, 2.0625, "timed_out"),
         ]
+
+    def test_a_slot_handed_down_a_queue_of_abandoned_requests_comes_back(self):
+        # two requests, then silence: request 1 times out in the queue, so
+        # the slot request 0 frees at 1.0625 s finds no request to take it
+        result, engine = run_scenario_text(SLOW_BACKEND.format(requests_s=0.5))
+        stamps = [(t.be_dispatch, t.be_start, t.be_end, t.outcome) for t in result.traces]
+        assert stamps == [(0.0625, 0.0625, 1.0625, "timed_out"), (0.3125, None, None, "timed_out")]
+        (backend,) = engine.backend_endpoints
+        assert (backend.free_slots, backend.in_service, len(backend.fifo)) == (1, 0, 0)
+
+    def test_a_backend_in_the_frontends_cluster_is_one_intra_delay_away(self):
+        result, engine = run_scenario_text(MINI_DOC + "links: {intra_base_delay_ms: 2.5}\n")
+        assert engine.intra_delay_s == pytest.approx(2.5e-3) and result.completed == 200
+        for t in result.traces:  # every slot is free when a request arrives
+            assert t.be_start == t.be_dispatch + engine.intra_delay_s
+            assert t.response_out == t.be_end + engine.intra_delay_s + engine.base_delay_s
 
     def test_unhealthy_frontends_lose_arrivals_at_ingress(self):
         extra = (

@@ -52,6 +52,13 @@ class TestCheckTimeline:
         assert "timeline[0]: service 'fe' has no replicas in cluster 'east'" in errors
         assert "timeline[1].replica: out of range for 'be'" in errors
 
+    @pytest.mark.parametrize("replica, valid", [(0, True), (1, True), (2, False), (-1, False)])
+    def test_set_health_replica_is_an_index_below_the_count(self, replica, valid):
+        # 'be' has 2 replicas in 'east'
+        events = (SetHealthEvent(at_s=0.0, service="be", cluster="east", healthy=False, replica=replica),)
+        errors = check_timeline(events, INDEX, PLACEMENTS)
+        assert errors == ([] if valid else ["timeline[0].replica: out of range for 'be'"])
+
     def test_degenerate_and_negative_windows(self):
         events = (
             BlackoutEvent(at_s=5.0, cluster="west", end_s=5.0),

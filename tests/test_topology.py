@@ -1,6 +1,7 @@
 """Scenario parsing, canonical rendering, validation, and placement."""
 
 import gc
+import random
 import sys
 
 import pytest
@@ -24,6 +25,7 @@ from fedsim.topology import (
     validate,
 )
 from fedsim.workload import PayloadSpec, Phase, WorkloadSpec
+from perfbench.scenarios import _links
 from tests.conftest import DEEP, MINI_DOC, make_topology, two_cluster_doc
 
 MINIMAL = """
@@ -241,6 +243,15 @@ class TestLeanLoader:
         "collection key": "? [1, 2]\n: x\n",
         "collection key of a map": "{? {a: 1} : x}",
         "deep nesting": "[" * DEEP + "]" * DEEP,
+        # the lean path reads a float as float(text) where float takes it
+        "float minus zero": "-0.0",
+        "float without a fraction": "1.",
+        "float with two underscores": "1__0.5",
+        "float with a plus sign": "!!float '+.5'",
+        "float with two signs": "!!float '+-1'",  # PyYAML strips the '+' and reads -1.0; float() rejects it
+        "empty float": "!!float ''",
+        "float between spaces": "!!float ' 1.5 '",
+        "float minus inf": "!!float '-inf'",
     }
 
     @staticmethod
@@ -336,6 +347,59 @@ class TestLeanLoader:
                     assert gc.collect() == 0, (lean, text[:40])
         finally:
             gc.enable()
+
+
+class TestLoadPausesTheCollector:
+    """``topology.load_yaml`` runs no cyclic collection, and leaves the
+    collector as it found it, whatever the load's outcome."""
+
+    @staticmethod
+    def _wide_scenario(n: int = 64) -> str:
+        names = [f"C{k}" for k in range(n)]
+        links = _links(random.Random(n), names, lambda i, j: 10.0, 0.25, (0.001, 0.02))
+        return yaml.safe_dump({"clusters": [{"name": name} for name in names], "links": links, "duration_s": 5})
+
+    @staticmethod
+    def _collections_during(load) -> list[int]:
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            load()
+        finally:
+            gc.callbacks.remove(record)
+        return generations
+
+    @pytest.fixture(autouse=True)
+    def _restore_the_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_a_wide_scenario_loads_without_a_collection(self):
+        text = self._wide_scenario()
+        gc.enable()
+        assert self._collections_during(lambda: topology.load_yaml(text)) == []
+        assert gc.isenabled()
+        assert len(parse_scenario(text).clusters) == 64
+
+    def test_a_collector_turned_off_stays_off(self):
+        gc.disable()
+        topology.load_yaml(self._wide_scenario(4))
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("text", ["[1, 2", "[" * DEEP + "]" * DEEP], ids=["syntax error", "deep nesting"])
+    def test_a_load_that_fails_turns_the_collector_back_on(self, text, monkeypatch, shallow_recursion):
+        # the pure-Python composer raises RecursionError on the deep nesting
+        monkeypatch.setattr(topology, "_LOADER", LEAN_LOADERS[0])
+        gc.enable()
+        with pytest.raises(ScenarioError):
+            topology.load_yaml(text)
+        assert gc.isenabled()
 
 
 SCALARS = st.one_of(

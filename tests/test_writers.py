@@ -129,6 +129,36 @@ def test_no_writer_outlives_the_command(tmp_path):
     assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "ok", proc.stderr
 
 
+def test_a_second_close_after_a_failed_first_one_has_reaped_the_writer(tmp_path, monkeypatch):
+    # Linux frees a descriptor even when close(2) fails, so the writer sees
+    # the end of its pipe; the sums pipe and the writer must not be left
+    _cpus(monkeypatch, 2)
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    engine = topology.build_runtime(make_topology(fedsim.bundled_scenario("poc").read_text()))
+    metrics.stream_csv(engine, tmp_path)
+    engine.run(until=60.0)
+    streams = engine.streams
+    pipe, pid = streams._pipe, streams._pid
+    assert pipe is not None
+    close, failed = os.close, []
+
+    def close_failing_once(fd):
+        close(fd)
+        if fd == pipe and not failed:
+            failed.append(fd)
+            raise OSError(errno.EIO, "synthetic")
+
+    monkeypatch.setattr(metrics.os, "close", close_failing_once)
+    with pytest.raises(OSError, match="synthetic"):
+        streams.close()
+    streams.close()  # what the CLI's failure path does
+    assert failed == [pipe]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+
 def test_two_streams_open_at_once_each_close_alone(tmp_path):
     # the second writer process must not hold the first one's pipe open, or
     # the first writer never sees the end of its input and its close hangs
