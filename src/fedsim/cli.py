@@ -13,8 +13,8 @@ raised inside a run, by its streams or while writing any artifact after it
 stdout has gone (the artifacts stand). A sweep exits with the largest code
 of its runs.
 
-``run`` and ``ping`` stream ``traces.csv`` and ``probe_rtt.csv`` while the
-run goes (``metrics.Streams``). Each first removes the files of
+``run`` and ``ping`` stream every CSV while the run goes
+(``metrics.Streams``). Each first removes the files of
 ``_ARTIFACTS`` that an earlier command left in its output directory, and its
 own if it fails from the opening of the streams on: it leaves only the tail,
 or nothing at exit 2. Unless ``--debug-events`` recorded them, the run records
@@ -122,9 +122,10 @@ def _write_tail(engine, run, exc: Exception, in_run: bool, out: Path) -> None:
     else:
         replay = topology.build_runtime(engine.topology)
         replay.debug_log = deque(maxlen=1000)
-        # streams that take the rows the engine hands on, as the run's did,
-        # so the replay holds no more than the run, and keep none of them
-        replay.streams = SimpleNamespace(traces=len, probes=len)
+        # streams that take the rows the engine and its scrapes hand on, as
+        # the run's did, so the replay holds no more than the run, and keep
+        # none of them
+        replay.streams = SimpleNamespace(traces=len, probes=len, scrapes=lambda: None)
         try:
             run(replay)
             note = "the failure did not recur when the run was replayed, so the tail holds no events"
@@ -335,7 +336,7 @@ def cmd_sweep(args) -> int:
         return EXIT_INVALID
 
     try:
-        values = topology.load_yaml(f"[{args.values}]")
+        values = topology.load_yaml(args.values, items=True)
     except topology.ScenarioError as exc:
         print(f"error: --values [{args.values}] is not a YAML flow sequence: {exc.errors[0]}", file=sys.stderr)
         return EXIT_INVALID

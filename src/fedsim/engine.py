@@ -37,7 +37,9 @@ behind the oldest of them. Every ``FLUSH_BATCH`` samples go to
 ``streams.probes`` and are dropped, so nothing per probe outlives its batch;
 the streams fold them into per-pair RTT sums as they write them (see
 ``metrics``), and ``probes_received`` counts them as they are handed over.
-``metrics.export_csv`` hands on the rest, still held, and closes the streams.
+Each scrape hands its rows to the streams as ``metrics.scrape`` records
+them. ``metrics.export_csv`` hands on the rest, still held, and closes the
+streams.
 At the end of every ``run`` call the clock must be finite, ``in_flight``
 must equal the held requests without an outcome, no balancer count may be
 below 0, each frontend's count for a backend must equal the pending

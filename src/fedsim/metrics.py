@@ -16,25 +16,32 @@ Exports are deterministic: fixed column orders, rows in (time, cluster,
 service, replica) order, floats written with ``repr``. Each CSV is written
 one formatted row at a time rather than through ``csv.writer``; the name
 cells of each replica and probe pair still pass through it once, so names
-keep its quoting, and rows end in its ``\r\n``. ``Streams`` owns both
-files and is the only writer of those rows: ``stream_csv`` hands one to the
-engine, which writes rows during the run (see ``engine``), and
-``export_csv`` writes whatever rows are still held through one.
+keep its quoting, and rows end in its ``\r\n``. ``Streams`` owns all five
+files and is the only writer of their rows, one formatter per file:
+``stream_csv`` hands one to the engine, which hands it each request and
+probe row once final (see ``engine``), while ``scrape`` hands it each
+scrape's counter and gauge rows, and the rate row of a scrape with a full
+window behind it, as it records them; ``export_csv`` hands over whatever
+rows are still held, through streams of its own for an engine without, and
+closes them. Streams opened after some scrapes start with those.
 
 ``Streams`` takes plain values: requests, and probe samples as
-``(src, dst, sent_at, rtt_ms)`` tuples. It packs each request's row into a
-tuple of plain values and sends samples on as they are. One rule,
-``_forks``, decides where rows are formatted: in a process that can fork,
-runs no other thread, may use two CPUs and is not a ``multiprocessing``
-worker, the streams fork one writer process when they open (``export_csv``
-opens them with ``fork=False`` for rows that fit in one frame per file,
-which leave a writer nothing to overlap): the run sends
-it ``marshal`` frames of ``FRAME_ROWS`` rows down a pipe, each tagged with
-its file, and the process formats them while the run goes on. One ``close`` finishes both files, ends
-the pipe, reads back the probe pairs' RTT sums and waits for the process,
-and raises ``WriterError`` if it failed. Elsewhere, and where a pipe or the
-fork fails, the same formatters run in-process; both write the same bytes
-and fold the same sums.
+``(src, dst, sent_at, rtt_ms)`` tuples; it reads scrape rows from the
+engine's ``Scrapes`` as ``(time, values)``. It packs each request's row into
+a tuple of plain values and sends the others on as they are. One rule,
+``_forks``, decides where rows are
+formatted: in a process that can fork, runs no other thread, may use two
+CPUs and is not a ``multiprocessing`` worker, the streams fork one writer
+process when they open (``export_csv`` opens them with ``fork=False`` for
+rows that fit in one frame per file, which leave a writer nothing to
+overlap): the run sends it frames of about ``FRAME_ROWS`` rows down a pipe,
+each tagged with its file and written by ``marshal`` version 2, which keeps
+no table of the objects it has seen, and the process formats them while
+the run goes on. One ``close`` finishes every file, ends the pipe, reads
+back the probe pairs' RTT sums and waits for the process, and raises
+``WriterError`` if it failed. Elsewhere, and where a pipe or the fork
+fails, the same formatters run in-process; both write the same bytes and
+fold the same sums.
 
 The probe row formatter folds each frame it writes into the pairs'
 ``probes.RttSums`` (``probes.group_rtts``), making a pair's on its first
@@ -46,6 +53,7 @@ them after ``close``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import io
@@ -54,6 +62,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .probes import RttSums, group_rtts
@@ -89,27 +98,38 @@ class Scrapes:
 
 
 def scrape(engine, t: float) -> None:
-    """Record one row of every per-replica series at time t."""
+    """Record one row of every per-replica series at time t, and hand the
+    rows to the engine's streams if it has them."""
     store = engine.metrics
     replicas = store.replicas
     store.times.append(t)
     store.busy.append([replica.busy_vcpu_seconds for replica in replicas])
     store.outstanding.append([float(replica.in_service + len(replica.fifo)) for replica in replicas])
+    if engine.streams is not None:
+        engine.streams.scrapes()
+
+
+def _rate_lag(window_s: float, interval_s: float) -> int | None:
+    """Scrapes between the two ends of a rate window on a ``k * interval_s``
+    grid, or None where no scrape has a rate (a ratio not above 0, or not
+    finite)."""
+    steps = (window_s - _EPS) / interval_s  # inf when the ratio overflows
+    return math.ceil(steps) if 0 < steps < math.inf else None
+
+
+def _rate(store: Scrapes, k: int, lag: int) -> tuple[float, list[float]]:
+    """The rate of every replica's busy counter at scrape k, over the
+    ``lag`` scrapes behind it."""
+    times, busy = store.times, store.busy
+    span = times[k] - times[k - lag]
+    return times[k], [(now - then) / span for now, then in zip(busy[k], busy[k - lag])]
 
 
 def cpu_rate(store: Scrapes, window_s: float, interval_s: float) -> list[tuple[float, list[float]]]:
     """Windowed rate of every replica's busy counter on a ``k * interval_s``
     grid: one (time, row) per scrape with a full window behind it."""
-    times, busy = store.times, store.busy
-    steps = (window_s - _EPS) / interval_s  # inf when the ratio overflows
-    if not 0 < steps < len(times):
-        return []
-    lag = math.ceil(steps)
-    rates = []
-    for k in range(lag, len(times)):
-        span = times[k] - times[k - lag]
-        rates.append((times[k], [(now - then) / span for now, then in zip(busy[k], busy[k - lag])]))
-    return rates
+    lag = _rate_lag(window_s, interval_s)
+    return [] if lag is None else [_rate(store, k, lag) for k in range(lag, len(store.times))]
 
 
 def left_sum(values):
@@ -134,16 +154,6 @@ def cluster_rates(store: Scrapes, rates) -> dict[tuple[str, str], list[tuple[flo
     return {key: [(t, left_sum(row[i] for i in members)) for t, row in rates] for key, members in groups.items()}
 
 
-def _write_rows(path: Path, labels, rows) -> None:
-    names = [_cells(*label) for label in labels]
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        write = handle.write
-        write("time_s,cluster,service,replica,value\r\n")
-        for t, row in rows:
-            stamp = repr(t)
-            write("".join([f"{stamp},{name},{value!r}\r\n" for name, value in zip(names, row)]))
-
-
 # Row formats end in the csv module's \r\n. ``!r`` is repr, as csv.writer
 # writes a float; a bare field is str, as it writes anything else. f-strings
 # build no argument tuple per row, so the rows add no work for the collector.
@@ -152,11 +162,15 @@ _TRACE_HEADER = (
     "ingress_in,fe_start,fe_end,be_dispatch,be_start,be_end,response_out\r\n"
 )
 _PROBE_HEADER = "src,dst,sent_at_s,rtt_ms,lost\r\n"
+_SCRAPE_HEADER = "time_s,cluster,service,replica,value\r\n"
 # the streamed files, in the order of the one-byte tag of their frames
-_FILES = ("traces.csv", "probe_rtt.csv")
+_FILES = ("traces.csv", "probe_rtt.csv", f"{BUSY_COUNTER}.csv", f"{OUTSTANDING_GAUGE}.csv", f"{CPU_RATE}.csv")
+_HEADERS = (_TRACE_HEADER, _PROBE_HEADER, _SCRAPE_HEADER, _SCRAPE_HEADER, _SCRAPE_HEADER)
+_BUSY, _OUTSTANDING, _RATE = 2, 3, 4  # the tags of the scrape files
 
-# packed rows per marshal frame sent to the writer process: a whole flush
-# batch in one frame would raise the run's peak memory
+# rows per marshal frame sent to the writer process: a whole flush batch in
+# one frame would raise the run's peak memory; a frame of a scrape file holds
+# the scrapes whose rows come closest to it
 FRAME_ROWS = 128
 # asked of the writer process's pipe, so that the run seldom waits on a full one
 _PIPE_BYTES = 1 << 20
@@ -212,6 +226,14 @@ def _format_traces(write, rows) -> None:
             )
 
 
+def _format_scrapes(names, write, rows) -> None:
+    """Writes ``(time, values)`` rows of a scrape file, one line per replica
+    named by the cells in ``names``."""
+    for t, values in rows:
+        stamp = repr(t)
+        write("".join([f"{stamp},{name},{value!r}\r\n" for name, value in zip(names, values)]))
+
+
 class _ProbeFormatter:
     """Writes packed probe rows as text, keeping the cells of each pair, and
     folds each frame into ``sums[src][dst]``, the pair's ``RttSums`` (None
@@ -222,10 +244,10 @@ class _ProbeFormatter:
         # both filled as pairs show up
         self._pair_cells: list[list[str | None]] = [[None] * len(names) for _ in names]
         self.sums: list[list[RttSums | None]] = [[None] * len(names) for _ in names]
-        # the probes of one grid step share one send-time object and mostly come
-        # in a run, so the last one's repr is reused for the same object, never
-        # for an equal value (0.0 and -0.0, or 1 and 1.0, are equal); marshal
-        # keeps that sharing within a frame
+        # the probes of one grid step share one send time and mostly come in a
+        # run, so the last one's repr is reused for an equal value of the same
+        # type other than zero: 0.0 and -0.0, and 1 and 1.0, are equal, but
+        # their reprs are not
         self._last_sent = self._stamp = None
 
     def __call__(self, write, rows) -> None:
@@ -236,7 +258,7 @@ class _ProbeFormatter:
             if cells is None:
                 cells = pair_cells[src][dst] = _cells(names[src], names[dst])
                 self.sums[src][dst] = RttSums()
-            if sent_at is not last_sent:
+            if not (sent_at == last_sent and sent_at and type(sent_at) is type(last_sent)):
                 last_sent, stamp = sent_at, repr(sent_at)
             if rtt_ms is None:
                 write(f"{cells},{stamp},,true\r\n")
@@ -247,10 +269,12 @@ class _ProbeFormatter:
 
 
 class Streams:
-    """``traces.csv`` and ``probe_rtt.csv`` of one run in ``out_dir``, one
-    row per request handed to ``traces`` and per probe sample handed to
-    ``probes``, and the writer process that formats them where ``_forks``
-    allows it and ``fork`` is true. ``close`` finishes both files."""
+    """The five CSVs of one run in ``out_dir``, one row per request handed to
+    ``traces``, per probe sample handed to ``probes`` and per scrape (and
+    rate) of ``engine.metrics``, taken by ``scrapes`` as the streams open
+    and after each scrape, and the writer process that formats them where
+    ``_forks`` allows it and ``fork`` is true. ``close`` finishes every
+    file."""
 
     def __init__(self, out_dir: Path, engine, fork: bool = True):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,18 +283,24 @@ class Streams:
         self._cells = {None: ",,"}
         for replica in engine.replicas:
             self._cells[replica] = _cells(replica.service, names[replica.cluster], replica.replica)
-        self._formats = (_format_traces, _ProbeFormatter(names))
+        self._store = store = engine.metrics
+        scrapes = partial(_format_scrapes, [_cells(*label) for label in store.labels])
+        self._formats = (_format_traces, _ProbeFormatter(names), scrapes, scrapes, scrapes)
+        self._lag = _rate_lag(engine.spec.rate_window_s, engine.scrape_interval_s)
+        self._scraped = 0  # scrapes of the store handed over
+        self._frame_scrapes = max(1, FRAME_ROWS // (len(store.labels) or 1))
         self._pid = self._pipe = self._sums_end = None
         self._files = []
         try:
-            for path, header in zip(self.paths, (_TRACE_HEADER, _PROBE_HEADER)):
+            for path, header in zip(self.paths, _HEADERS):
                 self._files.append(path.open("w", encoding="utf-8", newline=""))
                 self._files[-1].write(header)
-        except OSError:
+            if fork and _forks():
+                self._fork()
+            self.scrapes()
+        except BaseException:
             self.close()
             raise
-        if fork and _forks():
-            self._fork()
 
     @property
     def rtt_sums(self) -> list[list[RttSums | None]]:
@@ -292,11 +322,31 @@ class Streams:
         for start in range(0, len(samples), FRAME_ROWS):
             self._send(1, samples[start : start + FRAME_ROWS])
 
+    def scrapes(self) -> None:
+        """Take the scrapes the engine's store recorded since the last call:
+        formatted at once in-process, sent to a writer process a frame's
+        worth at a time."""
+        if self._pipe is None or len(self._store.times) - self._scraped >= self._frame_scrapes:
+            self._send_scrapes()
+
+    def _send_scrapes(self) -> None:
+        """Send the counter's and the gauge's rows of every scrape not yet
+        handed over, and the rate of each with a full window behind it, a
+        frame's worth at most at a time."""
+        store, lag = self._store, self._lag
+        for start in range(self._scraped, len(store.times), self._frame_scrapes):
+            self._scraped = end = min(start + self._frame_scrapes, len(store.times))
+            times = store.times[start:end]
+            self._send(_BUSY, list(zip(times, store.busy[start:end])))
+            self._send(_OUTSTANDING, list(zip(times, store.outstanding[start:end])))
+            if lag is not None and end > lag:
+                self._send(_RATE, [_rate(store, k, lag) for k in range(max(start, lag), end)])
+
     def _send(self, tag: int, rows: list) -> None:
         if self._pipe is None:
             self._formats[tag](self._files[tag].write, rows)
             return
-        frame = marshal.dumps(rows)
+        frame = marshal.dumps(rows, 2)
         view = memoryview(bytes([tag]) + len(frame).to_bytes(4, "little") + frame)
         try:
             while view:  # a signal can cut a write short
@@ -306,13 +356,16 @@ class Streams:
             raise
 
     def close(self) -> None:
-        """Finish both files: with a writer process, end its pipe, read back
-        the RTT sums it folded and wait for it, raising ``WriterError`` if it
-        failed. Once the pipe is taken, the sums pipe is closed and the writer
-        waited for even if closing the pipe or reading the sums raises, as a
-        second call does nothing."""
-        for handle in self._files:
-            handle.close()
+        """Finish every file: with a writer process, send it the scrapes not
+        yet sent, end its pipe, read back the RTT sums it folded and wait for
+        it, raising ``WriterError`` if it failed. Once the pipe is taken, the
+        sums pipe is closed and the writer waited for even if closing the
+        pipe or reading the sums raises, as a second call does nothing."""
+        if self._pipe is not None and self._scraped < len(self._store.times):
+            self._send_scrapes()
+        with contextlib.ExitStack() as closing:  # every file, even if closing one raises
+            for handle in self._files:
+                closing.callback(handle.close)
         pipe, self._pipe = self._pipe, None
         if pipe is None:
             return
@@ -336,7 +389,7 @@ class Streams:
         sums come back on a second pipe. Where a pipe or the fork cannot be
         made, the rows stay in-process."""
         for handle in self._files:
-            handle.flush()  # or both processes would write the header
+            handle.flush()  # or both processes would write the headers
         ends: list[int] = []
         try:
             ends += os.pipe()  # the rows, from the run to the writer
@@ -367,8 +420,8 @@ class Streams:
         sums were written. Never returns."""
         status, name = 1, ", ".join(_FILES)
         try:
-            # keep only stdio, the two pipe ends and the two files: a write end
-            # of another run's pipe held here would keep that writer from its end
+            # keep only stdio, the two pipe ends and the files: a write end of
+            # another run's pipe held here would keep that writer from its end
             low = 3
             kept = sorted([read_end, sums_end, *(handle.fileno() for handle in self._files)])
             for fd in (*kept, os.sysconf("SC_OPEN_MAX")):
@@ -390,7 +443,7 @@ class Streams:
             ]
             with open(sums_end, "wb") as sink:
                 if sums:
-                    sink.write(marshal.dumps(sums))
+                    sink.write(marshal.dumps(sums, 2))
             status = 0
         except BaseException as exc:
             os.write(2, f"writer of {name}: {type(exc).__name__}: {exc}\n".encode(errors="replace"))
@@ -406,33 +459,24 @@ def stream_csv(engine, out_dir: str | Path) -> None:
 
 
 def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
-    """Write the full artifact set of a run's engine; returns {name: path}.
+    """Write the full artifact set of a run's engine; returns {name: path},
+    ``name`` being each file's stem.
 
     Files are always created, header-only when a run produced no data, so a
     consumer can rely on the manifest. The traces and probes the engine holds
-    go to its own streams when ``stream_csv`` opened them, else to streams
-    opened here; the engine keeps them either way, and requests still in
+    go to its own streams when ``stream_csv`` opened them (and the files are
+    theirs), else to streams opened here in ``out_dir``, which start with
+    every scrape; the engine keeps them either way, and requests still in
     flight get blank stamps. Closing the streams sets ``engine.rtt_sums`` to
     the probe pairs' RTT sums; an engine whose own streams are closed is not
     run further.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {"probe_rtt": out / "probe_rtt.csv", "traces": out / "traces.csv"}
+    store = engine.metrics
     # rows that fit in one frame per file leave a writer process nothing to overlap
-    fork = len(engine.traces) > FRAME_ROWS or len(engine.probes) > FRAME_ROWS
-    streams = engine.streams or Streams(out, engine, fork=fork)
+    lines = (len(engine.traces), len(engine.probes), len(store.times) * len(store.labels))
+    streams = engine.streams or Streams(Path(out_dir), engine, fork=max(lines) > FRAME_ROWS)
     streams.traces(engine.traces)
     streams.probes(engine.probes)
     streams.close()
     engine.rtt_sums = streams.rtt_sums
-
-    store = engine.metrics
-    for name, rows in (
-        (BUSY_COUNTER, zip(store.times, store.busy)),
-        (OUTSTANDING_GAUGE, zip(store.times, store.outstanding)),
-        (CPU_RATE, cpu_rate(store, engine.spec.rate_window_s, engine.scrape_interval_s)),
-    ):
-        paths[name] = out / f"{name}.csv"
-        _write_rows(paths[name], store.labels, rows)
-    return paths
+    return {path.stem: path for path in streams.paths}

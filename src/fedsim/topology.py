@@ -308,8 +308,13 @@ def lean_loader(base: type) -> type:
 _LOADER = lean_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
-def load_yaml(text: str):
-    """``text`` loaded by ``_LOADER``; each way that fails is one ScenarioError message.
+def load_yaml(text: str, items: bool = False):
+    """``text`` loaded by ``_LOADER``, or with ``items`` the list of the
+    items of one flow sequence that ``text`` writes without its brackets;
+    each way that fails is one ScenarioError message. A syntax error gives
+    its position in ``text``: one past its end, or on its closing bracket,
+    is given just past its end. A scalar that a safe constructor cannot
+    build, such as ``!!bool maybe``, is a syntax error too.
 
     The cyclic garbage collector is paused while the document is loaded and
     turned back on afterwards, whatever the outcome, if it was on before.
@@ -324,14 +329,22 @@ def load_yaml(text: str):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return yaml.load(text, Loader=_LOADER)
+        return yaml.load(f"[{text}]" if items else text, Loader=_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a timestamp such as 2001-13-01
         mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        where = ""
+        if mark is not None:
+            line, column = mark.line, mark.column - (items and mark.line == 0)  # less the added "["
+            lines = text.split("\n")
+            if line >= len(lines) or (line == len(lines) - 1 and column > len(lines[-1])):
+                line, column = len(lines) - 1, len(lines[-1])  # just past the text
+            where = f" at line {line + 1}, column {max(column, 0) + 1}"
         problem = getattr(exc, "problem", None) or str(exc)
         raise ScenarioError([f"syntax error{where}: {problem}"]) from exc
     except RecursionError as exc:  # PyYAML's pure-Python composer recurses once per level
         raise ScenarioError(["document: nested too deeply"]) from exc
+    except Exception as exc:  # any other failure of a constructor, such as IndexError for !!float ''
+        raise ScenarioError([f"syntax error: a value that cannot be built: {type(exc).__name__}: {exc}"]) from exc
     finally:
         if enabled:
             gc.enable()

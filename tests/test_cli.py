@@ -40,6 +40,9 @@ def _assert_same_artifacts(one: Path, two: Path) -> None:
         assert first == second, (one, name)
 
 
+SCRAPE_FILES = (metrics.BUSY_COUNTER, metrics.OUTSTANDING_GAUGE, metrics.CPU_RATE)
+
+
 @pytest.fixture()
 def mini_scenario(tmp_path):
     path = tmp_path / "mini.scenario"
@@ -214,6 +217,15 @@ class TestSingleLoader:
             assert cli.main(_subcommand_argv(command, str(path), tmp_path)) == 1, command
             err = capsys.readouterr().err
             assert err.startswith("error: syntax error: month must be in 1..12") and err.count("\n") == 1, command
+
+    @pytest.mark.parametrize("value", ["!!float ''", "!!int ''", "!!bool 'maybe'", "!!timestamp 'x'"])
+    def test_a_typed_scalar_the_safe_constructor_cannot_build_is_one_error_line(self, value, tmp_path, capsys):
+        path = tmp_path / "typed.scenario"
+        path.write_text(MINI_DOC.replace("duration_s: 120", f"duration_s: {value}"))
+        for command in self.COMMANDS:
+            assert cli.main(_subcommand_argv(command, str(path), tmp_path)) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: syntax error: ") and err.count("\n") == 1, command
 
     def test_missing_file_is_io_error_everywhere(self, tmp_path, capsys):
         for command in self.COMMANDS:
@@ -464,22 +476,34 @@ def test_a_recorded_run_dumps_its_own_tail_without_a_replay(tmp_path, monkeypatc
 
 
 def test_a_failure_after_the_run_is_not_replayed(mini_scenario, tmp_path, monkeypatch, capsys):
-    write_rows = metrics._write_rows
+    # on one CPU the run's own process writes the scrape CSVs, and the export
+    # finishes them when it closes the streams: closing one fails as a full
+    # disk makes it fail, once its buffered rows cannot be written
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     builds = _counted_builds(monkeypatch)
-    for failing in (1, 2):  # the first or the second scrape CSV
-        calls = []
+    for failing in (metrics.BUSY_COUNTER, metrics.OUTSTANDING_GAUGE):  # the first or the second scrape CSV
+        closes = []
 
-        def broken(path, labels, rows):
-            calls.append(path)
-            if len(calls) == failing:
-                raise OSError(errno.ENOSPC, "synthetic export failure")
-            write_rows(path, labels, rows)
+        class FailingClose(type(Path())):
+            def open(self, *args, **kwargs):
+                handle = super().open(*args, **kwargs)
+                if self.name == f"{failing}.csv":
+                    close = handle.close
 
-        monkeypatch.setattr(metrics, "_write_rows", broken)
+                    def failing_close():
+                        closes.append(self.name)
+                        close()
+                        raise OSError(errno.ENOSPC, "synthetic export failure")
+
+                    handle.close = failing_close
+                return handle
+
+        monkeypatch.setattr(metrics, "Path", FailingClose)
         builds.clear()
-        out = tmp_path / f"out{failing}"
+        out = tmp_path / f"out-{failing}"
         assert cli.main(["run", mini_scenario, "--out-dir", str(out)]) == 3
         err = capsys.readouterr().err
+        assert closes and set(closes) == {f"{failing}.csv"}
         assert "engine error: OSError at test_cli.py:" in err
         assert "the failure came from the writers or the export, not the run" in err
         assert builds == [1]
@@ -637,16 +661,26 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
 def test_a_ping_pinned_to_one_cpu_writes_what_a_writer_process_writes(tmp_path):
     # the real one-CPU choice, which the other tests reach only by patching
     # os.sched_getaffinity: pinned to one CPU, a ping formats its probe rows
-    # and folds their RTT sums in-process, unpinned in a writer process
+    # and folds their RTT sums in-process, and a run formats its trace and
+    # scrape rows in-process; unpinned, a writer process does
     if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs os.sched_setaffinity and two CPUs")
     cpu = min(os.sched_getaffinity(0))
-    argv = ["ping", str(fedsim.bundled_scenario("blackout")), "--interval", "0.1", "--duration", "310"]
-    any_cpu = _fedsim(*argv, "--out-dir", str(tmp_path / "any-cpu"))
-    one_cpu = _fedsim(*argv, "--out-dir", str(tmp_path / "one-cpu"), preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-    assert any_cpu.returncode == one_cpu.returncode == 0, (any_cpu.stderr, one_cpu.stderr)
-    assert any_cpu.stdout == one_cpu.stdout
-    _assert_same_artifacts(tmp_path / "any-cpu", tmp_path / "one-cpu")
+    commands = {
+        "ping": ["ping", str(fedsim.bundled_scenario("blackout")), "--interval", "0.1", "--duration", "310"],
+        "run": ["run", str(fedsim.bundled_scenario("poc_lc")), "--until", "200"],
+    }
+    for command, argv in commands.items():
+        any_cpu, one_cpu = tmp_path / command / "any-cpu", tmp_path / command / "one-cpu"
+        unpinned = _fedsim(*argv, "--out-dir", str(any_cpu))
+        pinned = _fedsim(*argv, "--out-dir", str(one_cpu), preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        assert unpinned.returncode == pinned.returncode == 0, (unpinned.stderr, pinned.stderr)
+        assert unpinned.stdout.replace(str(any_cpu), "<out>") == pinned.stdout.replace(str(one_cpu), "<out>")
+        _assert_same_artifacts(any_cpu, one_cpu)
+        # every CSV has rows, so every one of its formatters ran both ways
+        csvs = ("traces.csv", *(f"{name}.csv" for name in SCRAPE_FILES)) if command == "run" else ("probe_rtt.csv",)
+        for name in csvs:
+            assert len((one_cpu / name).read_bytes().splitlines()) > 1, (command, name)
 
 
 @pytest.mark.parametrize(
@@ -858,13 +892,22 @@ class TestSweep:
         assert "no values given" in capsys.readouterr().err
 
     def test_a_value_that_is_not_yaml_is_one_error_line(self, two_cluster_scenario, tmp_path):
+        # the position is one in what was typed, or just past it, whichever
+        # loader reads it and however its messages are worded
         out = tmp_path / "s"
-        for values in ("1,[1", "1,,2", "2001-13-01"):  # an unclosed list, an empty item, a bad date
+        cases = {
+            "1,[1": "syntax error at line 1, column 5: ",  # an unclosed list, found at the end of the text
+            "1,,2": "syntax error at line 1, column 3: ",  # an empty item
+            "1,\n2,,3": "syntax error at line 2, column 3: ",  # one on the second line typed
+            "2001-13-01": "syntax error: month must be in 1..12",  # a bad date
+        }
+        for values, message in cases.items():
             proc = _fedsim("sweep", two_cluster_scenario, "--param", "seed", "--values", values, "--out-dir", str(out))
             assert proc.returncode == 1
             assert "Traceback" not in proc.stderr
             assert proc.stderr.startswith(f"error: --values [{values}] is not a YAML flow sequence: ")
-            assert proc.stderr.count("\n") == 1
+            assert proc.stderr.count("\n") == 1 + values.count("\n")
+            assert proc.stderr.split(" is not a YAML flow sequence: ", 1)[1].startswith(message), proc.stderr
             assert not out.exists()
 
     def test_values_are_one_flow_sequence_so_lists_can_be_swept(self, two_cluster_scenario, tmp_path, monkeypatch):

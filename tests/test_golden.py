@@ -16,6 +16,12 @@ Two pings pin the order of probe sends against other events at the same
 instant: ``blackout`` probed every 100 ms for 310 s, through request traffic
 and into its first blackout, and ``TIE_PING``, whose answered probes land
 exactly on the next send instant and whose lost ones on their own.
+
+``JITTER`` pins the jittered delay draws: its requests and probes cross
+links with uniform and with normal jitter, and backends in the frontends'
+cluster are one non-zero intra-cluster delay away. Its run and its ping
+(which carries the same request traffic beside the probes) put jittered
+values in all five CSVs.
 """
 
 import hashlib
@@ -75,6 +81,46 @@ seed: 5
 duration_s: 30
 scrape_interval_s: 1.0
 """
+
+JITTER = """
+clusters:
+  - {name: a, nodes: 2, vcpus_per_node: 4, memory_gb: 8, role: edge}
+  - {name: b, nodes: 2, vcpus_per_node: 4, memory_gb: 8, role: datacenter}
+  - {name: c, nodes: 2, vcpus_per_node: 4, memory_gb: 8, role: datacenter}
+links:
+  base_delay_ms: 0.5
+  intra_base_delay_ms: 0.25
+  one_way_delay_ms:
+    - [0, 12, 20]
+    - [15, 0, 0]
+    - [18, 0, 0]
+  jitter:
+    - {src: a, dst: b, dist: uniform, scale_ms: 3.0}
+    - {src: b, dst: a, dist: normal, scale_ms: 2.0}
+    - {src: a, dst: c, dist: normal, scale_ms: 4.0}
+    - {src: c, dst: a, dist: uniform, scale_ms: 1.5}
+services:
+  - name: fe
+    stage: frontend
+    replicas_per_cluster: {a: 2}
+    demand: {base_ms: 5.0, per_kb_ms: 0.01}
+  - name: be
+    stage: backend
+    replicas_per_cluster: {a: 1, b: 2, c: 1}
+    demand: {base_ms: 20.0, per_kb_ms: 0.02}
+    backend_policy: round_robin
+workload:
+  arrival: poisson
+  payload: {dist: constant, bytes: 4000}
+  phases:
+    - {rate: 40, duration_s: 30}
+seed: 11
+duration_s: 35
+scrape_interval_s: 1.0
+rate_window_s: 5.0
+"""
+
+JITTER_RUNS = {"run": [], "ping": ["--interval", "0.5"]}
 
 PING_RUNS = {
     "blackout": (fedsim.bundled_scenario("blackout").read_text(), ["--interval", "0.1", "--duration", "310"]),
@@ -165,6 +211,26 @@ PING_GOLDEN = {
     },
 }
 
+JITTER_GOLDEN = {
+    "run": {
+        "cpu_rate.csv": "66c383d2add131e12cbeff58d72be8c0f53783fe55cf1e76752a4dcc63f3c5f4",
+        "probe_rtt.csv": "11784ddbd7d4c85a2e5c733fe36d873023b4b2cac9e6727b10ee50d53ce13798",
+        "replica_busy_vcpu_seconds_total.csv": "f38531d2bd59539833d9453bf055babab13ede4b5e77a62b4ce61527eb5b00ea",
+        "replica_outstanding_requests.csv": "5e907937f9dac1b7174775da81259f109b12381291a8de334cf1c8988c859c8d",
+        "traces.csv": "89fec5f03ebbe021ca841b22a29f6145904e34aa71173352780395a0419e7ea3",
+        "summary.yaml:results": "e1e7b5129d6c5b0df569f053e6b7aed247185a480832ea76c3a5c846af948790",
+    },
+    "ping": {
+        "cpu_rate.csv": "66c383d2add131e12cbeff58d72be8c0f53783fe55cf1e76752a4dcc63f3c5f4",
+        "probe_rtt.csv": "d7c9d7f70ae38fcdfb437d3e007874e8d42b0d44d6ed45576f00770d43c97d33",
+        "replica_busy_vcpu_seconds_total.csv": "f38531d2bd59539833d9453bf055babab13ede4b5e77a62b4ce61527eb5b00ea",
+        "replica_outstanding_requests.csv": "45e21b71954acdccf117267a0131944fdacae1acf9467235662cd20c2e1ab3c1",
+        "traces.csv": "c8b24a18c507fccbf32f8f6a50184a6c27f54bd0078dfca0960042ff2f9adb30",
+        "rtt_matrix.yaml": "61bd8324b2ffd2581dca53262e330cfd499738c3d5d37a900eb3ab4b19c8f63c",
+    },
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -222,6 +288,16 @@ def test_ping_exports_match_golden_digests(name, tmp_path, capsys):
     assert cli.main(["ping", str(scenario), "--out-dir", str(out), *options]) == 0
     capsys.readouterr()
     assert _digests(out) == PING_GOLDEN[name]
+
+
+@pytest.mark.parametrize("command", sorted(JITTER_RUNS))
+def test_jitter_exports_match_golden_digests(command, tmp_path, capsys):
+    scenario = tmp_path / "jitter.yaml"
+    scenario.write_text(JITTER)
+    out = tmp_path / command
+    assert cli.main([command, str(scenario), "--out-dir", str(out), *JITTER_RUNS[command]]) == 0
+    capsys.readouterr()
+    assert _digests(out) == JITTER_GOLDEN[command]
 
 
 def test_ping_stepped_in_pieces_matches_one_long_run(tmp_path):

@@ -125,6 +125,28 @@ def test_a_streamed_ping_counts_its_probes_at_every_step(fork, tmp_path, monkeyp
     assert probes.rtt_stats(streamed.rtt_sums) == probes.rtt_stats(probes.group_rtts(whole.probes, n))
 
 
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("opened_at", [0.0, 5.0], ids=["before", "mid-run"])
+def test_a_run_stepped_over_several_calls_streams_the_files_of_one_call(opened_at, fork, tmp_path, monkeypatch):
+    # every scrape hands its rows to the streams as it is recorded, whatever
+    # the run call it falls in; streams opened after some scrapes start with
+    # those; cuts fall on scrape instants, between them, and run nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2 if fork else 1)), raising=False)
+    text = OVERLOAD_RUNS["fine_scrape"][0]
+    stepped = topology.build_runtime(make_topology(text))
+    stepped.run(opened_at)
+    metrics.stream_csv(stepped, tmp_path / "stepped")
+    assert (stepped.streams._pipe is not None) == fork
+    for cut in (5.0, 5.0625, 5.1, 5.1, 12.5, 20.0):
+        stepped.run(cut)
+    stepped.run(stepped.duration_s)
+    metrics.export_csv(stepped, tmp_path / "stepped")
+    _in_memory(text, tmp_path / "whole", lambda state: state.run(state.duration_s))
+    files = _files(tmp_path / "stepped")
+    assert files == _files(tmp_path / "whole")
+    assert all(len(files[name].splitlines()) > 1 for name in CSVS if name != "probe_rtt.csv")
+
+
 def test_streamed_run_holds_a_batch_beyond_the_requests_in_flight(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "FLUSH_BATCH", 1024)
     state = topology.build_runtime(make_topology(fedsim.bundled_scenario("poc_lc").read_text()))

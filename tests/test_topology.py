@@ -111,6 +111,15 @@ duration_s: 5
                 parse_scenario(MINIMAL.replace("duration_s: 10", "duration_s: 2001-13-01"))
             assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith("syntax error: month must be in 1..12")
 
+    @pytest.mark.parametrize("value", ["!!float ''", "!!int ''", "!!bool 'maybe'", "!!timestamp 'x'"])
+    def test_a_typed_scalar_the_safe_constructor_cannot_build_is_a_syntax_error(self, value, monkeypatch):
+        # PyYAML's constructors fail here with IndexError, KeyError or AttributeError
+        for loader in (*BASES, *LEAN_LOADERS):
+            monkeypatch.setattr(topology, "_LOADER", loader)
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(MINIMAL.replace("duration_s: 10", f"duration_s: {value}"))
+            assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith("syntax error: "), loader
+
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(MINIMAL + "nonsense: 1\n")

@@ -1,10 +1,10 @@
-"""The writer process of ``traces.csv`` and ``probe_rtt.csv``.
+"""The writer process of a run's five CSVs.
 
-``metrics.Streams`` owns both files and forks one writer process for them
+``metrics.Streams`` owns the files and forks one writer process for them
 when the process can fork, runs no other thread, is not a
 ``multiprocessing`` worker and may use two CPUs, else the rows are
 formatted in-process by the same formatters. These tests pin
-the process lifecycle: one ``close`` ends it with both files complete and
+the process lifecycle: one ``close`` ends it with every file complete and
 reads back the RTT sums it folded, it never outlives the command, a writer
 that fails makes the run exit 3, and both paths write the same bytes and
 the same RTT matrix. Where a test needs the forked path it says
@@ -190,17 +190,44 @@ def test_two_streams_open_at_once_each_close_alone(tmp_path):
         assert (tmp_path / "out0" / name).read_bytes() == (tmp_path / "out1" / name).read_bytes(), name
 
 
+SCRAPE_CSVS = {
+    "busy": f"{metrics.BUSY_COUNTER}.csv",
+    "outstanding": f"{metrics.OUTSTANDING_GAUGE}.csv",
+    "rate": f"{metrics.CPU_RATE}.csv",
+}
+
+
 @pytest.mark.parametrize(
-    "cpus, command", [(2, "run"), (1, "run"), (2, "ping"), (1, "ping")], ids=["2", "1", "ping-2", "ping-1"]
+    "cpus, command, failed",
+    [
+        (2, "run", "traces.csv"),
+        (1, "run", "traces.csv"),
+        (2, "ping", "probe_rtt.csv"),
+        (1, "ping", "probe_rtt.csv"),
+        *((cpus, "run", name) for name in SCRAPE_CSVS.values() for cpus in (2, 1)),
+    ],
+    ids=["2", "1", "ping-2", "ping-1", *(f"{tag}-{cpus}" for tag in SCRAPE_CSVS for cpus in (2, 1))],
 )
-def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, command, tmp_path, monkeypatch, capfd):
-    # a run breaks the trace row formatter, a ping the fold of the probe rows
+def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, command, failed, tmp_path, monkeypatch, capfd):
+    # a run breaks the trace row formatter or that of one scrape file, a ping
+    # the fold of the probe rows
     def broken(*args):
         raise ZeroDivisionError("synthetic")
 
+    format_scrapes = metrics._format_scrapes
+
+    def broken_for_one_file(names, write, rows):
+        # the formatter of all three scrape files, told apart by the file they write
+        if write.__self__.name.endswith(failed):
+            broken()
+        format_scrapes(names, write, rows)
+
     _cpus(monkeypatch, cpus)
     pids = _counted_forks(monkeypatch)
-    monkeypatch.setattr(metrics, "_format_traces" if command == "run" else "group_rtts", broken)
+    if failed in SCRAPE_CSVS.values():
+        monkeypatch.setattr(metrics, "_format_scrapes", broken_for_one_file)
+    else:
+        monkeypatch.setattr(metrics, "_format_traces" if command == "run" else "group_rtts", broken)
     build, builds = topology.build_runtime, []
 
     def counted_build(topo):
@@ -216,10 +243,12 @@ def test_a_formatter_that_raises_exits_3_without_a_traceback(cpus, command, tmp_
     err = capfd.readouterr().err
     assert "Traceback" not in err
     if cpus == 2:  # the writer process reports its error, the run its status
-        failed = "traces.csv" if command == "run" else "probe_rtt.csv"
         assert f"writer of {failed}: ZeroDivisionError: synthetic" in err
         assert "engine error: WriterError at metrics.py:" in err
-        assert "writer of traces.csv, probe_rtt.csv exited with status 1" in err
+        assert (
+            "writer of traces.csv, probe_rtt.csv, replica_busy_vcpu_seconds_total.csv, "
+            "replica_outstanding_requests.csv, cpu_rate.csv exited with status 1"
+        ) in err
         # the failure is the writer's, so the run is not replayed
         assert "the failure came from the writers or the export, not the run" in err
         assert builds == [1]
@@ -403,7 +432,7 @@ def test_a_pool_worker_forks_no_writer_process(context, monkeypatch):
 
 @pytest.mark.parametrize("fork", [True, False])
 def test_equal_send_times_keep_their_own_repr_in_either_writer(fork, tmp_path, monkeypatch):
-    # marshal keeps a float object shared within a frame, never merges equal ones
+    # a send time's repr is reused only for an equal value of the same type other than zero
     _cpus(monkeypatch, 2 if fork else 1)  # one CPU keeps the rows in-process
     engine = topology.build_runtime(make_topology(QUOTED))
     sent = [0.0, -0.0, -0.0, 0.0, 1, 1.0, 1.0, 1, 2.5, 2.5] * 30  # crosses frames
