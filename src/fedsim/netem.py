@@ -6,8 +6,8 @@ a dense n x n table:
 
 - its configured rule ``{delay_ms, jitter, loss}``;
 - how many of its two clusters are blacked out;
-- its (seed, src, dst) key, its delay and loss streams, and the previous
-  composite uniform of its loss draws.
+- its (seed, src, dst) key, its delay and loss streams, the spare normal of
+  its delay stream, and the previous composite uniform of its loss draws.
 
 Each sampler makes the link's stream it draws from on its first real draw:
 a rule without jitter draws no delay and a rule with ``p = 0`` draws no loss,
@@ -22,6 +22,16 @@ each message on it draws its loss stream as a ``p = 1, c = 0`` rule would, so
 every message is dropped. Replacing the rule never touches the count, so a
 rule set during a blackout takes effect when the last blackout ends.
 
+Jitter is drawn in place from the delay stream's ``random()``, by the
+formulas of ``random.Random`` with the same operations in the same order:
+uniform jitter is ``uniform(-s, s)``, ``a + (b - a) * random()``, and normal
+jitter is ``gauss(0.0, s)``, ``0.0 + z * s``, whose Box-Muller step makes
+``z = cos(tau * u1) * r`` and a spare ``sin(tau * u1) * r`` from two
+uniforms, with ``r = sqrt(-2 * log(1 - u2))``. ``gauss`` keeps the spare on
+its stream for its next call; the link holds it instead. The delay stream
+draws nothing else, so uniform draws and rule changes leave the spare in
+place, as they would leave the stream's.
+
 Loss uses the correlated two-state scheme: each draw forms a composite uniform
 ``u = c * u_prev + (1 - c) * u_new`` and the message is lost iff ``u < p``.
 With ``c = 0`` this degenerates to independent Bernoulli loss.
@@ -30,6 +40,7 @@ With ``c = 0`` this degenerates to independent Bernoulli loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import cos, log, sin, sqrt, tau
 
 from . import fields
 from .rng import stream
@@ -76,13 +87,14 @@ class Link:
     """One directed link between two clusters, keyed by its (seed, src, dst).
     Its streams are None until a sampler first draws from each."""
 
-    __slots__ = ("rule", "blackouts", "key", "delay_rng", "loss_rng", "prev_u")
+    __slots__ = ("rule", "blackouts", "key", "delay_rng", "loss_rng", "spare", "prev_u")
 
     def __init__(self, rule: ImpairmentRule, key: tuple):
         self.rule = rule
         self.blackouts = 0  # how many of its two clusters are blacked out; dark while > 0
         self.key = key
         self.delay_rng = self.loss_rng = None
+        self.spare: float | None = None  # the second normal of its last Box-Muller step, until drawn
         self.prev_u: float | None = None  # the composite uniform of its last loss draw
 
     def transit_ms(self) -> float | None:
@@ -128,9 +140,22 @@ def sample_delay(rule: ImpairmentRule, link: Link) -> float:
             seed, src, dst = link.key
             rng = link.delay_rng = stream(seed, "delay", src, dst)
         if jit.dist == JITTER_UNIFORM:
-            value = rule.delay_ms + rng.uniform(-jit.scale_ms, jit.scale_ms)
+            low = -jit.scale_ms
+            value = rule.delay_ms + (low + (jit.scale_ms - low) * rng.random())
         elif jit.dist == JITTER_NORMAL:
-            value = rule.delay_ms + rng.gauss(0.0, jit.scale_ms)
+            # random.Random.gauss in place, inlined as in workload.PayloadSampler
+            # (a helper called once per pair costs more on the loop); both
+            # copies are pinned by test_golden's VARIATES and by the stdlib
+            # comparisons in test_netem and test_workload
+            z = link.spare
+            if z is None:
+                x2pi = rng.random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - rng.random()))
+                z = cos(x2pi) * g2rad
+                link.spare = sin(x2pi) * g2rad
+            else:
+                link.spare = None
+            value = rule.delay_ms + (0.0 + z * jit.scale_ms)
         else:
             raise ValueError(f"unknown jitter dist {jit.dist!r}")
     return value if value > 0.0 else 0.0

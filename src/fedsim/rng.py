@@ -10,6 +10,12 @@ per-link stream is made by its sampler on the link's first draw from it, so a
 rule without jitter or loss makes none (see ``netem``), and it draws exactly
 what a stream made at set-up would.
 
+Each variate is computed from the stream's ``random()`` by the formula of
+the ``random.Random`` method it replaces, with the same operations in the same
+order (see ``netem`` and ``workload``), and the link or payload sampler that
+owns a stream holds the spare normal ``gauss`` would keep on it. Only the
+empirical payload mode still calls a method: ``randrange``.
+
 Derivation goes through SHA-256 rather than ``hash()`` so it is stable across
 interpreter invocations and immune to hash randomization. It is taken from
 CPython's builtin module (``_sha256`` up to 3.11, ``_sha2`` from 3.12), as

@@ -7,6 +7,14 @@ arrival exactly at the start of the first positive-rate phase and then every
 ``1/rate`` seconds, while a poisson process restarts memorylessly at each
 phase boundary.
 
+Both draws are made in place from the stream's ``random()``, by the formulas
+of ``random.Random`` with the same operations in the same order: a Poisson
+gap is ``expovariate(rate)``, ``-log(1 - random()) / rate``, and a lognormal
+payload is ``exp(gauss(mu, sigma))``, whose Box-Muller step makes two
+normals; the ``PayloadSampler`` holds the second as the spare its next draw
+returns, where ``gauss`` keeps it on the stream. The empirical uniform mode
+picks with the stdlib's ``randrange``.
+
 Service demand is affine in the stage's input size:
 ``demand = base + per_byte * input_bytes``. The backend stage sees the
 frontend's output, ``payload * reduction``. Scenario files carry demand in
@@ -140,7 +148,8 @@ def _next_poisson(windows, now, rng):
             continue
         anchor = start if cursor is None or cursor < start else cursor
         if rate > 0.0:
-            candidate = anchor + rng.expovariate(rate)
+            # random.Random.expovariate(rate) in place
+            candidate = anchor + -math.log(1.0 - rng.random()) / rate
             if candidate < end:
                 return candidate
         # overshoot or idle phase: restart memorylessly at the next boundary
@@ -149,12 +158,14 @@ def _next_poisson(windows, now, rng):
 
 
 class PayloadSampler:
-    """Stateful payload source; only the empirical cycle mode actually keeps
-    state, but a single interface keeps the call site uniform."""
+    """Stateful payload source: the lognormal mode holds its stream's spare
+    normal and the empirical cycle mode its position; a single interface
+    keeps the call site uniform."""
 
     def __init__(self, spec: PayloadSpec, rng: random.Random):
         self.spec = spec
         self.rng = rng
+        self.spare: float | None = None  # the second normal of its last Box-Muller step, until drawn
         self._cycle_at = 0
 
     def sample(self) -> int:
@@ -162,7 +173,19 @@ class PayloadSampler:
         if spec.dist == PAYLOAD_CONSTANT:
             return spec.bytes
         if spec.dist == PAYLOAD_LOGNORMAL:
-            size = math.exp(self.rng.gauss(spec.mu, spec.sigma))
+            # random.Random.gauss in place, inlined as in netem.sample_delay;
+            # both copies are pinned by test_golden's VARIATES and by the
+            # stdlib comparisons in test_netem and test_workload
+            z = self.spare
+            if z is None:
+                rng = self.rng
+                x2pi = rng.random() * math.tau
+                g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+                z = math.cos(x2pi) * g2rad
+                self.spare = math.sin(x2pi) * g2rad
+            else:
+                self.spare = None
+            size = math.exp(spec.mu + z * spec.sigma)
             return max(1, int(round(size)))
         if spec.dist == PAYLOAD_EMPIRICAL:
             if spec.mode == EMPIRICAL_CYCLE:

@@ -22,6 +22,13 @@ links with uniform and with normal jitter, and backends in the frontends'
 cluster are one non-zero intra-cluster delay away. Its run and its ping
 (which carries the same request traffic beside the probes) put jittered
 values in all five CSVs.
+
+``VARIATES`` pins every variate fedsim computes from a stream's
+``random()``: Poisson arrival gaps, lognormal payloads, and uniform and
+normal jitter. b->a draws 91 normals in the run and 115 in the ping before
+a ``set_link`` at 5.99 s makes it uniform, and a second one at 9.1 s makes
+it normal again; each count is odd, so the first normal after the switch
+back is the spare its link held through both rule changes.
 """
 
 import hashlib
@@ -121,6 +128,46 @@ rate_window_s: 5.0
 """
 
 JITTER_RUNS = {"run": [], "ping": ["--interval", "0.5"]}
+
+VARIATES = """
+clusters:
+  - {name: a, nodes: 2, vcpus_per_node: 4, memory_gb: 8, role: edge}
+  - {name: b, nodes: 2, vcpus_per_node: 4, memory_gb: 8, role: datacenter}
+  - {name: c, nodes: 1, vcpus_per_node: 4, memory_gb: 8, role: datacenter}
+links:
+  base_delay_ms: 0.5
+  one_way_delay_ms:
+    - [0, 9, 14]
+    - [10, 0, 0]
+    - [16, 0, 0]
+  jitter:
+    - {src: a, dst: b, dist: normal, scale_ms: 1.5}
+    - {src: b, dst: a, dist: normal, scale_ms: 2.5}
+    - {src: a, dst: c, dist: uniform, scale_ms: 2.0}
+    - {src: c, dst: a, dist: normal, scale_ms: 3.0}
+timeline:
+  - {action: set_link, at_s: 5.99, src: b, dst: a, delay_ms: 10.0, jitter: {dist: uniform, scale_ms: 2.5}}
+  - {action: set_link, at_s: 9.1, src: b, dst: a, delay_ms: 10.0, jitter: {dist: normal, scale_ms: 2.5}}
+services:
+  - name: fe
+    stage: frontend
+    replicas_per_cluster: {a: 2}
+    demand: {base_ms: 4.0, per_kb_ms: 0.01}
+  - name: be
+    stage: backend
+    replicas_per_cluster: {b: 2, c: 1}
+    demand: {base_ms: 15.0, per_kb_ms: 0.02}
+    backend_policy: round_robin
+workload:
+  arrival: poisson
+  payload: {dist: lognormal, mu: 8.5, sigma: 0.6}
+  phases:
+    - {rate: 25, duration_s: 15}
+seed: 23
+duration_s: 18
+scrape_interval_s: 1.0
+rate_window_s: 4.0
+"""
 
 PING_RUNS = {
     "blackout": (fedsim.bundled_scenario("blackout").read_text(), ["--interval", "0.1", "--duration", "310"]),
@@ -231,6 +278,27 @@ JITTER_GOLDEN = {
 }
 
 
+# computed before fedsim drew any variate without the stdlib's methods
+VARIATES_GOLDEN = {
+    "run": {
+        "cpu_rate.csv": "26114ed0908354cc2f38b9e57f09d40496afa1b6c1a15cad6412218c07bf0faf",
+        "probe_rtt.csv": "11784ddbd7d4c85a2e5c733fe36d873023b4b2cac9e6727b10ee50d53ce13798",
+        "replica_busy_vcpu_seconds_total.csv": "f50dedbe408a39462f7c206fb7a5a1fc26697834c9f75879a61e14d6973f7ee5",
+        "replica_outstanding_requests.csv": "795c205c71005b0876a0fae77ad488a3e0dffdb45b8c09371e44e067babd6f29",
+        "traces.csv": "cce7df803fc38f81687fc64bf343bd4346c8f66e693be300a1aa48fd1cbfade5",
+        "summary.yaml:results": "54afeb8589ba44b71401400f137c35147a18199d0862862e6da3d339243669b5",
+    },
+    "ping": {
+        "cpu_rate.csv": "26114ed0908354cc2f38b9e57f09d40496afa1b6c1a15cad6412218c07bf0faf",
+        "probe_rtt.csv": "ad26215e1e438563ad6306aad6872dd181849492f235c4c3e63fa97e4cf1f74b",
+        "replica_busy_vcpu_seconds_total.csv": "f50dedbe408a39462f7c206fb7a5a1fc26697834c9f75879a61e14d6973f7ee5",
+        "replica_outstanding_requests.csv": "94a1c0a41101a8e263ed00574fb5590b98d06e0c70571fa8784a56a0ad1dbf84",
+        "traces.csv": "5e11a5926b963c54a3908e6eeb8abe67f856a0b6da876b6a57c3b7aa583243e6",
+        "rtt_matrix.yaml": "ee822777fca9a2cb1315e2c6800d7fb932d7a52ec8f75658025cf65f6c58add7",
+    },
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -298,6 +366,16 @@ def test_jitter_exports_match_golden_digests(command, tmp_path, capsys):
     assert cli.main([command, str(scenario), "--out-dir", str(out), *JITTER_RUNS[command]]) == 0
     capsys.readouterr()
     assert _digests(out) == JITTER_GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(JITTER_RUNS))
+def test_variates_exports_match_golden_digests(command, tmp_path, capsys):
+    scenario = tmp_path / "variates.yaml"
+    scenario.write_text(VARIATES)
+    out = tmp_path / command
+    assert cli.main([command, str(scenario), "--out-dir", str(out), *JITTER_RUNS[command]]) == 0
+    capsys.readouterr()
+    assert _digests(out) == VARIATES_GOLDEN[command]
 
 
 def test_ping_stepped_in_pieces_matches_one_long_run(tmp_path):

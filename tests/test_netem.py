@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from fedsim import netem, topology
+from fedsim import faults, netem, topology
 from fedsim.netem import (
     ClassifierTable,
     ImpairmentRule,
@@ -161,6 +161,44 @@ def test_normal_jitter_moments():
     var = sum((v - mean) ** 2 for v in values) / len(values)
     assert mean == pytest.approx(25.0, abs=4 * scale / math.sqrt(N_DRAWS))
     assert var == pytest.approx(scale**2, rel=0.05)
+
+
+def _stdlib_delay(r, ref):
+    """What sample_delay drew when it called random.Random's methods."""
+    scale = r.jitter.scale_ms
+    if r.jitter.dist == "normal":
+        value = r.delay_ms + ref.gauss(0.0, scale)
+    else:
+        value = r.delay_ms + ref.uniform(-scale, scale)
+    return value if value > 0.0 else 0.0
+
+
+NORMAL = rule(delay=3.0, jitter=JitterSpec("normal", 2.5))
+UNIFORM = rule(delay=3.0, jitter=JitterSpec("uniform", 1.5))
+
+
+def test_jitter_draws_equal_the_stdlib_methods_on_a_fresh_stream():
+    # uniform draws between normal ones, after an odd and an even count of
+    # normals, leave the link's spare where gauss leaves the stream's
+    link = netem.Link(NORMAL, (7, 1, 0))
+    ref = stream(7, "delay", 1, 0)
+    plan = [NORMAL] * 3 + [UNIFORM] * 2 + [NORMAL] * 4 + [UNIFORM] + [NORMAL] * 500
+    for k, r in enumerate(plan):
+        assert sample_delay(r, link) == _stdlib_delay(r, ref), k
+        assert link.spare == ref.gauss_next, k
+    assert link.delay_rng.getstate()[1] == ref.getstate()[1]
+    assert link.delay_rng.gauss_next is None  # the link, not its stream, holds the spare
+
+
+def test_the_spare_normal_of_a_link_crosses_each_set_link_as_the_streams_own_would():
+    link = netem.Link(NORMAL, (7, 1, 0))
+    engine = types.SimpleNamespace(table=types.SimpleNamespace(links=[[None, None], [link, None]]))
+    ref = stream(7, "delay", 1, 0)
+    for r, draws in ((NORMAL, 3), (UNIFORM, 2), (NORMAL, 1), (UNIFORM, 1), (NORMAL, 4)):
+        faults.apply(engine, faults.ApplyRule(1, 0, r))
+        assert link.spare == ref.gauss_next
+        for _ in range(draws):
+            assert sample_delay(link.rule, link) == _stdlib_delay(r, ref)
 
 
 # -- loss sampling ---------------------------------------------------------
@@ -364,7 +402,7 @@ def test_every_stream_made_on_first_draw_draws_as_one_made_at_set_up():
         loss = made.loss_rng or stream(seed, "loss", i, j)
         assert delay.getstate() == ref.delay_rng.getstate(), (i, j)
         assert loss.getstate() == ref.loss_rng.getstate(), (i, j)
-        assert made.prev_u == ref.prev_u
+        assert (made.spare, made.prev_u) == (ref.spare, ref.prev_u)
 
 
 def test_first_draws_while_dark_and_after_a_set_link_match_streams_made_at_set_up(poc_spec):

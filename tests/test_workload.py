@@ -137,6 +137,18 @@ class TestPoissonArrivals:
         times = drain(spec, random.Random(1))
         assert all(50.0 < t < 100.0 for t in times)
 
+    def test_gaps_equal_the_stdlib_expovariate_on_a_fresh_stream(self):
+        rng, ref = stream(7, "arrival"), stream(7, "arrival")
+        times = drain(self.spec(rate=20.0, duration=60.0), rng)
+        expected, now = [], 0.0
+        while True:
+            now = now + ref.expovariate(20.0)
+            if now >= 60.0:  # the overshoot draw is made and discarded
+                break
+            expected.append(now)
+        assert times == expected
+        assert rng.getstate() == ref.getstate()
+
     def test_deterministic_given_stream(self):
         a = drain(self.spec(), stream(7, "arrival"))
         b = drain(self.spec(), stream(7, "arrival"))
@@ -159,6 +171,16 @@ class TestPayloads:
         assert statistics.fmean(log_draws) == pytest.approx(mu, rel=0.01)
         assert statistics.stdev(log_draws) == pytest.approx(sigma, rel=0.02)
         assert all(d >= 1 for d in draws)
+
+    def test_lognormal_draws_equal_the_stdlib_gauss_on_a_fresh_stream(self):
+        spec = PayloadSpec(dist="lognormal", mu=8.5, sigma=0.6)
+        sampler = PayloadSampler(spec, stream(7, "payload"))
+        ref = stream(7, "payload")
+        for k in range(501):
+            size = math.exp(ref.gauss(spec.mu, spec.sigma))
+            assert sampler.sample() == max(1, int(round(size))), k
+            assert sampler.spare == ref.gauss_next, k
+        assert sampler.rng.getstate()[1] == ref.getstate()[1]
 
     def test_lognormal_floor_at_one_byte(self):
         spec = PayloadSpec(dist="lognormal", mu=-10.0, sigma=0.1)
