@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  validate  parse + validate a scenario, print every violation
+  validate  parse + validate a scenario, print every violation and warning
   run       execute a scenario and export traces, metrics, and a summary
   ping      run the RTT probe experiment and print the matrix
   sweep     run one scenario across a list of values for one parameter path
@@ -24,7 +24,8 @@ function of (scenario, seed) the replay fails at the same event. A failure
 that does not recur there, or that came from the streams or after the run,
 leaves a tail of the header only.
 
-``sweep --values`` is a YAML flow sequence without its brackets, such as
+``sweep --param`` names a field of the canonical document, which writes out
+every field; ``--values`` is a YAML flow sequence without its brackets, such as
 ``[0,5],[0,10]``; two values that share a variant directory are an error.
 The runs of a parallel ``sweep`` format their rows in-process, not in a
 writer process of their own: ``metrics`` sees that it runs in a pool worker.
@@ -48,7 +49,7 @@ from types import SimpleNamespace
 
 import yaml
 
-from . import __version__, faults, metrics, probes, topology
+from . import __version__, metrics, probes, topology
 from .engine import EngineError
 
 # libyaml's safe dumper when PyYAML was built with it, as topology loads over
@@ -86,7 +87,7 @@ def _load_file(path: str, seed: int | None = None):
 def _load(text: str, seed: int | None = None):
     """Parse and validate scenario text, with ``seed`` overriding the
     scenario's. Returns the ``ValidatedTopology``, or raises EXIT_INVALID
-    after printing every error. Warnings go to stderr and do not change the outcome."""
+    after printing every error. Its ``warnings`` go to stderr and do not change the outcome."""
     try:
         spec = topology.parse_scenario(text)
         if seed is not None:
@@ -96,15 +97,8 @@ def _load(text: str, seed: int | None = None):
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)
         raise _Exit(EXIT_INVALID) from None
-    losses = [(f"loss[{i}][{j}]", loss) for i, row in enumerate(spec.links.loss) for j, loss in enumerate(row)]
-    losses += [
-        (f"timeline[{k}].loss", event.loss)
-        for k, event in enumerate(spec.timeline)
-        if isinstance(event, faults.SetLinkEvent)
-    ]
-    for path, loss in losses:
-        if loss.correlation > 0:
-            print(f"warning: {path}: loss correlation > 0 thins the marginal loss rate far below p", file=sys.stderr)
+    for message in topo.warnings:
+        print(f"warning: {message}", file=sys.stderr)
     return topo
 
 
@@ -327,7 +321,7 @@ def _sweep_worker(task: tuple) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> int:
-    # operate on the canonical document so defaulted fields are sweepable
+    # operate on the canonical document so defaulted and empty fields are sweepable
     canonical = topology.render_scenario(_load_file(args.scenario).spec)
     try:
         _resolve_path(topology.load_yaml(canonical), args.param)

@@ -16,6 +16,8 @@ costs the configured base delay; the cross-cluster legs additionally cross
 the directed link, which samples impairment delay or drops the message.
 Intra-cluster legs cost the intra-cluster base delay and never drop.
 
+The engine takes the placements, stage profiles and compiled timeline from
+the ``ValidatedTopology`` and resolves none of them again.
 A replica is one ``Replica`` object: a ``mesh.Endpoint`` (identity and
 health, what the balancers pick) extended with its node, queue and busy
 counter; messages carry it as their target. ``engine.replicas`` lists them
@@ -259,22 +261,20 @@ class EngineState:
         # round-robin replicas over each cluster's nodes, services in order,
         # then size concurrency by how many replicas share each node
         clusters = self.spec.clusters
-        placed: list[tuple[str, int, int, int]] = []
-        node_cursor = {k: 0 for k in range(len(clusters))}
+        placed: list[tuple[str, int, int, int, bool]] = []
+        node_cursor = [0] * len(clusters)
         per_node_count: dict[tuple[int, int], int] = {}
-        for service in self.topology.services:
-            for cluster_index, count in service.placements:
-                nodes = clusters[cluster_index].nodes
+        for service in self.spec.services:
+            is_frontend = service.stage == workload.STAGE_FRONTEND
+            for cluster_index, count in self.topology.placements[service.name].items():
                 for replica_index in range(count):
-                    node = node_cursor[cluster_index] % nodes
+                    node = node_cursor[cluster_index] % clusters[cluster_index].nodes
                     node_cursor[cluster_index] += 1
-                    placed.append((service.name, cluster_index, replica_index, node))
-                    per_node_count[(cluster_index, node)] = per_node_count.get((cluster_index, node), 0) + 1
+                    placed.append((service.name, cluster_index, replica_index, node, is_frontend))
+                    per_node_count[cluster_index, node] = per_node_count.get((cluster_index, node), 0) + 1
         replicas = []
-        for name, cluster_index, replica_index, node in placed:
-            vcpus = clusters[cluster_index].vcpus_per_node
-            limit = max(1, vcpus // per_node_count[(cluster_index, node)])
-            is_frontend = self.frontend is not None and name == self.frontend.name
+        for name, cluster_index, replica_index, node, is_frontend in placed:
+            limit = max(1, clusters[cluster_index].vcpus_per_node // per_node_count[cluster_index, node])
             replicas.append(Replica(name, cluster_index, replica_index, node, limit, is_frontend))
         return replicas
 
@@ -296,7 +296,7 @@ class EngineState:
             heapq.heappush(self._heap, entry)
 
     def _prime(self) -> None:
-        for time, action in faults.compile_timeline(self.spec.timeline, self.topology.index_of):
+        for time, action in self.topology.timeline:
             self.schedule(time, TIMELINE_APPLY, action)
         self._scrape_at = 0.0
         self.schedule(0.0, SCRAPE)
@@ -422,7 +422,7 @@ class EngineState:
         if self.streams is not None and not rid % FLUSH_BATCH:
             self._flush_traces()
         payload_bytes = self.payload_sampler.sample()
-        reduction = self.frontend.profile.reduction_factor
+        reduction = self.frontend.reduction_factor
         request = Request(rid, payload_bytes, payload_bytes * reduction)
         self._next_request_id = rid + 1
         self.arrivals += 1
@@ -571,7 +571,7 @@ _HANDLERS = {
 
 
 def request_fe(engine: EngineState, request: Request, replica: Replica, t: float) -> None:
-    demand = workload.service_demand(engine.frontend.profile, request.payload_bytes)
+    demand = workload.service_demand(engine.frontend, request.payload_bytes)
     if replica.free_slots > 0:
         replica.free_slots -= 1
         engine._start(replica, request, demand, t)
@@ -582,7 +582,7 @@ def request_fe(engine: EngineState, request: Request, replica: Replica, t: float
 def request_be(engine: EngineState, request: Request, replica: Replica, t: float) -> None:
     if request.outcome is not None:
         return  # timed out before the message arrived
-    demand = workload.service_demand(engine.backend.profile, request.reduced_bytes)
+    demand = workload.service_demand(engine.backend, request.reduced_bytes)
     if replica.free_slots > 0:
         replica.free_slots -= 1
         engine._start(replica, request, demand, t)

@@ -1,9 +1,11 @@
 """Fault timelines: scheduled impairment changes, blackouts, health flips.
 
-A timeline is a list of events pinned to virtual times. Compilation turns it
-into an ordered list of primitive actions the engine replays as
-``timeline_apply`` events: a ``set_link`` becomes one rule update, and a
-blackout becomes a start action at ``at_s`` and an end action at ``end_s``.
+A timeline is a list of events pinned to virtual times. ``compile_timeline``
+checks it against the topology and, in the same walk, turns it into an
+ordered list of primitive actions the engine replays as ``timeline_apply``
+events: a ``set_link`` becomes one rule update, and a blackout becomes a
+start action at ``at_s`` and an end action at ``end_s``. ``topology.validate``
+is its one caller; the compiled actions travel on the ``ValidatedTopology``.
 
 Each link counts how many of its two clusters are blacked out, and is dark
 (drops every message) while that count is above 0. A blackout's start adds 1
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import fields
-from .netem import ImpairmentRule, JitterSpec, LossSpec
+from .netem import CORRELATION_WARNING, ImpairmentRule, JitterSpec, LossSpec
 
 ACTION_SET_LINK = "set_link"
 ACTION_BLACKOUT = "blackout"
@@ -96,12 +98,16 @@ class ApplyHealth:
     healthy: bool
 
 
-def check_timeline(events, index_of: dict[str, int], services: dict[str, dict[int, int]]) -> list[str]:
-    """Validate a timeline against the topology; returns error strings.
-
-    ``services`` maps service name -> {cluster index -> replica count}.
-    """
-    errors = []
+def compile_timeline(events, index_of: dict[str, int], placements: dict[str, dict[int, int]]):
+    """Check a timeline against the topology and expand it, in one walk.
+    ``placements`` maps service name -> {cluster index -> replica count}.
+    Returns ``(actions, errors, warnings)``: the (time, action) pairs in
+    time order, declaration order breaking ties, which hold only if there
+    is no error; every violation; and a warning per ``set_link`` whose loss
+    correlation is above 0."""
+    errors: list[str] = []
+    warnings: list[str] = []
+    actions: list[tuple[float, object]] = []
     blackout_spans: dict[str, list[tuple[float, float, int]]] = {}
     for k, event in enumerate(events):
         path = f"timeline[{k}]"
@@ -113,26 +119,33 @@ def check_timeline(events, index_of: dict[str, int], services: dict[str, dict[in
                     errors.append(f"{path}.{field_name}: unknown cluster '{name}'")
             if event.src == event.dst and event.src in index_of:
                 errors.append(f"{path}: src and dst must differ")
+            if event.loss.correlation > 0:
+                warnings.append(f"{path}.loss: {CORRELATION_WARNING}")
+            rule = ImpairmentRule(event.delay_ms, event.jitter, event.loss)
+            actions.append((event.at_s, ApplyRule(index_of.get(event.src), index_of.get(event.dst), rule)))
         elif isinstance(event, BlackoutEvent):
-            if event.cluster not in index_of:
+            cluster = index_of.get(event.cluster)
+            if cluster is None:
                 errors.append(f"{path}.cluster: unknown cluster '{event.cluster}'")
             if event.end_s <= event.at_s:
                 errors.append(f"{path}: end_s must exceed at_s")
             else:
                 blackout_spans.setdefault(event.cluster, []).append((event.at_s, event.end_s, k))
+            actions.append((event.at_s, BlackoutStart(cluster)))
+            actions.append((event.end_s, BlackoutEnd(cluster)))
         elif isinstance(event, SetHealthEvent):
-            if event.cluster not in index_of:
+            cluster = index_of.get(event.cluster)
+            if cluster is None:
                 errors.append(f"{path}.cluster: unknown cluster '{event.cluster}'")
-            elif event.service not in services:
+            elif event.service not in placements:
                 errors.append(f"{path}.service: unknown service '{event.service}'")
             else:
-                count = services[event.service].get(index_of[event.cluster], 0)
+                count = placements[event.service].get(cluster, 0)
                 if count == 0:
-                    errors.append(
-                        f"{path}: service '{event.service}' has no replicas in cluster '{event.cluster}'"
-                    )
+                    errors.append(f"{path}: service '{event.service}' has no replicas in cluster '{event.cluster}'")
                 elif event.replica is not None and not 0 <= event.replica < count:
                     errors.append(f"{path}.replica: out of range for '{event.service}'")
+            actions.append((event.at_s, ApplyHealth(event.service, cluster, event.replica, event.healthy)))
         else:
             errors.append(f"{path}: unknown event type {type(event).__name__}")
     for cluster, spans in blackout_spans.items():
@@ -140,31 +153,8 @@ def check_timeline(events, index_of: dict[str, int], services: dict[str, dict[in
         for (s1, e1, _i1), (s2, _e2, i2) in zip(spans, spans[1:]):
             if s2 < e1:
                 errors.append(f"timeline[{i2}]: blackout on '{cluster}' overlaps an earlier blackout")
-    return errors
-
-
-def compile_timeline(events, index_of: dict[str, int]) -> list[tuple[float, object]]:
-    """Expand a validated timeline into (time, action) pairs, ordered by time
-    with declaration order breaking ties."""
-    entries: list[tuple[float, int, object]] = []
-    for k, event in enumerate(events):
-        if isinstance(event, SetLinkEvent):
-            rule = ImpairmentRule(event.delay_ms, event.jitter, event.loss)
-            entries.append((event.at_s, k, ApplyRule(index_of[event.src], index_of[event.dst], rule)))
-        elif isinstance(event, BlackoutEvent):
-            cluster = index_of[event.cluster]
-            entries.append((event.at_s, k, BlackoutStart(cluster)))
-            entries.append((event.end_s, k, BlackoutEnd(cluster)))
-        elif isinstance(event, SetHealthEvent):
-            entries.append(
-                (
-                    event.at_s,
-                    k,
-                    ApplyHealth(event.service, index_of[event.cluster], event.replica, event.healthy),
-                )
-            )
-    entries.sort(key=lambda entry: (entry[0], entry[1]))
-    return [(time, action) for time, _k, action in entries]
+    actions.sort(key=lambda entry: entry[0])  # a stable sort: declaration order breaks ties
+    return actions, errors, warnings
 
 
 def apply(engine, action) -> None:

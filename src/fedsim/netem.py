@@ -69,6 +69,9 @@ class LossSpec:
     correlation: float = field(default=0.0, metadata={"bounds": "[0, 1]"})
 
 
+CORRELATION_WARNING = "loss correlation > 0 thins the marginal loss rate far below p"
+
+
 # slotted, so no JitterSpec default blocks specialized reads (see engine)
 @dataclass(frozen=True, slots=True)
 class ImpairmentRule:

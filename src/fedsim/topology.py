@@ -12,8 +12,9 @@ full document lifecycle:
   * ``render_scenario``: ``FederationSpec`` -> canonical YAML. Rendering a
     parsed document and parsing it again yields an equal spec.
   * ``validate``: semantic checks over the spec, collecting every violation
-    before failing, and resolution into a ``ValidatedTopology`` with cluster
-    indices assigned in declaration order.
+    before failing, and the one resolution of the scenario into a
+    ``ValidatedTopology``: cluster indices in declaration order, placements
+    by cluster index, stage profiles, the compiled timeline and warnings.
   * ``build_runtime``: construct the discrete-event engine for a validated
     topology. The returned engine has an empty event queue; priming happens
     on the first ``run``.
@@ -21,8 +22,9 @@ full document lifecycle:
 Each field is declared once, on its dataclass (see ``fields``); that table
 drives parsing, rendering and the per-field checks. The code here handles
 only what the table cannot express: the dense delay matrix, the sparse
-``src``/``dst`` jitter and loss entries, replica maps, stage-dependent demand
-defaults, the ``action``-tagged timeline, and the cross-field checks.
+``src``/``dst`` jitter and loss entries (at most one per pair), replica
+maps, stage-dependent demand defaults, the ``action``-tagged timeline, and
+the cross-field checks.
 
 Scenario-level units are operator-friendly (milliseconds, ms per kB with
 1 kB = 1000 bytes). Validation converts service demands to seconds and
@@ -49,7 +51,7 @@ from . import faults, fields, workload
 from .engine import EngineState
 from .fields import ScenarioError, as_list, as_map, as_str, each, fail, require
 from .mesh import POLICIES, ROUND_ROBIN
-from .netem import JITTER_NONE, JitterSpec, LossSpec
+from .netem import CORRELATION_WARNING, JITTER_NONE, JitterSpec, LossSpec
 from .workload import (
     PAYLOAD_CONSTANT,
     PAYLOAD_EMPIRICAL,
@@ -169,28 +171,19 @@ class FederationSpec:
 
 
 @dataclass(frozen=True)
-class ResolvedService:
-    """Service with placements resolved to cluster indices and demand in
-    engine units."""
-
-    name: str
-    stage: str
-    placements: tuple[tuple[int, int], ...]
-    profile: StageProfile
-
-
-@dataclass(frozen=True)
 class ValidatedTopology:
     """Semantically valid federation, ready for ``build_runtime``. Everything
     the document states stays on ``spec``; this adds what validation
-    resolved."""
+    resolved, once for every engine built from it."""
 
     spec: FederationSpec
-    index_of: dict[str, int]
-    services: tuple[ResolvedService, ...]
-    frontend: ResolvedService | None
-    backend: ResolvedService | None
+    index_of: dict[str, int]  # cluster name -> index, in declaration order
+    placements: dict[str, dict[int, int]]  # service name -> {cluster index: count > 0}, in index order
+    frontend: StageProfile | None  # each stage's demand model; None in a scenario without services
+    backend: StageProfile | None
     backend_policy: str
+    timeline: tuple[tuple[float, object], ...]  # the compiled (time, action) pairs, see faults
+    warnings: tuple[str, ...]  # what is valid but likely unintended, without "warning: "
 
 
 _TIMELINE_ACTIONS = {
@@ -391,18 +384,23 @@ def _parse_matrix(value, n: int, path: str) -> tuple[tuple[float, ...], ...]:
 
 def _parse_sparse(value, names: list[str], path: str, cls, required: str):
     """``src``/``dst`` entries over a matrix of one shared ``cls()`` default
-    (the specs are frozen)."""
+    (the specs are frozen). A second entry for one pair is an error: it
+    would replace the first."""
     n = len(names)
     index_of = {}
     for k, name in enumerate(names):
         index_of.setdefault(name, k)  # a duplicate name is validate's to report; the first one wins
     default = cls()
     rows = [[default] * n for _ in range(n)]
+    first_at: dict[tuple[int, int], int] = {}
     for k, item in enumerate(as_list(value, path)):
         entry_path = f"{path}[{k}]"
         entry = as_map(item, entry_path)
         fields.check_keys(entry, cls, entry_path, extra=("src", "dst"))
         i, j = (_cluster_index(entry, key, index_of, entry_path) for key in ("src", "dst"))
+        first = first_at.setdefault((i, j), k)
+        if first != k:
+            fail(f"{entry_path}: duplicate entry for src '{names[i]}', dst '{names[j]}' (first at {path}[{first}])")
         require(entry, required, entry_path)
         rows[i][j] = fields.build(cls, entry, entry_path, extra=("src", "dst"))
     return tuple(tuple(row) for row in rows)
@@ -468,19 +466,19 @@ def load_scenario(path: str | Path) -> FederationSpec:
 
 
 def render_scenario(spec: FederationSpec) -> str:
-    """Render a spec back to canonical YAML (defaults made explicit, sparse
-    matrix entries sorted row-major, replica maps in cluster order)."""
+    """Render a spec back to canonical YAML (defaults made explicit, an
+    empty list as ``[]``, sparse matrix entries sorted row-major, replica
+    maps in cluster order), so that every field has a path to sweep."""
     names = [cluster.name for cluster in spec.clusters]
     order = {name: k for k, name in enumerate(names)}
 
     def sparse(matrix, default):
-        entries = [
+        return [
             {"src": names[i], "dst": names[j], **fields.render(cell)}
             for i, row in enumerate(matrix)
             for j, cell in enumerate(row)
             if cell != default
         ]
-        return entries or None
 
     def service(svc: ServiceSpec) -> dict:
         placement_order = sorted(svc.replicas_per_cluster, key=lambda n: (order.get(n, len(order)), n))
@@ -493,7 +491,7 @@ def render_scenario(spec: FederationSpec) -> str:
             spec.links, jitter=sparse(spec.links.jitter, JitterSpec()), loss=sparse(spec.links.loss, LossSpec())
         ),
         services=[service(svc) for svc in spec.services],
-        timeline=[{"action": _ACTION_OF[type(event)], **fields.render(event)} for event in spec.timeline] or None,
+        timeline=[{"action": _ACTION_OF[type(event)], **fields.render(event)} for event in spec.timeline],
     )
     return yaml.safe_dump(doc, sort_keys=False)
 
@@ -502,12 +500,13 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
     """Semantic validation. Collects every violation; raises ValidationError
     listing all of them, otherwise returns the resolved topology."""
     errors: list[str] = []
+    warnings: list[str] = []
     fields.check(spec, "", errors)
     _check_names(spec.clusters, "clusters", errors)
     index_of = {cluster.name: k for k, cluster in enumerate(spec.clusters)}
 
-    _validate_links(spec.links, len(spec.clusters), errors)
-    frontend_spec, backend_spec, backend_policy = _validate_services(spec.services, index_of, errors)
+    _validate_links(spec.links, len(spec.clusters), errors, warnings)
+    placements, backend_policy = _validate_services(spec.services, index_of, errors)
     profiles = [
         StageProfile(
             stage=service.stage,
@@ -517,6 +516,9 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
         )
         for service in spec.services
     ]
+    # one profile per stage once valid; of two, validation reports the clash
+    stages = {profile.stage: profile for profile in profiles}
+    frontend, backend = stages.get(STAGE_FRONTEND), stages.get(STAGE_BACKEND)
 
     payload = spec.workload.payload
     largest = None  # the largest payload a draw can give, once it is known to be a float
@@ -543,61 +545,39 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
         else:
             largest = math.exp(payload.mu + 10 * payload.sigma)
     if largest is not None:
-        _check_demands(profiles, frontend_spec, largest, errors)
+        _check_demands(profiles, frontend, largest, errors)
     if spec.scrape_interval_s > 0 and spec.duration_s / spec.scrape_interval_s > MAX_SCRAPES:
         errors.append(
             f"scrape_interval_s: {spec.scrape_interval_s!r} gives more than {MAX_SCRAPES} scrapes "
             f"over duration_s {spec.duration_s!r}"
         )
     generates_traffic = any(phase.rate > 0 for phase in spec.workload.phases)
-    if generates_traffic and (frontend_spec is None or backend_spec is None):
+    if generates_traffic and (frontend is None or backend is None):
         errors.append("workload requires one frontend and one backend service")
 
-    placement_map = {
-        service.name: {
-            index_of[name]: count
-            for name, count in service.replicas_per_cluster.items()
-            if name in index_of
-        }
-        for service in spec.services
-    }
-    errors.extend(faults.check_timeline(spec.timeline, index_of, placement_map))
-
+    timeline, timeline_errors, timeline_warnings = faults.compile_timeline(spec.timeline, index_of, placements)
+    errors += timeline_errors
     if errors:
         raise ValidationError(errors)
-
-    services = []
-    frontend = backend = None
-    for service, profile in zip(spec.services, profiles):
-        placements = tuple(
-            (index_of[name], count)
-            for name, count in sorted(service.replicas_per_cluster.items(), key=lambda kv: index_of[kv[0]])
-            if count > 0
-        )
-        resolved = ResolvedService(service.name, service.stage, placements, profile)
-        services.append(resolved)
-        if service.stage == STAGE_FRONTEND:
-            frontend = resolved
-        else:
-            backend = resolved
-
     return ValidatedTopology(
         spec=spec,
         index_of=index_of,
-        services=tuple(services),
+        placements=placements,
         frontend=frontend,
         backend=backend,
         backend_policy=backend_policy,
+        timeline=tuple(timeline),
+        warnings=tuple(warnings + timeline_warnings),
     )
 
 
-def _check_demands(profiles, frontend: ServiceSpec | None, largest_bytes: float, errors: list[str]) -> None:
+def _check_demands(profiles, frontend: StageProfile | None, largest_bytes: float, errors: list[str]) -> None:
     """Each stage's ``workload.service_demand`` for the largest payload must
     be finite; the backend serves the frontend's reduced bytes."""
     for k, profile in enumerate(profiles):
         input_bytes = largest_bytes
         if profile.stage == STAGE_BACKEND and frontend is not None:
-            input_bytes = largest_bytes * frontend.demand.reduction
+            input_bytes = largest_bytes * frontend.reduction_factor
         if not math.isfinite(workload.service_demand(profile, input_bytes)):
             errors.append(
                 f"services[{k}].demand: base_ms + per_kb_ms * {input_bytes / 1000!r} kB, the largest payload, "
@@ -615,7 +595,7 @@ def _check_names(items, section: str, errors: list[str]) -> None:
         seen.add(item.name)
 
 
-def _validate_links(links: LinksSpec, n: int, errors: list[str]) -> None:
+def _validate_links(links: LinksSpec, n: int, errors: list[str], warnings: list[str]) -> None:
     for matrix_name, matrix in (
         ("one_way_delay", links.one_way_delay_ms),
         ("jitter", links.jitter),
@@ -629,6 +609,8 @@ def _validate_links(links: LinksSpec, n: int, errors: list[str]) -> None:
             delay = links.one_way_delay_ms[i][j]
             jit = links.jitter[i][j]
             loss = links.loss[i][j]
+            if loss.correlation > 0:
+                warnings.append(f"loss[{i}][{j}]: {CORRELATION_WARNING}")
             if i == j:
                 if delay != 0:
                     errors.append(f"one_way_delay[{i}][{i}] != 0")
@@ -644,28 +626,29 @@ def _validate_links(links: LinksSpec, n: int, errors: list[str]) -> None:
 
 
 def _validate_services(services: tuple[ServiceSpec, ...], index_of: dict[str, int], errors: list[str]):
+    """Check the services; returns their placements and backend policy."""
     _check_names(services, "services", errors)
-    frontend = backend = None
+    placements: dict[str, dict[int, int]] = {}
+    stages_seen: set[str] = set()
     policies_seen: set[str] = set()
     for k, service in enumerate(services):
         path = f"services[{k}]"
-        if service.stage == STAGE_FRONTEND:
-            if frontend is not None:
-                errors.append("services: more than one frontend service")
-            frontend = service
-        elif service.stage == STAGE_BACKEND:
-            if backend is not None:
-                errors.append("services: more than one backend service")
-            backend = service
+        if service.stage in stages_seen and service.stage in STAGES:
+            errors.append(f"services: more than one {service.stage} service")
+        stages_seen.add(service.stage)
 
         total = 0
+        placed = {}
         for name, count in service.replicas_per_cluster.items():
             if name not in index_of:
                 errors.append(f"{path}.replicas_per_cluster: unknown cluster '{name}'")
+            elif count:
+                placed[index_of[name]] = count
             if count < 0:
                 errors.append(f"{path}.replicas_per_cluster['{name}'] < 0")
             else:
                 total += count
+        placements[service.name] = dict(sorted(placed.items()))
         if total < 1:
             errors.append(f"{path}: at least one replica required")
         if service.backend_policy in POLICIES:
@@ -673,7 +656,7 @@ def _validate_services(services: tuple[ServiceSpec, ...], index_of: dict[str, in
     if len(policies_seen) > 1:
         errors.append("services: conflicting backend_policy values")
     policy = next(iter(policies_seen)) if policies_seen else ROUND_ROBIN
-    return frontend, backend, policy
+    return placements, policy
 
 
 def build_runtime(topology: ValidatedTopology):

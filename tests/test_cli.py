@@ -78,6 +78,14 @@ class TestValidate:
             else:
                 assert capsys.readouterr().err == "error: clusters[0]: expected a mapping\n"
 
+    def test_a_duplicate_sparse_entry_is_one_error(self, tmp_path, capsys):
+        path = tmp_path / "twice.scenario"
+        path.write_text(two_cluster_doc(links="  loss: [{src: west, dst: east, p: 0.5}, {src: west, dst: east, p: 0.0}]"))
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: links.loss[1]: duplicate entry for src 'west', dst 'east' (first at links.loss[0])\n"
+        )
+
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.scenario"
         path.write_text(MINI_DOC + "surprise: 1\n")
@@ -840,6 +848,26 @@ class TestSweep:
         )
         assert code == 0
         assert (out / "timeout_s=1.0" / "summary.yaml").is_file()
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("timeline", "[{action: blackout, cluster: east, at_s: 1, end_s: 2}]"),
+            ("links.loss", "[{src: east, dst: west, p: 1.0}]"),
+            ("links.jitter", "[{src: west, dst: east, dist: uniform, scale_ms: 1.0}]"),
+        ],
+        ids=["timeline", "links.loss", "links.jitter"],
+    )
+    def test_a_field_the_scenario_leaves_empty_is_sweepable(self, two_cluster_scenario, tmp_path, param, value):
+        # the scenario has no timeline and no jitter or loss entries; the
+        # canonical document writes each as [], so the path resolves
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", two_cluster_scenario, "--param", param, "--values", value, "--out-dir", str(out)])
+        assert code == 0
+        [variant] = out.iterdir()
+        results = yaml.safe_load((variant / "summary.yaml").read_text())["results"]
+        assert results["arrivals"] == 100
+        assert (results["lost"] > 0) == (param != "links.jitter")
 
     def test_unknown_param_path(self, two_cluster_scenario, tmp_path, capsys):
         code = cli.main(

@@ -13,7 +13,6 @@ from fedsim.faults import (
     BlackoutStart,
     SetHealthEvent,
     SetLinkEvent,
-    check_timeline,
     compile_timeline,
 )
 from fedsim.netem import ImpairmentRule, JitterSpec, LossSpec
@@ -21,6 +20,11 @@ from tests.conftest import make_topology, run_scenario_text, two_cluster_doc
 
 INDEX = {"west": 0, "east": 1}
 PLACEMENTS = {"fe": {0: 1}, "be": {1: 2}}
+
+
+def check_timeline(events, index_of, placements):
+    """The errors of the one walk that checks and compiles a timeline."""
+    return compile_timeline(events, index_of, placements)[1]
 
 
 class TestCheckTimeline:
@@ -105,7 +109,7 @@ class TestCompile:
             BlackoutEvent(at_s=300.0, cluster="east", end_s=600.0),
             SetLinkEvent(at_s=100.0, src="west", dst="east", delay_ms=9.0),
         )
-        compiled = compile_timeline(events, INDEX)
+        compiled, errors, warnings = compile_timeline(events, INDEX, PLACEMENTS)
         times = [t for t, _ in compiled]
         actions = [a for _, a in compiled]
         assert times == [100.0, 300.0, 300.0, 600.0]
@@ -115,9 +119,10 @@ class TestCompile:
         assert actions[1] == ApplyHealth("be", 1, None, False)
         assert actions[2] == BlackoutStart(1)
         assert actions[3] == BlackoutEnd(1)
+        assert errors == warnings == []
 
     def test_empty_timeline(self):
-        assert compile_timeline((), INDEX) == []
+        assert compile_timeline((), INDEX, PLACEMENTS) == ([], [], [])
 
 
 class TestApply:

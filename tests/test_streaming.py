@@ -173,7 +173,7 @@ def test_one_request_in_backend_service_past_the_run_holds_every_later_row(tmp_p
     demand, long = workload.service_demand, []
 
     def one_long_backend_demand(profile, input_bytes):
-        if profile is state.backend.profile and not long:
+        if profile is state.backend and not long:
             long.append(1)
             return 1e6  # seconds, far beyond the run
         return demand(profile, input_bytes)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fedsim
@@ -220,6 +220,30 @@ duration_s: 5
 """
         jitter = parse_scenario(doc).links.jitter
         assert jitter[1] == (JitterSpec("uniform", 1.0), JitterSpec(), JitterSpec())
+
+    @pytest.mark.parametrize(
+        "section, entries, error",
+        [
+            (
+                "loss",
+                "[{src: a, dst: b, p: 0.5}, {src: a, dst: b, p: 0.0}]",
+                "links.loss[1]: duplicate entry for src 'a', dst 'b' (first at links.loss[0])",
+            ),
+            (
+                "jitter",
+                "[{src: a, dst: b, dist: normal, scale_ms: 2.0}, {src: b, dst: a, dist: uniform, scale_ms: 1.0},"
+                " {src: a, dst: b, dist: none}]",
+                "links.jitter[2]: duplicate entry for src 'a', dst 'b' (first at links.jitter[0])",
+            ),
+        ],
+        ids=["loss", "jitter"],
+    )
+    def test_a_second_sparse_entry_for_one_pair_is_an_error(self, section, entries, error):
+        # it would otherwise replace the first without a word
+        doc = f"clusters: [{{name: a}}, {{name: b}}]\nlinks:\n  {section}: {entries}\nduration_s: 5\n"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert exc.value.errors == [error]
 
 
 class TestLeanLoader:
@@ -450,6 +474,9 @@ class TestRender:
         assert "timeout_s: 5.0" in text
         assert "rate_window_s: 60.0" in text
         assert "one_way_delay_ms" in text
+        # an empty list too, so that a sweep finds a path to each of them
+        doc = yaml.safe_load(text)
+        assert doc["links"]["jitter"] == doc["links"]["loss"] == doc["timeline"] == doc["services"] == []
 
 
 NAME_ST = st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True)
@@ -590,6 +617,32 @@ def federation_specs(draw):
 @given(spec=federation_specs())
 def test_round_trip_any_spec(spec):
     assert parse_scenario(render_scenario(spec)) == spec
+
+
+def _outputs(engine):
+    """What a run leaves: its counters, every request's stamps (a replica
+    by its key) and every scrape row."""
+    counters = (engine.clock, engine.event_count, engine.arrivals, engine.completed, engine.lost, engine.timed_out)
+    stamps = []
+    for request in engine.traces:
+        values = (getattr(request, name) for name in request.__slots__)
+        stamps.append([getattr(value, "key", value) for value in values])
+    return counters, stamps, engine.metrics
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=federation_specs(), cut=st.floats(0, 1))
+def test_any_valid_spec_runs_alike_in_one_call_or_split_at_a_cut(spec, cut):
+    # two engines from one validated topology share its placements, stage
+    # profiles and compiled timeline; a run is the same however it is stepped
+    try:
+        topo = validate(spec)
+    except ValidationError:
+        assume(False)
+    until = min(spec.duration_s, 5.0)
+    whole = topology.build_runtime(topo).run(until)
+    split = topology.build_runtime(topo).run(until * cut).run(until)
+    assert _outputs(split) == _outputs(whole)
 
 
 class TestValidate:
@@ -793,19 +846,19 @@ services:
 duration_s: 5
 """
         topo = validate(parse_scenario(doc))
-        assert topo.frontend.placements == ((0, 2), (2, 1))
-        assert topo.backend.placements == ((1, 1),)
+        assert topo.placements == {"f": {0: 2, 2: 1}, "g": {1: 1}}
+        assert [list(counts) for counts in topo.placements.values()] == [[0, 2], [1]]
         assert topo.index_of == {"a": 0, "b": 1, "c": 2}
 
     def test_profile_units_converted(self):
         topo = make_topology(two_cluster_doc())
-        assert topo.frontend.profile.base_demand_s == pytest.approx(0.005)
-        assert topo.backend.profile.base_demand_s == pytest.approx(0.020)
-        assert topo.frontend.profile.per_byte_demand_s == 0.0
+        assert topo.frontend.base_demand_s == pytest.approx(0.005)
+        assert topo.backend.base_demand_s == pytest.approx(0.020)
+        assert topo.frontend.per_byte_demand_s == 0.0
 
     def test_poc_profile_reference_values(self, poc_spec):
         topo = validate(poc_spec)
-        fe, be = topo.frontend.profile, topo.backend.profile
+        fe, be = topo.frontend, topo.backend
         assert fe.base_demand_s == pytest.approx(0.020)
         assert fe.per_byte_demand_s == pytest.approx(0.01e-6)
         assert fe.reduction_factor == pytest.approx(1 / 3)
