@@ -62,6 +62,9 @@ EXIT_IO = 2
 EXIT_ENGINE = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command that signal ended
 
+# the most probes (grid steps x cluster pairs) one ``ping`` may send
+MAX_PROBES = 10**8
+
 # every file ``run`` and ``ping`` write in their output directory
 _ARTIFACTS = (
     "traces.csv", "probe_rtt.csv", f"{metrics.BUSY_COUNTER}.csv", f"{metrics.OUTSTANDING_GAUGE}.csv",
@@ -74,20 +77,22 @@ class _Exit(SystemExit):
     returns it, and ``_sweep_worker`` makes it that run's code."""
 
 
-def _load_file(path: str, seed: int | None = None):
+def _load_file(path: str, seed: int | None = None, printed: set | None = None):
     """Read a scenario file, then ``_load`` it; raises EXIT_IO if it cannot be read."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         raise _Exit(EXIT_IO) from None
-    return _load(text, seed)
+    return _load(text, seed, printed)
 
 
-def _load(text: str, seed: int | None = None):
+def _load(text: str, seed: int | None = None, printed: set | None = None):
     """Parse and validate scenario text, with ``seed`` overriding the
     scenario's. Returns the ``ValidatedTopology``, or raises EXIT_INVALID
-    after printing every error. Its ``warnings`` go to stderr and do not change the outcome."""
+    after printing every error. Its ``warnings`` go to stderr and do not
+    change the outcome; given a set, it prints only the warnings not yet in
+    ``printed`` and adds them to it."""
     try:
         spec = topology.parse_scenario(text)
         if seed is not None:
@@ -97,8 +102,11 @@ def _load(text: str, seed: int | None = None):
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)
         raise _Exit(EXIT_INVALID) from None
+    printed = set() if printed is None else printed
     for message in topo.warnings:
-        print(f"warning: {message}", file=sys.stderr)
+        if message not in printed:
+            printed.add(message)
+            print(f"warning: {message}", file=sys.stderr)
     return topo
 
 
@@ -259,6 +267,14 @@ def cmd_ping(args) -> int:
     if not math.isfinite(duration / args.interval):
         print(f"error: duration / interval is not finite: {duration!r} / {args.interval!r}", file=sys.stderr)
         return EXIT_IO
+    pairs = len(topo.spec.clusters) ** 2
+    if probes.probe_count(duration, args.interval) * pairs > MAX_PROBES:
+        print(
+            f"error: duration / interval gives more than {MAX_PROBES} probes over {pairs} pairs: "
+            f"{duration!r} / {args.interval!r}",
+            file=sys.stderr,
+        )
+        return EXIT_IO
     engine = topology.build_runtime(topo)
     out = Path(args.out_dir)
 
@@ -322,7 +338,8 @@ def _sweep_worker(task: tuple) -> tuple[str, int]:
 
 def cmd_sweep(args) -> int:
     # operate on the canonical document so defaulted and empty fields are sweepable
-    canonical = topology.render_scenario(_load_file(args.scenario).spec)
+    printed: set = set()  # each distinct warning is printed once per sweep
+    canonical = topology.render_scenario(_load_file(args.scenario, printed=printed).spec)
     try:
         _resolve_path(topology.load_yaml(canonical), args.param)
     except KeyError as exc:
@@ -344,7 +361,7 @@ def cmd_sweep(args) -> int:
         parent, key = _resolve_path(variant, args.param)
         parent[key] = value
         try:
-            variant_topo = _load(yaml.dump(variant, Dumper=_DUMPER, sort_keys=False), args.seed)
+            variant_topo = _load(yaml.dump(variant, Dumper=_DUMPER, sort_keys=False), args.seed, printed)
         except _Exit:
             print(f"error: {args.param}={value} produces an invalid scenario", file=sys.stderr)
             raise

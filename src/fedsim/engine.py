@@ -193,8 +193,8 @@ class EngineState:
         "frontend", "backend", "timeout_s", "scrape_interval_s", "duration_s", "base_delay_s", "intra_delay_s",
         "table", "arrival_rng", "payload_sampler", "replicas", "frontend_endpoints", "backend_endpoints",
         "ingress_state", "fe_states", "metrics", "traces", "_open_from", "probes", "streams", "rtt_sums",
-        "_probes_streamed", "probe_plans", "arrivals", "completed", "lost", "timed_out", "_next_request_id",
-        "debug_log", "__dict__", "__weakref__",
+        "_probes_streamed", "probe_plans", "probe_legs", "arrivals", "completed", "lost", "timed_out",
+        "_next_request_id", "debug_log", "__dict__", "__weakref__",
     )
 
     def __init__(self, topology):
@@ -248,6 +248,7 @@ class EngineState:
         self.rtt_sums: list = [[None] * len(self.cluster_names) for _ in self.cluster_names]
         self._probes_streamed = 0  # samples handed to the streams
         self.probe_plans: list = []
+        self.probe_legs: dict = {}  # plan index -> probes.plan_legs, from the plan's first step
         self.arrivals = 0
         self.completed = 0
         self.lost = 0

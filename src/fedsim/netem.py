@@ -22,6 +22,12 @@ each message on it draws its loss stream as a ``p = 1, c = 0`` rule would, so
 every message is dropped. Replacing the rule never touches the count, so a
 rule set during a blackout takes effect when the last blackout ends.
 
+``Link.transit_ms`` is the one definition of a message crossing a link: a
+loss decision, then a delay draw. It makes no ``sample_loss`` call where
+nothing can drop, a lit link whose rule has ``p = 0``; that call would draw
+nothing, leave ``prev_u`` as it is and return False. It calls both samplers
+through this module's globals, which the benchmark's tracer wraps.
+
 Jitter is drawn in place from the delay stream's ``random()``, by the
 formulas of ``random.Random`` with the same operations in the same order:
 uniform jitter is ``uniform(-s, s)``, ``a + (b - a) * random()``, and normal
@@ -101,8 +107,11 @@ class Link:
         self.prev_u: float | None = None  # the composite uniform of its last loss draw
 
     def transit_ms(self) -> float | None:
-        """One message's impairment delay in ms, or None if the link drops it."""
-        if sample_loss(DARK if self.blackouts else self.rule, self):
+        """One message's impairment delay in ms, or None if the link drops it.
+        A rule that cannot drop (``p = 0``, never ``DARK``) makes no loss
+        call: ``sample_loss`` would draw nothing and return False."""
+        loss_rule = DARK if self.blackouts else self.rule
+        if loss_rule.loss.p > 0.0 and sample_loss(loss_rule, self):
             return None
         return sample_delay(self.rule, self)
 

@@ -11,9 +11,13 @@ Sends are paced on a fixed grid: every pair emits at k * interval for
 k in [0, n) with n = floor(duration / interval) (epsilon-guarded so an exact
 multiple is not lost to float division). Grid step k is one ``probe_send``
 event, which schedules step k + 1 and then sends every pair of the plan in
-order. A receipt draws no randomness and schedules nothing, so no other
-event can run between two sends of a step: the links' streams are drawn,
-and the receipts queued, in (step, pair) order.
+order. A plan's legs are resolved once, on its first step: ``plan_legs``
+looks up each directed link the plan crosses by ``classify`` and keeps the
+``Link`` objects in ``engine.probe_legs``; a fault action changes a link in
+place, never replaces it, so every later step sends through the same ones.
+A receipt draws no randomness and schedules nothing, so no other event can
+run between two sends of a step: the links' streams are drawn, and the
+receipts queued, in (step, pair) order.
 
 A sample is the plain tuple ``(src, dst, sent_at, rtt_ms)``, cluster
 indices and the send time in seconds, with ``rtt_ms`` None for a lost probe;
@@ -68,24 +72,38 @@ def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | No
     return engine.run(until=duration_s).probes
 
 
+def plan_legs(table, pairs) -> tuple:
+    """``(src, dst, forward, back)`` per pair: the ``Link`` each leg
+    crosses, or None for both on a diagonal. Each directed link is looked up
+    by ``table.classify`` once, however many pairs cross it."""
+    crossed = {leg for src, dst in pairs if src != dst for leg in ((src, dst), (dst, src))}
+    links = {leg: table.classify(*leg) for leg in crossed}
+    return tuple(
+        (src, dst, None, None) if src == dst else (src, dst, links[src, dst], links[dst, src])
+        for src, dst in pairs
+    )
+
+
 def handle_probe_send(engine, t: float, payload) -> None:
     """Grid step k of a plan: schedule step k + 1, then probe every pair."""
     plan_index, k = payload
     plan = engine.probe_plans[plan_index]
     if k + 1 < plan.count:
         engine.schedule((k + 1) * plan.interval_s, PROBE_SEND, (plan_index, k + 1))
+    legs = engine.probe_legs.get(plan_index)
+    if legs is None:  # the plan's first step
+        legs = engine.probe_legs[plan_index] = plan_legs(engine.table, plan.pairs)
 
     schedule = engine.schedule
-    classify = engine.table.classify
     base_ms = engine.links.base_delay_ms
     diagonal_ms = 2.0 * engine.links.intra_base_delay_ms
-    for src, dst in plan.pairs:
-        if src == dst:
+    for src, dst, forward, back in legs:
+        if forward is None:
             schedule(t + diagonal_ms * 1e-3, PROBE_RECV, (src, dst, t, diagonal_ms))
             continue
         # the return leg is sent only if the forward leg arrives
-        forward_ms = classify(src, dst).transit_ms()
-        return_ms = None if forward_ms is None else classify(dst, src).transit_ms()
+        forward_ms = forward.transit_ms()
+        return_ms = None if forward_ms is None else back.transit_ms()
         if return_ms is None:
             schedule(t, PROBE_RECV, (src, dst, t, None))
         else:

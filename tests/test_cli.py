@@ -806,8 +806,36 @@ class TestPing:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "options, detail",
+        # 5 / 1e-300 is finite, and would probe without end; 6,250,001 steps
+        # of the bundled ping's 16 pairs is the first grid past the bound
+        [
+            (["--interval", "1e-300", "--duration", "5"], "5.0 / 1e-300"),
+            (["--interval", "1", "--duration", "6250001"], "6250001.0 / 1.0"),
+        ],
+    )
+    def test_a_grid_of_more_than_max_probes_is_bad_usage(self, options, detail, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "probe_rtt.csv").write_text("kept\n")
+        assert cli.main(["ping", str(fedsim.bundled_scenario("ping")), "--out-dir", str(out), *options]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: duration / interval gives more than 100000000 probes over 16 pairs: {detail}"
+        ]
+        assert [path.name for path in out.iterdir()] == ["probe_rtt.csv"]  # touched nothing
+
 
 class TestSweep:
+    def test_each_warning_is_printed_once_per_sweep(self, tmp_path, capsys):
+        path = tmp_path / "corr.scenario"
+        path.write_text(two_cluster_doc(links="  loss: [{src: east, dst: west, p: 0.01, correlation: 0.25}]"))
+        argv = ["sweep", str(path), "--param", "seed", "--values", "1,2,3", "--until", "1", "--jobs", "1"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "sweep")]) == 0
+        assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")] == [
+            "warning: loss[1][0]: loss correlation > 0 thins the marginal loss rate far below p"
+        ]
+
     def test_sweep_runs_each_value(self, two_cluster_scenario, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = cli.main(

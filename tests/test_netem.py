@@ -109,6 +109,93 @@ def test_dark_link_drops_every_message_and_draws_as_full_loss():
         assert dark.transit_ms() == (None if sample_loss(lossy, full) else 5.0)
 
 
+# -- a crossing against one that always calls both samplers ----------------
+
+NO_LOSS = rule(3.0, JitterSpec("normal", 1.0))
+NO_LOSS_UNIFORM = rule(2.0, JitterSpec("uniform", 0.5))
+NO_LOSS_EXACT = rule(1.0)
+LOSSY = rule(4.0, JitterSpec("normal", 2.0), LossSpec(0.3))
+CORRELATED = rule(5.0, JitterSpec("uniform", 1.0), LossSpec(0.4, 0.6))
+RULES = (NO_LOSS, NO_LOSS_UNIFORM, NO_LOSS_EXACT, LOSSY, CORRELATED)
+
+
+def always_both_transit_ms(link):
+    """A crossing that makes the loss call whatever its rule, then the delay call."""
+    if sample_loss(netem.DARK if link.blackouts else link.rule, link):
+        return None
+    return sample_delay(link.rule, link)
+
+
+def link_state(link):
+    streams = (rng and rng.getstate() for rng in (link.delay_rng, link.loss_rng))
+    return (link.rule, link.blackouts, link.spare, link.prev_u, *streams)
+
+
+class TwinLinks:
+    """The same links of two tables built alike: ``transit_ms`` crosses the
+    first, ``always_both_transit_ms`` the second."""
+
+    def __init__(self, spec, pairs):
+        tables = [ClassifierTable(spec.links, spec.seed) for _ in range(2)]
+        self.pairs = [tuple(table.classify(*pair) for table in tables) for pair in pairs]
+
+    def set_rule(self, index, r):
+        for link in self.pairs[index]:
+            link.rule = r
+
+    def blackout(self, index, step):
+        for link in self.pairs[index]:
+            link.blackouts += step
+
+    def send(self, index, count):
+        link, ref = self.pairs[index]
+        for _ in range(count):
+            assert link.transit_ms() == always_both_transit_ms(ref)
+        assert link_state(link) == link_state(ref)
+        return link
+
+
+def test_a_crossing_draws_as_one_that_always_calls_both_samplers(poc_spec):
+    twins = TwinLinks(poc_spec, [(0, 2)])
+    twins.set_rule(0, CORRELATED)
+    link = twins.send(0, 5)
+    prev_u = link.prev_u
+    # a p = 0 stretch leaves the correlated state for the next lossy draw
+    twins.set_rule(0, NO_LOSS)
+    twins.send(0, 20)
+    assert link.prev_u == prev_u
+    twins.set_rule(0, CORRELATED)
+    assert twins.send(0, 5).prev_u != prev_u
+    # a blackout on a p = 0 link draws its loss stream as DARK
+    twins.set_rule(0, NO_LOSS_EXACT)
+    twins.blackout(0, +1)
+    twins.send(0, 10)
+    twins.blackout(0, -1)
+    twins.send(0, 5)
+    # a set_link while dark takes effect when the blackout ends
+    twins.blackout(0, +1)
+    for r in (LOSSY, NO_LOSS_UNIFORM, CORRELATED, NO_LOSS):
+        twins.set_rule(0, r)
+        twins.send(0, 4)
+    twins.blackout(0, -1)
+    assert twins.send(0, 10).loss_rng is not None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_rule_swaps_and_blackouts_cross_as_when_always_calling_both_samplers(poc_spec, seed):
+    script = random.Random(seed)
+    twins = TwinLinks(poc_spec, [(0, 1), (1, 0), (2, 3)])
+    for _ in range(400):
+        index = script.randrange(len(twins.pairs))
+        action = script.random()
+        if action < 0.2:
+            twins.set_rule(index, script.choice(RULES))
+        elif action < 0.3:
+            blackouts = twins.pairs[index][0].blackouts
+            twins.blackout(index, +1 if blackouts == 0 or (blackouts == 1 and script.random() < 0.3) else -1)
+        twins.send(index, script.randrange(1, 6))
+
+
 # -- delay sampling --------------------------------------------------------
 
 
