@@ -44,6 +44,7 @@ import time as wall_time
 import traceback
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -66,10 +67,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command that signal ended
 MAX_PROBES = 10**8
 
 # every file ``run`` and ``ping`` write in their output directory
-_ARTIFACTS = (
-    "traces.csv", "probe_rtt.csv", f"{metrics.BUSY_COUNTER}.csv", f"{metrics.OUTSTANDING_GAUGE}.csv",
-    f"{metrics.CPU_RATE}.csv", "events.csv", "summary.yaml", "rtt_matrix.yaml", "event_log_tail.csv",
-)
+_ARTIFACTS = (*metrics.FILES, "events.csv", "summary.yaml", "rtt_matrix.yaml", "event_log_tail.csv")
 
 
 class _Exit(SystemExit):
@@ -143,15 +141,20 @@ def _write_tail(engine, run, exc: Exception, in_run: bool, out: Path) -> None:
     dump = out / "event_log_tail.csv"
     try:
         out.mkdir(parents=True, exist_ok=True)
-        with dump.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["time_s", "seq", "kind"])
-            for time, seq, kind, _detail in tail:
-                writer.writerow([repr(time), seq, kind])
+        _write_events(dump, tail, columns=3)
     except OSError as error:
         print(f"error: cannot write the event log tail to {dump}: {error.strerror or error}", file=sys.stderr)
     else:
         print(f"event log tail written to {dump}", file=sys.stderr)
+
+
+def _write_events(path: Path, events, columns: int) -> None:
+    """Write ``(time, seq, kind, detail)`` events to ``path`` as CSV, in
+    their first ``columns`` columns."""
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time_s", "seq", "kind", "detail"][:columns])
+        writer.writerows([repr(time), seq, kind, detail][:columns] for time, seq, kind, detail in events)
 
 
 def _write_yaml(path: Path, doc: dict) -> None:
@@ -236,11 +239,7 @@ def _run_to_dir(topo, out_dir: str, until: float | None, debug_events: bool) -> 
 
     def write(elapsed: float) -> str:
         if debug_events:
-            with (out / "events.csv").open("w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["time_s", "seq", "kind", "detail"])
-                for time, seq, kind, detail in engine.debug_log:
-                    writer.writerow([repr(time), seq, kind, detail])
+            _write_events(out / "events.csv", engine.debug_log, columns=4)
         _summarize(engine, out, elapsed, bound)
         return (
             f"{out}: {engine.arrivals} arrivals, {engine.completed} completed, "
@@ -405,12 +404,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_seconds(text: str) -> float:
-    return _seconds(text, allow_zero=False)
-
-
-def _until_seconds(text: str) -> float:
-    return _seconds(text, allow_zero=True)
+_positive_seconds = partial(_seconds, allow_zero=False)
+_until_seconds = partial(_seconds, allow_zero=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

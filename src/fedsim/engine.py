@@ -73,8 +73,9 @@ The handlers and hops are plain functions called with the engine, so nothing
 the engine holds refers back to it, and it is freed with its last reference.
 
 A ping queues one ``probe_send`` event per grid step, with payload
-``(plan_index, k)``, which probes every pair of the plan (see ``probes``),
-and one ``probe_recv`` per probe, which records its sample.
+``(plan_index, k)``, which probes every pair of the plan (see ``probes``)
+through the links ``run_ping`` resolved once as it made the plan, and one
+``probe_recv`` per probe, which records its sample.
 
 The event path is laid out for CPython 3.11's specializing interpreter
 (PEP 659, https://peps.python.org/pep-0659/), whose attribute reads take a
@@ -193,7 +194,7 @@ class EngineState:
         "frontend", "backend", "timeout_s", "scrape_interval_s", "duration_s", "base_delay_s", "intra_delay_s",
         "table", "arrival_rng", "payload_sampler", "replicas", "frontend_endpoints", "backend_endpoints",
         "ingress_state", "fe_states", "metrics", "traces", "_open_from", "probes", "streams", "rtt_sums",
-        "_probes_streamed", "probe_plans", "probe_legs", "arrivals", "completed", "lost", "timed_out",
+        "_probes_streamed", "probe_plans", "arrivals", "completed", "lost", "timed_out",
         "_next_request_id", "debug_log", "__dict__", "__weakref__",
     )
 
@@ -248,7 +249,6 @@ class EngineState:
         self.rtt_sums: list = [[None] * len(self.cluster_names) for _ in self.cluster_names]
         self._probes_streamed = 0  # samples handed to the streams
         self.probe_plans: list = []
-        self.probe_legs: dict = {}  # plan index -> probes.plan_legs, from the plan's first step
         self.arrivals = 0
         self.completed = 0
         self.lost = 0

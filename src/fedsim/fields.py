@@ -27,6 +27,7 @@ parsed, rendered and checked by the scenario module, which passes them to
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import typing
@@ -80,6 +81,15 @@ def as_int(value, path: str) -> int:
 
 def as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, str) and "e" in value.lower():
+            with contextlib.suppress(ValueError):  # text to Python too
+                float(value)
+                # YAML 1.1 floats need a dot and a signed exponent: 1e12,
+                # 1.0e12 and 1e+12 are text
+                fail(
+                    f"{path}: expected a number; YAML reads {value!r} as text: "
+                    "write it with a dot and a signed exponent, such as 1.0e+12"
+                )
         fail(f"{path}: expected a number")
     value = float(value)
     if not math.isfinite(value):

@@ -22,22 +22,24 @@ files and is the only writer of their rows, one formatter per file:
 probe row once final (see ``engine``), while ``scrape`` hands it each
 scrape's counter and gauge rows, and the rate row of a scrape with a full
 window behind it, as it records them; ``export_csv`` hands over whatever
-rows are still held, through streams of its own for an engine without, and
-closes them. Streams opened after some scrapes start with those.
+rows are still held, through in-process streams of its own for an engine
+without, and closes them. Streams opened after some scrapes start with
+those.
 
 ``Streams`` takes plain values: requests, and probe samples as
 ``(src, dst, sent_at, rtt_ms)`` tuples; it reads scrape rows from the
 engine's ``Scrapes`` as ``(time, values)``. It packs each request's row into
 a tuple of plain values and sends the others on as they are. One rule,
-``_forks``, decides where rows are
+``_forks``, decides where a streamed run's rows are
 formatted: in a process that can fork, runs no other thread, may use two
-CPUs and is not a ``multiprocessing`` worker, the streams fork one writer
-process when they open (``export_csv`` opens them with ``fork=False`` for
-rows that fit in one frame per file, which leave a writer nothing to
-overlap): the run sends it frames of about ``FRAME_ROWS`` rows down a pipe,
-each tagged with its file and written by ``marshal`` version 2, which keeps
-no table of the objects it has seen, and the process formats them while
-the run goes on. One ``close`` finishes every file, ends the pipe, reads
+CPUs and is not a ``multiprocessing`` worker, the streams that
+``stream_csv`` opens fork one writer process (those ``export_csv`` opens
+for an engine without streams format in-process, as a writer would have no
+run to overlap): the run sends it frames down a pipe, each tagged with its
+file and written by ``marshal`` version 2, which keeps no table of the
+objects it has seen, and the process formats them while the run goes on.
+A frame holds up to ``FRAME_ROWS`` request or probe rows, or the rows of
+one scrape. One ``close`` finishes every file, ends the pipe, reads
 back the probe pairs' RTT sums and waits for the process, and raises
 ``WriterError`` if it failed. Elsewhere, and where a pipe or the fork
 fails, the same formatters run in-process; both write the same bytes and
@@ -164,13 +166,13 @@ _TRACE_HEADER = (
 _PROBE_HEADER = "src,dst,sent_at_s,rtt_ms,lost\r\n"
 _SCRAPE_HEADER = "time_s,cluster,service,replica,value\r\n"
 # the streamed files, in the order of the one-byte tag of their frames
-_FILES = ("traces.csv", "probe_rtt.csv", f"{BUSY_COUNTER}.csv", f"{OUTSTANDING_GAUGE}.csv", f"{CPU_RATE}.csv")
+FILES = ("traces.csv", "probe_rtt.csv", f"{BUSY_COUNTER}.csv", f"{OUTSTANDING_GAUGE}.csv", f"{CPU_RATE}.csv")
 _HEADERS = (_TRACE_HEADER, _PROBE_HEADER, _SCRAPE_HEADER, _SCRAPE_HEADER, _SCRAPE_HEADER)
 _BUSY, _OUTSTANDING, _RATE = 2, 3, 4  # the tags of the scrape files
 
-# rows per marshal frame sent to the writer process: a whole flush batch in
-# one frame would raise the run's peak memory; a frame of a scrape file holds
-# the scrapes whose rows come closest to it
+# request or probe rows per marshal frame sent to the writer process: a whole
+# flush batch in one frame would raise the run's peak memory; a frame of a
+# scrape file holds one scrape
 FRAME_ROWS = 128
 # asked of the writer process's pipe, so that the run seldom waits on a full one
 _PIPE_BYTES = 1 << 20
@@ -278,7 +280,7 @@ class Streams:
 
     def __init__(self, out_dir: Path, engine, fork: bool = True):
         out_dir.mkdir(parents=True, exist_ok=True)
-        self.paths = tuple(out_dir / name for name in _FILES)
+        self.paths = tuple(out_dir / name for name in FILES)
         names = engine.cluster_names
         self._cells = {None: ",,"}
         for replica in engine.replicas:
@@ -288,7 +290,6 @@ class Streams:
         self._formats = (_format_traces, _ProbeFormatter(names), scrapes, scrapes, scrapes)
         self._lag = _rate_lag(engine.spec.rate_window_s, engine.scrape_interval_s)
         self._scraped = 0  # scrapes of the store handed over
-        self._frame_scrapes = max(1, FRAME_ROWS // (len(store.labels) or 1))
         self._pid = self._pipe = self._sums_end = None
         self._files = []
         try:
@@ -323,24 +324,17 @@ class Streams:
             self._send(1, samples[start : start + FRAME_ROWS])
 
     def scrapes(self) -> None:
-        """Take the scrapes the engine's store recorded since the last call:
-        formatted at once in-process, sent to a writer process a frame's
-        worth at a time."""
-        if self._pipe is None or len(self._store.times) - self._scraped >= self._frame_scrapes:
-            self._send_scrapes()
-
-    def _send_scrapes(self) -> None:
-        """Send the counter's and the gauge's rows of every scrape not yet
-        handed over, and the rate of each with a full window behind it, a
-        frame's worth at most at a time."""
+        """Take the scrapes the engine's store recorded since the last call,
+        one frame per scrape and file: the counter's and the gauge's rows,
+        and the rate of a scrape with a full window behind it."""
         store, lag = self._store, self._lag
-        for start in range(self._scraped, len(store.times), self._frame_scrapes):
-            self._scraped = end = min(start + self._frame_scrapes, len(store.times))
-            times = store.times[start:end]
-            self._send(_BUSY, list(zip(times, store.busy[start:end])))
-            self._send(_OUTSTANDING, list(zip(times, store.outstanding[start:end])))
-            if lag is not None and end > lag:
-                self._send(_RATE, [_rate(store, k, lag) for k in range(max(start, lag), end)])
+        for k in range(self._scraped, len(store.times)):
+            self._scraped = k + 1
+            t = store.times[k]
+            self._send(_BUSY, [(t, store.busy[k])])
+            self._send(_OUTSTANDING, [(t, store.outstanding[k])])
+            if lag is not None and k >= lag:
+                self._send(_RATE, [_rate(store, k, lag)])
 
     def _send(self, tag: int, rows: list) -> None:
         if self._pipe is None:
@@ -356,13 +350,11 @@ class Streams:
             raise
 
     def close(self) -> None:
-        """Finish every file: with a writer process, send it the scrapes not
-        yet sent, end its pipe, read back the RTT sums it folded and wait for
-        it, raising ``WriterError`` if it failed. Once the pipe is taken, the
-        sums pipe is closed and the writer waited for even if closing the
-        pipe or reading the sums raises, as a second call does nothing."""
-        if self._pipe is not None and self._scraped < len(self._store.times):
-            self._send_scrapes()
+        """Finish every file: with a writer process, end its pipe, read back
+        the RTT sums it folded and wait for it, raising ``WriterError`` if it
+        failed. Once the pipe is taken, the sums pipe is closed and the
+        writer waited for even if closing the pipe or reading the sums
+        raises, as a second call does nothing."""
         with contextlib.ExitStack() as closing:  # every file, even if closing one raises
             for handle in self._files:
                 closing.callback(handle.close)
@@ -378,7 +370,7 @@ class Streams:
             finally:
                 status = os.waitpid(self._pid, 0)[1]
         if status:
-            raise WriterError(f"writer of {', '.join(_FILES)} exited with status {os.waitstatus_to_exitcode(status)}")
+            raise WriterError(f"writer of {', '.join(FILES)} exited with status {os.waitstatus_to_exitcode(status)}")
         sums = self.rtt_sums
         for src, dst, *fields in marshal.loads(returned) if returned else ():
             sums[src][dst] = RttSums(*fields)
@@ -418,7 +410,7 @@ class Streams:
         """The writer process: format every frame until the pipe's end, send
         the RTT sums back down ``sums_end``, then exit, 0 if every row and the
         sums were written. Never returns."""
-        status, name = 1, ", ".join(_FILES)
+        status, name = 1, ", ".join(FILES)
         try:
             # keep only stdio, the two pipe ends and the files: a write end of
             # another run's pipe held here would keep that writer from its end
@@ -430,7 +422,7 @@ class Streams:
             gc.disable()  # formatting makes no cycles, and a collection would touch every inherited object
             with open(read_end, "rb", buffering=_PIPE_BYTES) as source:
                 while head := source.read(5):
-                    tag, name = head[0], _FILES[head[0]]
+                    tag, name = head[0], FILES[head[0]]
                     rows = marshal.loads(source.read(int.from_bytes(head[1:], "little")))
                     self._formats[tag](self._files[tag].write, rows)
             for handle in self._files:
@@ -466,15 +458,12 @@ def export_csv(engine, out_dir: str | Path) -> dict[str, Path]:
     consumer can rely on the manifest. The traces and probes the engine holds
     go to its own streams when ``stream_csv`` opened them (and the files are
     theirs), else to streams opened here in ``out_dir``, which start with
-    every scrape; the engine keeps them either way, and requests still in
-    flight get blank stamps. Closing the streams sets ``engine.rtt_sums`` to
-    the probe pairs' RTT sums; an engine whose own streams are closed is not
-    run further.
+    every scrape and format in-process; the engine keeps them either way, and
+    requests still in flight get blank stamps. Closing the streams sets
+    ``engine.rtt_sums`` to the probe pairs' RTT sums; an engine whose own
+    streams are closed is not run further.
     """
-    store = engine.metrics
-    # rows that fit in one frame per file leave a writer process nothing to overlap
-    lines = (len(engine.traces), len(engine.probes), len(store.times) * len(store.labels))
-    streams = engine.streams or Streams(Path(out_dir), engine, fork=max(lines) > FRAME_ROWS)
+    streams = engine.streams or Streams(Path(out_dir), engine, fork=False)
     streams.traces(engine.traces)
     streams.probes(engine.probes)
     streams.close()

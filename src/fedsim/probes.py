@@ -11,10 +11,10 @@ Sends are paced on a fixed grid: every pair emits at k * interval for
 k in [0, n) with n = floor(duration / interval) (epsilon-guarded so an exact
 multiple is not lost to float division). Grid step k is one ``probe_send``
 event, which schedules step k + 1 and then sends every pair of the plan in
-order. A plan's legs are resolved once, on its first step: ``plan_legs``
-looks up each directed link the plan crosses by ``classify`` and keeps the
-``Link`` objects in ``engine.probe_legs``; a fault action changes a link in
-place, never replaces it, so every later step sends through the same ones.
+order. ``run_ping`` resolves a plan's legs once, as it makes the plan:
+``plan_legs`` looks up each directed link the plan crosses by ``classify``
+and the plan keeps the ``Link`` objects; a fault action changes a link in
+place, never replaces it, so every step sends through the same ones.
 A receipt draws no randomness and schedules nothing, so no other event can
 run between two sends of a step: the links' streams are drawn, and the
 receipts queued, in (step, pair) order.
@@ -44,7 +44,10 @@ PROBE_RECV = "probe_recv"
 
 @dataclass(frozen=True)
 class ProbePlan:
-    pairs: tuple[tuple[int, int], ...]
+    """``count`` grid steps ``interval_s`` apart, each probing every pair of
+    ``legs``, as ``plan_legs`` resolves them on the engine's table."""
+
+    legs: tuple
     interval_s: float
     count: int
 
@@ -65,9 +68,9 @@ def run_ping(engine, pairs=None, interval_s: float = 0.2, duration_s: float | No
         duration_s = engine.duration_s
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(n)]
-    plan = ProbePlan(tuple(pairs), interval_s, probe_count(duration_s, interval_s))
+    plan = ProbePlan(plan_legs(engine.table, pairs), interval_s, probe_count(duration_s, interval_s))
     engine.probe_plans.append(plan)
-    if plan.pairs and plan.count > 0:
+    if plan.legs and plan.count > 0:
         engine.schedule(0.0, PROBE_SEND, (len(engine.probe_plans) - 1, 0))
     return engine.run(until=duration_s).probes
 
@@ -90,14 +93,10 @@ def handle_probe_send(engine, t: float, payload) -> None:
     plan = engine.probe_plans[plan_index]
     if k + 1 < plan.count:
         engine.schedule((k + 1) * plan.interval_s, PROBE_SEND, (plan_index, k + 1))
-    legs = engine.probe_legs.get(plan_index)
-    if legs is None:  # the plan's first step
-        legs = engine.probe_legs[plan_index] = plan_legs(engine.table, plan.pairs)
-
     schedule = engine.schedule
     base_ms = engine.links.base_delay_ms
     diagonal_ms = 2.0 * engine.links.intra_base_delay_ms
-    for src, dst, forward, back in legs:
+    for src, dst, forward, back in plan.legs:
         if forward is None:
             schedule(t + diagonal_ms * 1e-3, PROBE_RECV, (src, dst, t, diagonal_ms))
             continue
@@ -229,17 +228,13 @@ def format_rtt_table(stats: RttStats, names) -> str:
     def row(label, cells):
         return label.rjust(width) + "".join(cell.rjust(width) for cell in cells)
 
-    lines = ["mean RTT (ms)", row("", list(names))]
-    for i, name in enumerate(names):
-        cells = ["-" if stats.mean_ms[i][j] is None else f"{stats.mean_ms[i][j]:.2f}" for j in range(len(names))]
-        lines.append(row(name, cells))
+    def block(title, matrix, spec):
+        return [title, row("", names)] + [
+            row(name, ["-" if value is None else format(value, spec) for value in matrix[i]])
+            for i, name in enumerate(names)
+        ]
+
+    lines = block("mean RTT (ms)", stats.mean_ms, ".2f")
     if any(value for line in stats.loss_fraction for value in line):
-        lines.append("loss fraction")
-        lines.append(row("", list(names)))
-        for i, name in enumerate(names):
-            cells = [
-                "-" if stats.loss_fraction[i][j] is None else f"{stats.loss_fraction[i][j]:.3f}"
-                for j in range(len(names))
-            ]
-            lines.append(row(name, cells))
+        lines += block("loss fraction", stats.loss_fraction, ".3f")
     return "\n".join(lines)

@@ -174,6 +174,21 @@ def test_non_finite_numbers_rejected(case, command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("spelling", ["1.0e12", "1e12", "1e+12"])
+def test_an_exponent_that_yaml_reads_as_text_says_how_to_write_it(spelling, command, tmp_path, capsys):
+    # YAML 1.1 floats need a dot and a signed exponent; these three are strings
+    path = tmp_path / "exponent.scenario"
+    path.write_text(MINI_DOC.replace("{rate: 2.0, duration_s: 100}", f"{{rate: {spelling}, duration_s: 100}}"))
+    argv = [command, str(path)] + (["--out-dir", str(tmp_path / "out")] if command == "run" else [])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: workload.phases[0].rate: expected a number; YAML reads '{spelling}' as text: "
+        "write it with a dot and a signed exponent, such as 1.0e+12"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_loss_correlation_warns(tmp_path, capsys):
     path = tmp_path / "corr.scenario"
     path.write_text(

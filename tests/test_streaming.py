@@ -111,8 +111,10 @@ def test_a_streamed_ping_counts_its_probes_at_every_step(fork, tmp_path, monkeyp
     metrics.stream_csv(streamed, tmp_path)
     assert (streamed.streams._pipe is not None) == fork
     n = len(whole.cluster_names)
-    plan = probes.ProbePlan(tuple((i, j) for i in range(n) for j in range(n)), 0.2, probes.probe_count(40.0, 0.2))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
     for state in (streamed, whole):
+        # a plan's legs are the links of one engine's table
+        plan = probes.ProbePlan(probes.plan_legs(state.table, pairs), 0.2, probes.probe_count(40.0, 0.2))
         state.probe_plans.append(plan)
         state.schedule(0.0, probes.PROBE_SEND, (0, 0))
     for step in range(1, 9):
@@ -145,6 +147,40 @@ def test_a_run_stepped_over_several_calls_streams_the_files_of_one_call(opened_a
     files = _files(tmp_path / "stepped")
     assert files == _files(tmp_path / "whole")
     assert all(len(files[name].splitlines()) > 1 for name in CSVS if name != "probe_rtt.csv")
+
+
+def test_a_writer_process_takes_each_scrape_as_it_is_recorded(tmp_path, monkeypatch):
+    # one frame per scrape and file, for the backlog of streams opened mid-run
+    # as for every later scrape, so the streams hold no scrape after a run call
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    dumps, frames = metrics.marshal.dumps, []
+
+    def counted(rows, version):
+        if isinstance(rows, list) and len(rows[0]) == 2:  # (time, values): a scrape file's rows
+            frames.append(rows)
+        return dumps(rows, version)
+
+    monkeypatch.setattr(metrics.marshal, "dumps", counted)
+    text = fedsim.bundled_scenario("poc").read_text()
+    stepped = topology.build_runtime(make_topology(text))
+    stepped.run(60.0)
+    metrics.stream_csv(stepped, tmp_path / "stepped")
+    assert stepped.streams._pipe is not None
+    store = stepped.metrics
+    lag = metrics._rate_lag(stepped.spec.rate_window_s, stepped.scrape_interval_s)
+    for cut in (None, 100.0, 102.5, 300.0, stepped.duration_s):
+        if cut is not None:
+            stepped.run(cut)
+        expected = []
+        for k, t in enumerate(store.times):
+            expected += [[(t, store.busy[k])], [(t, store.outstanding[k])]]
+            if k >= lag:
+                expected.append([metrics._rate(store, k, lag)])
+        assert frames == expected, cut
+    assert len(store.times) > lag > 1
+    metrics.export_csv(stepped, tmp_path / "stepped")
+    _in_memory(text, tmp_path / "whole", lambda state: state.run(state.duration_s))
+    assert _files(tmp_path / "stepped") == _files(tmp_path / "whole")
 
 
 def test_streamed_run_holds_a_batch_beyond_the_requests_in_flight(tmp_path, monkeypatch):

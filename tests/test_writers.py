@@ -294,34 +294,36 @@ def test_the_in_process_fallback_writes_the_bytes_of_the_writer_process(argv, tm
 
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_an_export_without_streams_leaves_the_rtt_sums_on_the_engine(cpus, tmp_path, monkeypatch):
-    # the export writes the held rows through streams of its own, by the same
-    # rule as a streamed run, and keeps the sums their formatter folded
+    # the export writes the held rows through in-process streams of its own,
+    # on any number of CPUs, and keeps the sums their formatter folded
     _cpus(monkeypatch, cpus)
     forks = _counted_forks(monkeypatch)
     engine = topology.build_runtime(make_topology(QUOTED))
     probes.run_ping(engine, interval_s=0.5, duration_s=25.0)
     metrics.export_csv(engine, tmp_path)
-    assert len(forks) == (1 if cpus == 2 else 0)
+    assert not forks
     assert engine.probes  # and the engine keeps its rows
     stats = probes.rtt_stats(probes.group_rtts(engine.probes, len(engine.cluster_names)))
     assert stats.count[0][1] > 0 and probes.rtt_stats(engine.rtt_sums) == stats
 
 
 def test_an_export_that_fits_in_one_frame_per_file_forks_no_writer(tmp_path, monkeypatch):
-    # a writer process has nothing to overlap with one frame per file; a
-    # streamed run's writer process writes the bytes to compare with
+    # a one-shot export has no run to overlap, so it forks no writer process
+    # whether its rows fit in one frame per file or not; a streamed run's
+    # writer process writes the bytes to compare with
     _cpus(monkeypatch, 2)
     forks = _counted_forks(monkeypatch)
     text = fedsim.bundled_scenario("poc").read_text()
-    for until, writers in ((5.0, 0), (60.0, 1)):
+    for until, fits in ((5.0, True), (60.0, False)):
         held = topology.build_runtime(make_topology(text))
         held.run(until=until)
-        assert (len(held.traces) <= metrics.FRAME_ROWS) == (writers == 0)
+        assert (len(held.traces) <= metrics.FRAME_ROWS) == fits
         forks.clear()
         metrics.export_csv(held, tmp_path / f"held-{until}")
-        assert len(forks) == writers
+        assert not forks
         streamed = topology.build_runtime(make_topology(text))
         metrics.stream_csv(streamed, tmp_path / f"streamed-{until}")
+        assert len(forks) == 1
         streamed.run(until=until)
         metrics.export_csv(streamed, tmp_path / f"streamed-{until}")
         for name in CSVS:
