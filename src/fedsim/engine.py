@@ -59,12 +59,12 @@ Replicas are FIFO queues with a concurrency limit of
 vCPU for its full demand. A request admitted to a free slot starts service at
 once, and a freed slot goes at once to the head of the queue, skipping
 requests that timed out while queued (a request whose timeout falls due at
-that very instant counts as timed out). Scrape k runs at exactly
-``k * scrape_interval_s`` while that is below the duration. A start at the
-instant a scrape is due waits until that scrape has run, so a scrape sees
-every replica as it was before the starts of its instant. Starts and skips
-are not queued as events, but each counts as one ``service_start`` in
-``event_count`` and in the debug log.
+that very instant counts as timed out). A start happens inside the event
+that frees or finds its slot. Scrape k runs at exactly
+``k * scrape_interval_s`` while that is below the duration, and sees every
+event before it in (time, seq) order, the starts they made included. Starts
+and skips are not queued as events, but each counts as one
+``service_start`` in ``event_count`` and in the debug log.
 
 The loop records events only when asked: with ``debug_log`` set (a list, or
 a bounded deque), each event and start appends (time, seq, kind, detail) to
@@ -190,7 +190,7 @@ class EngineState:
     # every attribute in a slot, so its reads specialize (module docstring)
     __slots__ = (
         "topology", "spec", "clock", "event_count", "_seq", "_heap", "_timeouts", "_primed",
-        "_scrape_at", "_scrape_k", "_deferred_starts", "cluster_names", "links", "workload", "phase_windows",
+        "_scrape_k", "cluster_names", "links", "workload", "phase_windows",
         "frontend", "backend", "timeout_s", "scrape_interval_s", "duration_s", "base_delay_s", "intra_delay_s",
         "table", "arrival_rng", "payload_sampler", "replicas", "frontend_endpoints", "backend_endpoints",
         "ingress_state", "fe_states", "metrics", "traces", "_open_from", "probes", "streams", "rtt_sums",
@@ -207,10 +207,7 @@ class EngineState:
         self._heap: list = []
         self._timeouts: deque = deque()  # the timeout lane, in (time, seq) order
         self._primed = False
-        # time of the scrape not yet run; starts at that instant wait for it
-        self._scrape_at: float | None = None
         self._scrape_k = 0  # number of the next scrape
-        self._deferred_starts: list = []
 
         # scenario values read per event, looked up once here
         self.cluster_names = tuple(cluster.name for cluster in spec.clusters)
@@ -299,7 +296,6 @@ class EngineState:
     def _prime(self) -> None:
         for time, action in self.topology.timeline:
             self.schedule(time, TIMELINE_APPLY, action)
-        self._scrape_at = 0.0
         self.schedule(0.0, SCRAPE)
         first = workload.next_arrival(self.workload, None, self.arrival_rng, self.phase_windows)
         if first is not None and self.frontend_endpoints:
@@ -375,7 +371,6 @@ class EngineState:
                 raise EngineError(
                     f"balancer counts {counts} at {frontend!r}, but pending timeouts hold {pending[frontend]}"
                 )
-        # no start waits for a scrape here: the scrape falls before the bound
         for replica in self.replicas:
             free, busy = replica.free_slots, replica.in_service
             if free < 0 or busy < 0 or free + busy != replica.concurrency_limit or (free and replica.fifo):
@@ -447,11 +442,6 @@ class EngineState:
     def _start(self, replica: Replica, request: Request, demand: float, t: float) -> None:
         """Start ``request`` on the slot it holds, or hand the slot on down
         the queue if the request was abandoned while queued."""
-        if t == self._scrape_at:
-            # a scrape due at this instant sees the replica before any start
-            # at this instant, so starts wait until it has run
-            self._deferred_starts.append((replica, request, demand))
-            return
         fifo = replica.fifo
         while True:
             self.event_count += 1
@@ -534,12 +524,8 @@ class EngineState:
         metrics.scrape(self, t)
         self._scrape_k += 1
         nxt = self._scrape_k * self.scrape_interval_s
-        self._scrape_at = nxt if nxt < self.duration_s else None
-        if self._scrape_at is not None:
+        if nxt < self.duration_s:
             self.schedule(nxt, SCRAPE)
-        deferred, self._deferred_starts = self._deferred_starts, []
-        for replica, request, demand in deferred:
-            self._start(replica, request, demand, t)
 
     def _on_probe_send(self, t: float, payload) -> None:
         probes.handle_probe_send(self, t, payload)

@@ -70,6 +70,20 @@ ROLES = (ROLE_EDGE, ROLE_DATACENTER)
 # A run scrapes every replica at each k * scrape_interval_s below duration_s
 # and keeps every scrape; a day at one scrape per second is 86,400.
 MAX_SCRAPES = 100_000
+# The costs below were measured with CPython 3.11 on a 2-vCPU x86-64 machine.
+# Each phase before duration_s brings about rate * seconds arrivals. A
+# request takes about 12 us of the event loop (ten events) and about 375
+# bytes while it is held, so 10**7 arrivals run for about two minutes and,
+# if every request is held at once (an overloaded frontend queue keeps every
+# arrival), take about 4 GB.
+MAX_ARRIVALS = 10**7
+# A replica takes about 4 us and 1.2 kB to set up, so 10**4 replicas take
+# about 40 ms and 12 MB; what their scrapes keep is capped below.
+MAX_REPLICAS = 10**4
+# The metrics keep every scrape of every replica: about 66 bytes and 0.2 us
+# a value (the scrape and its rate). 10**7 values, a day at one scrape a
+# second of 115 replicas, take about 0.7 GB.
+MAX_SCRAPE_VALUES = 10**7
 # A lognormal payload draw is exp(normal(mu, sigma)); ten sigmas above mu
 # must stay below the largest float, or a draw can overflow.
 MAX_LOG_PAYLOAD = math.log(sys.float_info.max)
@@ -546,11 +560,7 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
             largest = math.exp(payload.mu + 10 * payload.sigma)
     if largest is not None:
         _check_demands(profiles, frontend, largest, errors)
-    if spec.scrape_interval_s > 0 and spec.duration_s / spec.scrape_interval_s > MAX_SCRAPES:
-        errors.append(
-            f"scrape_interval_s: {spec.scrape_interval_s!r} gives more than {MAX_SCRAPES} scrapes "
-            f"over duration_s {spec.duration_s!r}"
-        )
+    _check_work(spec, placements, errors)
     generates_traffic = any(phase.rate > 0 for phase in spec.workload.phases)
     if generates_traffic and (frontend is None or backend is None):
         errors.append("workload requires one frontend and one backend service")
@@ -569,6 +579,36 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
         timeline=tuple(timeline),
         warnings=tuple(warnings + timeline_warnings),
     )
+
+
+def _check_work(spec: FederationSpec, placements: dict[str, dict[int, int]], errors: list[str]) -> None:
+    """The arrivals, the replicas and the scrape values a run keeps, each
+    derived from the spec alone, must stay within their caps."""
+    duration = spec.duration_s
+    arrivals = sum(
+        rate * (min(end, duration) - start)
+        for start, end, rate in workload.phase_windows(spec.workload)
+        if rate > 0 and start < duration
+    )
+    if arrivals > MAX_ARRIVALS:
+        errors.append(
+            f"workload.phases: their rates give about {arrivals:.6g} arrivals before duration_s {duration!r}, "
+            f"more than {MAX_ARRIVALS}"
+        )
+    replicas = sum(sum(placed.values()) for placed in placements.values())
+    if replicas > MAX_REPLICAS:
+        errors.append(f"services: replicas_per_cluster places {replicas} replicas, more than {MAX_REPLICAS}")
+    interval = spec.scrape_interval_s
+    scrapes = duration / interval if interval > 0 else 0.0
+    if scrapes > MAX_SCRAPES:
+        errors.append(
+            f"scrape_interval_s: {interval!r} gives more than {MAX_SCRAPES} scrapes over duration_s {duration!r}"
+        )
+    elif replicas <= MAX_REPLICAS and math.ceil(scrapes) * replicas > MAX_SCRAPE_VALUES:
+        errors.append(
+            f"scrape_interval_s: {interval!r} gives {math.ceil(scrapes)} scrapes of {replicas} replicas, "
+            f"more than {MAX_SCRAPE_VALUES} values to keep"
+        )
 
 
 def _check_demands(profiles, frontend: StageProfile | None, largest_bytes: float, errors: list[str]) -> None:

@@ -1,9 +1,10 @@
 import sys
+from contextlib import contextmanager
 
 import pytest
 
 import fedsim
-from fedsim import topology
+from fedsim import metrics, topology
 
 
 def make_topology(text: str):
@@ -14,6 +15,29 @@ def run_scenario_text(text: str, until: float | None = None):
     topo = make_topology(text)
     engine = topology.build_runtime(topo)
     return engine.run(until=topo.spec.duration_s if until is None else until), engine
+
+
+@contextmanager
+def slots_checked_at_every_scrape():
+    """Within the block, ``metrics.scrape`` first checks every replica: its
+    free slots and requests in service add up to its concurrency limit, and
+    it has a free slot only while its queue is empty. Yields the times of
+    the scrapes it checked."""
+    scrape, checked = metrics.scrape, []
+
+    def checking(engine, t):
+        for replica in engine.replicas:
+            free, busy, queued = replica.free_slots, replica.in_service, len(replica.fifo)
+            assert free + busy == replica.concurrency_limit and not (free and queued), (
+                f"scrape at {t!r}: {replica.key} has {free} free slots and {busy} in service "
+                f"of {replica.concurrency_limit}, with {queued} queued"
+            )
+        checked.append(t)
+        scrape(engine, t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "scrape", checking)
+        yield checked
 
 
 # nests deeper than Python recurses under ``shallow_recursion``; PyYAML's

@@ -3,6 +3,7 @@
 import concurrent.futures
 import errno
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,40 @@ class TestValidate:
         path.write_text(doc)
         assert cli.main(["validate", str(path)]) == 1
         assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, old, new, error",
+        [
+            (
+                "poc_lc",
+                "rate: 120,",
+                "rate: 1.0e+12,",
+                "error: workload.phases: their rates give about 6e+14 arrivals before duration_s 610.0, "
+                "more than 10000000\n",
+            ),
+            (
+                "poc",
+                "{C3: 3, C4: 3}",
+                "{C3: 100000000}",
+                "error: services: replicas_per_cluster places 100000004 replicas, more than 10000\n",
+            ),
+        ],
+        ids=["arrivals", "replicas"],
+    )
+    def test_a_scenario_past_a_work_limit_exits_1_before_it_runs(self, name, old, new, error, tmp_path):
+        # in a child under an address-space limit and a timeout, so that a
+        # scenario that does run fails fast instead of filling the machine
+        text = fedsim.bundled_scenario(name).read_text(encoding="utf-8")
+        assert old in text
+        path = tmp_path / "big.scenario"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = [sys.executable, "-m", "fedsim.cli", "run", str(path), "--until", "1", "--out-dir", str(tmp_path)]
+        proc = subprocess.run(argv, env=_env(), capture_output=True, text=True, timeout=20, preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stderr) == (1, error)
 
     def test_bundled_scenarios_validate(self, capsys):
         for name in ("poc", "poc_lc", "ping", "blackout"):

@@ -9,7 +9,14 @@ import pytest
 import fedsim
 from fedsim import metrics, probes, topology
 from fedsim.engine import ARRIVAL, TIMEOUT, EngineError, EngineState, Request
-from tests.conftest import MINI_DOC, OVERLOAD, make_topology, run_scenario_text, two_cluster_doc
+from tests.conftest import (
+    MINI_DOC,
+    OVERLOAD,
+    make_topology,
+    run_scenario_text,
+    slots_checked_at_every_scrape,
+    two_cluster_doc,
+)
 
 MINIMAL = """
 clusters:
@@ -33,6 +40,26 @@ workload:
   phases: [{{rate: 4, duration_s: {requests_s}}}]
 duration_s: 5
 timeout_s: 0.5
+"""
+
+
+# one cluster whose frontend has a single slot and a 1 s demand, twice the
+# 0.5 s scrape interval; a request arrives every 0.5 s, so from 1 s on each
+# whole second frees the slot and starts the next request at a scrape
+SLOW_FRONTEND = """
+clusters:
+  - {name: solo, nodes: 1, vcpus_per_node: 2}
+links: {base_delay_ms: 0.0, intra_base_delay_ms: 0.0}
+services:
+  - {name: fe, stage: frontend, replicas_per_cluster: {solo: 1}, demand: {base_ms: 1000.0, per_kb_ms: 0.0}}
+  - {name: be, stage: backend, replicas_per_cluster: {solo: 1}, demand: {base_ms: 10.0, per_kb_ms: 0.0}}
+workload:
+  arrival: constant
+  payload: {dist: constant, bytes: 1000}
+  phases: [{rate: 2, duration_s: 4}]
+duration_s: 4
+timeout_s: 10
+scrape_interval_s: 0.5
 """
 
 
@@ -372,6 +399,27 @@ class TestRequestPath:
         assert result.arrivals == 100
         assert result.lost == 100
         assert all(t.fe_start is None for t in result.traces)
+
+
+class TestScrapes:
+    def test_a_start_at_a_scrape_instant_shows_in_that_scrape(self):
+        # the scrape follows the completion that starts the queued request,
+        # so the request counts as in service, not as gone
+        result, engine = run_scenario_text(SLOW_FRONTEND)
+        (frontend,) = engine.frontend_endpoints
+        assert frontend.concurrency_limit == 1
+        column = engine.metrics.replicas.index(frontend)
+        times = engine.metrics.times
+        outstanding = [engine.metrics.outstanding[k][column] for k in range(len(times)) if 0.5 <= times[k] <= 3.0]
+        assert outstanding == [1, 1, 2, 2, 3, 3]
+        assert [t.fe_start for t in result.traces[:4]] == [0.0, 1.0, 2.0, 3.0]
+
+    def test_every_fine_scrape_of_overload_sees_each_slot_held(self):
+        # scrapes every 62.5 ms, the frontend demand, tie with the starts
+        doc = OVERLOAD.replace("scrape_interval_s: 0.5", "scrape_interval_s: 0.0625")
+        with slots_checked_at_every_scrape() as checked:
+            _, engine = run_scenario_text(doc)
+        assert len(checked) == len(engine.metrics.times) == 880
 
 
 class TestDeterminism:

@@ -230,7 +230,7 @@ OVERLOAD_GOLDEN = {
         "cpu_rate.csv": "d45dfb9a3bdb2782eecea567cdb04efee318f74d2cea59d0f809f0a29f2e745b",
         "probe_rtt.csv": "11784ddbd7d4c85a2e5c733fe36d873023b4b2cac9e6727b10ee50d53ce13798",
         "replica_busy_vcpu_seconds_total.csv": "27d157402665d4c2f29d87ca1194e487d453c685b43f38ccfa3f2ee714887bb9",
-        "replica_outstanding_requests.csv": "71fbc5b972ee8f8f14a5f80dda441d69ce9f491ef9f87121a94142dc45047571",
+        "replica_outstanding_requests.csv": "01ed75b1f037a757a20eb119a8132f8b188bc8ef5a2facafebb748b1d4969c7e",
         "traces.csv": "2c9c9a45ced1690f7286f130e7c7f08bcc78eff37c21d52d6ecf5ea719beb510",
         "summary.yaml:results": "dbccf3fa5d2b51a23d51c7bd3da35b65615d531fd6fa839993fc8c94ce92dad3",
     },

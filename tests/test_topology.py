@@ -26,7 +26,7 @@ from fedsim.topology import (
 )
 from fedsim.workload import PayloadSpec, Phase, WorkloadSpec
 from perfbench.scenarios import _links
-from tests.conftest import DEEP, MINI_DOC, make_topology, two_cluster_doc
+from tests.conftest import DEEP, MINI_DOC, make_topology, slots_checked_at_every_scrape, two_cluster_doc
 
 MINIMAL = """
 clusters:
@@ -480,15 +480,34 @@ class TestRender:
 
 
 NAME_ST = st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True)
-SMALL_FLOAT = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 UNIT_FLOAT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+def grid_s(low: float, high: float):
+    """Multiples of 1/64 s from low to high: exact in binary, so that the
+    events they time tie."""
+    return st.integers(round(low * 64), round(high * 64)).map(lambda k: k / 64)
+
+
+# a hop's delay and a service's demand in a realistic range, a share of them
+# on the grid; a share of per-kB parts are 0, which keeps a demand there
+DELAY_MS = st.one_of(st.floats(0, 200, allow_nan=False), grid_s(0, 0.25).map(lambda s: s * 1000))
+BASE_MS = st.one_of(st.floats(0, 500, allow_nan=False), grid_s(0, 1).map(lambda s: s * 1000))
+PER_KB_MS = st.one_of(st.floats(0, 0.05, allow_nan=False), st.just(0.0))
+# scrape intervals and timeouts in seconds, a share of them on the grid
+SCRAPE_S = st.one_of(st.floats(0.1, 60, allow_nan=False), grid_s(0.125, 10))
+TIMEOUT_S = st.one_of(st.floats(0.1, 60, allow_nan=False), grid_s(0.125, 10))
+AT_S = st.floats(0, 10, allow_nan=False)
+# arrivals per second, a share of them powers of two: constant arrivals
+# then fall on the grid too
+RATE = st.one_of(st.floats(0, 100, allow_nan=False), st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
 
 
 @st.composite
 def jitter_specs(draw):
     if draw(st.booleans()):
         return JitterSpec()
-    return JitterSpec(dist=draw(st.sampled_from(["uniform", "normal"])), scale_ms=draw(SMALL_FLOAT))
+    return JitterSpec(dist=draw(st.sampled_from(["uniform", "normal"])), scale_ms=draw(DELAY_MS))
 
 
 @st.composite
@@ -525,7 +544,7 @@ def federation_specs(draw):
     )
     links = LinksSpec(
         one_way_delay_ms=tuple(
-            tuple(0.0 if i == j else draw(SMALL_FLOAT) for j in range(n)) for i in range(n)
+            tuple(0.0 if i == j else draw(DELAY_MS) for j in range(n)) for i in range(n)
         ),
         jitter=tuple(
             tuple(JitterSpec() if i == j else draw(jitter_specs()) for j in range(n))
@@ -540,8 +559,8 @@ def federation_specs(draw):
             )
             for i in range(n)
         ),
-        base_delay_ms=draw(SMALL_FLOAT),
-        intra_base_delay_ms=draw(SMALL_FLOAT),
+        base_delay_ms=draw(DELAY_MS),
+        intra_base_delay_ms=draw(DELAY_MS),
     )
     services = (
         ServiceSpec(
@@ -549,8 +568,8 @@ def federation_specs(draw):
             stage="frontend",
             replicas_per_cluster={names[0]: draw(st.integers(1, 3))},
             demand=DemandSpec(
-                base_ms=draw(SMALL_FLOAT),
-                per_kb_ms=draw(SMALL_FLOAT),
+                base_ms=draw(BASE_MS),
+                per_kb_ms=draw(PER_KB_MS),
                 reduction=draw(st.floats(0.1, 1.0, allow_nan=False)),
             ),
             backend_policy=draw(st.sampled_from([None, "round_robin", "least_connection"])),
@@ -559,13 +578,13 @@ def federation_specs(draw):
             name="be-svc",
             stage="backend",
             replicas_per_cluster={names[-1]: draw(st.integers(1, 3))},
-            demand=DemandSpec(base_ms=draw(SMALL_FLOAT), per_kb_ms=draw(SMALL_FLOAT)),
+            demand=DemandSpec(base_ms=draw(BASE_MS), per_kb_ms=draw(PER_KB_MS)),
         ),
     )
     workload = WorkloadSpec(
         phases=tuple(
-            Phase(rate=draw(st.floats(0, 100, allow_nan=False)), duration_s=draw(st.floats(0.1, 1000, allow_nan=False)))
-            for _ in range(draw(st.integers(0, 3)))
+            Phase(rate=draw(RATE), duration_s=draw(st.floats(0.1, 1000, allow_nan=False)))
+            for _ in range(draw(st.integers(1, 3)))
         ),
         arrival=draw(st.sampled_from(["constant", "poisson"])),
         payload=draw(payload_specs()),
@@ -576,10 +595,10 @@ def federation_specs(draw):
         if kind == "set_link" and n > 1:
             timeline.append(
                 faults.SetLinkEvent(
-                    at_s=draw(SMALL_FLOAT),
+                    at_s=draw(AT_S),
                     src=names[0],
                     dst=names[-1],
-                    delay_ms=draw(SMALL_FLOAT),
+                    delay_ms=draw(DELAY_MS),
                     jitter=draw(jitter_specs()),
                     loss=LossSpec(p=draw(UNIT_FLOAT), correlation=draw(UNIT_FLOAT)),
                 )
@@ -592,7 +611,7 @@ def federation_specs(draw):
         else:
             timeline.append(
                 faults.SetHealthEvent(
-                    at_s=draw(SMALL_FLOAT),
+                    at_s=draw(AT_S),
                     service="fe-svc",
                     cluster=names[0],
                     healthy=draw(st.booleans()),
@@ -607,8 +626,8 @@ def federation_specs(draw):
         timeline=tuple(timeline),
         seed=draw(st.integers(0, 2**64 - 1)),
         duration_s=draw(st.floats(1, 10000, allow_nan=False)),
-        scrape_interval_s=draw(st.floats(0.1, 60, allow_nan=False)),
-        timeout_s=draw(st.floats(0.1, 60, allow_nan=False)),
+        scrape_interval_s=draw(SCRAPE_S),
+        timeout_s=draw(TIMEOUT_S),
         rate_window_s=draw(st.floats(1, 600, allow_nan=False)),
     )
 
@@ -634,14 +653,16 @@ def _outputs(engine):
 @given(spec=federation_specs(), cut=st.floats(0, 1))
 def test_any_valid_spec_runs_alike_in_one_call_or_split_at_a_cut(spec, cut):
     # two engines from one validated topology share its placements, stage
-    # profiles and compiled timeline; a run is the same however it is stepped
+    # profiles and compiled timeline; a run is the same however it is stepped,
+    # and every scrape finds each replica's slots held or free, none lost
     try:
         topo = validate(spec)
     except ValidationError:
         assume(False)
     until = min(spec.duration_s, 5.0)
-    whole = topology.build_runtime(topo).run(until)
-    split = topology.build_runtime(topo).run(until * cut).run(until)
+    with slots_checked_at_every_scrape():
+        whole = topology.build_runtime(topo).run(until)
+        split = topology.build_runtime(topo).run(until * cut).run(until)
     assert _outputs(split) == _outputs(whole)
 
 
@@ -744,6 +765,64 @@ duration_s: 5
             validate(spec)
         expected = f"scrape_interval_s: {interval_s!r} gives more than 100000 scrapes over duration_s {duration_s!r}"
         assert exc.value.errors == [expected]
+
+    @pytest.mark.parametrize(
+        "phases, accepted",
+        [
+            ("[{rate: 100000.0, duration_s: 100}]", True),
+            ("[{rate: 100001.0, duration_s: 100}]", False),
+            # only the 10 s of the second phase before duration_s count
+            ("[{rate: 1.0, duration_s: 90}, {rate: 1000000.0, duration_s: 30}]", False),
+            ("[{rate: 1.0, duration_s: 90}, {rate: 999991.0, duration_s: 30}]", True),
+            # a phase from duration_s on brings no arrival
+            ("[{rate: 1.0, duration_s: 100}, {rate: 1.0e+300, duration_s: 10}]", True),
+        ],
+    )
+    def test_expected_arrivals_are_bounded(self, phases, accepted):
+        phase = "\n    - {rate: 2.0, duration_s: 100}"
+        assert phase in MINI_DOC
+        doc = MINI_DOC.replace(phase, f" {phases}").replace("duration_s: 120", "duration_s: 100")
+        if accepted:
+            make_topology(doc)
+            return
+        with pytest.raises(ValidationError) as exc:
+            make_topology(doc)
+        assert exc.value.errors == [
+            "workload.phases: their rates give about 1.00001e+07 arrivals before duration_s 100.0, more than 10000000"
+        ]
+
+    @pytest.mark.parametrize("backends, accepted", [(9_999, True), (10_000, False)])
+    def test_replicas_are_bounded(self, backends, accepted):
+        backend = "replicas_per_cluster: {solo: 1}\n    demand: {base_ms: 30.0"
+        assert backend in MINI_DOC
+        doc = MINI_DOC.replace(backend, backend.replace("{solo: 1}", f"{{solo: {backends}}}"))
+        if accepted:
+            make_topology(doc)
+            return
+        with pytest.raises(ValidationError) as exc:
+            make_topology(doc)
+        assert exc.value.errors == ["services: replicas_per_cluster places 10001 replicas, more than 10000"]
+
+    @pytest.mark.parametrize(
+        "replicas, scrapes, accepted", [(100, 100_000, True), (101, 100_000, False), (5_000, 2_001, False)]
+    )
+    def test_scrape_values_are_bounded(self, replicas, scrapes, accepted):
+        doc = f"""
+clusters: [{{name: only, nodes: 1, vcpus_per_node: 1}}]
+services:
+  - {{name: fe, stage: frontend, replicas_per_cluster: {{only: 1}}}}
+  - {{name: be, stage: backend, replicas_per_cluster: {{only: {replicas - 1}}}}}
+duration_s: {scrapes}.0
+scrape_interval_s: 1.0
+"""
+        if accepted:
+            make_topology(doc)
+            return
+        with pytest.raises(ValidationError) as exc:
+            make_topology(doc)
+        assert exc.value.errors == [
+            f"scrape_interval_s: 1.0 gives {scrapes} scrapes of {replicas} replicas, more than 10000000 values to keep"
+        ]
 
     @pytest.mark.parametrize(
         "mu, sigma, accepted", [(700.0, 0.9, True), (709.0, 0.078, True), (800.0, 1.0, False), (0.0, 71.0, False)]
