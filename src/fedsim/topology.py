@@ -71,11 +71,11 @@ ROLES = (ROLE_EDGE, ROLE_DATACENTER)
 # and keeps every scrape; a day at one scrape per second is 86,400.
 MAX_SCRAPES = 100_000
 # The costs below were measured with CPython 3.11 on a 2-vCPU x86-64 machine.
-# Each phase before duration_s brings about rate * seconds arrivals. A
-# request takes about 12 us of the event loop (ten events) and about 375
-# bytes while it is held, so 10**7 arrivals run for about two minutes and,
-# if every request is held at once (an overloaded frontend queue keeps every
-# arrival), take about 4 GB.
+# Each phase brings about rate * seconds arrivals, counted whole, since a
+# run may go on past duration_s. A request takes about 12 us of the event
+# loop (ten events) and about 375 bytes while it is held, so 10**7 arrivals
+# run for about two minutes and, if every request is held at once (an
+# overloaded frontend queue keeps every arrival), take about 4 GB.
 MAX_ARRIVALS = 10**7
 # A replica takes about 4 us and 1.2 kB to set up, so 10**4 replicas take
 # about 40 ms and 12 MB; what their scrapes keep is capped below.
@@ -584,23 +584,17 @@ def validate(spec: FederationSpec) -> ValidatedTopology:
 def _check_work(spec: FederationSpec, placements: dict[str, dict[int, int]], errors: list[str]) -> None:
     """The arrivals, the replicas and the scrape values a run keeps, each
     derived from the spec alone, must stay within their caps."""
-    duration = spec.duration_s
-    arrivals = sum(
-        rate * (min(end, duration) - start)
-        for start, end, rate in workload.phase_windows(spec.workload)
-        if rate > 0 and start < duration
-    )
+    # every phase counts: ``fedsim run --until`` may run past duration_s
+    arrivals = sum(phase.rate * phase.duration_s for phase in spec.workload.phases if phase.rate > 0)
     if arrivals > MAX_ARRIVALS:
-        errors.append(
-            f"workload.phases: their rates give about {arrivals:.6g} arrivals before duration_s {duration!r}, "
-            f"more than {MAX_ARRIVALS}"
-        )
+        errors.append(f"workload.phases: their rates give about {arrivals:.6g} arrivals, more than {MAX_ARRIVALS}")
     replicas = sum(sum(placed.values()) for placed in placements.values())
     if replicas > MAX_REPLICAS:
         errors.append(f"services: replicas_per_cluster places {replicas} replicas, more than {MAX_REPLICAS}")
-    interval = spec.scrape_interval_s
-    scrapes = duration / interval if interval > 0 else 0.0
-    if scrapes > MAX_SCRAPES:
+    duration, interval = spec.duration_s, spec.scrape_interval_s
+    # NaN when both are infinite: too many to count
+    scrapes = duration / interval if duration > 0 and interval > 0 else 0.0
+    if not scrapes <= MAX_SCRAPES:
         errors.append(
             f"scrape_interval_s: {interval!r} gives more than {MAX_SCRAPES} scrapes over duration_s {duration!r}"
         )

@@ -18,20 +18,15 @@ def run_scenario_text(text: str, until: float | None = None):
 
 
 @contextmanager
-def slots_checked_at_every_scrape():
-    """Within the block, ``metrics.scrape`` first checks every replica: its
-    free slots and requests in service add up to its concurrency limit, and
-    it has a free slot only while its queue is empty. Yields the times of
-    the scrapes it checked."""
+def invariants_checked_at_every_scrape():
+    """Within the block, ``metrics.scrape`` first checks the engine's
+    invariants: among them, every replica's free slots and requests in
+    service add up to its concurrency limit, and it has a free slot only
+    while its queue is empty. Yields the times of the scrapes it checked."""
     scrape, checked = metrics.scrape, []
 
     def checking(engine, t):
-        for replica in engine.replicas:
-            free, busy, queued = replica.free_slots, replica.in_service, len(replica.fifo)
-            assert free + busy == replica.concurrency_limit and not (free and queued), (
-                f"scrape at {t!r}: {replica.key} has {free} free slots and {busy} in service "
-                f"of {replica.concurrency_limit}, with {queued} queued"
-            )
+        engine._check_invariants()
         checked.append(t)
         scrape(engine, t)
 

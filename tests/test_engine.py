@@ -14,7 +14,7 @@ from tests.conftest import (
     OVERLOAD,
     make_topology,
     run_scenario_text,
-    slots_checked_at_every_scrape,
+    invariants_checked_at_every_scrape,
     two_cluster_doc,
 )
 
@@ -417,7 +417,7 @@ class TestScrapes:
     def test_every_fine_scrape_of_overload_sees_each_slot_held(self):
         # scrapes every 62.5 ms, the frontend demand, tie with the starts
         doc = OVERLOAD.replace("scrape_interval_s: 0.5", "scrape_interval_s: 0.0625")
-        with slots_checked_at_every_scrape() as checked:
+        with invariants_checked_at_every_scrape() as checked:
             _, engine = run_scenario_text(doc)
         assert len(checked) == len(engine.metrics.times) == 880
 

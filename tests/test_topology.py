@@ -1,6 +1,8 @@
 """Scenario parsing, canonical rendering, validation, and placement."""
 
+import dataclasses
 import gc
+import math
 import random
 import sys
 
@@ -26,7 +28,7 @@ from fedsim.topology import (
 )
 from fedsim.workload import PayloadSpec, Phase, WorkloadSpec
 from perfbench.scenarios import _links
-from tests.conftest import DEEP, MINI_DOC, make_topology, slots_checked_at_every_scrape, two_cluster_doc
+from tests.conftest import DEEP, MINI_DOC, make_topology, invariants_checked_at_every_scrape, two_cluster_doc
 
 MINIMAL = """
 clusters:
@@ -497,7 +499,8 @@ PER_KB_MS = st.one_of(st.floats(0, 0.05, allow_nan=False), st.just(0.0))
 # scrape intervals and timeouts in seconds, a share of them on the grid
 SCRAPE_S = st.one_of(st.floats(0.1, 60, allow_nan=False), grid_s(0.125, 10))
 TIMEOUT_S = st.one_of(st.floats(0.1, 60, allow_nan=False), grid_s(0.125, 10))
-AT_S = st.floats(0, 10, allow_nan=False)
+# fault times, a share of them within the first 5 s that a run covers
+AT_S = st.one_of(st.floats(0, 10, allow_nan=False), st.floats(0, 1e6, allow_nan=False))
 # arrivals per second, a share of them powers of two: constant arrivals
 # then fall on the grid too
 RATE = st.one_of(st.floats(0, 100, allow_nan=False), st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
@@ -584,7 +587,7 @@ def federation_specs(draw):
     workload = WorkloadSpec(
         phases=tuple(
             Phase(rate=draw(RATE), duration_s=draw(st.floats(0.1, 1000, allow_nan=False)))
-            for _ in range(draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(0, 3)))
         ),
         arrival=draw(st.sampled_from(["constant", "poisson"])),
         payload=draw(payload_specs()),
@@ -660,7 +663,7 @@ def test_any_valid_spec_runs_alike_in_one_call_or_split_at_a_cut(spec, cut):
     except ValidationError:
         assume(False)
     until = min(spec.duration_s, 5.0)
-    with slots_checked_at_every_scrape():
+    with invariants_checked_at_every_scrape():
         whole = topology.build_runtime(topo).run(until)
         split = topology.build_runtime(topo).run(until * cut).run(until)
     assert _outputs(split) == _outputs(whole)
@@ -771,11 +774,9 @@ duration_s: 5
         [
             ("[{rate: 100000.0, duration_s: 100}]", True),
             ("[{rate: 100001.0, duration_s: 100}]", False),
-            # only the 10 s of the second phase before duration_s count
-            ("[{rate: 1.0, duration_s: 90}, {rate: 1000000.0, duration_s: 30}]", False),
-            ("[{rate: 1.0, duration_s: 90}, {rate: 999991.0, duration_s: 30}]", True),
-            # a phase from duration_s on brings no arrival
-            ("[{rate: 1.0, duration_s: 100}, {rate: 1.0e+300, duration_s: 10}]", True),
+            # a phase counts whole, past duration_s too, which a run may go on to
+            ("[{rate: 10.0, duration_s: 100}, {rate: 1000.0, duration_s: 9999.1}]", False),
+            ("[{rate: 10.0, duration_s: 100}, {rate: 1000.0, duration_s: 9999}]", True),
         ],
     )
     def test_expected_arrivals_are_bounded(self, phases, accepted):
@@ -788,8 +789,22 @@ duration_s: 5
         with pytest.raises(ValidationError) as exc:
             make_topology(doc)
         assert exc.value.errors == [
-            "workload.phases: their rates give about 1.00001e+07 arrivals before duration_s 100.0, more than 10000000"
+            "workload.phases: their rates give about 1.00001e+07 arrivals, more than 10000000"
         ]
+
+    @pytest.mark.parametrize(
+        "duration_s, interval_s, errors",
+        [
+            (math.inf, math.inf, ["scrape_interval_s: inf gives more than 100000 scrapes over duration_s inf"]),
+            (math.nan, 1.0, ["duration_s <= 0"]),
+        ],
+    )
+    def test_a_scrape_count_that_is_not_a_number_is_an_error(self, duration_s, interval_s, errors):
+        # a spec built in Python, which no YAML document can give
+        spec = parse_scenario("clusters: [{name: only}]\nduration_s: 5\n")
+        with pytest.raises(ValidationError) as exc:
+            validate(dataclasses.replace(spec, duration_s=duration_s, scrape_interval_s=interval_s))
+        assert exc.value.errors == errors
 
     @pytest.mark.parametrize("backends, accepted", [(9_999, True), (10_000, False)])
     def test_replicas_are_bounded(self, backends, accepted):
