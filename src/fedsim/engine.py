@@ -169,9 +169,11 @@ class Request:
 
 class Replica(mesh.Endpoint):
     """One service replica pinned to one node: its mesh identity and health,
-    plus its queue and busy counter."""
+    its queue and busy counter, and a backend's index in the balancer counts."""
 
-    __slots__ = ("node", "concurrency_limit", "is_frontend", "free_slots", "in_service", "fifo", "busy_vcpu_seconds")
+    __slots__ = (
+        "node", "concurrency_limit", "is_frontend", "free_slots", "in_service", "fifo", "busy_vcpu_seconds", "position",
+    )
 
     def __init__(self, service: str, cluster: int, replica: int, node: int, concurrency_limit: int, is_frontend: bool):
         super().__init__(service, cluster, replica)
@@ -229,9 +231,12 @@ class EngineState:
         self.replicas = self._place_replicas()
         self.frontend_endpoints = [replica for replica in self.replicas if replica.is_frontend]
         self.backend_endpoints = [replica for replica in self.replicas if not replica.is_frontend]
+        for position, backend in enumerate(self.backend_endpoints):
+            backend.position = position
         self.ingress_state = mesh.BalancerState(policy=mesh.ROUND_ROBIN)
         self.fe_states = {
-            endpoint: mesh.BalancerState(policy=topology.backend_policy) for endpoint in self.frontend_endpoints
+            endpoint: mesh.BalancerState(topology.backend_policy, outstanding=[0] * len(self.backend_endpoints))
+            for endpoint in self.frontend_endpoints
         }
 
         self.metrics = metrics.Scrapes.of(self.replicas, self.cluster_names)
@@ -354,23 +359,22 @@ class EngineState:
         held_open = sum(1 for request in window if request.outcome is None)
         if held_open != self.in_flight:
             raise EngineError(f"{self.in_flight} requests in flight but {held_open} held without an outcome")
-        for state in (self.ingress_state, *self.fe_states.values()):
-            for endpoint, count in state.outstanding.items():
+        backends = self.backend_endpoints
+        for state in self.fe_states.values():
+            for backend, count in zip(backends, state.outstanding):
                 if count < 0:
-                    raise EngineError(f"balancer count {count} below 0 for {endpoint!r}")
+                    raise EngineError(f"balancer count {count} below 0 for {backend!r}")
         # a count is released by the response or by the request's timeout,
         # so it stands for exactly the pending timeouts of open requests
-        pending: dict = {frontend: {} for frontend in self.fe_states}
+        pending = {frontend: [0] * len(backends) for frontend in self.fe_states}
         for _time, _seq, kind, request in chain(self._timeouts, self._heap):
             if kind == TIMEOUT and request.lc_open:
-                held = pending[request.frontend]
-                held[request.backend] = held.get(request.backend, 0) + 1
+                pending[request.frontend][request.backend.position] += 1
         for frontend, state in self.fe_states.items():
-            counts = {backend: count for backend, count in state.outstanding.items() if count}
-            if counts != pending[frontend]:
-                raise EngineError(
-                    f"balancer counts {counts} at {frontend!r}, but pending timeouts hold {pending[frontend]}"
-                )
+            if state.outstanding != pending[frontend]:
+                counts = {backend: count for backend, count in zip(backends, state.outstanding) if count}
+                held = {backend: count for backend, count in zip(backends, pending[frontend]) if count}
+                raise EngineError(f"balancer counts {counts} at {frontend!r}, but pending timeouts hold {held}")
         for replica in self.replicas:
             free, busy = replica.free_slots, replica.in_service
             if free < 0 or busy < 0 or free + busy != replica.concurrency_limit or (free and replica.fifo):
@@ -486,7 +490,7 @@ class EngineState:
             return
         request.backend = backend
         request.be_dispatch = t
-        mesh.lc_update(state, backend, +1)
+        mesh.lc_update(state, backend.position, +1)
         request.lc_open = True
         self.schedule(t + self.timeout_s, TIMEOUT, request)
         self._send(request, frontend.cluster, backend.cluster, backend, request_be, t)
@@ -505,7 +509,7 @@ class EngineState:
 
     def _release_lc(self, request: Request) -> None:
         if request.lc_open:
-            mesh.lc_update(self.fe_states[request.frontend], request.backend, -1)
+            mesh.lc_update(self.fe_states[request.frontend], request.backend.position, -1)
             request.lc_open = False
 
     def _on_timeout(self, t: float, request: Request) -> None:

@@ -18,6 +18,11 @@ A strict lowest-index rule would collapse onto endpoint 0 whenever the
 inter-pick gap exceeds the response time (counts all read zero), which is the
 common regime at moderate load; rotation keeps ties fair while still picking
 index 0 first from a fresh state.
+
+Both policies skip unhealthy endpoints. Counts are held by position, so
+``pick_lc`` finds in C the first least count in cyclic order from the cursor.
+A healthy endpoint there is the exact answer: no healthy one has fewer, and
+an earlier healthy tie would have been found first; else it scans in Python.
 """
 
 from __future__ import annotations
@@ -58,46 +63,52 @@ class Endpoint:
 class BalancerState:
     """Mutable per-balancer bookkeeping.
 
-    ``rr_cursor`` is the next index to try (also the tie-rotation cursor for
-    least-connection). ``outstanding`` counts requests dispatched but not yet
-    answered, per endpoint.
+    ``rr_cursor`` is the next position to try (also the tie-rotation cursor
+    for least-connection). ``outstanding`` counts requests dispatched but not
+    yet answered, one per position of the endpoint list picked from.
     """
 
     policy: str = ROUND_ROBIN
     rr_cursor: int = 0
-    outstanding: dict[Endpoint, int] = field(default_factory=dict)
+    outstanding: list[int] = field(default_factory=list)
 
 
 def pick_rr(state: BalancerState, endpoints: list[Endpoint]) -> Endpoint:
     """Round-robin over healthy endpoints, skipping unhealthy ones without
     losing cursor position."""
     n = len(endpoints)
-    for step in range(n):
-        i = (state.rr_cursor + step) % n
-        if endpoints[i].healthy:
-            state.rr_cursor = (i + 1) % n
-            return endpoints[i]
+    i = state.rr_cursor
+    for _ in range(n):
+        endpoint = endpoints[i]
+        i = i + 1 if i + 1 < n else 0
+        if endpoint.healthy:
+            state.rr_cursor = i
+            return endpoint
     raise NoHealthyEndpoint("no healthy endpoint available")
 
 
 def pick_lc(state: BalancerState, endpoints: list[Endpoint]) -> Endpoint:
     """Least outstanding requests; ties rotate via the cursor."""
+    counts = state.outstanding
     n = len(endpoints)
-    best = None
-    best_i = -1
-    best_count = 0
+    cursor = state.rr_cursor
+    if n:
+        low = min(counts)
+        i = counts.index(low)
+        if i < cursor and low in counts[cursor:]:
+            i = counts.index(low, cursor)
+        if endpoints[i].healthy:
+            state.rr_cursor = (i + 1) % n
+            return endpoints[i]
+    best = -1
     for step in range(n):
-        i = (state.rr_cursor + step) % n
-        endpoint = endpoints[i]
-        if not endpoint.healthy:
-            continue
-        count = state.outstanding.get(endpoint, 0)
-        if best is None or count < best_count:
-            best, best_i, best_count = endpoint, i, count
-    if best is None:
+        i = (cursor + step) % n
+        if endpoints[i].healthy and (best < 0 or counts[i] < counts[best]):
+            best = i
+    if best < 0:
         raise NoHealthyEndpoint("no healthy endpoint available")
-    state.rr_cursor = (best_i + 1) % n
-    return best
+    state.rr_cursor = (best + 1) % n
+    return endpoints[best]
 
 
 def pick(state: BalancerState, endpoints: list[Endpoint]) -> Endpoint:
@@ -108,9 +119,9 @@ def pick(state: BalancerState, endpoints: list[Endpoint]) -> Endpoint:
     raise ValueError(f"unknown policy {state.policy!r}")
 
 
-def lc_update(state: BalancerState, endpoint: Endpoint, delta: int) -> None:
-    """Adjust the outstanding count for an endpoint; counts never go negative."""
-    count = state.outstanding.get(endpoint, 0) + delta
+def lc_update(state: BalancerState, position: int, delta: int) -> None:
+    """Adjust the outstanding count at a position; counts never go negative."""
+    count = state.outstanding[position] + delta
     if count < 0:
-        raise ValueError(f"outstanding count for {endpoint!r} would go negative")
-    state.outstanding[endpoint] = count
+        raise ValueError(f"outstanding count at position {position} would go negative")
+    state.outstanding[position] = count

@@ -164,7 +164,7 @@ class TestConservation:
         # dispatch's balancer count is released by its reply or timeout
         result, engine = run_scenario_text(OVERLOAD)
         assert result.arrivals == 800 and result.in_flight == 0
-        counts = [count for state in engine.fe_states.values() for count in state.outstanding.values()]
+        counts = [count for state in engine.fe_states.values() for count in state.outstanding]
         assert counts and all(count == 0 for count in counts)
         for replica in engine.replicas:
             if replica.is_frontend:
@@ -198,14 +198,14 @@ class TestEndOfRunChecks:
     def test_a_balancer_count_below_zero_raises(self):
         engine = self._engine()
         state = next(iter(engine.fe_states.values()))
-        state.outstanding[engine.backend_endpoints[0]] = -1
+        state.outstanding[engine.backend_endpoints[0].position] = -1
         with pytest.raises(EngineError, match="below 0"):
             engine.run(until=engine.clock)  # runs no event, only the checks
 
     def test_a_balancer_count_no_pending_timeout_holds_raises(self):
         engine = self._engine()
         state = next(iter(engine.fe_states.values()))
-        state.outstanding[engine.backend_endpoints[0]] += 1
+        state.outstanding[engine.backend_endpoints[0].position] += 1
         with pytest.raises(EngineError, match="but pending timeouts hold"):
             engine.run(until=engine.clock)  # runs no event, only the checks
 
@@ -217,7 +217,7 @@ class TestEndOfRunChecks:
         open_while_idle = 0
         for k in range(1, 4001):
             engine.run(until=k * 0.01)
-            counts = sum(count for state in engine.fe_states.values() for count in state.outstanding.values())
+            counts = sum(count for state in engine.fe_states.values() for count in state.outstanding)
             open_while_idle += engine.in_flight == 0 and counts > 0
         assert engine.clock == engine.duration_s
         assert open_while_idle > 0

@@ -29,6 +29,12 @@ normal jitter. b->a draws 91 normals in the run and 115 in the ping before
 a ``set_link`` at 5.99 s makes it uniform, and a second one at 9.1 s makes
 it normal again; each count is odd, so the first normal after the switch
 back is the spare its link held through both rule changes.
+
+``LC_HEALTH`` pins least-connection picks around unhealthy backends: single
+replicas and a whole backend service go down and come back while counts are
+open, backend cluster c blacks out with its replicas still healthy (so its
+counts climb until their timeouts fire), and for half a second every backend
+is down, so picks fail.
 """
 
 import hashlib
@@ -169,6 +175,53 @@ scrape_interval_s: 1.0
 rate_window_s: 4.0
 """
 
+LC_HEALTH = """
+clusters:
+  - {name: a, nodes: 2, vcpus_per_node: 4, memory_gb: 8, role: edge}
+  - {name: b, nodes: 2, vcpus_per_node: 2, memory_gb: 8, role: datacenter}
+  - {name: c, nodes: 1, vcpus_per_node: 4, memory_gb: 8, role: datacenter}
+links:
+  base_delay_ms: 0.5
+  intra_base_delay_ms: 0.25
+  one_way_delay_ms:
+    - [0, 8, 20]
+    - [9, 0, 0]
+    - [21, 0, 0]
+services:
+  - name: fe
+    stage: frontend
+    replicas_per_cluster: {a: 2}
+    demand: {base_ms: 3.0, per_kb_ms: 0.01}
+  - name: be
+    stage: backend
+    replicas_per_cluster: {a: 1, b: 2, c: 2}
+    demand: {base_ms: 30.0, per_kb_ms: 0.03}
+    backend_policy: least_connection
+workload:
+  arrival: poisson
+  payload: {dist: lognormal, mu: 7.5, sigma: 0.5}
+  phases:
+    - {rate: 120, duration_s: 12}
+timeline:
+  - {action: set_health, at_s: 2.0, service: be, cluster: b, replica: 1, healthy: false}
+  - {action: set_health, at_s: 3.5, service: be, cluster: c, healthy: false}
+  - {action: set_health, at_s: 5.0, service: be, cluster: c, healthy: true}
+  - {action: set_health, at_s: 6.0, service: be, cluster: b, replica: 1, healthy: true}
+  - {action: blackout, at_s: 7.0, cluster: c, end_s: 9.0}
+  - {action: set_health, at_s: 8.0, service: be, cluster: b, replica: 0, healthy: false}
+  - {action: set_health, at_s: 10.0, service: be, cluster: a, healthy: false}
+  - {action: set_health, at_s: 10.0, service: be, cluster: b, healthy: false}
+  - {action: set_health, at_s: 10.0, service: be, cluster: c, healthy: false}
+  - {action: set_health, at_s: 10.5, service: be, cluster: a, healthy: true}
+  - {action: set_health, at_s: 10.5, service: be, cluster: b, healthy: true}
+  - {action: set_health, at_s: 10.5, service: be, cluster: c, healthy: true}
+seed: 31
+duration_s: 13
+scrape_interval_s: 0.5
+rate_window_s: 2.0
+timeout_s: 1.0
+"""
+
 PING_RUNS = {
     "blackout": (fedsim.bundled_scenario("blackout").read_text(), ["--interval", "0.1", "--duration", "310"]),
     "tie": (TIE_PING, ["--interval", "0.5"]),
@@ -299,6 +352,17 @@ VARIATES_GOLDEN = {
 }
 
 
+# computed before balancers held their counts by position
+LC_HEALTH_GOLDEN = {
+    "cpu_rate.csv": "d1aec5faf1f935f26065f55a5a549a12af36ff24a54234c95b8fdddc026db02f",
+    "probe_rtt.csv": "11784ddbd7d4c85a2e5c733fe36d873023b4b2cac9e6727b10ee50d53ce13798",
+    "replica_busy_vcpu_seconds_total.csv": "b27782b89d1903e9c5a593c8959b667b9d00445848bcbe4fe3c39e15c0ce5393",
+    "replica_outstanding_requests.csv": "6942d1e19da5a3ac85b2200071cd537ba80b01d97d3c4bbbc184fe0bce7953dd",
+    "traces.csv": "b9186cf52e5d5794b31ca75654bb2ed171ceeefa02a24488c5bdbab7cc3c463d",
+    "summary.yaml:results": "e0937c8db104163b3ca69d8ff92b2ded9b5c312d133a4a4ce603debd07bed60d",
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -376,6 +440,15 @@ def test_variates_exports_match_golden_digests(command, tmp_path, capsys):
     assert cli.main([command, str(scenario), "--out-dir", str(out), *JITTER_RUNS[command]]) == 0
     capsys.readouterr()
     assert _digests(out) == VARIATES_GOLDEN[command]
+
+
+def test_lc_health_exports_match_golden_digests(tmp_path, capsys):
+    scenario = tmp_path / "lc_health.yaml"
+    scenario.write_text(LC_HEALTH)
+    out = tmp_path / "run"
+    assert cli.main(["run", str(scenario), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert _digests(out) == LC_HEALTH_GOLDEN
 
 
 def test_ping_stepped_in_pieces_matches_one_long_run(tmp_path):

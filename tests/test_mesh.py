@@ -1,4 +1,10 @@
-"""Load balancer picks and cursors."""
+"""Load balancer picks and cursors.
+
+The differential tests at the end hold the position-indexed picks to the
+Python scans they replaced, copied below as oracles: today's answer is the
+fewest outstanding among healthy endpoints, first in cyclic order from the
+cursor, with the cursor moved past the pick.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -62,33 +68,33 @@ class TestLeastConnection:
     def test_picks_minimum_outstanding(self):
         eps = make_endpoints(3)
         state = BalancerState(policy=mesh.LEAST_CONNECTION)
-        state.outstanding = {eps[0]: 2, eps[1]: 0, eps[2]: 1}
+        state.outstanding = [2, 0, 1]
         assert pick_lc(state, eps) is eps[1]
         assert state.rr_cursor == 2
 
     def test_fresh_state_picks_first(self):
         eps = make_endpoints(3)
-        state = BalancerState(policy=mesh.LEAST_CONNECTION)
+        state = BalancerState(policy=mesh.LEAST_CONNECTION, outstanding=[0, 0, 0])
         assert pick_lc(state, eps) is eps[0]
 
     def test_ties_rotate(self):
         # with all counts equal the cursor spreads picks like round-robin
         eps = make_endpoints(3)
-        state = BalancerState(policy=mesh.LEAST_CONNECTION)
+        state = BalancerState(policy=mesh.LEAST_CONNECTION, outstanding=[0, 0, 0])
         picks = [pick_lc(state, eps).replica for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_strictly_smaller_count_beats_rotation(self):
         eps = make_endpoints(3)
         state = BalancerState(policy=mesh.LEAST_CONNECTION)
-        state.outstanding = {eps[0]: 0, eps[1]: 1, eps[2]: 1}
+        state.outstanding = [0, 1, 1]
         for _ in range(4):
             assert pick_lc(state, eps) is eps[0]
 
     def test_skips_unhealthy(self):
         eps = make_endpoints(3)
         state = BalancerState(policy=mesh.LEAST_CONNECTION)
-        state.outstanding = {eps[0]: 0, eps[1]: 5, eps[2]: 5}
+        state.outstanding = [0, 5, 5]
         eps[0].healthy = False
         assert pick_lc(state, eps) in (eps[1], eps[2])
 
@@ -97,23 +103,27 @@ class TestLeastConnection:
         for e in eps:
             e.healthy = False
         with pytest.raises(NoHealthyEndpoint):
-            pick_lc(BalancerState(), eps)
+            pick_lc(BalancerState(outstanding=[0, 0]), eps)
+
+    def test_empty_list_raises(self):
+        with pytest.raises(NoHealthyEndpoint):
+            pick_lc(BalancerState(policy=mesh.LEAST_CONNECTION), [])
 
     def test_update_tracks_dispatch_and_response(self):
-        eps = make_endpoints(2)
-        state = BalancerState(policy=mesh.LEAST_CONNECTION)
-        lc_update(state, eps[0], +1)
-        lc_update(state, eps[0], +1)
-        lc_update(state, eps[1], +1)
-        assert state.outstanding == {eps[0]: 2, eps[1]: 1}
-        lc_update(state, eps[0], -1)
-        assert state.outstanding[eps[0]] == 1
+        # counts are held by position in the endpoint list
+        state = BalancerState(policy=mesh.LEAST_CONNECTION, outstanding=[0, 0])
+        lc_update(state, 0, +1)
+        lc_update(state, 0, +1)
+        lc_update(state, 1, +1)
+        assert state.outstanding == [2, 1]
+        lc_update(state, 0, -1)
+        assert state.outstanding[0] == 1
 
     def test_update_rejects_negative_count(self):
-        eps = make_endpoints(1)
-        state = BalancerState()
+        state = BalancerState(outstanding=[0])
         with pytest.raises(ValueError):
-            lc_update(state, eps[0], -1)
+            lc_update(state, 0, -1)
+        assert state.outstanding == [0]
 
 
 class TestPickDispatch:
@@ -121,7 +131,7 @@ class TestPickDispatch:
         eps = make_endpoints(2)
         rr = BalancerState(policy=mesh.ROUND_ROBIN)
         lc = BalancerState(policy=mesh.LEAST_CONNECTION)
-        lc.outstanding = {eps[0]: 3}
+        lc.outstanding = [3, 0]
         assert pick(rr, eps) is eps[0]
         assert pick(lc, eps) is eps[1]
 
@@ -196,6 +206,138 @@ def test_round_robin_fairness(n, picks):
 def test_least_connection_always_argmin(counts, cursor):
     eps = make_endpoints(len(counts))
     state = BalancerState(policy=mesh.LEAST_CONNECTION, rr_cursor=cursor % len(counts))
-    state.outstanding = {e: c for e, c in zip(eps, counts)}
+    state.outstanding = list(counts)
     chosen = pick_lc(state, eps)
-    assert state.outstanding[chosen] == min(counts)
+    assert state.outstanding[chosen.replica] == min(counts)
+
+
+# -- differential tests against the scans the position-indexed picks replaced --
+
+
+def oracle_rr(cursor, endpoints):
+    """The round-robin scan as it stood: (picked index, cursor after), or
+    None if no endpoint is healthy."""
+    n = len(endpoints)
+    for step in range(n):
+        i = (cursor + step) % n
+        if endpoints[i].healthy:
+            return i, (i + 1) % n
+    return None
+
+
+def oracle_lc(cursor, endpoints, outstanding):
+    """The least-connection scan as it stood, over counts keyed by endpoint."""
+    n = len(endpoints)
+    best = None
+    best_i = -1
+    best_count = 0
+    for step in range(n):
+        i = (cursor + step) % n
+        endpoint = endpoints[i]
+        if not endpoint.healthy:
+            continue
+        count = outstanding.get(endpoint, 0)
+        if best is None or count < best_count:
+            best, best_i, best_count = endpoint, i, count
+    if best is None:
+        return None
+    return best_i, (best_i + 1) % n
+
+
+@st.composite
+def balancers(draw, max_count=4):
+    """(counts, health mask, cursor) over 1 to 130 endpoints; a mask is all
+    up, all down or mixed."""
+    n = draw(st.integers(1, 130))
+    counts = draw(st.lists(st.integers(0, max_count), min_size=n, max_size=n))
+    healthy = draw(
+        st.one_of(st.just([True] * n), st.just([False] * n), st.lists(st.booleans(), min_size=n, max_size=n))
+    )
+    cursor = draw(st.integers(0, n - 1))
+    return counts, healthy, cursor
+
+
+def endpoints_with(healthy):
+    eps = make_endpoints(len(healthy))
+    for endpoint, up in zip(eps, healthy):
+        endpoint.healthy = up
+    return eps
+
+
+def pick_or_none(state, eps):
+    """(picked index, cursor after), or None if the pick raised
+    ``NoHealthyEndpoint``, which must keep the cursor."""
+    cursor = state.rr_cursor
+    try:
+        chosen = pick(state, eps)
+    except NoHealthyEndpoint:
+        assert state.rr_cursor == cursor
+        return None
+    return chosen.replica, state.rr_cursor
+
+
+@settings(max_examples=200, deadline=None)
+@given(balancer=balancers())
+def test_least_connection_matches_the_scan(balancer):
+    counts, healthy, cursor = balancer
+    eps = endpoints_with(healthy)
+    state = BalancerState(policy=mesh.LEAST_CONNECTION, rr_cursor=cursor, outstanding=list(counts))
+    expected = oracle_lc(cursor, eps, dict(zip(eps, counts)))
+    assert pick_or_none(state, eps) == expected
+    assert state.outstanding == counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(balancer=balancers(max_count=0))
+def test_round_robin_matches_the_scan(balancer):
+    _counts, healthy, cursor = balancer
+    eps = endpoints_with(healthy)
+    state = BalancerState(policy=mesh.ROUND_ROBIN, rr_cursor=cursor)
+    expected = oracle_rr(cursor, eps)
+    assert pick_or_none(state, eps) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    balancer=balancers(max_count=0),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("pick")),
+            st.tuples(st.just("release"), st.integers(0, 129)),
+            st.tuples(st.just("flip"), st.integers(0, 129)),
+        ),
+        max_size=80,
+    ),
+)
+def test_a_sequence_of_picks_releases_and_flips_matches_the_scans(balancer, steps):
+    # what a frontend's balancer sees in a run: every pick adds one to the
+    # picked count, a reply or timeout takes one off, and health flips
+    _counts, healthy, cursor = balancer
+    n = len(healthy)
+    eps = endpoints_with(healthy)
+    lc = BalancerState(policy=mesh.LEAST_CONNECTION, rr_cursor=cursor, outstanding=[0] * n)
+    rr = BalancerState(policy=mesh.ROUND_ROBIN, rr_cursor=cursor)
+    lc_cursor, rr_cursor, counts = cursor, cursor, dict.fromkeys(eps, 0)
+    for step in steps:
+        if step[0] == "pick":
+            expected = oracle_lc(lc_cursor, eps, counts)
+            assert pick_or_none(lc, eps) == expected
+            if expected is not None:
+                lc_cursor = expected[1]
+                lc_update(lc, expected[0], +1)
+                counts[eps[expected[0]]] += 1
+            expected = oracle_rr(rr_cursor, eps)
+            assert pick_or_none(rr, eps) == expected
+            if expected is not None:
+                rr_cursor = expected[1]
+        elif step[0] == "release":
+            i = step[1] % n
+            if counts[eps[i]]:
+                lc_update(lc, i, -1)
+                counts[eps[i]] -= 1
+            else:
+                with pytest.raises(ValueError):
+                    lc_update(lc, i, -1)
+        else:
+            eps[step[1] % n].healthy = not eps[step[1] % n].healthy
+        assert lc.outstanding == [counts[endpoint] for endpoint in eps]

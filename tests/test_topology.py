@@ -8,7 +8,7 @@ import sys
 
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fedsim
@@ -607,16 +607,21 @@ def federation_specs(draw):
                 )
             )
         elif kind == "blackout":
+            # the frontends' cluster or the backends'
             at = draw(st.floats(0, 100, allow_nan=False))
+            cluster = draw(st.sampled_from([names[0], names[-1]]))
             timeline.append(
-                faults.BlackoutEvent(at_s=at, cluster=names[0], end_s=at + draw(st.floats(1, 100, allow_nan=False)))
+                faults.BlackoutEvent(at_s=at, cluster=cluster, end_s=at + draw(st.floats(1, 100, allow_nan=False)))
             )
         else:
+            # the frontends or the backends, a share of flips within the 5 s
+            # the property runs
+            service, cluster = draw(st.sampled_from([("fe-svc", names[0]), ("be-svc", names[-1])]))
             timeline.append(
                 faults.SetHealthEvent(
-                    at_s=draw(AT_S),
-                    service="fe-svc",
-                    cluster=names[0],
+                    at_s=draw(st.one_of(AT_S, st.floats(0, 5, allow_nan=False))),
+                    service=service,
+                    cluster=cluster,
                     healthy=draw(st.booleans()),
                     replica=draw(st.sampled_from([None, 0, 1])),
                 )
@@ -652,8 +657,38 @@ def _outputs(engine):
     return counters, stamps, engine.metrics
 
 
+# least-connection picks around unhealthy backends, which the drawn specs
+# reach only now and then: single backends and then all of them go down
+# while requests are open, and then the backends' cluster blacks out
+LC_FLIPS = """
+clusters:
+  - {name: e, nodes: 1, vcpus_per_node: 4}
+  - {name: d, nodes: 2, vcpus_per_node: 2}
+links:
+  base_delay_ms: 0.5
+  one_way_delay_ms: [[0, 10], [10, 0]]
+services:
+  - {name: fe-svc, stage: frontend, replicas_per_cluster: {e: 2}, demand: {base_ms: 2.0}}
+  - name: be-svc
+    stage: backend
+    replicas_per_cluster: {d: 3}
+    demand: {base_ms: 40.0}
+    backend_policy: least_connection
+workload:
+  arrival: poisson
+  phases: [{rate: 80, duration_s: 5}]
+timeline:
+  - {action: set_health, at_s: 1.0, service: be-svc, cluster: d, replica: 0, healthy: false}
+  - {action: set_health, at_s: 2.0, service: be-svc, cluster: d, healthy: false}
+  - {action: set_health, at_s: 2.5, service: be-svc, cluster: d, healthy: true}
+  - {action: blackout, at_s: 3.0, cluster: d, end_s: 4.0}
+duration_s: 5
+"""
+
+
 @settings(max_examples=80, deadline=None)
 @given(spec=federation_specs(), cut=st.floats(0, 1))
+@example(spec=parse_scenario(LC_FLIPS), cut=0.45)
 def test_any_valid_spec_runs_alike_in_one_call_or_split_at_a_cut(spec, cut):
     # two engines from one validated topology share its placements, stage
     # profiles and compiled timeline; a run is the same however it is stepped,

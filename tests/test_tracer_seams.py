@@ -103,3 +103,13 @@ def test_a_traced_run_without_loss_or_blackouts_makes_no_loss_call(tracer, tmp_p
     # every message that crosses a link looks it up and draws its delay once
     assert values["netem.delay_calls"] == values["netem.classify_calls"] > 0
     assert values["mesh.pick_calls"] > 0
+
+
+def test_every_backend_pick_of_a_traced_run_goes_through_mesh_pick(tracer, tmp_path, capsys):
+    # poc_lc has no health flip, so no pick fails and every pick dispatches;
+    # a caller that bound pick_lc around mesh.pick would count fewer
+    scenario = fedsim.bundled_scenario("poc_lc")
+    values = traced_layers(tracer, ["run", str(scenario), "--until", "20", "--out-dir", str(tmp_path)])
+    with (tmp_path / "traces.csv").open(newline="") as handle:
+        dispatched = sum(row["be_dispatch"] != "" for row in csv.DictReader(handle))
+    assert values["mesh.pick_calls"] == dispatched > 0
